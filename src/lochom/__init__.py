@@ -19,6 +19,7 @@ from .exact import (
 )
 from .rings import GradedRing, Poly, monomial_basis, mult_matrix, parse_poly
 from .modules import (
+    CheckReport,
     FreeModule,
     GradedMap,
     HilbertTable,

@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass, field as dc_field
 
-from .complexes import FreeComplex
+from .complexes import ModuleComplex
 from .corpus import run_corpus
 from .errors import (
     EngineError,
@@ -111,6 +111,36 @@ class JobSpec:
         return doc
 
 
+def _integer(value, location: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"expected an integer, got {value!r}", location)
+    return value
+
+
+def _object(value, location: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"expected an object, got {value!r}", location)
+    return value
+
+
+def _list(value, location: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"expected a list, got {value!r}", location)
+    return value
+
+
+def _integers(value, location: str) -> list:
+    return [_integer(v, f"{location}[{n}]") for n, v in enumerate(_list(value, location))]
+
+
+def _strings(value, location: str) -> list:
+    items = _list(value, location)
+    for n, v in enumerate(items):
+        if not isinstance(v, str):
+            raise SchemaError(f"expected a string, got {v!r}", f"{location}[{n}]")
+    return items
+
+
 def _document_to_jobspec(doc: dict) -> JobSpec:
     if not isinstance(doc, dict):
         raise SchemaError("job document must be a JSON object", "$")
@@ -137,23 +167,20 @@ def _document_to_jobspec(doc: dict) -> JobSpec:
         value = doc.get(name, default)
         if not (isinstance(value, (list, tuple)) and len(value) == 2):
             raise SchemaError(f"{name} must be a [lo, hi] pair", name)
-        try:
-            return (int(value[0]), int(value[1]))
-        except (TypeError, ValueError):
-            raise SchemaError(f"{name} entries must be integers", name)
+        return (_integer(value[0], f"{name}[0]"), _integer(value[1], f"{name}[1]"))
 
     spec = JobSpec(
         command=str(doc.get("command", "lc")),
         ring=doc.get("ring"),
         module=doc.get("module"),
         complex=doc.get("complex"),
-        ideal=tuple(doc.get("ideal", ())),
+        ideal=tuple(_strings(doc.get("ideal", []), "ideal")),
         i_range=pair("i_range", (0, 2)),
         window=pair("window", (-6, 6)),
-        k_max=int(doc.get("k_max", 8)),
-        s=int(doc.get("s", 2)),
-        cech_k_max=int(doc.get("K_max", 6)),
-        power=int(doc.get("power", 1)),
+        k_max=_integer(doc.get("k_max", 8), "k_max"),
+        s=_integer(doc.get("s", 2), "s"),
+        cech_k_max=_integer(doc.get("K_max", 6), "K_max"),
+        power=_integer(doc.get("power", 1), "power"),
         report=str(doc.get("report", "json")),
         verify_subject=str(doc.get("verify", "corpus")),
     )
@@ -176,20 +203,18 @@ def parse_input(path: str) -> JobSpec:
 
 # -- builders ------------------------------------------------------------------
 
-def build_ring(spec: dict | None, field_override: int | None = None) -> GradedRing:
+def build_ring(spec: dict | None) -> GradedRing:
     if spec is None:
         raise SchemaError("this command needs a ring", "ring")
     if not isinstance(spec, dict):
         raise SchemaError("ring must be an object", "ring")
-    char = spec.get("char", DEFAULT_PRIME)
-    if field_override is not None:
-        char = field_override
+    char = _integer(spec.get("char", DEFAULT_PRIME), "ring.char")
     try:
-        field = FieldSpec(int(char))
+        field = FieldSpec(char)
     except ValueError as exc:
         raise SchemaError(str(exc), "ring.char")
-    vars_ = spec.get("vars")
-    weights = spec.get("weights", [1] * len(vars_ or []))
+    vars_ = _strings(spec.get("vars", []), "ring.vars")
+    weights = _integers(spec.get("weights", [1] * len(vars_)), "ring.weights")
     if not vars_:
         raise SchemaError("ring.vars must be a nonempty list", "ring.vars")
     try:
@@ -203,9 +228,11 @@ def build_module(ring: GradedRing, spec: dict | None) -> PresentedModule:
         return PresentedModule.free(FreeModule(ring, [0]))
     if not isinstance(spec, dict):
         raise SchemaError("module must be an object", "module")
-    twists = spec.get("target_twists", [0])
+    twists = _integers(spec.get("target_twists", [0]), "module.target_twists")
     target = FreeModule(ring, twists)
-    rows = spec.get("relations", [])
+    rows = _list(spec.get("relations", []), "module.relations")
+    for n, row in enumerate(rows):
+        _list(row, f"module.relations[{n}]")
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise SchemaError("relations must be rectangular", "module.relations")
     if len(rows) not in (0, target.rank):
@@ -225,11 +252,11 @@ def build_module(ring: GradedRing, spec: dict | None) -> PresentedModule:
         raise HomogeneityError(f"module relations: {exc}")
 
 
-def build_complex(ring: GradedRing, spec: dict) -> FreeComplex:
+def build_complex(ring: GradedRing, spec: dict) -> ModuleComplex:
     if not isinstance(spec, dict) or "terms" not in spec:
         raise SchemaError("complex needs a terms object", "complex")
     terms = {}
-    for key, val in spec["terms"].items():
+    for key, val in _object(spec["terms"], "complex.terms").items():
         try:
             idx = int(key)
         except ValueError:
@@ -237,15 +264,18 @@ def build_complex(ring: GradedRing, spec: dict) -> FreeComplex:
         twists = val.get("twists") if isinstance(val, dict) else None
         if twists is None:
             raise SchemaError(f"term {key} needs twists", "complex.terms")
-        terms[idx] = FreeModule(ring, twists)
+        terms[idx] = FreeModule(ring, _integers(twists, f"complex.terms.{key}.twists"))
     diffs = {}
-    for key, rows in spec.get("differentials", {}).items():
+    differentials = _object(spec.get("differentials", {}), "complex.differentials")
+    for key, rows in differentials.items():
         try:
             idx = int(key)
         except ValueError:
             raise SchemaError(
                 f"differential index {key!r} is not an integer", "complex.differentials"
             )
+        for n, row in enumerate(_list(rows, f"complex.differentials.{key}")):
+            _list(row, f"complex.differentials.{key}[{n}]")
         src = terms.get(idx)
         tgt = terms.get(idx - 1)
         if src is None or tgt is None:
@@ -263,7 +293,7 @@ def build_complex(ring: GradedRing, spec: dict) -> FreeComplex:
         except NonHomogeneousError as exc:
             raise HomogeneityError(f"differential {idx}: {exc}")
     try:
-        return FreeComplex(ring, terms, diffs)
+        return ModuleComplex(ring, terms, diffs)
     except InternalInvariantError as exc:
         raise SchemaError(f"not a complex: {exc}", "complex.differentials")
 
@@ -361,7 +391,7 @@ def run(job: JobSpec) -> Report:
         )
         return Report("lc", params, table=table)
     if job.command == "lh":
-        if isinstance(coefficients, FreeComplex):
+        if isinstance(coefficients, ModuleComplex):
             raise SchemaError("local homology takes a module, not a complex", "complex")
         table = local_homology_table(
             gens, coefficients, job.i_range, job.window, job.k_max, job.s

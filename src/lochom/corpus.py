@@ -12,7 +12,7 @@ import json
 import random
 from typing import Callable, NamedTuple
 
-from .complexes import FreeComplex, homology_table, tensor_with_module
+from .complexes import ModuleComplex, homology_table, shift, tensor
 from .duality import (
     dualizing_module_check,
     ext_table,
@@ -41,7 +41,6 @@ from .localcoh import (
 from .modules import FreeModule, PresentedModule, hilbert_row
 from .rings import GradedRing, parse_poly
 from .towers import direct_sum_towers, lim_lim1_truncated, pro_zero_certificate
-from .complexes import shift
 
 
 class CheckResult(NamedTuple):
@@ -77,7 +76,7 @@ def criterion_1_koszul_regularity() -> CheckResult:
     for n in (1, 2, 3):
         ring = _ring(n)
         spec = KoszulSpec(ring, ring.variables(), 1, INVERSE)
-        cx = tensor_with_module(koszul_complex(spec), _free(ring))
+        cx = tensor(koszul_complex(spec), _free(ring))
         table = homology_table(cx, (0, n), (-4, 6))
         for (i, d), entry in table.items():
             expected = 1 if (i == 0 and d == 0) else 0
@@ -222,8 +221,8 @@ def criterion_4_truncated_hocolim() -> CheckResult:
         sc = stable_cech_truncated((x, y), k)
         stage = shift(koszul_complex(KoszulSpec(ring, (x, y), k, DIRECT)), -2)
         for name, module in modules.items():
-            t_sc = homology_table(tensor_with_module(sc, module), (-2, 1), (-4, 6))
-            t_stage = homology_table(tensor_with_module(stage, module), (-2, 1), (-4, 6))
+            t_sc = homology_table(tensor(sc, module), (-2, 1), (-4, 6))
+            t_stage = homology_table(tensor(stage, module), (-2, 1), (-4, 6))
             if not t_sc.same_dims(t_stage):
                 failures.append([k, name])
     return CheckResult(4, "truncated-hocolim", not failures, {"failures": failures})
@@ -351,7 +350,7 @@ def criterion_9_gm_adjunction() -> CheckResult:
     """The adjunction map validates, is a strandwise iso, and has equal tables."""
     ring = _ring(2)
     x, y = ring.variables()
-    stalk_r = FreeComplex.stalk(FreeModule(ring, [0]))
+    stalk_r = ModuleComplex.stalk(FreeModule(ring, [0]))
     cases = {
         "R-vs-R-K4": ((x, y), stalk_r, stalk_r, 4),
         "Koszul-vs-R-K4": (
@@ -363,7 +362,7 @@ def criterion_9_gm_adjunction() -> CheckResult:
         "resolution-vs-twist-K6": (
             (x, y),
             koszul_resolution([parse_poly(ring, "x^2")], (-8, 8)).complex,
-            FreeComplex.stalk(FreeModule(ring, [-2])),
+            ModuleComplex.stalk(FreeModule(ring, [-2])),
             6,
         ),
     }
@@ -451,7 +450,7 @@ def criterion_12_determinism() -> CheckResult:
         rep = gm_adjunction_check(
             (x, y),
             koszul_complex(KoszulSpec(ring, (x, y), 1, INVERSE)),
-            FreeComplex.stalk(FreeModule(ring, [0])),
+            ModuleComplex.stalk(FreeModule(ring, [0])),
             3,
             (-4, 4),
             (-4, 4),

@@ -11,8 +11,8 @@ computable shadow).
 from __future__ import annotations
 
 from .complexes import (
-    ChainMap,
-    FreeComplex,
+    ModuleChainMap,
+    ModuleComplex,
     StrandContext,
     hom_complex,
     hom_summands,
@@ -29,6 +29,7 @@ from .exact import StrandSpace, induced_map, rank
 from .koszul import INVERSE, KoszulSpec, koszul_complex, stable_cech_truncated
 from .localcoh import local_cohomology_table
 from .modules import (
+    CheckReport,
     FreeModule,
     GradedMap,
     HilbertTable,
@@ -49,8 +50,6 @@ __all__ = [
     "local_duality_check",
     "dualizing_module_check",
     "gm_adjunction_check",
-    "LocalDualityReport",
-    "DualizingModuleReport",
     "GMAdjunctionReport",
 ]
 
@@ -68,7 +67,7 @@ class ValidatedResolution:
 
     __slots__ = ("complex", "augmentation", "module", "window")
 
-    def __init__(self, complex: FreeComplex, augmentation: GradedMap, module: PresentedModule, window):
+    def __init__(self, complex: ModuleComplex, augmentation: GradedMap, module: PresentedModule, window):
         object.__setattr__(self, "complex", complex)
         object.__setattr__(self, "augmentation", augmentation)
         object.__setattr__(self, "module", module)
@@ -83,7 +82,7 @@ class ValidatedResolution:
 
 
 def validate_resolution(
-    complex: FreeComplex, augmentation: GradedMap, module: PresentedModule, window
+    complex: ModuleComplex, augmentation: GradedMap, module: PresentedModule, window
 ) -> ValidatedResolution:
     """Check exactness in degrees >= 1 and coker(d_1) = M strandwise on the window."""
     if complex.support and min(complex.support) < 0:
@@ -146,7 +145,7 @@ def koszul_resolution(f_list, window) -> ValidatedResolution:
 
 def trivial_resolution(free: FreeModule, window) -> ValidatedResolution:
     """A free module resolved by itself."""
-    cx = FreeComplex.stalk(free)
+    cx = ModuleComplex.stalk(free)
     module = PresentedModule.free(free)
     return ValidatedResolution(cx, GradedMap.identity(free), module, window)
 
@@ -154,7 +153,7 @@ def trivial_resolution(free: FreeModule, window) -> ValidatedResolution:
 def ext_table(resolution: ValidatedResolution, twist: int, j_range, window) -> HilbertTable:
     """Dims of Ext^j(M, R(twist))_d = H_{-j}(Hom(resolution, R(twist)))_d."""
     ring = resolution.complex.ring
-    values = FreeComplex.stalk(FreeModule(ring, [twist]))
+    values = ModuleComplex.stalk(FreeModule(ring, [twist]))
     hom = hom_complex(resolution.complex, values)
     j_lo, j_hi = int(j_range[0]), int(j_range[1])
     inner = homology_table(hom, (-j_hi, -j_lo), window)
@@ -165,27 +164,9 @@ def ext_table(resolution: ValidatedResolution, twist: int, j_range, window) -> H
     return table
 
 
-class LocalDualityReport:
-    __slots__ = ("passed", "mismatches", "skipped", "compared", "canonical_twist")
-
-    def __init__(self, passed, mismatches, skipped, compared, canonical_twist):
-        self.passed = passed
-        self.mismatches = tuple(mismatches)
-        self.skipped = tuple(skipped)
-        self.compared = compared
-        self.canonical_twist = canonical_twist
-
-    def __bool__(self):
-        return self.passed
-
-    def __repr__(self):
-        status = "pass" if self.passed else f"fail {list(self.mismatches)}"
-        return f"LocalDualityReport({status}, compared={self.compared})"
-
-
 def local_duality_check(
     resolution: ValidatedResolution, i_range, window, k_max: int = 10, s: int = 2
-) -> LocalDualityReport:
+) -> CheckReport:
     """dim H^i_m(M)_d = dim Ext^{n-i}(M, R(-sum w))_{-d} on stabilized entries.
 
     The left side is computed from Koszul towers on the full variable ideal;
@@ -212,28 +193,10 @@ def local_duality_check(
         dual_dim = rhs.dim(n - i, -d)
         if entry.dim != dual_dim:
             mismatches.append((i, d, entry.dim, dual_dim))
-    return LocalDualityReport(not mismatches, mismatches, skipped, compared, omega)
+    return CheckReport(mismatches, skipped, compared, omega)
 
 
-class DualizingModuleReport:
-    __slots__ = ("passed", "mismatches", "skipped", "compared", "canonical_twist")
-
-    def __init__(self, passed, mismatches, skipped, compared, canonical_twist):
-        self.passed = passed
-        self.mismatches = tuple(mismatches)
-        self.skipped = tuple(skipped)
-        self.compared = compared
-        self.canonical_twist = canonical_twist
-
-    def __bool__(self):
-        return self.passed
-
-    def __repr__(self):
-        status = "pass" if self.passed else f"fail {list(self.mismatches)}"
-        return f"DualizingModuleReport({status}, compared={self.compared})"
-
-
-def dualizing_module_check(ring: GradedRing, window, k_max: int = 10, s: int = 2) -> DualizingModuleReport:
+def dualizing_module_check(ring: GradedRing, window, k_max: int = 10, s: int = 2) -> CheckReport:
     """Graded dual of the H^n_m(R) table must be the Hilbert row of R(-sum w)."""
     n = ring.nvars
     omega = -sum(ring.weights)
@@ -251,12 +214,12 @@ def dualizing_module_check(ring: GradedRing, window, k_max: int = 10, s: int = 2
         expected = FreeModule(ring, [omega]).strand_dim(d)
         if entry.dim != expected:
             mismatches.append((i, d, entry.dim, expected))
-    return DualizingModuleReport(not mismatches, mismatches, skipped, compared, omega)
+    return CheckReport(mismatches, skipped, compared, omega)
 
 
 # -- the adjunction between derived torsion and derived completion -------------
 
-def _adjunction_chain_map(a: FreeComplex, x: FreeComplex, y: FreeComplex) -> ChainMap:
+def _adjunction_chain_map(a: ModuleComplex, x: ModuleComplex, y: ModuleComplex) -> ModuleChainMap:
     """theta: Hom(A (x) X, Y) -> Hom(X, Hom(A, Y)), f -> (x -> (a -> (-1)^{st} f(a(x)x))).
 
     Both sides decompose over the same (s, t) pairs; theta permutes generator
@@ -315,7 +278,7 @@ def _adjunction_chain_map(a: FreeComplex, x: FreeComplex, y: FreeComplex) -> Cha
                     g_offset += ra * ry
             right_offset += x.term(t).rank * rha
         components[i] = GradedMap(lmod, rmod, entries)
-    return ChainMap(left, right, components)
+    return ModuleChainMap(left, right, components)
 
 
 class GMAdjunctionReport:
@@ -359,7 +322,7 @@ class GMAdjunctionReport:
         )
 
 
-def gm_adjunction_check(gens, x: FreeComplex, y: FreeComplex, k_max: int, i_range, window) -> GMAdjunctionReport:
+def gm_adjunction_check(gens, x: ModuleComplex, y: ModuleComplex, k_max: int, i_range, window) -> GMAdjunctionReport:
     """Verify Hom(A (x) X, Y) = Hom(X, Hom(A, Y)) for A the truncated stable Cech complex.
 
     Three independent checks: (a) the explicit adjunction map is a chain map,

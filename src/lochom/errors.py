@@ -39,8 +39,8 @@ class OrderError(EngineError):
     """Transition endpoints are not ordered as the system requires."""
 
 
-class UnboundedComplexError(EngineError):
-    """An operation needs a bounded complex with finite-rank terms."""
+class NotFreeError(EngineError):
+    """An operation needs free terms and was given a presented one."""
 
 
 class NotRegularError(EngineError):

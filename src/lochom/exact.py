@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 DEFAULT_PRIME = 32003
+# Mod-p elimination multiplies reduced entries in int64, which is exact only
+# while (p - 1)^2 < 2^63; the bound keeps every product below 2^62.
+MAX_PRIME = 2**31
 
 
 def _is_prime(n: int) -> bool:
@@ -48,12 +51,14 @@ def _is_prime(n: int) -> bool:
 
 
 class FieldSpec:
-    """Coefficient field: characteristic 0 means Q, otherwise a prime p."""
+    """Coefficient field: characteristic 0 means Q, otherwise a prime p < 2^31."""
 
     __slots__ = ("characteristic",)
 
     def __init__(self, characteristic: int):
         characteristic = int(characteristic)
+        if characteristic >= MAX_PRIME:
+            raise ValueError(f"characteristic must be below 2^31, got {characteristic}")
         if characteristic != 0 and not _is_prime(characteristic):
             raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
         object.__setattr__(self, "characteristic", characteristic)
@@ -100,15 +105,6 @@ class FieldSpec:
         if self.characteristic == 0:
             return -a
         return (-a) % self.characteristic
-
-    def inv(self, a):
-        if self.characteristic == 0:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return Fraction(1) / a
-        if a % self.characteristic == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(int(a), self.characteristic - 2, self.characteristic)
 
 
 QQ = FieldSpec(0)
@@ -276,9 +272,6 @@ class ExactMatrix:
         else:
             data = a.dot(b) % p if self.cols else np.zeros((self.rows, other.cols), dtype=np.int64)
         return ExactMatrix(field, data.astype(_dtype_for(p)))
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, self._data.T.copy())
 
     # -- slicing / stacking --------------------------------------------------
     def columns(self, indices) -> "ExactMatrix":
@@ -551,9 +544,6 @@ class StrandSpace:
     @property
     def is_full(self) -> bool:
         return self._full_super and self._sub_cb.cols == 0
-
-    def sub_rank(self) -> int:
-        return self._sub_cb.cols
 
     def sub_column_basis(self) -> ExactMatrix:
         return self._sub_cb

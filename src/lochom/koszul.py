@@ -19,15 +19,15 @@ products of the one-variable maps.
 from __future__ import annotations
 
 from .complexes import (
-    ChainMap,
-    FreeComplex,
+    ModuleChainMap,
+    ModuleComplex,
     cone,
     direct_sum,
+    hom_complex,
     homology_table,
     shift,
     tensor,
     tensor_chain_maps,
-    tensor_with_module,
 )
 from .errors import (
     ConventionMismatchError,
@@ -36,6 +36,7 @@ from .errors import (
     ZeroGeneratorError,
 )
 from .modules import (
+    CheckReport,
     FreeModule,
     GradedMap,
     HilbertTable,
@@ -50,7 +51,6 @@ __all__ = [
     "transition",
     "koszul_homology_table",
     "self_duality_check",
-    "SelfDualityReport",
     "stable_cech_truncated",
 ]
 
@@ -105,7 +105,7 @@ class KoszulSpec:
         return f"KoszulSpec(({gens})^{self.power}, {self.convention})"
 
 
-def _one_variable_complex(spec: KoszulSpec, idx: int) -> FreeComplex:
+def _one_variable_complex(spec: KoszulSpec, idx: int) -> ModuleComplex:
     ring = spec.ring
     g = spec.gens[idx]
     w = spec.power * g.degree()
@@ -116,10 +116,10 @@ def _one_variable_complex(spec: KoszulSpec, idx: int) -> FreeComplex:
     else:
         src = FreeModule(ring, [-w])
         tgt = FreeModule(ring, [0])
-    return FreeComplex.two_term(GradedMap(src, tgt, [[f]]))
+    return ModuleComplex.two_term(GradedMap(src, tgt, [[f]]))
 
 
-def koszul_complex(spec: KoszulSpec) -> FreeComplex:
+def koszul_complex(spec: KoszulSpec) -> ModuleComplex:
     """n-fold tensor of the two-term complexes; term i has rank C(n, i)."""
     result = _one_variable_complex(spec, 0)
     for idx in range(1, spec.n):
@@ -127,7 +127,7 @@ def koszul_complex(spec: KoszulSpec) -> FreeComplex:
     return result
 
 
-def _one_variable_transition(spec_k: KoszulSpec, spec_l: KoszulSpec, idx: int) -> ChainMap:
+def _one_variable_transition(spec_k: KoszulSpec, spec_l: KoszulSpec, idx: int) -> ModuleChainMap:
     ring = spec_k.ring
     g = spec_k.gens[idx]
     k, l = spec_k.power, spec_l.power
@@ -142,10 +142,10 @@ def _one_variable_transition(spec_k: KoszulSpec, spec_l: KoszulSpec, idx: int) -
         # multiplication by a^{k-l} in degree 1, identity in degree 0
         comp1 = GradedMap(ck.term(1), cl.term(1), [[g ** (k - l)]])
         comp0 = GradedMap(ck.term(0), cl.term(0), [[one]])
-    return ChainMap(ck, cl, {1: comp1, 0: comp0})
+    return ModuleChainMap(ck, cl, {1: comp1, 0: comp0})
 
 
-def transition(spec_k: KoszulSpec, spec_l: KoszulSpec) -> ChainMap:
+def transition(spec_k: KoszulSpec, spec_l: KoszulSpec) -> ModuleChainMap:
     """phi^{k,l} (direct, k <= l) or psi^{k,l} (inverse, k >= l) on K(a^k) -> K(a^l)."""
     if (
         spec_k.ring != spec_l.ring
@@ -165,45 +165,23 @@ def transition(spec_k: KoszulSpec, spec_l: KoszulSpec) -> ChainMap:
 
 def koszul_homology_table(spec: KoszulSpec, module: PresentedModule, window) -> HilbertTable:
     """Dims of H_i(a^k; M)_d for i in [0, n] and d in the window."""
-    cx = tensor_with_module(koszul_complex(spec), module)
+    cx = tensor(koszul_complex(spec), module)
     return homology_table(cx, (0, spec.n), window, k_used=spec.power)
 
 
-class SelfDualityReport:
-    __slots__ = ("passed", "twist", "convention", "direction", "mismatches")
-
-    def __init__(self, passed, twist, convention, direction, mismatches):
-        self.passed = passed
-        self.twist = twist
-        self.convention = convention
-        self.direction = direction
-        self.mismatches = tuple(mismatches)
-
-    def __bool__(self):
-        return self.passed
-
-    def __repr__(self):
-        status = "pass" if self.passed else f"fail {list(self.mismatches)}"
-        return f"SelfDualityReport({status}, twist={self.twist}, d'={self.direction})"
-
-
-def self_duality_check(spec: KoszulSpec, module: PresentedModule, window) -> SelfDualityReport:
+def self_duality_check(spec: KoszulSpec, module: PresentedModule, window) -> CheckReport:
     """Compare H_i(K (x) M)_d with H_{i-n}(Hom(K, M))_{d'} under the twist.
 
     The internal twist is T = k * sum deg a_i; the correspondence is
     d' = d - T for the inverse convention and d' = d + T for the direct one.
     """
-    from .complexes import hom_into_module
-
     kc = koszul_complex(spec)
     n = spec.n
     t = spec.global_twist
     sign = -1 if spec.convention == INVERSE else 1
     lo, hi = int(window[0]), int(window[1])
-    tensor_side = homology_table(tensor_with_module(kc, module), (0, n), (lo, hi))
-    hom_side = homology_table(
-        hom_into_module(kc, module), (-n, 0), (lo + sign * t, hi + sign * t)
-    )
+    tensor_side = homology_table(tensor(kc, module), (0, n), (lo, hi))
+    hom_side = homology_table(hom_complex(kc, module), (-n, 0), (lo + sign * t, hi + sign * t))
     mismatches = []
     for d in range(lo, hi + 1):
         for i in range(0, n + 1):
@@ -211,11 +189,10 @@ def self_duality_check(spec: KoszulSpec, module: PresentedModule, window) -> Sel
             rhs = hom_side.dim(i - n, d + sign * t)
             if lhs != rhs:
                 mismatches.append((i, d, lhs, rhs))
-    direction = f"d' = d {'-' if sign < 0 else '+'} {t}"
-    return SelfDualityReport(not mismatches, t, spec.convention, direction, mismatches)
+    return CheckReport(mismatches, compared=(hi - lo + 1) * (n + 1), twist=t)
 
 
-def stable_cech_truncated(gens, k_max: int, ring: GradedRing | None = None) -> FreeComplex:
+def stable_cech_truncated(gens, k_max: int, ring: GradedRing | None = None) -> ModuleComplex:
     """Truncated homotopy colimit of S^{-n} K(a^k), k = 1..k_max (direct convention).
 
     Built as Cone(theta) for the finite telescope map
@@ -236,7 +213,7 @@ def stable_cech_truncated(gens, k_max: int, ring: GradedRing | None = None) -> F
     stages = [shift(koszul_complex(s), -n) for s in specs]
     b = direct_sum(stages)
     if k_max == 1:
-        return cone(ChainMap(FreeComplex.zero(ring), b, {}))
+        return cone(ModuleChainMap(ModuleComplex.zero(ring), b, {}))
     sources = stages[:-1]
     b_src = direct_sum(sources)
     transitions = [
@@ -256,13 +233,13 @@ def stable_cech_truncated(gens, k_max: int, ring: GradedRing | None = None) -> F
             if comp.source.rank and comp.target.rank:
                 blocks[(k + 1, k)] = comp.scale(neg_one)
         components[i] = graded_map_from_blocks(src_blocks, tgt_blocks, blocks)
-    theta = ChainMap(b_src, b, components)
+    theta = ModuleChainMap(b_src, b, components)
     return cone(theta)
 
 
-def _shifted_transition(spec_k: KoszulSpec, spec_l: KoszulSpec, n: int) -> ChainMap:
+def _shifted_transition(spec_k: KoszulSpec, spec_l: KoszulSpec, n: int) -> ModuleChainMap:
     f = transition(spec_k, spec_l)
     src = shift(f.source, -n)
     tgt = shift(f.target, -n)
     comps = {i - n: g for i, g in f.components.items()}
-    return ChainMap(src, tgt, comps)
+    return ModuleChainMap(src, tgt, comps)

@@ -12,23 +12,18 @@ answer is the last computed dimension with stabilized=False.
 from __future__ import annotations
 
 from .complexes import (
-    ChainMap,
-    FreeComplex,
     ModuleChainMap,
-    ModuleComplex,
     StrandContext,
     hom_complex,
-    hom_into_module,
     homology_induced_matrix,
     homology_table,
     tensor,
     tensor_chain_maps,
-    tensor_map_with_module,
-    tensor_with_module,
 )
 from .errors import EmptyGeneratorsError, NonHomogeneousError
 from .koszul import DIRECT, INVERSE, KoszulSpec, koszul_complex, stable_cech_truncated, transition
 from .modules import (
+    CheckReport,
     HilbertTable,
     PresentedModule,
     TableEntry,
@@ -42,7 +37,6 @@ __all__ = [
     "local_homology_table",
     "hom_stable_cech_table",
     "generator_independence_check",
-    "GeneratorIndependenceReport",
 ]
 
 
@@ -63,6 +57,8 @@ def _validate_gens(gens, ring=None):
 class KoszulTowerSystem:
     """Stages K(a^k) (x) X for k = 1..k_max with their transition chain maps.
 
+    X is a complex, or a presented module standing for its stalk.
+
     direction 'directed' stores maps C_k -> C_{k+1} (phi (x) X, direct
     convention); 'inverse' stores maps C_{k+1} -> C_k (psi (x) X).
     """
@@ -74,30 +70,18 @@ class KoszulTowerSystem:
             raise ValueError("k_max must be >= 1")
         gens, ring = _validate_gens(gens)
         specs = [KoszulSpec(ring, gens, k, convention) for k in range(1, k_max + 1)]
-        koszuls = [koszul_complex(s) for s in specs]
-        if isinstance(x, PresentedModule):
-            complexes = [tensor_with_module(kc, x) for kc in koszuls]
-
-            def make_map(spec_src, spec_tgt):
-                return tensor_map_with_module(transition(spec_src, spec_tgt), x)
-
-        elif isinstance(x, FreeComplex):
-            complexes = [ModuleComplex.from_free(tensor(kc, x)) for kc in koszuls]
-            ident = ChainMap.identity(x)
-
-            def make_map(spec_src, spec_tgt):
-                return ModuleChainMap.from_chain_map(
-                    tensor_chain_maps(transition(spec_src, spec_tgt), ident)
-                )
-
-        else:
-            raise TypeError("coefficients must be a PresentedModule or FreeComplex")
+        ident = ModuleChainMap.identity(x)  # its source is x as a complex
         maps = []
         for k in range(k_max - 1):
-            if convention == DIRECT:
-                maps.append(make_map(specs[k], specs[k + 1]))
-            else:
-                maps.append(make_map(specs[k + 1], specs[k]))
+            src, tgt = (specs[k], specs[k + 1]) if convention == DIRECT else (specs[k + 1], specs[k])
+            maps.append(tensor_chain_maps(transition(src, tgt), ident))
+        # every stage but the top one is the lower-power end of a map
+        if maps:
+            lower = [f.source if convention == DIRECT else f.target for f in maps]
+            top = maps[-1].target if convention == DIRECT else maps[-1].source
+            complexes = lower + [top]
+        else:
+            complexes = [tensor(koszul_complex(specs[0]), ident.source)]
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "convention", convention)
         object.__setattr__(self, "k_max", k_max)
@@ -229,53 +213,30 @@ def hom_stable_cech_table(gens, y, k_max: int, i_range, window) -> HilbertTable:
     k_used = K.
     """
     gens, ring = _validate_gens(gens)
-    a = stable_cech_truncated(gens, k_max, ring)
-    if isinstance(y, PresentedModule):
-        cx = hom_into_module(a, y)
-    elif isinstance(y, FreeComplex):
-        cx = hom_complex(a, y)
-    else:
-        raise TypeError("coefficients must be a PresentedModule or FreeComplex")
+    cx = hom_complex(stable_cech_truncated(gens, k_max, ring), y)
     return homology_table(cx, i_range, window, stabilized=True, k_used=k_max)
-
-
-class GeneratorIndependenceReport:
-    __slots__ = ("passed", "mismatches", "excluded", "compared")
-
-    def __init__(self, passed, mismatches, excluded, compared):
-        self.passed = passed
-        self.mismatches = tuple(mismatches)
-        self.excluded = tuple(excluded)
-        self.compared = compared
-
-    def __bool__(self):
-        return self.passed
-
-    def __repr__(self):
-        status = "pass" if self.passed else f"fail {list(self.mismatches)}"
-        return f"GeneratorIndependenceReport({status}, compared={self.compared})"
 
 
 def generator_independence_check(
     gens_a, gens_b, x, i_range, window, k_max: int = 8, s: int = 2
-) -> GeneratorIndependenceReport:
+) -> CheckReport:
     """Stabilized local cohomology entries must agree for two generating sets.
 
     The caller is responsible for the two lists generating the same ideal;
-    that claim is recorded, not verified.  Unstabilized entries are excluded
+    that claim is recorded, not verified.  Unstabilized entries are skipped
     and listed.
     """
     table_a = local_cohomology_table(gens_a, x, i_range, window, k_max, s)
     table_b = local_cohomology_table(gens_b, x, i_range, window, k_max, s)
     mismatches = []
-    excluded = []
+    skipped = []
     compared = 0
     for (i, d), ea in table_a.items():
         eb = table_b.get(i, d)
         if not (ea.stabilized and eb.stabilized):
-            excluded.append((i, d))
+            skipped.append((i, d))
             continue
         compared += 1
         if ea.dim != eb.dim:
             mismatches.append((i, d, ea.dim, eb.dim))
-    return GeneratorIndependenceReport(not mismatches, mismatches, excluded, compared)
+    return CheckReport(mismatches, skipped, compared)

@@ -24,6 +24,7 @@ __all__ = [
     "PresentedModule",
     "HilbertTable",
     "TableEntry",
+    "CheckReport",
     "strand",
     "mult_operator",
     "annihilator_strand",
@@ -221,16 +222,6 @@ class GradedMap:
                 rows.append(row)
         return GradedMap(src, tgt, rows, self.internal_degree + other.internal_degree)
 
-    def transpose_dual(self) -> "GradedMap":
-        """Entrywise transpose Hom(-, R): source/target twists negate."""
-        src = FreeModule(self.ring, tuple(-b for b in self.target.twists))
-        tgt = FreeModule(self.ring, tuple(-a for a in self.source.twists))
-        rows = [
-            [self.entries[i][j] for i in range(self.target.rank)]
-            for j in range(self.source.rank)
-        ]
-        return GradedMap(src, tgt, rows, self.internal_degree)
-
     # -- strands -----------------------------------------------------------------
     def strand_matrix(self, d: int) -> ExactMatrix:
         """Matrix of F_d -> G_{d+internal_degree} on monomial strand bases."""
@@ -355,9 +346,6 @@ class PresentedModule:
     def twisted(self, n: int) -> "PresentedModule":
         return PresentedModule(self.presentation.twisted(n))
 
-    def is_free_presentation(self) -> bool:
-        return self.presentation.source.rank == 0
-
     def __eq__(self, other):
         return isinstance(other, PresentedModule) and self.presentation == other.presentation
 
@@ -371,17 +359,26 @@ class PresentedModule:
         )
 
 
+def module_sum(modules) -> PresentedModule:
+    """(+)_p M_p as a presented module (block-diagonal presentation)."""
+    modules = list(modules)
+    if len(modules) == 1:
+        return modules[0]
+    blocks = {(p, p): m.presentation for p, m in enumerate(modules)}
+    return PresentedModule(
+        graded_map_from_blocks(
+            [m.relations for m in modules], [m.generators for m in modules], blocks
+        )
+    )
+
+
 def module_sum_twisted(module: PresentedModule, twists) -> PresentedModule:
     """(+)_p M(t_p) as a presented module (block-diagonal presentation)."""
     twists = list(twists)
-    ring = module.ring
-    src_blocks = [module.relations.twisted(t) for t in twists]
-    tgt_blocks = [module.generators.twisted(t) for t in twists]
-    blocks = {(p, p): module.presentation.twisted(t) for p, t in enumerate(twists)}
     if not twists:
-        empty = FreeModule(ring, ())
+        empty = FreeModule(module.ring, ())
         return PresentedModule(GradedMap.zero(empty, empty))
-    return PresentedModule(graded_map_from_blocks(src_blocks, tgt_blocks, blocks))
+    return module_sum([module.twisted(t) for t in twists])
 
 
 def strand(module: PresentedModule, d: int) -> StrandSpace:
@@ -496,6 +493,28 @@ class HilbertTable:
     def __repr__(self):
         nz = {k: e.dim for k, e in self.items() if e.dim}
         return f"HilbertTable({nz})"
+
+
+class CheckReport:
+    """Outcome of a cell-by-cell comparison of two computations.
+
+    ``mismatches`` lists the cells where the two disagree, ``skipped`` the
+    cells left out (unstabilized entries), ``compared`` counts the cells
+    compared, and ``twist`` is the twist the comparison is made under, if any.
+    """
+
+    __slots__ = ("passed", "mismatches", "skipped", "compared", "twist")
+
+    def __init__(self, mismatches, skipped=(), compared: int = 0, twist: int | None = None):
+        self.passed = not mismatches
+        self.mismatches = tuple(mismatches)
+        self.skipped = tuple(skipped)
+        self.compared = compared
+        self.twist = twist
+
+    def __repr__(self):
+        status = "pass" if self.passed else f"fail {list(self.mismatches)}"
+        return f"CheckReport({status}, compared={self.compared}, twist={self.twist})"
 
 
 def degree_window(window) -> range:

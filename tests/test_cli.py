@@ -174,3 +174,25 @@ def test_verify_subject_dispatch(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "criterion,name,passed"
     assert "2,koszul-self-duality,true" in out
+
+
+MALFORMED = {
+    "k_max-string": {"k_max": "abc"},
+    "complex-terms-list": {"complex": {"terms": [1]}},
+    "module-twist-string": {"module": {"target_twists": ["a"]}},
+    "module-relations-number": {"module": {"relations": 5}},
+    "i_range-float": {"i_range": [0, 1.7]},
+    "ideal-string": {"ideal": "x"},
+    "weights-string": {"ring": {"char": 32003, "vars": ["x", "y"], "weights": "12"}},
+    "char-above-bound": {"ring": {"char": 4294967311, "vars": ["x", "y"]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_job_exits_2_without_traceback(tmp_path, capsys, name):
+    doc = {"command": "lc", "ring": RING, "window": [-1, 0], "k_max": 2}
+    doc.update(MALFORMED[name])
+    assert main(["--input", write_job(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "(at " in err
+    assert "Traceback" not in err

@@ -15,7 +15,7 @@ from lochom.complexes import (
     tensor,
     tensor_with_module,
 )
-from lochom.errors import InternalInvariantError
+from lochom.errors import InternalInvariantError, NotFreeError
 from lochom.exact import FieldSpec
 from lochom.modules import FreeModule, GradedMap, PresentedModule, hilbert_row
 from lochom.rings import GradedRing, parse_poly
@@ -261,4 +261,20 @@ def test_quasi_iso_check_identity_and_zero():
     zero = ChainMap(k, k, {i: GradedMap.zero(k.term(i), k.term(i)) for i in k.support})
     report = quasi_iso_check(zero, (0, 2), (-2, 2))
     assert not report.passed
-    assert (0, 0) in report.failures
+    assert (0, 0) in report.mismatches
+
+
+def test_operand_types_of_tensor_and_hom():
+    r = ring2()
+    k = koszul_xy(r)
+    m = PresentedModule.quotient(FreeModule(r, [0]), [[parse_poly(r, "x^2")]])
+    with pytest.raises(NotFreeError):
+        tensor(m, k)
+    with pytest.raises(NotFreeError):
+        hom_complex(tensor(k, m), k)
+    # on the right a presented module is its stalk, and terms stay presented
+    cx = tensor(k, m)
+    assert cx.module(0) == m and cx.term(0) == m.generators
+    assert cx.differential(1).source == cx.term(1)
+    with pytest.raises(TypeError):
+        tensor(k, FreeModule(r, [0]))

@@ -150,7 +150,7 @@ def test_local_duality_free_module():
     res = trivial_resolution(FreeModule(r, [0]), (-9, 9))
     rep = local_duality_check(res, (0, 2), (-6, 3), k_max=10)
     assert rep.passed and rep.compared > 0
-    assert rep.canonical_twist == -2
+    assert rep.twist == -2
 
 
 def test_local_duality_hypersurface_closed_form():

@@ -32,6 +32,47 @@ def test_fieldspec_rejects_composite_characteristic():
     FieldSpec(0)
 
 
+def test_fieldspec_bounds_the_characteristic():
+    # 4294967311 is prime, but int64 products of its residues overflow
+    with pytest.raises(ValueError):
+        FieldSpec(4294967311)
+    with pytest.raises(ValueError):
+        FieldSpec(2**31)
+    FieldSpec(2**31 - 1)
+
+
+def _reference_rank(rows, p):
+    """Gaussian elimination on Python ints, exact for any p."""
+    m = [[v % p for v in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        for i in range(r + 1, len(m)):
+            f = m[i][c] * inv % p
+            m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def test_rank_at_the_largest_prime_matches_reference():
+    p = 2**31 - 1
+    field = FieldSpec(p)
+    rng = random.Random(11)
+    for _ in range(30):
+        k = rng.randint(1, 5)
+        left = [[rng.randrange(p) for _ in range(k)] for _ in range(7)]
+        right = [[rng.randrange(p) for _ in range(6)] for _ in range(k)]
+        rows = [
+            [sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] for row in left
+        ]
+        assert rank(M(field, rows)) == _reference_rank(rows, p)
+        assert len(rref_with_pivots(M(field, rows))[1]) == _reference_rank(rows, p)
+
+
 def test_rref_identity():
     m = ExactMatrix.identity(QQ, 2)
     red, piv = rref_with_pivots(m)
