@@ -2,7 +2,10 @@
 
 Every strandwise computation in the engine bottoms out here: reduced row
 echelon forms, kernels, and induced maps on subquotients W <= U <= k^n
-(:class:`StrandSpace`).  Matrices over F_p are stored as numpy integer arrays
+(:class:`StrandSpace`).  A strand space runs one elimination when it is built
+and keeps the inverse of the basis it picks, so coordinates, containment
+checks and induced maps are matrix products with no further elimination.
+Matrices over F_p are stored as numpy integer arrays
 with entries reduced into ``[0, p)``; matrices over Q hold
 :class:`fractions.Fraction` entries (always in lowest terms with positive
 denominator).  All values are immutable after construction, so they are safe
@@ -253,11 +256,15 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         if field.is_rational:
-            data = np.empty((self.rows, other.cols), dtype=object)
-            if self.rows and other.cols:
-                data[...] = self._data.dot(other._data) if self.cols else Fraction(0)
-            if self.cols == 0:
-                data[...] = Fraction(0)
+            # sum of outer products over the inner index, nonzero entries only
+            data = self._empty_like(self.rows, other.cols)
+            for k in range(self.cols):
+                rows = np.flatnonzero(self._data[:, k] != 0)
+                cols = np.flatnonzero(other._data[k] != 0)
+                if rows.size and cols.size:
+                    data[np.ix_(rows, cols)] += np.multiply.outer(
+                        self._data[rows, k], other._data[k, cols]
+                    )
             return ExactMatrix(field, data)
         p = field.characteristic
         a = self._data.astype(np.int64)
@@ -278,9 +285,6 @@ class ExactMatrix:
         idx = list(indices)
         data = self._data[:, idx].copy() if idx else self._empty_like(self.rows, 0)
         return ExactMatrix(self.field, data)
-
-    def rows_slice(self, start: int, stop: int) -> "ExactMatrix":
-        return ExactMatrix(self.field, self._data[start:stop].copy())
 
     def _empty_like(self, r: int, c: int) -> np.ndarray:
         if self.field.is_rational:
@@ -439,15 +443,12 @@ def rank(m: ExactMatrix) -> int:
 def kernel_basis(m: ExactMatrix) -> ExactMatrix:
     """Columns form a basis of the right kernel;  rank + kernel dim = cols."""
     red, pivots = rref_with_pivots(m)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
     out = ExactMatrix.zeros(m.field, m.cols, len(free))._mutable_copy()
-    one = m.field.one()
-    for j, fc in enumerate(free):
-        out[fc, j] = one
-        for i, pc in enumerate(pivots):
-            val = red.entry(i, fc)
-            if val != 0:
-                out[pc, j] = m.field.neg(val)
+    out[free, range(len(free))] = m.field.one()
+    if pivots:
+        out[list(pivots)] = (-ExactMatrix(m.field, red._data[: len(pivots), free]))._data
     return ExactMatrix(m.field, out)
 
 
@@ -458,7 +459,11 @@ def column_basis(m: ExactMatrix) -> ExactMatrix:
 
 
 def span_contains(basis: ExactMatrix, vectors: ExactMatrix) -> bool:
-    """True iff every column of ``vectors`` lies in the span of ``basis`` columns."""
+    """True iff every column of ``vectors`` lies in the span of ``basis`` columns.
+
+    The package itself tests containment through StrandSpace.coordinates;
+    ``bench/spans.py`` still traces this function by name.
+    """
     if vectors.cols == 0:
         return True
     if vectors.rows != basis.rows:
@@ -485,11 +490,7 @@ def solve_columns(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if any(p >= a.cols for p in pivots):
         raise InternalInvariantError("inconsistent linear system")
     out = ExactMatrix.zeros(field, a.cols, b.cols)._mutable_copy()
-    for i, pc in enumerate(pivots):
-        for j in range(b.cols):
-            val = red.entry(i, a.cols + j)
-            if val != 0:
-                out[pc, j] = val
+    out[list(pivots)] = red._data[: len(pivots), a.cols :]
     return ExactMatrix(field, out)
 
 
@@ -498,44 +499,47 @@ def solve_columns(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 class StrandSpace:
     """A subquotient U/W of a coordinate space k^n with a chosen coset basis.
 
-    ``sub_basis`` columns span W, ``super_basis`` columns span U, and
-    ``coset_reps`` columns are representatives of a basis of U/W, picked as the
-    greedy (leftmost) super columns independent modulo W.  With
-    ``super_basis=None`` the super space is all of k^n.
+    ``sub_basis`` columns span W and the super basis columns span U; with no
+    super basis U is all of k^n.  One reduced echelon form of
+    ``[sub | super | I_n]`` (``[sub | I_n]`` when U = k^n) fixes everything:
+    its pivots in the sub block pick a basis of W (the leftmost independent
+    sub columns), its pivots in the super block pick ``coset_reps`` (the
+    greedy super columns independent modulo W, a basis of U/W), its pivots in
+    the identity block complete these to a basis B of k^n, and its last n
+    columns are B^-1.  :meth:`coordinates` reads every query off B^-1: a
+    vector lies in U when its coordinates past the W and coset blocks vanish,
+    and in W when those past the W block do.
     """
 
-    __slots__ = (
-        "field",
-        "ambient_dim",
-        "sub_basis",
-        "super_basis",
-        "coset_reps",
-        "_sub_cb",
-        "_full_super",
-    )
+    __slots__ = ("field", "ambient_dim", "sub_basis", "coset_reps", "_sub_cb", "_inverse")
 
     def __init__(self, sub_basis: ExactMatrix, super_basis: ExactMatrix | None = None):
-        self.field = sub_basis.field
-        self.ambient_dim = sub_basis.rows
+        field = self.field = sub_basis.field
+        n = self.ambient_dim = sub_basis.rows
         self.sub_basis = sub_basis
-        self._full_super = super_basis is None
-        sub_cb = column_basis(sub_basis) if sub_basis.cols else sub_basis
-        self._sub_cb = sub_cb
-        if super_basis is None:
-            super_basis = ExactMatrix.identity(self.field, self.ambient_dim)
-        elif super_basis.rows != self.ambient_dim or super_basis.field != self.field:
+        if super_basis is not None and (super_basis.rows != n or super_basis.field != field):
             raise ValueError("super basis shape or field mismatch")
-        self.super_basis = super_basis
-        if self._full_super and sub_cb.cols == 0:
-            self.coset_reps = ExactMatrix.identity(self.field, self.ambient_dim)
+        identity = ExactMatrix.identity(field, n)
+        if super_basis is None and sub_basis.cols == 0:
+            # U = k^n, W = 0: B is the identity and coordinates are the vectors
+            self._sub_cb, self.coset_reps, self._inverse = sub_basis, identity, None
             return
-        if not self._full_super and not span_contains(super_basis, sub_cb):
+        # with U = k^n the identity block is the super block as well
+        sup = identity if super_basis is None else super_basis
+        blocks = [sub_basis, sup] + ([] if super_basis is None else [identity])
+        red, pivots = rref_with_pivots(ExactMatrix.hstack(blocks))
+        s, u = sub_basis.cols, sup.cols
+        sub_pivots = [c for c in pivots if c < s]
+        super_pivots = [c - s for c in pivots if s <= c < s + u]
+        if (
+            super_basis is not None
+            and sub_pivots
+            and rank(super_basis) != len(sub_pivots) + len(super_pivots)
+        ):
             raise WellDefinednessError("sub space is not contained in super space")
-        stacked = ExactMatrix.hstack([sub_cb, super_basis]) if sub_cb.cols else super_basis
-        _, pivots = rref_with_pivots(stacked)
-        offset = sub_cb.cols
-        chosen = [p - offset for p in pivots if p >= offset]
-        self.coset_reps = super_basis.columns(chosen)
+        self._sub_cb = sub_basis.columns(sub_pivots)
+        self.coset_reps = sup.columns(super_pivots)
+        self._inverse = red.columns(range(red.cols - n, red.cols))
 
     @property
     def dim(self) -> int:
@@ -543,35 +547,14 @@ class StrandSpace:
 
     @property
     def is_full(self) -> bool:
-        return self._full_super and self._sub_cb.cols == 0
+        return self._inverse is None
 
     def sub_column_basis(self) -> ExactMatrix:
         return self._sub_cb
 
-    def contains_in_super(self, vectors: ExactMatrix) -> bool:
-        if self._full_super:
-            return True
-        return span_contains(
-            ExactMatrix.hstack([self._sub_cb, self.coset_reps])
-            if self._sub_cb.cols
-            else self.coset_reps,
-            vectors,
-        )
-
-    def contains_in_sub(self, vectors: ExactMatrix) -> bool:
-        return span_contains(self._sub_cb, vectors)
-
-    def express(self, vectors: ExactMatrix) -> ExactMatrix:
-        """Coset coordinates of ambient vectors (assumed to lie in U)."""
-        if self.is_full:
-            return vectors
-        basis = (
-            ExactMatrix.hstack([self._sub_cb, self.coset_reps])
-            if self._sub_cb.cols
-            else self.coset_reps
-        )
-        sol = solve_columns(basis, vectors)
-        return sol.rows_slice(self._sub_cb.cols, self._sub_cb.cols + self.dim)
+    def coordinates(self, vectors: ExactMatrix) -> ExactMatrix:
+        """Coordinates B^-1 v: W block, then coset block, then the rest of k^n."""
+        return vectors if self._inverse is None else self._inverse @ vectors
 
     def __repr__(self):
         return (
@@ -586,7 +569,8 @@ def induced_map(src: StrandSpace, dst: StrandSpace, ambient: ExactMatrix) -> Exa
     Checks that the ambient matrix sends src's super space into dst's super
     space and src's sub space into dst's sub space; failure of either raises
     WellDefinednessError (the signature of a non-homogeneous or wrong-degree
-    map upstream).
+    map upstream).  Both checks and the matrix are read off the target
+    coordinates of the images of src's W basis and coset representatives.
     """
     if src.field != dst.field or ambient.field != src.field:
         raise FieldMismatchError("induced_map operands over different fields")
@@ -594,9 +578,13 @@ def induced_map(src: StrandSpace, dst: StrandSpace, ambient: ExactMatrix) -> Exa
         raise ValueError("ambient matrix shape mismatch")
     if src.is_full and dst.is_full:
         return ambient
-    if not dst.contains_in_super(ambient @ src.super_basis if not src._full_super else ambient):
+    w_src = src._sub_cb.cols
+    images = ambient if src.is_full else ambient @ ExactMatrix.hstack([src._sub_cb, src.coset_reps])
+    y = dst.coordinates(images)._data
+    w_dst = dst._sub_cb.cols
+    top = w_dst + dst.dim
+    if not ExactMatrix(dst.field, y[top:]).is_zero():
         raise WellDefinednessError("image leaves the target super space")
-    if src._sub_cb.cols:
-        if not dst.contains_in_sub(ambient @ src._sub_cb):
-            raise WellDefinednessError("image of sub space leaves the target sub space")
-    return dst.express(ambient @ src.coset_reps)
+    if not ExactMatrix(dst.field, y[w_dst:, :w_src]).is_zero():
+        raise WellDefinednessError("image of sub space leaves the target sub space")
+    return ExactMatrix(dst.field, y[w_dst:top, w_src:].copy())

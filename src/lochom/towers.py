@@ -166,17 +166,22 @@ def lim_lim1_truncated(tower: StrandTower, stab_window: int = 2) -> LimLim1Resul
         levels = k
     else:
         levels = max(1, k - stab_window)
+    # composites V_kk -> V_j for the top window of stages kk, j walking down:
+    # the one into V_j is transitions[j-1] times the one into V_{j+1}
+    window = {}
     ml_stable = True
-    image_dims = []
-    for j in range(1, k + 1):
-        ranks = [rank(tower.composite(kk, j)) for kk in range(max(j, k - stab_window), k + 1)]
-        image_dims.append(ranks[-1])
-        if any(r != ranks[-1] for r in ranks):
+    image_dims = [0] * k
+    bases = [None] * levels
+    for j in range(k, 0, -1):
+        window = {kk: tower.transitions[j - 1] @ m for kk, m in window.items()}
+        if j >= k - stab_window:
+            window[j] = ExactMatrix.identity(field, tower.stages[j - 1].dim)
+        ranks = [rank(m) for m in window.values()]  # window[k] comes first
+        image_dims[j - 1] = ranks[0]
+        if any(r != ranks[0] for r in ranks):
             ml_stable = False
-    bases = []
-    for j in range(1, levels + 1):
-        comp = tower.composite(k, j)
-        bases.append(column_basis(comp))
+        if j <= levels:
+            bases[j - 1] = column_basis(window[k])
     restricted = []
     for j in range(levels - 1):
         imgs = tower.transitions[j] @ bases[j + 1]

@@ -49,6 +49,9 @@ JOBS = {
     "verify-gm": {"command": "verify", "verify": "gm"},
     "verify-duality": {"command": "verify", "verify": "duality"},
 }
+# the same jobs over Q, the rational elimination path
+JOBS["lc-quotient-qq"] = dict(JOBS["lc-quotient"], ring=dict(RING, char=0))
+JOBS["lh-weighted-qq"] = dict(JOBS["lh-weighted"], ring=dict(RING_W, char=0))
 
 DIGESTS = {
     "hilbert": "82abe7e8ac64d1ebaca79d0ef0295a397554de26ad782d179a69c5b0197d3584",
@@ -57,7 +60,9 @@ DIGESTS = {
     "koszul": "8a48d02886f0822056ad888e0c164b9d3e6fdb4499e285f234956680d4105067",
     "lc-complex": "070edac12473ac5b39cddc345667783f38a5e35cd5d85770ec09361bc1bef115",
     "lc-quotient": "d03079c5e7e9f44feae20f7847c4cf3e07bcf2702254400272767d20cd30e772",
+    "lc-quotient-qq": "5a65c6c6c516471054b2c41d4ce29724c6140e36ae176674df49f50aaf3b0c11",
     "lh-weighted": "9adde9172860fbd83c5ea1b22ddce3fcdae2abc046bfcd5ebeacdbfbd90553ee",
+    "lh-weighted-qq": "274133ee79bb89e9172c0a0c23995b4501a685c998d23aeaffa8f7569be901bb",
     "verify-duality": "d13252483d0630b3ad50753652ade2c6553f52e84f9dda9bbd7803b58c71095f",
     "verify-gm": "2bf4930f808ede7d0b0ec8ae46f09c3ea43523be41f9fa9c1d33cfea531f865a",
     "verify-selfdual": "2828b247b1b15836d1ba4de7fe0b7b88ee6d6cfd16fd396f252c423d4089122e",

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from lochom.errors import OrderError
-from lochom.exact import ExactMatrix, FieldSpec, StrandSpace
+from lochom.exact import ExactMatrix, FieldSpec, StrandSpace, rank
 from lochom.koszul import INVERSE
 from lochom.localcoh import KoszulTowerSystem
 from lochom.modules import FreeModule, PresentedModule
@@ -105,6 +105,29 @@ def test_lim1_zero_on_random_towers():
         tower = StrandTower([full(d) for d in dims], transitions, "inverse")
         res = lim_lim1_truncated(tower, 2)
         assert res.lim1_dim == 0
+
+
+def test_lim_image_dims_match_composites():
+    rng = random.Random(23)
+    for _ in range(30):
+        length = rng.randint(1, 7)
+        dims = [rng.randint(0, 3) for _ in range(length)]
+        transitions = [
+            ExactMatrix.from_rows(
+                FP, [[rng.choice([0, 0, 1, 2]) for _ in range(dims[j + 1])] for _ in range(dims[j])],
+                cols=dims[j + 1],
+            )
+            for j in range(length - 1)
+        ]
+        tower = StrandTower([full(d) for d in dims], transitions, "inverse")
+        for s in (1, 2, 3):
+            res = lim_lim1_truncated(tower, s)
+            ranks = [
+                [rank(tower.composite(kk, j)) for kk in range(max(j, length - s), length + 1)]
+                for j in range(1, length + 1)
+            ]
+            assert res.image_dims == tuple(r[-1] for r in ranks)
+            assert res.ml_stable == all(len(set(r)) == 1 for r in ranks)
 
 
 def test_pro_zero_identity_tower_fails():
