@@ -54,7 +54,7 @@ class JobSpec:
     ring: dict | None = None
     module: dict | None = None
     complex: dict | None = None
-    ideal: tuple = ()
+    ideal: tuple | None = None  # None: the variables
     i_range: tuple = (0, 2)
     window: tuple = (-6, 6)
     k_max: int = 8
@@ -87,6 +87,8 @@ class JobSpec:
             raise SchemaError(f"report format must be one of {REPORT_FORMATS}", "report")
         if self.module is not None and self.complex is not None:
             raise SchemaError("give a module or a complex, not both", "module")
+        if self.ideal == ():
+            raise SchemaError("ideal must list at least one generator", "ideal")
         return self
 
     def to_document(self) -> dict:
@@ -97,7 +99,7 @@ class JobSpec:
             doc["module"] = self.module
         if self.complex is not None:
             doc["complex"] = self.complex
-        if self.ideal:
+        if self.ideal is not None:
             doc["ideal"] = list(self.ideal)
         doc["i_range"] = list(self.i_range)
         doc["window"] = list(self.window)
@@ -174,7 +176,7 @@ def _document_to_jobspec(doc: dict) -> JobSpec:
         ring=doc.get("ring"),
         module=doc.get("module"),
         complex=doc.get("complex"),
-        ideal=tuple(_strings(doc.get("ideal", []), "ideal")),
+        ideal=tuple(_strings(doc["ideal"], "ideal")) if "ideal" in doc else None,
         i_range=pair("i_range", (0, 2)),
         window=pair("window", (-6, 6)),
         k_max=_integer(doc.get("k_max", 8), "k_max"),
@@ -299,6 +301,8 @@ def build_complex(ring: GradedRing, spec: dict) -> ModuleComplex:
 
 
 def _build_ideal(ring: GradedRing, job: JobSpec):
+    if job.ideal is None:
+        return tuple(ring.variables())
     gens = []
     for text in job.ideal:
         g = parse_poly(ring, str(text))
@@ -307,8 +311,6 @@ def _build_ideal(ring: GradedRing, job: JobSpec):
                 f"ideal generator {text!r} must be homogeneous of positive degree"
             )
         gens.append(g)
-    if not gens:
-        gens = list(ring.variables())
     return tuple(gens)
 
 

@@ -304,8 +304,7 @@ class ExactMatrix:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise ValueError("row mismatch in hstack")
-        data = np.hstack([m._data for m in mats]) if mats else None
-        return ExactMatrix(field, data.copy())
+        return ExactMatrix(field, np.hstack([m._data for m in mats]))
 
     @staticmethod
     def vstack(mats) -> "ExactMatrix":
@@ -318,8 +317,7 @@ class ExactMatrix:
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise ValueError("column mismatch in vstack")
-        data = np.vstack([m._data for m in mats])
-        return ExactMatrix(field, data.copy())
+        return ExactMatrix(field, np.vstack([m._data for m in mats]))
 
     @staticmethod
     def assemble(field: FieldSpec, grid, row_dims, col_dims) -> "ExactMatrix":

@@ -1,22 +1,25 @@
 """Koszul complexes on power sequences, their transition systems, and the
 truncated stable Cech complex.
 
-Two twist conventions coexist because the two transition systems need
+K(a^k) is built on the exterior basis e_S, S = {S_0 < S_1 < ...} a set of
+generator indices, with d(e_S) = sum_p (-1)^p a_{S_p}^k e_{S - S_p}.  Two
+twist conventions coexist because the two transition systems need
 homogeneous components in different spots:
 
-* direct   K(a^k) = [R -> R(k deg a)]   (twist on homological degree 0);
-  the maps phi^{k,l} (k <= l) are the identity in degree 1 and
-  multiplication by a^{l-k} in degree 0, giving a direct system;
-* inverse  K(a^k) = [R(-k deg a) -> R]  (twist on homological degree 1);
-  the maps psi^{k,l} (k >= l) are multiplication by a^{k-l} in degree 1 and
-  the identity in degree 0, giving an inverse system.
+* direct   e_S has twist k * sum_{j not in S} deg a_j, and phi^{k,l} (k <= l)
+  multiplies e_S by prod_{j not in S} a_j^{l-k}: a direct system;
+* inverse  e_S has twist -k * sum_{j in S} deg a_j, and psi^{k,l} (k >= l)
+  multiplies e_S by prod_{j in S} a_j^{k-l}: an inverse system.
 
 The conventions differ by the global twist R(k * sum deg a_i), recorded by
-``KoszulSpec.global_twist``.  For n generators the transitions are tensor
-products of the one-variable maps.
+``KoszulSpec.global_twist``.  The transitions are diagonal, so they are built
+between stages that already exist, also when the stages are tensored with X.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
+from math import prod
 
 from .complexes import (
     ModuleChainMap,
@@ -27,7 +30,6 @@ from .complexes import (
     homology_table,
     shift,
     tensor,
-    tensor_chain_maps,
 )
 from .errors import (
     ConventionMismatchError,
@@ -105,44 +107,65 @@ class KoszulSpec:
         return f"KoszulSpec(({gens})^{self.power}, {self.convention})"
 
 
-def _one_variable_complex(spec: KoszulSpec, idx: int) -> ModuleComplex:
-    ring = spec.ring
-    g = spec.gens[idx]
-    w = spec.power * g.degree()
-    f = g ** spec.power
-    if spec.convention == DIRECT:
-        src = FreeModule(ring, [0])
-        tgt = FreeModule(ring, [w])
-    else:
-        src = FreeModule(ring, [-w])
-        tgt = FreeModule(ring, [0])
-    return ModuleComplex.two_term(GradedMap(src, tgt, [[f]]))
+def _exterior_basis(n: int):
+    """The sets S by size, each size in the X-major order of the iterated tensor:
+    the sets holding the last generator first, and so on down."""
+    return [
+        sorted(combinations(range(n), i), key=lambda s: -sum(1 << j for j in s))
+        for i in range(n + 1)
+    ]
 
 
 def koszul_complex(spec: KoszulSpec) -> ModuleComplex:
-    """n-fold tensor of the two-term complexes; term i has rank C(n, i)."""
-    result = _one_variable_complex(spec, 0)
-    for idx in range(1, spec.n):
-        result = tensor(result, _one_variable_complex(spec, idx))
-    return result
+    """K(a^k) on the exterior basis; term i has rank C(n, i)."""
+    ring = spec.ring
+    direct = spec.convention == DIRECT
+    k = spec.power if direct else -spec.power
+    basis = _exterior_basis(spec.n)
+    terms = {}
+    for i, sets in enumerate(basis):
+        # j runs over the generators outside S (direct) or inside S (inverse)
+        twists = [
+            k * sum(g.degree() for j, g in enumerate(spec.gens) if (j in s) != direct) for s in sets
+        ]
+        terms[i] = FreeModule(ring, twists)
+    powers = [g**spec.power for g in spec.gens]
+    zero = ring.zero()
+    diffs = {}
+    for i in range(1, spec.n + 1):
+        row_of = {s: r for r, s in enumerate(basis[i - 1])}
+        rows = [[zero] * len(basis[i]) for _ in basis[i - 1]]
+        for col, s in enumerate(basis[i]):
+            for p, j in enumerate(s):
+                rows[row_of[s[:p] + s[p + 1:]]][col] = -powers[j] if p % 2 else powers[j]
+        diffs[i] = GradedMap(terms[i], terms[i - 1], rows)
+    return ModuleComplex(ring, terms, diffs)
 
 
-def _one_variable_transition(spec_k: KoszulSpec, spec_l: KoszulSpec, idx: int) -> ModuleChainMap:
-    ring = spec_k.ring
-    g = spec_k.gens[idx]
-    k, l = spec_k.power, spec_l.power
-    ck = _one_variable_complex(spec_k, idx)
-    cl = _one_variable_complex(spec_l, idx)
-    one = ring.one()
-    if spec_k.convention == DIRECT:
-        # identity in degree 1, multiplication by a^{l-k} in degree 0
-        comp1 = GradedMap(ck.term(1), cl.term(1), [[one]])
-        comp0 = GradedMap(ck.term(0), cl.term(0), [[g ** (l - k)]])
-    else:
-        # multiplication by a^{k-l} in degree 1, identity in degree 0
-        comp1 = GradedMap(ck.term(1), cl.term(1), [[g ** (k - l)]])
-        comp0 = GradedMap(ck.term(0), cl.term(0), [[one]])
-    return ModuleChainMap(ck, cl, {1: comp1, 0: comp0})
+def _stage_map(spec_k: KoszulSpec, spec_l: KoszulSpec, source, target, x_ranks) -> ModuleChainMap:
+    """The transition K(a^k) (x) X -> K(a^l) (x) X between two built stages.
+
+    ``x_ranks[t]`` is the rank of X_t.  Term i lists e_S (x) X_t, |S| + t = i,
+    by ascending |S| and e_S-major, as ``tensor`` lays it out.  The map is
+    diagonal: e_S (x) v goes to c_S e_S (x) v.
+    """
+    direct = spec_k.convention == DIRECT
+    one, zero = spec_k.ring.one(), spec_k.ring.zero()
+    powers = [g ** abs(spec_l.power - spec_k.power) for g in spec_k.gens]
+    factors = [  # c_S: the product of powers[j] over the j that the twist of e_S runs over
+        [prod((f for j, f in enumerate(powers) if (j in s) != direct), start=one) for s in sets]
+        for sets in _exterior_basis(spec_k.n)
+    ]
+    components = {}
+    for i in source.support:
+        diagonal = [
+            c for size, cs in enumerate(factors) for c in cs for _ in range(x_ranks.get(i - size, 0))
+        ]
+        entries = [[zero] * len(diagonal) for _ in diagonal]
+        for r, c in enumerate(diagonal):
+            entries[r][r] = c
+        components[i] = GradedMap(source.term(i), target.term(i), entries)
+    return ModuleChainMap(source, target, components)
 
 
 def transition(spec_k: KoszulSpec, spec_l: KoszulSpec) -> ModuleChainMap:
@@ -157,10 +180,7 @@ def transition(spec_k: KoszulSpec, spec_l: KoszulSpec) -> ModuleChainMap:
         raise OrderError("direct transitions need k <= l")
     if spec_k.convention == INVERSE and spec_k.power < spec_l.power:
         raise OrderError("inverse transitions need k >= l")
-    result = _one_variable_transition(spec_k, spec_l, 0)
-    for idx in range(1, spec_k.n):
-        result = tensor_chain_maps(result, _one_variable_transition(spec_k, spec_l, idx))
-    return result
+    return _stage_map(spec_k, spec_l, koszul_complex(spec_k), koszul_complex(spec_l), {0: 1})
 
 
 def koszul_homology_table(spec: KoszulSpec, module: PresentedModule, window) -> HilbertTable:
@@ -217,9 +237,9 @@ def stable_cech_truncated(gens, k_max: int, ring: GradedRing | None = None) -> M
     sources = stages[:-1]
     b_src = direct_sum(sources)
     transitions = [
-        _shifted_transition(specs[k], specs[k + 1], n) for k in range(k_max - 1)
+        _stage_map(specs[k], specs[k + 1], stages[k], stages[k + 1], {-n: 1})
+        for k in range(k_max - 1)
     ]
-    neg_one = -1 if ring.field.is_rational else ring.field.characteristic - 1
     components = {}
     for i in b_src.support:
         src_blocks = [st.term(i) for st in sources]
@@ -229,17 +249,8 @@ def stable_cech_truncated(gens, k_max: int, ring: GradedRing | None = None) -> M
             if st.term(i).rank == 0:
                 continue
             blocks[(k, k)] = GradedMap.identity(st.term(i))
-            comp = transitions[k].component(i)
-            if comp.source.rank and comp.target.rank:
-                blocks[(k + 1, k)] = comp.scale(neg_one)
+            blocks[(k + 1, k)] = -transitions[k].component(i)
         components[i] = graded_map_from_blocks(src_blocks, tgt_blocks, blocks)
     theta = ModuleChainMap(b_src, b, components)
     return cone(theta)
 
-
-def _shifted_transition(spec_k: KoszulSpec, spec_l: KoszulSpec, n: int) -> ModuleChainMap:
-    f = transition(spec_k, spec_l)
-    src = shift(f.source, -n)
-    tgt = shift(f.target, -n)
-    comps = {i - n: g for i, g in f.components.items()}
-    return ModuleChainMap(src, tgt, comps)

@@ -12,16 +12,22 @@ answer is the last computed dimension with stabilized=False.
 from __future__ import annotations
 
 from .complexes import (
-    ModuleChainMap,
     StrandContext,
+    _complex,
     hom_complex,
     homology_induced_matrix,
     homology_table,
     tensor,
-    tensor_chain_maps,
 )
 from .errors import EmptyGeneratorsError, NonHomogeneousError
-from .koszul import DIRECT, INVERSE, KoszulSpec, koszul_complex, stable_cech_truncated, transition
+from .koszul import (
+    DIRECT,
+    INVERSE,
+    KoszulSpec,
+    _stage_map,
+    koszul_complex,
+    stable_cech_truncated,
+)
 from .modules import (
     CheckReport,
     HilbertTable,
@@ -29,7 +35,7 @@ from .modules import (
     TableEntry,
     degree_window,
 )
-from .towers import StrandTower, colim_truncated, lim_lim1_truncated
+from .towers import StrandTower, _top_iso_run, colim_truncated, lim_lim1_truncated
 
 __all__ = [
     "KoszulTowerSystem",
@@ -70,18 +76,13 @@ class KoszulTowerSystem:
             raise ValueError("k_max must be >= 1")
         gens, ring = _validate_gens(gens)
         specs = [KoszulSpec(ring, gens, k, convention) for k in range(1, k_max + 1)]
-        ident = ModuleChainMap.identity(x)  # its source is x as a complex
+        x = _complex(x)
+        complexes = [tensor(koszul_complex(spec), x) for spec in specs]
+        x_ranks = {t: x.term(t).rank for t in x.support}
         maps = []
         for k in range(k_max - 1):
-            src, tgt = (specs[k], specs[k + 1]) if convention == DIRECT else (specs[k + 1], specs[k])
-            maps.append(tensor_chain_maps(transition(src, tgt), ident))
-        # every stage but the top one is the lower-power end of a map
-        if maps:
-            lower = [f.source if convention == DIRECT else f.target for f in maps]
-            top = maps[-1].target if convention == DIRECT else maps[-1].source
-            complexes = lower + [top]
-        else:
-            complexes = [tensor(koszul_complex(specs[0]), ident.source)]
+            src, tgt = (k, k + 1) if convention == DIRECT else (k + 1, k)
+            maps.append(_stage_map(specs[src], specs[tgt], complexes[src], complexes[tgt], x_ranks))
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "convention", convention)
         object.__setattr__(self, "k_max", k_max)
@@ -105,14 +106,8 @@ class KoszulTowerSystem:
         stages = [ctx.homology(h) for ctx in contexts]
         transitions = []
         for j, f in enumerate(self.maps):
-            if self.convention == DIRECT:
-                transitions.append(
-                    homology_induced_matrix(f, contexts[j], contexts[j + 1], h)
-                )
-            else:
-                transitions.append(
-                    homology_induced_matrix(f, contexts[j + 1], contexts[j], h)
-                )
+            src, tgt = (j, j + 1) if self.convention == DIRECT else (j + 1, j)
+            transitions.append(homology_induced_matrix(f, contexts[src], contexts[tgt], h))
         direction = "directed" if self.convention == DIRECT else "inverse"
         return StrandTower(stages, transitions, direction)
 
@@ -130,7 +125,8 @@ def local_cohomology_table(
     n = system.n
     lo, hi = system.homological_support()
     i_lo, i_hi = int(i_range[0]), int(i_range[1])
-    zero_entry = _zero_tower_entry(k_max, s)
+    # what colim_truncated reports on an all-zero tower, whose transitions are all isos
+    zero_entry = TableEntry(0, *_top_iso_run(k_max, [True] * (k_max - 1), s))
     table = HilbertTable()
     for d in degree_window(window):
         contexts = None
@@ -145,13 +141,6 @@ def local_cohomology_table(
             res = colim_truncated(tower, s)
             table.set(i, d, TableEntry(res.dim, res.stabilized, res.k_used))
     return table
-
-
-def _zero_tower_entry(k_max: int, s: int) -> TableEntry:
-    # what colim_truncated reports on an all-zero tower of length k_max
-    if k_max - 1 >= s:
-        return TableEntry(0, True, 1)
-    return TableEntry(0, False, k_max)
 
 
 def local_homology_table(

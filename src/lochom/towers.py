@@ -101,6 +101,21 @@ def _is_iso(m: ExactMatrix) -> bool:
     return m.rows == m.cols and rank(m) == m.rows
 
 
+def _top_iso_run(k: int, isos_from_top, stab_window: int) -> tuple[bool, int]:
+    """(stabilized, k_used) of a k-stage tower, read off whether each transition,
+    top first, is an isomorphism, down to the first one that is not."""
+    if k - 1 < stab_window:
+        return False, k
+    first = k
+    for iso in isos_from_top:
+        if not iso:
+            break
+        first -= 1
+    if k - first < stab_window:
+        return False, k
+    return True, first
+
+
 def colim_truncated(tower: StrandTower, stab_window: int) -> ColimitResult:
     """Final-stage dim; stabilized iff the last ``stab_window`` transitions are isos.
 
@@ -111,17 +126,9 @@ def colim_truncated(tower: StrandTower, stab_window: int) -> ColimitResult:
         raise OrderError("colim_truncated expects a directed tower")
     if stab_window < 1:
         raise ValueError("stab_window must be >= 1")
-    k = tower.length
-    final_dim = tower.stages[-1].dim
-    if k - 1 < stab_window:
-        return ColimitResult(final_dim, False, k)
-    iso = [_is_iso(t) for t in tower.transitions]
-    if not all(iso[-stab_window:]):
-        return ColimitResult(final_dim, False, k)
-    first = k - 1
-    while first - 1 >= 1 and iso[first - 2]:
-        first -= 1
-    return ColimitResult(final_dim, True, first)
+    isos = map(_is_iso, reversed(tower.transitions))
+    stabilized, k_used = _top_iso_run(tower.length, isos, stab_window)
+    return ColimitResult(tower.stages[-1].dim, stabilized, k_used)
 
 
 class LimLim1Result(NamedTuple):
@@ -155,17 +162,9 @@ def lim_lim1_truncated(tower: StrandTower, stab_window: int = 2) -> LimLim1Resul
         raise ValueError("stab_window must be >= 1")
     k = tower.length
     field = tower.stages[0].field
-    iso = [_is_iso(t) for t in tower.transitions]
-    tail_stable = k - 1 >= stab_window and all(iso[-stab_window:])
-    k_used = k
-    if tail_stable:
-        first = k - 1
-        while first - 1 >= 1 and iso[first - 2]:
-            first -= 1
-        k_used = first
-        levels = k
-    else:
-        levels = max(1, k - stab_window)
+    isos = map(_is_iso, reversed(tower.transitions))
+    tail_stable, k_used = _top_iso_run(k, isos, stab_window)
+    levels = k if tail_stable else max(1, k - stab_window)
     # composites V_kk -> V_j for the top window of stages kk, j walking down:
     # the one into V_j is transitions[j-1] times the one into V_{j+1}
     window = {}

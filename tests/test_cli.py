@@ -1,8 +1,12 @@
 """CLI: job parsing, report emission, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lochom.cli import emit_report, main, parse_input, run, _document_to_jobspec
 from lochom.errors import ParseError, SchemaError
@@ -153,6 +157,9 @@ def test_flag_overrides(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "i,d,dim,stabilized,k_used"
     assert len(out) == 4  # three degrees, one homological index
+    # an explicit empty ideal is an input error, not the maximal ideal
+    assert main(["--input", good, "--ideal", ""]) == 2
+    assert "(at ideal)" in capsys.readouterr().err
 
 
 def test_run_is_deterministic(tmp_path):
@@ -183,6 +190,7 @@ MALFORMED = {
     "module-relations-number": {"module": {"relations": 5}},
     "i_range-float": {"i_range": [0, 1.7]},
     "ideal-string": {"ideal": "x"},
+    "ideal-empty": {"ideal": []},
     "weights-string": {"ring": {"char": 32003, "vars": ["x", "y"], "weights": "12"}},
     "char-above-bound": {"ring": {"char": 4294967311, "vars": ["x", "y"]}},
 }
@@ -196,3 +204,73 @@ def test_malformed_job_exits_2_without_traceback(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert "input error" in err and "(at " in err
     assert "Traceback" not in err
+
+
+# -- fuzzing the job surface ---------------------------------------------------
+
+POLY_TEXTS = ("x", "y", "x^2", "x*y", "y^2 - x^2", "2*x*y", "x + y^2", "z", "0", "1", "x +")
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
+                 st.lists(st.integers(-1, 2), max_size=2), st.dictionaries(st.text(max_size=2), st.none()))
+
+
+@st.composite
+def _ring_docs(draw):
+    nvars = draw(st.integers(1, 2))
+    doc = {"char": draw(st.sampled_from((32003, 0, 2, 3, 4))), "vars": ["x", "y"][:nvars]}
+    if draw(st.booleans()):
+        doc["weights"] = draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars))
+    return doc
+
+
+_module_docs = st.fixed_dictionaries({}, optional={
+    "target_twists": st.lists(st.integers(-2, 2), min_size=1, max_size=2),
+    "relations": st.lists(st.lists(st.sampled_from(POLY_TEXTS), min_size=1, max_size=2), max_size=2),
+})
+_complex_docs = st.sampled_from((
+    {"terms": {"0": {"twists": [0]}, "1": {"twists": [-1]}}, "differentials": {"1": [["x"]]}},
+    {"terms": {"0": {"twists": [0]}, "1": {"twists": [-2]}}, "differentials": {"1": [["x^2"]]}},
+    {"terms": {"0": {"twists": [0]}, "1": {"twists": [-1]}}, "differentials": {"1": [["x^2"]]}},
+    {"terms": {"0": {"twists": [0]}}},
+))
+_pairs = st.lists(st.integers(-3, 3), min_size=2, max_size=2)
+_valid_docs = st.fixed_dictionaries({
+    "command": st.sampled_from(("lc", "lh", "koszul", "hilbert", "homsc")),
+    "ring": _ring_docs(),
+}, optional={
+    "module": _module_docs,
+    "ideal": st.lists(st.sampled_from(POLY_TEXTS), min_size=1, max_size=3),
+    "i_range": _pairs.map(sorted),
+    "window": _pairs.map(sorted),
+    "k_max": st.integers(1, 3),
+    "s": st.integers(1, 2),
+    "K_max": st.integers(1, 2),
+    "power": st.integers(1, 2),
+    "report": st.sampled_from(("json", "csv", "pretty")),
+})
+
+
+@st.composite
+def _job_docs(draw):
+    """A job document, with at most one field replaced by a value of another shape."""
+    doc = draw(_valid_docs)
+    if draw(st.booleans()):
+        doc.pop("module", None)
+        doc["complex"] = draw(_complex_docs)
+    field = draw(st.sampled_from((None, None, "command", "ring", "module", "complex", "ideal",
+                                  "i_range", "window", "k_max", "s", "K_max", "power", "report")))
+    if field is not None:
+        doc[field] = draw(JUNK)
+    return doc
+
+
+@settings(max_examples=150)
+@given(doc=_job_docs())
+def test_cli_exit_code_contract_on_generated_jobs(doc, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz-job.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    err = io.StringIO()
+    # an exception escaping main would print a traceback; it fails this test instead
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--input", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

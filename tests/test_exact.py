@@ -371,7 +371,7 @@ def _ambient(draw, f, src, dst, n_src, n_dst):
              for k in range(n_src)] for r in range(n_dst)]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(data=st.data(), p=st.sampled_from(REF_PRIMES))
 def test_strand_spaces_and_induced_maps_match_reference(data, p):
     f = _RefField(p)
@@ -407,7 +407,7 @@ def test_strand_spaces_and_induced_maps_match_reference(data, p):
     assert _columns_of(got) == want
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(data=st.data(), p=st.sampled_from(REF_PRIMES))
 def test_kernel_and_solve_match_reference(data, p):
     f = _RefField(p)

@@ -52,6 +52,17 @@ JOBS = {
 # the same jobs over Q, the rational elimination path
 JOBS["lc-quotient-qq"] = dict(JOBS["lc-quotient"], ring=dict(RING, char=0))
 JOBS["lh-weighted-qq"] = dict(JOBS["lh-weighted"], ring=dict(RING_W, char=0))
+# Koszul stages on three generators, nonlinear or of mixed weights
+JOBS["lc-nonlinear-ideal"] = {
+    "command": "lc", "ring": {"char": 32003, "vars": ["x", "y", "z"], "weights": [1, 1, 1]},
+    "module": {"target_twists": [0], "relations": [["x*z", "y^2"]]},
+    "ideal": ["x^2", "x*y - z^2", "y*z"], "i_range": [0, 3], "window": [-4, 2], "k_max": 4,
+}
+JOBS["lh-weighted-ideal-qq"] = {
+    "command": "lh", "ring": {"char": 0, "vars": ["x", "y", "z"], "weights": [2, 1, 3]},
+    "module": {"target_twists": [0], "relations": [["x*z - y^5"]]},
+    "ideal": ["y^2", "x", "z"], "i_range": [0, 3], "window": [-1, 6], "k_max": 5,
+}
 
 DIGESTS = {
     "hilbert": "82abe7e8ac64d1ebaca79d0ef0295a397554de26ad782d179a69c5b0197d3584",
@@ -59,9 +70,11 @@ DIGESTS = {
     "homsc-module": "9706af23ded941e7f4be755a457286c08ca5c2ecd72ab0c8b8a50379e030b732",
     "koszul": "8a48d02886f0822056ad888e0c164b9d3e6fdb4499e285f234956680d4105067",
     "lc-complex": "070edac12473ac5b39cddc345667783f38a5e35cd5d85770ec09361bc1bef115",
+    "lc-nonlinear-ideal": "c369a158c58fc37602917631a84ba20b6221d2e24e65e886bf67d1bc5e450274",
     "lc-quotient": "d03079c5e7e9f44feae20f7847c4cf3e07bcf2702254400272767d20cd30e772",
     "lc-quotient-qq": "5a65c6c6c516471054b2c41d4ce29724c6140e36ae176674df49f50aaf3b0c11",
     "lh-weighted": "9adde9172860fbd83c5ea1b22ddce3fcdae2abc046bfcd5ebeacdbfbd90553ee",
+    "lh-weighted-ideal-qq": "56eb2b636a20f8423b3ab3eacf529cc3e0ea8ade341e1091a6da9003ee11c891",
     "lh-weighted-qq": "274133ee79bb89e9172c0a0c23995b4501a685c998d23aeaffa8f7569be901bb",
     "verify-duality": "d13252483d0630b3ad50753652ade2c6553f52e84f9dda9bbd7803b58c71095f",
     "verify-gm": "2bf4930f808ede7d0b0ec8ae46f09c3ea43523be41f9fa9c1d33cfea531f865a",

@@ -1,14 +1,21 @@
 """Koszul complexes, transition systems, self-duality, stable Cech truncation."""
 
+from functools import reduce
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lochom.complexes import (
     ChainMap,
+    ModuleChainMap,
+    ModuleComplex,
     homology_strand,
     homology_table,
     shift,
+    tensor,
+    tensor_chain_maps,
     tensor_with_module,
 )
 from lochom.errors import (
@@ -28,8 +35,8 @@ from lochom.koszul import (
     stable_cech_truncated,
     transition,
 )
-from lochom.modules import FreeModule, PresentedModule, mult_operator, strand
-from lochom.rings import GradedRing, parse_poly
+from lochom.modules import FreeModule, GradedMap, PresentedModule, mult_operator, strand
+from lochom.rings import GradedRing, Poly, monomial_basis, parse_poly
 
 FP = FieldSpec(32003)
 
@@ -222,3 +229,95 @@ def test_stable_cech_matches_terminal_stage():
         left = homology_table(tensor_with_module(sc, m), (-2, 1), (-4, 5))
         right = homology_table(tensor_with_module(stage, m), (-2, 1), (-4, 5))
         assert left.same_dims(right)
+
+
+# -- the exterior-basis construction against the iterated tensor ---------------
+
+FIELDS = (FieldSpec(2), FieldSpec(3), FP, FieldSpec(0))
+
+
+@st.composite
+def _homogeneous(draw, r, max_exp=2):
+    """A nonzero homogeneous polynomial of positive degree: a few monomials of one degree."""
+    exps = draw(st.lists(st.integers(0, max_exp), min_size=r.nvars, max_size=r.nvars))
+    if not any(exps):
+        exps[0] = 1
+    monomials = monomial_basis(r, r.exponent_degree(exps))
+    picked = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True))
+    p = r.field.characteristic
+    coeffs = draw(st.lists(
+        st.integers(1, p - 1) if p else st.sampled_from((-3, -2, -1, 1, 2, 3)),
+        min_size=len(picked), max_size=len(picked),
+    ))
+    return Poly(r, dict(zip(picked, coeffs)))
+
+
+@st.composite
+def _ring_and_gens(draw, max_gens=4, max_exp=2, max_vars=3):
+    """A weighted ring in two or more variables and up to max_gens generators, repeats allowed."""
+    nvars = draw(st.integers(2, max_vars))
+    weights = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=nvars, max_size=nvars))
+    r = GradedRing(draw(st.sampled_from(FIELDS)), ["x", "y", "z"][:nvars], weights)
+    gens = []
+    for _ in range(draw(st.integers(1, max_gens))):
+        if gens and draw(st.booleans()):
+            gens.append(draw(st.sampled_from(gens)))
+        else:
+            gens.append(draw(_homogeneous(r, max_exp)))
+    return r, tuple(gens)
+
+
+def _one_variable_complex(r, g, k, convention):
+    w = k * g.degree()
+    if convention == DIRECT:
+        src, tgt = FreeModule(r, [0]), FreeModule(r, [w])
+    else:
+        src, tgt = FreeModule(r, [-w]), FreeModule(r, [0])
+    return ModuleComplex.two_term(GradedMap(src, tgt, [[g**k]]))
+
+
+def _one_variable_transition(r, g, k, l, convention):
+    ck = _one_variable_complex(r, g, k, convention)
+    cl = _one_variable_complex(r, g, l, convention)
+    if convention == DIRECT:  # identity in degree 1, a^{l-k} in degree 0
+        entries = {1: r.one(), 0: g ** (l - k)}
+    else:  # a^{k-l} in degree 1, identity in degree 0
+        entries = {1: g ** (k - l), 0: r.one()}
+    comps = {i: GradedMap(ck.term(i), cl.term(i), [[e]]) for i, e in entries.items()}
+    return ModuleChainMap(ck, cl, comps)
+
+
+@settings(max_examples=60)
+@given(data=_ring_and_gens(), powers=st.lists(st.integers(1, 3), min_size=2, max_size=2),
+       convention=st.sampled_from((DIRECT, INVERSE)))
+def test_koszul_complex_and_transition_match_iterated_tensor(data, powers, convention):
+    r, gens = data
+    k, l = sorted(powers, reverse=convention == INVERSE)
+    spec_k = KoszulSpec(r, gens, k, convention)
+    want = reduce(tensor, [_one_variable_complex(r, g, k, convention) for g in gens])
+    assert koszul_complex(spec_k) == want
+    want_map = reduce(
+        tensor_chain_maps, [_one_variable_transition(r, g, k, l, convention) for g in gens]
+    )
+    assert transition(spec_k, spec_k.at_power(l)) == want_map
+
+
+@st.composite
+def _small_module(draw, r):
+    """R(t) modulo at most two homogeneous relations."""
+    twist = draw(st.integers(-1, 1))
+    relations = draw(st.lists(_homogeneous(r, 1), max_size=2))
+    return PresentedModule.quotient(FreeModule(r, [twist]), [[f] for f in relations])
+
+
+@settings(max_examples=40)
+@given(data=st.data(), k_max=st.integers(1, 3))
+def test_stable_cech_tensor_module_matches_terminal_stage(data, k_max):
+    r, gens = data.draw(_ring_and_gens(max_gens=2, max_exp=1, max_vars=2))
+    module = data.draw(_small_module(r))
+    n = len(gens)
+    stage = shift(koszul_complex(KoszulSpec(r, gens, k_max, DIRECT)), -n)
+    window = (-3, 3)
+    left = homology_table(tensor(stable_cech_truncated(gens, k_max), module), (-n, 0), window)
+    right = homology_table(tensor(stage, module), (-n, 0), window)
+    assert left == right

@@ -2,11 +2,20 @@
 
 import pytest
 
-from lochom.complexes import FreeComplex, homology_table, hom_complex, shift
+from lochom.complexes import (
+    FreeComplex,
+    ModuleChainMap,
+    ModuleComplex,
+    homology_table,
+    hom_complex,
+    shift,
+    tensor_chain_maps,
+)
 from lochom.errors import EmptyGeneratorsError, NonHomogeneousError
 from lochom.exact import FieldSpec
-from lochom.koszul import KoszulSpec, koszul_complex
+from lochom.koszul import DIRECT, INVERSE, KoszulSpec, koszul_complex, transition
 from lochom.localcoh import (
+    KoszulTowerSystem,
     generator_independence_check,
     hom_stable_cech_table,
     local_cohomology_table,
@@ -212,3 +221,28 @@ def test_generator_independence_same_radical_powers():
         (x,), (x * x,), free(r), (0, 1), (-6, 2), k_max=8
     )
     assert rep.passed and rep.compared > 0
+
+
+@pytest.mark.parametrize("convention", [DIRECT, INVERSE])
+def test_tower_system_builds_each_stage_once(convention, monkeypatch):
+    built = {ModuleComplex: 0, ModuleChainMap: 0}
+    for cls in built:
+        def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    r = ring(3)
+    x, y, z = r.variables()
+    gens = (x, y * z, x * x)
+    # two generators, so that the layout of e_S (x) v inside a term matters
+    module = PresentedModule.quotient(FreeModule(r, [0, 1]), [[x, y * z]])
+    k_max = 4
+    system = KoszulTowerSystem(gens, module, k_max, convention)
+    # one Koszul complex and one tensor per stage, one stalk for the module
+    assert built[ModuleComplex] <= 2 * k_max + 1
+    assert built[ModuleChainMap] == k_max - 1
+    for j, f in enumerate(system.maps):
+        src, tgt = (j, j + 1) if convention == DIRECT else (j + 1, j)
+        assert f.source is system.complexes[src] and f.target is system.complexes[tgt]
+        spec_src, spec_tgt = (KoszulSpec(r, gens, k + 1, convention) for k in (src, tgt))
+        assert f == tensor_chain_maps(transition(spec_src, spec_tgt), ModuleChainMap.identity(module))
