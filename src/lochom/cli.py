@@ -493,7 +493,12 @@ def _merge(job: JobSpec, args) -> JobSpec:
     if args.subject:
         updates["verify_subject"] = args.subject
     if args.ideal is not None:
-        updates["ideal"] = tuple(t.strip() for t in args.ideal.split(",") if t.strip())
+        items = tuple(t.strip() for t in args.ideal.split(","))
+        if items == ("",):
+            items = ()  # rejected by validate() as an empty ideal
+        elif "" in items:
+            raise SchemaError("ideal has an empty generator", "ideal")
+        updates["ideal"] = items
     if args.i_range is not None:
         updates["i_range"] = _parse_range(args.i_range, "--i")
     if args.window is not None:

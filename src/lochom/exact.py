@@ -10,6 +10,16 @@ with entries reduced into ``[0, p)``; matrices over Q hold
 :class:`fractions.Fraction` entries (always in lowest terms with positive
 denominator).  All values are immutable after construction, so they are safe
 to share across threads.
+
+Mod-p kernels delay reduction while no sum of products can leave the range
+in which its type is exact (Dumas, Giorgi and Pernet, *FFLAS-FFPACK*, ACM
+TOMS 2008).  A product with inner dimension k runs as one float64 BLAS
+product and one reduction when ``k (p-1)^2 < 2^53``; past that bound it sums
+int64 products over chunks of the inner index, reducing after each chunk.
+Elimination leaves its rank-1 updates unreduced in int64 when
+``min(rows, cols) (p-1)^2 < 2^63``, as an entry takes at most one update of
+at most ``(p-1)^2`` per pivot; past that bound, and on matrices of fewer than
+4096 entries, it reduces after every update.
 """
 
 from __future__ import annotations
@@ -35,8 +45,10 @@ __all__ = [
 ]
 
 DEFAULT_PRIME = 32003
-# Mod-p elimination multiplies reduced entries in int64, which is exact only
-# while (p - 1)^2 < 2^63; the bound keeps every product below 2^62.
+# A product of two reduced entries is below 2^62, exact in int64.  Sums of
+# such products are exact below 2^53 in float64 and below 2^63 in int64;
+# each mod-p kernel reduces early where a sum could pass its bound (see the
+# module docstring), so every prime below 2^31 is exact.
 MAX_PRIME = 2**31
 
 
@@ -255,6 +267,8 @@ class ExactMatrix:
         field = _same_field(self, other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
+        if not (self.rows and self.cols and other.cols):
+            return ExactMatrix.zeros(field, self.rows, other.cols)
         if field.is_rational:
             # sum of outer products over the inner index, nonzero entries only
             data = self._empty_like(self.rows, other.cols)
@@ -267,17 +281,18 @@ class ExactMatrix:
                     )
             return ExactMatrix(field, data)
         p = field.characteristic
-        a = self._data.astype(np.int64)
-        b = other._data.astype(np.int64)
-        # guard against int64 overflow in the dot accumulation
-        if self.cols and (p - 1) ** 2 > (2**62) // max(self.cols, 1):
-            out = np.zeros((self.rows, other.cols), dtype=np.int64)
-            step = max(1, (2**62) // max((p - 1) ** 2, 1))
-            for start in range(0, self.cols, step):
-                out = (out + a[:, start : start + step].dot(b[start : start + step])) % p
-            data = out
+        if self.cols * (p - 1) ** 2 < 2**53:
+            # every partial sum is an integer below 2^53, so BLAS sums exactly
+            data = (self._data.astype(np.float64) @ other._data.astype(np.float64)).astype(np.int64)
         else:
-            data = a.dot(b) % p if self.cols else np.zeros((self.rows, other.cols), dtype=np.int64)
+            # a chunk of `step` int64 products sums below 2^62
+            a = self._data.astype(np.int64)
+            b = other._data.astype(np.int64)
+            data = np.zeros((self.rows, other.cols), dtype=np.int64)
+            step = (2**62) // (p - 1) ** 2
+            for start in range(0, self.cols, step):
+                data = data % p + a[:, start : start + step].dot(b[start : start + step])
+        data %= p
         return ExactMatrix(field, data.astype(_dtype_for(p)))
 
     # -- slicing / stacking --------------------------------------------------
@@ -342,52 +357,64 @@ class ExactMatrix:
 # -- elimination kernels ----------------------------------------------------
 
 def _rref_fp(a: np.ndarray, p: int):
-    m = a.astype(np.int64, copy=True)
+    m = a.astype(np.int64)
     nrows, ncols = m.shape
+    # An update subtracts at most (p-1)^2 from an entry, once per pivot.  While
+    # min(nrows, ncols) of them cannot overflow int64 the updates stay
+    # unreduced until the end; below 4096 entries the extra reductions of the
+    # pivot column and row cost more than that saves.
+    delayed = nrows * ncols >= 4096 and min(nrows, ncols) * (p - 1) ** 2 < 2**63
     pivots = []
     r = 0
     for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        col = m[:, c] % p if delayed else m[:, c].copy()
+        nz = col[r:].nonzero()[0]
+        if not nz.size:
             continue
+        # rows r and below vanish mod p left of c, so only columns c: change
         i = r + int(nz[0])
         if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
+            m[[r, i], c:] = m[[i, r], c:]
+            col[[r, i]] = col[[i, r]]
+        row = m[r, c:] % p if delayed else m[r, c:]
+        row = row * pow(int(col[r]), p - 2, p) % p
+        m[r, c:] = row
         col[r] = 0
-        hit = np.nonzero(col)[0]
+        hit = col.nonzero()[0]
         if hit.size:
-            m[hit] = (m[hit] - np.outer(col[hit], m[r])) % p
+            update = m[hit, c:]
+            update -= col[hit, None] * row
+            m[hit, c:] = update if delayed else update % p
         pivots.append(c)
         r += 1
+        if r == nrows:
+            break
+    if delayed:
+        m %= p
     return m, pivots
 
 
 def _rank_fp(a: np.ndarray, p: int) -> int:
     """Forward elimination only; cheaper than full reduction."""
-    m = a.astype(np.int64, copy=True)
+    m = a.astype(np.int64)
     nrows, ncols = m.shape
     r = 0
     for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        nz = m[r:, c].nonzero()[0]
+        if not nz.size:
             continue
         i = r + int(nz[0])
         if i != r:
-            m[[r, i]] = m[[i, r]]
+            m[[r, i], c:] = m[[i, r], c:]
         below = m[r + 1 :, c]
-        hit = np.nonzero(below)[0]
+        hit = below.nonzero()[0]
         if hit.size:
-            inv = pow(int(m[r, c]), p - 2, p)
-            factors = (below[hit] * inv) % p
-            m[r + 1 + hit] = (m[r + 1 + hit] - np.outer(factors, m[r])) % p
+            factors = below[hit] * pow(int(m[r, c]), p - 2, p) % p
+            rows = r + 1 + hit
+            m[rows, c:] = (m[rows, c:] - factors[:, None] * m[r, c:]) % p
         r += 1
+        if r == nrows:
+            break
     return r
 
 

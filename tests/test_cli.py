@@ -160,6 +160,10 @@ def test_flag_overrides(tmp_path, capsys):
     # an explicit empty ideal is an input error, not the maximal ideal
     assert main(["--input", good, "--ideal", ""]) == 2
     assert "(at ideal)" in capsys.readouterr().err
+    # so is an empty item between, before or after the generators
+    for ideal in ("x,,y", ",x", "x,", "x, ,y"):
+        assert main(["--input", good, "--ideal", ideal]) == 2
+        assert "(at ideal)" in capsys.readouterr().err
 
 
 def test_run_is_deterministic(tmp_path):

@@ -4,6 +4,7 @@ import collections
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -464,3 +465,99 @@ def test_strand_space_and_induced_map_elimination_budget(field, monkeypatch):
     induced_map(subquotient, quotient, ExactMatrix.identity(field, 3))
     induced_map(quotient, quotient, ExactMatrix.identity(field, 3).scale(2))
     assert spent() == (0, 0)
+
+
+# -- mod-p kernels at their exactness bounds ------------------------------------
+
+def _ref_product(a_rows, b_rows, inner, cols, f):
+    return tuple(
+        tuple(f.norm(sum(row[k] * b_rows[k][j] for k in range(inner))) for j in range(cols))
+        for row in a_rows
+    )
+
+
+@st.composite
+def _product_operands(draw, p):
+    """(a rows, b rows, inner, cols), with extreme entries mixed in; any dimension may be 0."""
+    rows, inner, cols = (draw(st.integers(0, 6)) for _ in range(3))
+    if p == 0:
+        entries = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    else:
+        entries = st.one_of(st.integers(0, p - 1), st.sampled_from([0, 1, p - 1, p - 2]))
+    a = [[draw(entries) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(entries) for _ in range(cols)] for _ in range(inner)]
+    return a, b, inner, cols
+
+
+@settings(max_examples=200)
+@given(data=st.data(), p=st.sampled_from(REF_PRIMES))
+def test_product_matches_reference(data, p):
+    a_rows, b_rows, inner, cols = data.draw(_product_operands(p))
+    field = FieldSpec(p)
+    a = ExactMatrix.from_rows(field, a_rows, cols=inner)
+    b = ExactMatrix.from_rows(field, b_rows, cols=cols)
+    got = a @ b
+    assert (got.rows, got.cols) == (len(a_rows), cols)
+    assert got.entries == _ref_product(a_rows, b_rows, inner, cols, _RefField(p))
+    if p:
+        assert got._data.dtype == exact._dtype_for(p)
+
+
+@pytest.mark.parametrize("inner", [63, 64, 65])
+def test_product_at_the_float64_bound(inner):
+    # inner (p-1)^2 < 2^53 holds up to inner 64 here: 64 runs on float64 BLAS
+    # and 65 on int64.  Sums of (p-2)^2 past 2^53 are odd, so float64 would round them.
+    p = 11863279
+    assert 64 * (p - 1) ** 2 < 2**53 <= 65 * (p - 1) ** 2
+    field = FieldSpec(p)
+    for v in (p - 1, p - 2):
+        a = ExactMatrix.from_rows(field, [[v] * inner] * 3)
+        b = ExactMatrix.from_rows(field, [[v] * 2] * inner)
+        got = a @ b
+        assert got.entries == ((inner * v * v % p,) * 2,) * 3
+        assert got._data.dtype == exact._dtype_for(p) == np.int64
+
+
+ELIMINATION_PRIMES = (2, 3, 32003, 1270249, 1073741789, 2**31 - 1)
+
+
+def _elimination_case(p, rows, cols, kind, seed):
+    """Rows of a test matrix: random, all p-1, or a rank-deficient product with zero columns."""
+    rng = random.Random(seed)
+    if kind == "random":
+        return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+    if kind == "top":
+        return [[p - 1] * cols for _ in range(rows)]
+    k = max(1, min(rows, cols) - 2)
+    left = [[rng.choice((rng.randrange(p), p - 1)) for _ in range(k)] for _ in range(rows)]
+    right = [[rng.choice((rng.randrange(p), p - 1)) for _ in range(cols)] for _ in range(k)]
+    zero = set(rng.sample(range(cols), cols // 4))
+    return [
+        [0 if j in zero else sum(x * right[t][j] for t, x in enumerate(row)) % p
+         for j in range(cols)]
+        for row in left
+    ]
+
+
+# Shapes on both sides of each switch of _rref_fp: 4096 entries (63x64, 64x64),
+# and min(rows, cols) (p-1)^2 < 2^63, which holds up to 8 rows at p = 1073741789
+# (8x512, 9x456) and 2 rows at 2^31 - 1 (2x2048, 3x1366).  A pivot row scaled
+# before its reduction would need min(rows, cols) (p-1)^3 < 2^63, which at
+# p = 1270249 holds up to 4 rows (4x1024, 5x820).
+ELIMINATION_SHAPES = [(5, 7), (7, 5), (63, 64), (64, 64), (2, 2048), (3, 1366),
+                      (4, 1024), (5, 820), (8, 512), (9, 456), (4, 41)]
+
+
+@pytest.mark.parametrize("p", ELIMINATION_PRIMES)
+@pytest.mark.parametrize("kind", ["random", "top", "low-rank"])
+def test_elimination_matches_reference(p, kind):
+    field = FieldSpec(p)
+    ref_field = _RefField(p)
+    for seed, (rows, cols) in enumerate(ELIMINATION_SHAPES):
+        data = _elimination_case(p, rows, cols, kind, seed)
+        want, pivots = _ref_rref(data, cols, ref_field)
+        red, got_pivots = rref_with_pivots(M(field, data))
+        assert got_pivots == tuple(pivots), (rows, cols)
+        assert red.entries == tuple(tuple(r) for r in want), (rows, cols)
+        assert red._data.dtype == exact._dtype_for(p)
+        assert rank(M(field, data)) == len(pivots), (rows, cols)
