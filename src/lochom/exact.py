@@ -4,7 +4,9 @@ Every strandwise computation in the engine bottoms out here: reduced row
 echelon forms, kernels, and induced maps on subquotients W <= U <= k^n
 (:class:`StrandSpace`).  A strand space runs one elimination when it is built
 and keeps the inverse of the basis it picks, so coordinates, containment
-checks and induced maps are matrix products with no further elimination.
+checks and induced maps are matrix products with no further elimination.  A
+direct sum of strand spaces runs none: it keeps its summands and applies
+each summand's inverse to its own block of coordinates.
 Matrices over F_p are stored as numpy integer arrays
 with entries reduced into ``[0, p)``; matrices over Q hold
 :class:`fractions.Fraction` entries (always in lowest terms with positive
@@ -534,14 +536,21 @@ class StrandSpace:
     columns are B^-1.  :meth:`coordinates` reads every query off B^-1: a
     vector lies in U when its coordinates past the W and coset blocks vanish,
     and in W when those past the W block do.
+
+    :meth:`direct_sum` builds the space of block-diagonal ``sub`` and
+    ``super`` matrices from the spaces of their blocks, with no elimination
+    and no n x n inverse.  The reduced echelon form is unique, and that of a
+    block-diagonal ``[sub | super | I_n]`` is a row permutation of the
+    blocks' forms, so the sum has the basis, the coset representatives and
+    the coordinates that one elimination of the whole matrix gives.
     """
 
-    __slots__ = ("field", "ambient_dim", "sub_basis", "coset_reps", "_sub_cb", "_inverse")
+    __slots__ = ("field", "ambient_dim", "coset_reps", "_sub_cb", "_inverse", "_parts")
 
     def __init__(self, sub_basis: ExactMatrix, super_basis: ExactMatrix | None = None):
         field = self.field = sub_basis.field
         n = self.ambient_dim = sub_basis.rows
-        self.sub_basis = sub_basis
+        self._parts = ()
         if super_basis is not None and (super_basis.rows != n or super_basis.field != field):
             raise ValueError("super basis shape or field mismatch")
         identity = ExactMatrix.identity(field, n)
@@ -566,19 +575,48 @@ class StrandSpace:
         self.coset_reps = sup.columns(super_pivots)
         self._inverse = red.columns(range(red.cols - n, red.cols))
 
+    @classmethod
+    def direct_sum(cls, spaces) -> "StrandSpace":
+        """(+)_p U_p/W_p inside (+)_p k^{n_p}, summands in order."""
+        spaces = tuple(spaces)
+        if len(spaces) == 1:
+            return spaces[0]
+        field = spaces[0].field
+        space = cls.__new__(cls)
+        space.field = field
+        space.ambient_dim = sum(sp.ambient_dim for sp in spaces)
+        space._sub_cb = _block_diagonal(field, [sp._sub_cb for sp in spaces])
+        space.coset_reps = _block_diagonal(field, [sp.coset_reps for sp in spaces])
+        space._inverse = None
+        space._parts = () if all(sp.is_full for sp in spaces) else spaces
+        return space
+
     @property
     def dim(self) -> int:
         return self.coset_reps.cols
 
     @property
     def is_full(self) -> bool:
-        return self._inverse is None
+        return self._inverse is None and not self._parts
 
     def sub_column_basis(self) -> ExactMatrix:
         return self._sub_cb
 
     def coordinates(self, vectors: ExactMatrix) -> ExactMatrix:
         """Coordinates B^-1 v: W block, then coset block, then the rest of k^n."""
+        if self._parts:
+            # each part's coordinates, split into its W, coset and other rows
+            w_rows, coset_rows, rest = [], [], []
+            start = 0
+            for part in self._parts:
+                stop = start + part.ambient_dim
+                y = part.coordinates(ExactMatrix(self.field, vectors._data[start:stop]))._data
+                w = part._sub_cb.cols
+                w_rows.append(y[:w])
+                coset_rows.append(y[w : w + part.dim])
+                rest.append(y[w + part.dim :])
+                start = stop
+            return ExactMatrix(self.field, np.vstack(w_rows + coset_rows + rest))
         return vectors if self._inverse is None else self._inverse @ vectors
 
     def __repr__(self):
@@ -586,6 +624,13 @@ class StrandSpace:
             f"StrandSpace(dim={self.dim}, ambient={self.ambient_dim}, "
             f"sub_rank={self._sub_cb.cols})"
         )
+
+
+def _block_diagonal(field: FieldSpec, blocks) -> ExactMatrix:
+    grid = [[b if i == j else None for j in range(len(blocks))] for i, b in enumerate(blocks)]
+    return ExactMatrix.assemble(
+        field, grid, [b.rows for b in blocks], [b.cols for b in blocks]
+    )
 
 
 def induced_map(src: StrandSpace, dst: StrandSpace, ambient: ExactMatrix) -> ExactMatrix:

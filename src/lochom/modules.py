@@ -7,7 +7,9 @@ degree t + b_i - a_j; this is enforced at construction, and it is exactly what
 makes every strand matrix well typed.
 
 Modules are always presented (a free module is the cokernel of the empty
-presentation) so that strand computation has a single code path.
+presentation) so that one elimination of a presentation strand computes any
+strand.  A twist or direct sum of modules also records its summands, and its
+strands are direct sums of theirs, so each summand strand is eliminated once.
 """
 
 from __future__ import annotations
@@ -282,14 +284,22 @@ def graded_map_from_blocks(
 
 
 class PresentedModule:
-    """M = coker(presentation: F1 -> F0), with strands cached per degree."""
+    """M = coker(presentation: F1 -> F0), with strands cached per degree.
 
-    __slots__ = ("presentation", "_strand_cache")
+    ``parts`` records what a module built by :meth:`twisted` or
+    :func:`module_sum` is a direct sum of: a flat tuple of ``(base, shift)``
+    pairs with M = (+) base(shift) and every base built directly from a
+    presentation (with no parts).  Equality and hash use the presentation
+    only.
+    """
+
+    __slots__ = ("presentation", "parts", "_strand_cache")
 
     def __init__(self, presentation: GradedMap):
         if presentation.internal_degree != 0:
             raise ValueError("presentations must have internal degree 0")
         object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "parts", ())
         object.__setattr__(self, "_strand_cache", {})
 
     def __setattr__(self, name, value):
@@ -344,7 +354,8 @@ class PresentedModule:
         return self.presentation.source
 
     def twisted(self, n: int) -> "PresentedModule":
-        return PresentedModule(self.presentation.twisted(n))
+        parts = tuple((base, t + n) for base, t in self.parts) or ((self, n),)
+        return _with_parts(self.presentation.twisted(n), parts)
 
     def __eq__(self, other):
         return isinstance(other, PresentedModule) and self.presentation == other.presentation
@@ -365,11 +376,16 @@ def module_sum(modules) -> PresentedModule:
     if len(modules) == 1:
         return modules[0]
     blocks = {(p, p): m.presentation for p, m in enumerate(modules)}
-    return PresentedModule(
-        graded_map_from_blocks(
-            [m.relations for m in modules], [m.generators for m in modules], blocks
-        )
+    presentation = graded_map_from_blocks(
+        [m.relations for m in modules], [m.generators for m in modules], blocks
     )
+    return _with_parts(presentation, tuple(part for m in modules for part in m.parts or ((m, 0),)))
+
+
+def _with_parts(presentation: GradedMap, parts) -> PresentedModule:
+    module = PresentedModule(presentation)
+    object.__setattr__(module, "parts", parts)
+    return module
 
 
 def module_sum_twisted(module: PresentedModule, twists) -> PresentedModule:
@@ -382,12 +398,21 @@ def module_sum_twisted(module: PresentedModule, twists) -> PresentedModule:
 
 
 def strand(module: PresentedModule, d: int) -> StrandSpace:
-    """M_d = (F0)_d / im((F1)_d) with the deterministic coset basis."""
+    """M_d = (F0)_d / im((F1)_d) with the deterministic coset basis.
+
+    Strands are cached per module.  A module with recorded parts takes the
+    direct sum of the strands base_{d+shift} of its parts, cached on each
+    base, so one base in one degree is eliminated once however many sums,
+    twists and complexes it occurs in; the result is the space one
+    elimination of the block-diagonal presentation strand would give.
+    """
     cached = module._strand_cache.get(d)
     if cached is not None:
         return cached
     pres = module.presentation
-    if pres.source.rank == 0:
+    if module.parts:
+        space = StrandSpace.direct_sum(strand(base, d + t) for base, t in module.parts)
+    elif pres.source.rank == 0:
         space = StrandSpace(
             ExactMatrix.zeros(module.ring.field, pres.target.strand_dim(d), 0)
         )
@@ -422,12 +447,10 @@ def annihilator_strand(module: PresentedModule, f: Poly, d: int) -> StrandSpace:
     ker = kernel_basis(op)
     base = strand(module, d)
     lifted = base.coset_reps @ ker
-    sub = base.sub_basis
-    if sub.cols:
-        super_basis = ExactMatrix.hstack([base.sub_column_basis(), lifted])
-    else:
-        super_basis = lifted
-    return StrandSpace(sub, super_basis)
+    # W by its basis picks the same pivots, hence the same B^-1, as W by the
+    # relation columns spanning it
+    sub = base.sub_column_basis()
+    return StrandSpace(sub, ExactMatrix.hstack([sub, lifted]))
 
 
 class TableEntry(NamedTuple):

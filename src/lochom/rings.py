@@ -92,29 +92,28 @@ def monomial_basis(ring: GradedRing, d: int):
     cached = ring._basis_cache.get(d)
     if cached is not None:
         return cached
-    if d < 0:
-        basis: tuple = ()
-    else:
-        out = []
-        exps = [0] * ring.nvars
-
-        def fill(pos: int, remaining: int):
-            w = ring.weights[pos]
-            if pos == ring.nvars - 1:
-                if remaining % w == 0:
-                    exps[pos] = remaining // w
-                    out.append(tuple(exps))
-                return
-            for e in range(remaining // w, -1, -1):
-                exps[pos] = e
-                fill(pos + 1, remaining - e * w)
-            exps[pos] = 0
-
-        fill(0, d)
-        basis = tuple(out)
+    basis = tuple(_fill(ring.weights, 0, d, [0] * ring.nvars, [])) if d >= 0 else ()
     ring._basis_cache[d] = basis
     ring._index_cache[d] = {e: i for i, e in enumerate(basis)}
     return basis
+
+
+def _fill(weights, pos: int, remaining: int, exps: list, out: list) -> list:
+    """Append to ``out`` the completions of ``exps[:pos]`` of weighted degree
+    ``remaining``, exponents descending.  A module-level function: a nested
+    recursive one would hold itself, and with it the ring, in a reference
+    cycle that outlives the job until a full garbage collection."""
+    w = weights[pos]
+    if pos == len(weights) - 1:
+        if remaining % w == 0:
+            exps[pos] = remaining // w
+            out.append(tuple(exps))
+        return out
+    for e in range(remaining // w, -1, -1):
+        exps[pos] = e
+        _fill(weights, pos + 1, remaining - e * w, exps, out)
+    exps[pos] = 0
+    return out
 
 
 def _basis_index(ring: GradedRing, d: int):

@@ -1,6 +1,7 @@
 """CLI: job parsing, report emission, exit codes, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 
@@ -278,3 +279,25 @@ def test_cli_exit_code_contract_on_generated_jobs(doc, tmp_path_factory):
         code = main(["--input", str(path)])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def test_a_finished_job_leaves_no_cyclic_garbage():
+    # a job's ring holds its multiplication and basis caches; a reference cycle
+    # through any engine object would keep them until a full collection
+    doc = {
+        "command": "lc", "ring": RING, "ideal": ["x", "y"], "i_range": [0, 2], "window": [-3, 1],
+        "module": {"target_twists": [0], "relations": [["x^2", "x*y"]]}, "k_max": 3,
+    }
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        emit_report(run(_document_to_jobspec(doc)), "json")
+        gc.collect()
+        leaked = {type(o).__qualname__ for o in gc.garbage
+                  if (type(o).__module__ or "").startswith("lochom")}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not leaked

@@ -408,6 +408,66 @@ def test_strand_spaces_and_induced_maps_match_reference(data, p):
     assert _columns_of(got) == want
 
 
+def _space(field, n, sub, sup):
+    return StrandSpace(_from_columns(field, n, sub),
+                       None if sup is None else _from_columns(field, n, sup))
+
+
+def _block_columns(f, blocks, n):
+    """The columns of block-diagonal blocks, each block a list of columns."""
+    out, start = [], 0
+    for size, cols in blocks:
+        out += [[f.norm(0)] * start + c + [f.norm(0)] * (n - start - size) for c in cols]
+        start += size
+    return out
+
+
+@settings(max_examples=150)
+@given(data=st.data(), p=st.sampled_from(REF_PRIMES))
+def test_direct_sum_space_matches_one_elimination_of_the_block_matrix(data, p):
+    f = _RefField(p)
+    field = FieldSpec(p)
+    sums, wholes, refs = [], [], []
+    for _ in range(2):  # source and target of an induced map
+        sizes = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+        parts = [data.draw(_space_data(f, n)) for n in sizes]
+        n = sum(sizes)
+        sub = _block_columns(f, [(k, s) for k, (s, _) in zip(sizes, parts)], n)
+        sup = None
+        if any(u is not None for _, u in parts):  # U = k^n_p is the block I_n_p
+            sup = _block_columns(f, [
+                (k, [[f.norm(int(i == j)) for i in range(k)] for j in range(k)] if u is None else u)
+                for k, (_, u) in zip(sizes, parts)
+            ], n)
+        try:
+            spaces = [_space(field, k, s, u) for k, (s, u) in zip(sizes, parts)]
+        except WellDefinednessError as err:
+            with pytest.raises(WellDefinednessError, match=str(err)):
+                _space(field, n, sub, sup)
+            return
+        whole, direct = _space(field, n, sub, sup), StrandSpace.direct_sum(spaces)
+        assert (direct.dim, direct.ambient_dim, direct.is_full) == (
+            whole.dim, whole.ambient_dim, whole.is_full)
+        assert direct.coset_reps == whole.coset_reps
+        assert direct.sub_column_basis() == whole.sub_column_basis()
+        vectors = _from_columns(field, n, data.draw(_vectors(f, n, 3)))
+        assert direct.coordinates(vectors) == whole.coordinates(vectors)
+        sums.append(direct)
+        wholes.append(whole)
+        refs.append(_ref_space(sub, sup, n, f))
+    n_src, n_dst = sums[0].ambient_dim, sums[1].ambient_dim
+    a_rows = data.draw(_ambient(f, refs[0], refs[1], n_src, n_dst))
+    a = ExactMatrix.from_rows(field, a_rows, cols=n_src) if n_dst else ExactMatrix.zeros(
+        field, 0, n_src)
+    try:
+        want = induced_map(wholes[0], wholes[1], a)
+    except WellDefinednessError as err:
+        with pytest.raises(WellDefinednessError, match=str(err)):
+            induced_map(sums[0], sums[1], a)
+        return
+    assert induced_map(sums[0], sums[1], a) == want
+
+
 @settings(max_examples=100)
 @given(data=st.data(), p=st.sampled_from(REF_PRIMES))
 def test_kernel_and_solve_match_reference(data, p):

@@ -1,21 +1,28 @@
 """Free modules, graded maps, presented modules, strand functor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lochom.errors import NonHomogeneousError
-from lochom.exact import FieldSpec, rank
+from lochom import complexes, exact, modules
+from lochom.errors import NonHomogeneousError, WellDefinednessError
+from lochom.exact import QQ, ExactMatrix, FieldSpec, StrandSpace, induced_map, kernel_basis, rank
+from lochom.koszul import DIRECT
+from lochom.localcoh import KoszulTowerSystem
 from lochom.modules import (
     FreeModule,
     GradedMap,
     PresentedModule,
     annihilator_strand,
     hilbert_row,
+    module_sum,
     mult_operator,
     strand,
 )
-from lochom.rings import GradedRing, parse_poly
+from lochom.rings import GradedRing, Poly, monomial_basis, parse_poly
 
 FP = FieldSpec(32003)
+FIELDS = (FieldSpec(2), FieldSpec(3), FP, FieldSpec(2**31 - 1), QQ)
 
 
 def ring2():
@@ -169,3 +176,167 @@ def test_quotient_rejects_mixed_degree_column():
             FreeModule(r, [0, -1]),
             [[parse_poly(r, "x^2"), parse_poly(r, "x^2")]],
         )
+
+
+# -- strands of twists and direct sums ----------------------------------------
+
+def _plain(module):
+    """The same presentation with no recorded summands: one elimination per strand."""
+    return PresentedModule(module.presentation)
+
+
+def _random_matrix(data, field, rows, cols):
+    if rows == 0:
+        return ExactMatrix.zeros(field, 0, cols)
+    row = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+    return ExactMatrix.from_rows(
+        field, data.draw(st.lists(row, min_size=rows, max_size=rows)), cols=cols
+    )
+
+
+@st.composite
+def _forms(draw, ring, degree):
+    """A random form of the given degree, possibly zero."""
+    basis = monomial_basis(ring, degree) if degree >= 0 else ()
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
+    return Poly(ring, dict(zip(basis, coeffs)))
+
+
+@st.composite
+def _base_modules(draw, ring):
+    """A free module, a quotient, or a quotient by zero relation columns only."""
+    kind = draw(st.sampled_from(["free", "quotient", "zero relations"]))
+    twists = draw(st.lists(st.integers(-2, 1), min_size=1, max_size=2))
+    target = FreeModule(ring, twists)
+    if kind == "free":
+        return PresentedModule.free(target)
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        if kind == "zero relations":
+            columns.append([ring.zero()] * len(twists))
+        else:
+            source = draw(st.integers(min(twists) - 2, min(twists)))
+            columns.append([draw(_forms(ring, a - source)) for a in twists])
+    return PresentedModule.quotient(target, columns)
+
+
+@st.composite
+def _sums(draw, ring, depth=1):
+    """Direct sums of twisted, twice-twisted and nested summands."""
+    summands = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["base", "twist", "sum"] if depth else ["base", "twist"]))
+        m = draw(_sums(ring, depth - 1)) if kind == "sum" else draw(_base_modules(ring))
+        if kind != "base":
+            m = m.twisted(draw(st.integers(-2, 2))).twisted(draw(st.integers(-1, 1)))
+        summands.append(m)
+    return module_sum(summands)
+
+
+def _same_induced_map(src, dst, src_ref, dst_ref, ambient):
+    try:
+        want = induced_map(src_ref, dst_ref, ambient)
+    except WellDefinednessError as err:
+        with pytest.raises(WellDefinednessError, match=str(err)):
+            induced_map(src, dst, ambient)
+        return
+    assert induced_map(src, dst, ambient) == want
+
+
+@settings(max_examples=80)
+@given(data=st.data(), field=st.sampled_from(FIELDS))
+def test_strand_of_a_sum_equals_one_elimination_of_its_presentation(data, field):
+    ring = GradedRing(field, ["x", "y"], data.draw(st.sampled_from([[1, 1], [1, 2]])))
+    m = data.draw(_sums(ring))
+    plain = _plain(m)
+    assert m == plain and hash(m) == hash(plain)
+    d = data.draw(st.integers(-2, 3))
+    got, want = strand(m, d), strand(plain, d)
+    assert (got.dim, got.ambient_dim, got.is_full) == (want.dim, want.ambient_dim, want.is_full)
+    assert got.coset_reps == want.coset_reps
+    assert got.sub_column_basis() == want.sub_column_basis()
+    vectors = _random_matrix(data, field, got.ambient_dim, 2)
+    assert got.coordinates(vectors) == want.coordinates(vectors)
+    # multiplication by a form, perturbed or not, from M_d to M_{d+e}
+    e = data.draw(st.integers(0, 2))
+    g = data.draw(_forms(ring, e))
+    gens = m.generators
+    diagonal = [[g if i == j else ring.zero() for j in range(gens.rank)] for i in range(gens.rank)]
+    ambient = GradedMap(gens, gens, diagonal, e).strand_matrix(d)
+    if data.draw(st.booleans()):
+        ambient = ambient + _random_matrix(data, field, ambient.rows, ambient.cols)
+    _same_induced_map(got, strand(m, d + e), want, strand(plain, d + e), ambient)
+
+
+def _reference_annihilator(module, f, d):
+    """(0 :_M f)_d with W given by the columns of the whole presentation strand."""
+    plain = _plain(module)
+    sub = plain.presentation.strand_matrix(d)
+    base = StrandSpace(sub)
+    lifted = base.coset_reps @ kernel_basis(mult_operator(plain, f, d))
+    super_basis = ExactMatrix.hstack([base.sub_column_basis(), lifted]) if sub.cols else lifted
+    return StrandSpace(sub, super_basis)
+
+
+@pytest.mark.parametrize("field", [FP, QQ], ids=repr)
+def test_annihilator_strand_matches_the_whole_presentation_reference(field):
+    r = GradedRing(field, ["x", "y"], [1, 1])
+    x, y = r.variables()
+
+    def cyclic(*relations):
+        return PresentedModule.quotient(FreeModule(r, [0]), [[parse_poly(r, t)] for t in relations])
+
+    # the last two relations are dependent on the first two
+    dependent = cyclic("x^2", "x*y", "x^2 + x*y", "x^2")
+    summed = module_sum([dependent, cyclic("y^2").twisted(1), PresentedModule.free(FreeModule(r, [-1]))])
+    for m in (dependent, summed):
+        for f in (x, y, x * y):
+            for d in range(-1, 4):
+                got, want = annihilator_strand(m, f, d), _reference_annihilator(m, f, d)
+                assert got.dim == want.dim
+                assert got.coset_reps == want.coset_reps
+                assert got.sub_column_basis() == want.sub_column_basis()
+                identity = ExactMatrix.identity(field, got.ambient_dim)
+                assert got.coordinates(identity) == want.coordinates(identity)
+
+
+def test_strand_eliminates_each_base_module_and_degree_once(monkeypatch):
+    r = GradedRing(FP, ["x", "y", "z"], [1, 1, 1])
+    m = PresentedModule.quotient(FreeModule(r, [0]), [[parse_poly(r, "x^2 + y*z")]])
+    system = KoszulTowerSystem(r.variables(), m, 4, DIRECT)
+    eliminations = []
+    needed = set()  # (base module, degree) pairs whose strand takes an elimination
+    depth = [0]
+    real_rref, real_strand = exact.rref_with_pivots, modules.strand
+
+    def counted_rref(matrix):
+        if depth[0]:
+            eliminations.append(matrix.rows * matrix.cols)
+        return real_rref(matrix)
+
+    def counted_strand(module, d):
+        if not module.parts and module.presentation.strand_matrix(d).cols:
+            needed.add((module, d))
+        depth[0] += 1
+        try:
+            return real_strand(module, d)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(exact, "rref_with_pivots", counted_rref)
+    for owner in (modules, complexes):
+        monkeypatch.setattr(owner, "strand", counted_strand)
+    for d in range(-6, 3):
+        contexts = system.contexts(d)
+        for h in range(0, 4):
+            system.homology_tower(contexts, h)
+    assert {base for base, _ in needed} == {m}
+    assert len(eliminations) == len(needed)
+    # no term builds the block-diagonal strand of its presentation
+    for c in system.complexes:
+        for term in c.terms.values():
+            assert all(base is m for base, _ in term.parts)
+            assert not term.presentation._strand_cache
+    twice = m.twisted(2).twisted(-5)
+    assert twice.parts == ((m, -3),)
+    assert all(real_strand(twice, d) is real_strand(m, d - 3) for d in range(-2, 6))
