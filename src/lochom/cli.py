@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 
 from .complexes import ModuleComplex
 from .corpus import run_corpus
@@ -63,7 +64,6 @@ class JobSpec:
     power: int = 1
     report: str = "json"
     verify_subject: str = "corpus"
-    extra: dict = dc_field(default_factory=dict)
 
     def validate(self) -> "JobSpec":
         if self.command not in TABLE_COMMANDS and self.command != "verify":
@@ -519,12 +519,8 @@ def _merge(job: JobSpec, args) -> JobSpec:
         updates["ring"] = ring
     if not updates:
         return job
-    from dataclasses import replace
-
     return replace(job, **updates).validate()
 
-
-import re
 
 _RANGE_FLAGS = {"--i", "--window"}
 _RANGE_PATTERN = re.compile(r"^-?\d+:-?\d+$")

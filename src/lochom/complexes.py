@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import InternalInvariantError, NotFreeError
-from .exact import ExactMatrix, StrandSpace, induced_map, kernel_basis, rank
+from .errors import InternalInvariantError, NotFreeError, WellDefinednessError
+from .exact import ExactMatrix, StrandSpace, _kernel, induced_map, rank
 from .modules import (
     CheckReport,
     FreeModule,
@@ -29,6 +29,7 @@ from .modules import (
     HilbertTable,
     PresentedModule,
     TableEntry,
+    _tensor_module,
     degree_window,
     graded_map_from_blocks,
     module_sum,
@@ -305,8 +306,8 @@ def tensor(x, y) -> ModuleComplex:
         tgt_pairs = tensor_summands(x, y, i - 1)
         if not src_pairs or not tgt_pairs:
             continue
-        src_blocks = [_tensor_module_pair(x.term(s), y.term(t)) for s, t in src_pairs]
-        tgt_blocks = [_tensor_module_pair(x.term(s), y.term(t)) for s, t in tgt_pairs]
+        src_blocks = [_tensor_module(x.term(s), y.term(t)) for s, t in src_pairs]
+        tgt_blocks = [_tensor_module(x.term(s), y.term(t)) for s, t in tgt_pairs]
         tgt_index = {pair: b for b, pair in enumerate(tgt_pairs)}
         blocks = {}
         for bj, (s, t) in enumerate(src_pairs):
@@ -328,10 +329,6 @@ def tensor(x, y) -> ModuleComplex:
         if blocks:
             diffs[i] = graded_map_from_blocks(src_blocks, tgt_blocks, blocks)
     return ModuleComplex(ring, terms, diffs)
-
-
-def _tensor_module_pair(a: FreeModule, b: FreeModule) -> FreeModule:
-    return FreeModule(a.ring, tuple(p + q for p in a.twists for q in b.twists))
 
 
 def _hom_module_pair(a: FreeModule, b: FreeModule) -> FreeModule:
@@ -456,8 +453,8 @@ def tensor_chain_maps(f: ModuleChainMap, g: ModuleChainMap) -> ModuleChainMap:
         tgt_pairs = tensor_summands(tx, ty, i)
         if not tgt_pairs:
             continue
-        src_blocks = [_tensor_module_pair(sx.term(s), sy.term(t)) for s, t in src_pairs]
-        tgt_blocks = [_tensor_module_pair(tx.term(s), ty.term(t)) for s, t in tgt_pairs]
+        src_blocks = [_tensor_module(sx.term(s), sy.term(t)) for s, t in src_pairs]
+        tgt_blocks = [_tensor_module(tx.term(s), ty.term(t)) for s, t in tgt_pairs]
         tgt_index = {pair: b for b, pair in enumerate(tgt_pairs)}
         blocks = {}
         for bj, (s, t) in enumerate(src_pairs):
@@ -484,15 +481,16 @@ def tensor_map_with_module(f: ModuleChainMap, module: PresentedModule) -> Module
 # -- strandwise homology -------------------------------------------------------
 
 class StrandContext:
-    """Caches coset spaces and coset-level differentials of a complex at one degree."""
+    """Caches coset spaces, coset-level differentials and their kernels at one degree."""
 
-    __slots__ = ("complex", "d", "_spaces", "_ops", "_homology")
+    __slots__ = ("complex", "d", "_spaces", "_ops", "_kernels", "_homology")
 
     def __init__(self, c, d: int):
         object.__setattr__(self, "complex", _complex(c))
         object.__setattr__(self, "d", int(d))
         object.__setattr__(self, "_spaces", {})
         object.__setattr__(self, "_ops", {})
+        object.__setattr__(self, "_kernels", {})
         object.__setattr__(self, "_homology", {})
 
     def __setattr__(self, name, value):
@@ -519,17 +517,29 @@ class StrandContext:
             self._ops[i] = m
         return m
 
+    def _kernel_of(self, i: int):
+        """(K, free): a kernel basis of d_i with K[free] = I; a cycle v has coordinates v[free]."""
+        kf = self._kernels.get(i)
+        if kf is None:
+            kf = _kernel(self.op(i))
+            self._kernels[i] = kf
+        return kf
+
     def homology(self, i: int) -> StrandSpace:
+        """ker d_i / im d_{i+1} in the coordinates of the kernel basis of d_i.
+
+        Its ambient space is k^m, m = dim ker d_i, and the image enters as
+        the kernel coordinates of the columns of d_{i+1}.
+        """
         h = self._homology.get(i)
         if h is None:
-            v = self.space(i)
-            field = self.complex.ring.field
-            if v.dim == 0:
-                h = StrandSpace(ExactMatrix.zeros(field, 0, 0))
+            if self.space(i).dim == 0:
+                h = StrandSpace(ExactMatrix.zeros(self.complex.ring.field, 0, 0))
             else:
                 image = self.op(i + 1)
-                ker = kernel_basis(self.op(i))
-                h = StrandSpace(image, ker)
+                if not (self.op(i) @ image).is_zero():
+                    raise WellDefinednessError(f"d_{i} d_{i + 1} != 0 in internal degree {self.d}")
+                h = StrandSpace(image.take_rows(self._kernel_of(i)[1]))
             self._homology[i] = h
         return h
 
@@ -538,7 +548,8 @@ class StrandContext:
 
 
 def homology_strand(c, i: int, d: int) -> StrandSpace:
-    """ker(d_i)_d / im(d_{i+1})_d as a strand space in coset coordinates."""
+    """ker(d_i)_d / im(d_{i+1})_d as a strand space in the coordinates of the
+    kernel basis of d_i (see :meth:`StrandContext.homology`)."""
     return StrandContext(c, d).homology(i)
 
 
@@ -565,12 +576,19 @@ def coset_level_map(f, ctx_src: StrandContext, ctx_dst: StrandContext, i: int) -
 
 
 def homology_induced_matrix(f, ctx_src: StrandContext, ctx_dst: StrandContext, i: int) -> ExactMatrix:
-    """Matrix induced on homology strands by a chain map."""
+    """Matrix induced on homology strands by a chain map.
+
+    The chain map sends the kernel basis of the source to cycles of the
+    target, which are checked and then read in target kernel coordinates.
+    """
     hsrc = ctx_src.homology(i)
     hdst = ctx_dst.homology(i)
     if hsrc.dim == 0 or hdst.dim == 0:
         return ExactMatrix.zeros(ctx_src.complex.ring.field, hdst.dim, hsrc.dim)
-    return induced_map(hsrc, hdst, coset_level_map(f, ctx_src, ctx_dst, i))
+    cycles = coset_level_map(f, ctx_src, ctx_dst, i) @ ctx_src._kernel_of(i)[0]
+    if not (ctx_dst.op(i) @ cycles).is_zero():
+        raise WellDefinednessError("the chain map sends a cycle off the target kernel")
+    return induced_map(hsrc, hdst, cycles.take_rows(ctx_dst._kernel_of(i)[1]))
 
 
 def quasi_iso_check(f: ModuleChainMap, i_range, window) -> CheckReport:

@@ -2,7 +2,9 @@
 
 Every strandwise computation in the engine bottoms out here: reduced row
 echelon forms, kernels, and induced maps on subquotients W <= U <= k^n
-(:class:`StrandSpace`).  A strand space runs one elimination when it is built
+(:class:`StrandSpace`).  One elimination kernel serves both fields: every
+echelon form, kernel and rank comes from it, and a rank is its pivot count.
+A strand space runs one elimination when it is built
 and keeps the inverse of the basis it picks, so coordinates, containment
 checks and induced maps are matrix products with no further elimination.  A
 direct sum of strand spaces runs none: it keeps its summands and applies
@@ -18,10 +20,11 @@ in which its type is exact (Dumas, Giorgi and Pernet, *FFLAS-FFPACK*, ACM
 TOMS 2008).  A product with inner dimension k runs as one float64 BLAS
 product and one reduction when ``k (p-1)^2 < 2^53``; past that bound it sums
 int64 products over chunks of the inner index, reducing after each chunk.
-Elimination leaves its rank-1 updates unreduced in int64 when
+Elimination mod p leaves its rank-1 updates unreduced in int64 when
 ``min(rows, cols) (p-1)^2 < 2^63``, as an entry takes at most one update of
 at most ``(p-1)^2`` per pivot; past that bound, and on matrices of fewer than
-4096 entries, it reduces after every update.
+4096 entries, it reduces after every update.  Over Q it divides the pivot
+row by the pivot and has nothing to reduce.
 """
 
 from __future__ import annotations
@@ -303,6 +306,11 @@ class ExactMatrix:
         data = self._data[:, idx].copy() if idx else self._empty_like(self.rows, 0)
         return ExactMatrix(self.field, data)
 
+    def take_rows(self, indices) -> "ExactMatrix":
+        idx = list(indices)
+        data = self._data[idx].copy() if idx else self._empty_like(0, self.cols)
+        return ExactMatrix(self.field, data)
+
     def _empty_like(self, r: int, c: int) -> np.ndarray:
         if self.field.is_rational:
             out = np.empty((r, c), dtype=object)
@@ -356,16 +364,22 @@ class ExactMatrix:
         return ExactMatrix(field, out)
 
 
-# -- elimination kernels ----------------------------------------------------
+# -- elimination kernel ------------------------------------------------------
 
-def _rref_fp(a: np.ndarray, p: int):
-    m = a.astype(np.int64)
+def _rref(a: np.ndarray, p: int):
+    """Reduced row echelon form of ``a`` and its pivot columns; p = 0 means Q.
+
+    A pivot touches only the columns from its own rightward and only the rows
+    with a nonzero entry in its column.
+    """
+    rational = p == 0
+    m = a.copy() if rational else a.astype(np.int64)
     nrows, ncols = m.shape
     # An update subtracts at most (p-1)^2 from an entry, once per pivot.  While
     # min(nrows, ncols) of them cannot overflow int64 the updates stay
     # unreduced until the end; below 4096 entries the extra reductions of the
     # pivot column and row cost more than that saves.
-    delayed = nrows * ncols >= 4096 and min(nrows, ncols) * (p - 1) ** 2 < 2**63
+    delayed = not rational and nrows * ncols >= 4096 and min(nrows, ncols) * (p - 1) ** 2 < 2**63
     pivots = []
     r = 0
     for c in range(ncols):
@@ -373,20 +387,23 @@ def _rref_fp(a: np.ndarray, p: int):
         nz = col[r:].nonzero()[0]
         if not nz.size:
             continue
-        # rows r and below vanish mod p left of c, so only columns c: change
+        # rows r and below vanish left of c, so only columns c: change
         i = r + int(nz[0])
         if i != r:
             m[[r, i], c:] = m[[i, r], c:]
             col[[r, i]] = col[[i, r]]
-        row = m[r, c:] % p if delayed else m[r, c:]
-        row = row * pow(int(col[r]), p - 2, p) % p
+        if rational:
+            row = m[r, c:] / col[r]
+        else:
+            row = m[r, c:] % p if delayed else m[r, c:]
+            row = row * pow(int(col[r]), p - 2, p) % p
         m[r, c:] = row
         col[r] = 0
         hit = col.nonzero()[0]
         if hit.size:
             update = m[hit, c:]
             update -= col[hit, None] * row
-            m[hit, c:] = update if delayed else update % p
+            m[hit, c:] = update if delayed or rational else update % p
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -396,79 +413,23 @@ def _rref_fp(a: np.ndarray, p: int):
     return m, pivots
 
 
-def _rank_fp(a: np.ndarray, p: int) -> int:
-    """Forward elimination only; cheaper than full reduction."""
-    m = a.astype(np.int64)
-    nrows, ncols = m.shape
-    r = 0
-    for c in range(ncols):
-        nz = m[r:, c].nonzero()[0]
-        if not nz.size:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i], c:] = m[[i, r], c:]
-        below = m[r + 1 :, c]
-        hit = below.nonzero()[0]
-        if hit.size:
-            factors = below[hit] * pow(int(m[r, c]), p - 2, p) % p
-            rows = r + 1 + hit
-            m[rows, c:] = (m[rows, c:] - factors[:, None] * m[r, c:]) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _rref_qq(a: np.ndarray):
-    m = a.copy()
-    m.flags.writeable = True
-    nrows, ncols = m.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        i = None
-        for k in range(r, nrows):
-            if m[k, c] != 0:
-                i = k
-                break
-        if i is None:
-            continue
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        m[r] = m[r] / m[r, c]
-        for k in range(nrows):
-            if k != r and m[k, c] != 0:
-                m[k] = m[k] - m[k, c] * m[r]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
 def rref_with_pivots(m: ExactMatrix):
     """Reduced row echelon form together with its pivot columns."""
     if m.rows == 0 or m.cols == 0:
         return m, ()
-    if m.field.is_rational:
-        data, pivots = _rref_qq(m._data)
-    else:
-        data, pivots = _rref_fp(m._data, m.field.characteristic)
-        data = data.astype(m._data.dtype)
-    return ExactMatrix(m.field, data), tuple(pivots)
+    data, pivots = _rref(m._data, m.field.characteristic)
+    return ExactMatrix(m.field, data.astype(m._data.dtype, copy=False)), tuple(pivots)
 
 
 def rank(m: ExactMatrix) -> int:
+    """The pivot count of the elimination kernel."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    if m.field.is_rational:
-        return len(_rref_qq(m._data)[1])
-    return _rank_fp(m._data, m.field.characteristic)
+    return len(_rref(m._data, m.field.characteristic)[1])
 
 
-def kernel_basis(m: ExactMatrix) -> ExactMatrix:
-    """Columns form a basis of the right kernel;  rank + kernel dim = cols."""
+def _kernel(m: ExactMatrix):
+    """Kernel basis K of m and its free columns; K[free] is the identity."""
     red, pivots = rref_with_pivots(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
@@ -476,7 +437,12 @@ def kernel_basis(m: ExactMatrix) -> ExactMatrix:
     out[free, range(len(free))] = m.field.one()
     if pivots:
         out[list(pivots)] = (-ExactMatrix(m.field, red._data[: len(pivots), free]))._data
-    return ExactMatrix(m.field, out)
+    return ExactMatrix(m.field, out), free
+
+
+def kernel_basis(m: ExactMatrix) -> ExactMatrix:
+    """Columns form a basis of the right kernel;  rank + kernel dim = cols."""
+    return _kernel(m)[0]
 
 
 def column_basis(m: ExactMatrix) -> ExactMatrix:

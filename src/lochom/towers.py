@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import OrderError
-from .exact import ExactMatrix, StrandSpace, column_basis, rank, solve_columns
+from .errors import InternalInvariantError, OrderError
+from .exact import ExactMatrix, StrandSpace, rank, rref_with_pivots
 from .modules import PresentedModule, annihilator_strand, degree_window
 from .rings import Poly
 
@@ -155,6 +155,11 @@ def lim_lim1_truncated(tower: StrandTower, stab_window: int = 2) -> LimLim1Resul
     vanishes, but it is computed rather than assumed.  The ML flag records
     whether the image dims im(V_k -> V_j) were constant over the last
     ``stab_window`` stages for every level.
+
+    One echelon form of the composite V_K -> V_j serves each trusted level:
+    its pivot columns are the basis of W_j, and its entries in the pivot
+    columns of level j+1 (which the transition maps to the same columns of
+    this composite) are the restricted transition W_{j+1} -> W_j.
     """
     if tower.direction != INVERSE:
         raise OrderError("lim_lim1_truncated expects an inverse tower")
@@ -171,20 +176,27 @@ def lim_lim1_truncated(tower: StrandTower, stab_window: int = 2) -> LimLim1Resul
     ml_stable = True
     image_dims = [0] * k
     bases = [None] * levels
+    restricted = [None] * (levels - 1)
+    pivots_above = ()
     for j in range(k, 0, -1):
         window = {kk: tower.transitions[j - 1] @ m for kk, m in window.items()}
         if j >= k - stab_window:
             window[j] = ExactMatrix.identity(field, tower.stages[j - 1].dim)
-        ranks = [rank(m) for m in window.values()]  # window[k] comes first
-        image_dims[j - 1] = ranks[0]
-        if any(r != ranks[0] for r in ranks):
-            ml_stable = False
+        top = window[k]
         if j <= levels:
-            bases[j - 1] = column_basis(window[k])
-    restricted = []
-    for j in range(levels - 1):
-        imgs = tower.transitions[j] @ bases[j + 1]
-        restricted.append(solve_columns(bases[j], imgs))
+            red, pivots = rref_with_pivots(top)
+            bases[j - 1] = top.columns(pivots)
+            if j < levels:
+                r_j = red.columns(pivots_above).take_rows(range(len(pivots)))
+                if bases[j - 1] @ r_j != tower.transitions[j - 1] @ bases[j]:
+                    raise InternalInvariantError(f"restricted transition into level {j} is wrong")
+                restricted[j - 1] = r_j
+            pivots_above = pivots
+            image_dims[j - 1] = len(pivots)
+        else:
+            image_dims[j - 1] = rank(top)
+        if any(rank(m) != image_dims[j - 1] for kk, m in window.items() if kk != k):
+            ml_stable = False
     dims = [b.cols for b in bases]
     total_src = sum(dims)
     total_tgt = sum(dims[:-1])

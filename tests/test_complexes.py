@@ -2,9 +2,11 @@
 
 import pytest
 
+from lochom import complexes, exact
 from lochom.complexes import (
     ChainMap,
     FreeComplex,
+    StrandContext,
     cone,
     hom_complex,
     hom_into_module,
@@ -15,8 +17,8 @@ from lochom.complexes import (
     tensor,
     tensor_with_module,
 )
-from lochom.errors import InternalInvariantError, NotFreeError
-from lochom.exact import FieldSpec
+from lochom.errors import InternalInvariantError, NotFreeError, WellDefinednessError
+from lochom.exact import ExactMatrix, FieldSpec
 from lochom.modules import FreeModule, GradedMap, PresentedModule, hilbert_row
 from lochom.rings import GradedRing, parse_poly
 
@@ -278,3 +280,54 @@ def test_operand_types_of_tensor_and_hom():
     assert cx.differential(1).source == cx.term(1)
     with pytest.raises(TypeError):
         tensor(k, FreeModule(r, [0]))
+
+
+# -- homology in kernel coordinates: its checks and its elimination budget ------
+
+def test_homology_checks_d_squared_on_the_coset_level(monkeypatch):
+    r = ring2()
+    k = koszul_xy(r)
+    original = StrandContext.op
+
+    def perturbed(self, i):
+        m = original(self, i)
+        return ExactMatrix.from_rows(FP, [[1] * m.cols] * m.rows, cols=m.cols)
+
+    monkeypatch.setattr(StrandContext, "op", perturbed)
+    with pytest.raises(WellDefinednessError, match="d_1 d_2 != 0"):
+        StrandContext(k, 2).homology(1)
+
+
+def test_induced_homology_checks_that_cycles_stay_cycles(monkeypatch):
+    # K(x, x) over k[x, y]: H_1 in degree 1 is spanned by e_1 - e_2, and the
+    # identity plus E_00 sends it to 2e_1 - e_2, whose boundary is x
+    r = ring2()
+    c = tensor(two_term(r, "x", -1), two_term(r, "x", -1))
+    assert homology_strand(c, 1, 1).dim == 1
+    original = complexes.coset_level_map
+
+    def perturbed(f, ctx_src, ctx_dst, i):
+        m = original(f, ctx_src, ctx_dst, i)
+        return m + ExactMatrix.from_rows(
+            FP, [[int(a == b == 0) for b in range(m.cols)] for a in range(m.rows)], cols=m.cols
+        )
+
+    monkeypatch.setattr(complexes, "coset_level_map", perturbed)
+    with pytest.raises(WellDefinednessError, match="cycle off the target kernel"):
+        quasi_iso_check(ChainMap.identity(c), (1, 1), (1, 1))
+
+
+def test_homology_eliminates_the_kernel_once_and_the_quotient_in_kernel_coordinates(monkeypatch):
+    r = ring2()
+    ctx = StrandContext(koszul_xy(r), 3)
+    # degree 3: V_2 = R_1, V_1 = R_2^2, V_0 = R_3; d_1 is onto, so dim ker d_1 = 2
+    assert (ctx.op(2).rows, ctx.op(2).cols, ctx.op(1).rows) == (6, 2, 4)
+    calls = []
+    for name in ("rref_with_pivots", "rank"):
+        def counted(m, _fn=getattr(exact, name), _name=name):
+            calls.append((_name, m.rows))
+            return _fn(m)
+        monkeypatch.setattr(exact, name, counted)
+        monkeypatch.setattr(complexes, name, counted, raising=False)
+    assert ctx.homology(1).dim == 0
+    assert calls == [("rref_with_pivots", 4), ("rref_with_pivots", 2)]

@@ -578,34 +578,43 @@ def test_product_at_the_float64_bound(inner):
         assert got._data.dtype == exact._dtype_for(p) == np.int64
 
 
-ELIMINATION_PRIMES = (2, 3, 32003, 1270249, 1073741789, 2**31 - 1)
+# 0 is Q, which shares the kernel's loop with F_p and never reduces
+ELIMINATION_PRIMES = (2, 3, 32003, 1270249, 1073741789, 2**31 - 1, 0)
 
 
 def _elimination_case(p, rows, cols, kind, seed):
     """Rows of a test matrix: random, all p-1, or a rank-deficient product with zero columns."""
     rng = random.Random(seed)
+    f = _RefField(p)
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if p == 0 else rng.randrange(p)
+
     if kind == "random":
-        return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+        return [[entry() for _ in range(cols)] for _ in range(rows)]
     if kind == "top":
-        return [[p - 1] * cols for _ in range(rows)]
+        return [[f.norm(p - 1)] * cols for _ in range(rows)]
     k = max(1, min(rows, cols) - 2)
-    left = [[rng.choice((rng.randrange(p), p - 1)) for _ in range(k)] for _ in range(rows)]
-    right = [[rng.choice((rng.randrange(p), p - 1)) for _ in range(cols)] for _ in range(k)]
+    left = [[rng.choice((entry(), p - 1)) for _ in range(k)] for _ in range(rows)]
+    right = [[rng.choice((entry(), p - 1)) for _ in range(cols)] for _ in range(k)]
     zero = set(rng.sample(range(cols), cols // 4))
     return [
-        [0 if j in zero else sum(x * right[t][j] for t, x in enumerate(row)) % p
+        [0 if j in zero else f.norm(sum(x * right[t][j] for t, x in enumerate(row)))
          for j in range(cols)]
         for row in left
     ]
 
 
-# Shapes on both sides of each switch of _rref_fp: 4096 entries (63x64, 64x64),
-# and min(rows, cols) (p-1)^2 < 2^63, which holds up to 8 rows at p = 1073741789
-# (8x512, 9x456) and 2 rows at 2^31 - 1 (2x2048, 3x1366).  A pivot row scaled
-# before its reduction would need min(rows, cols) (p-1)^3 < 2^63, which at
-# p = 1270249 holds up to 4 rows (4x1024, 5x820).
+# Shapes on both sides of each switch of the mod-p kernel: 4096 entries
+# (63x64, 64x64), and min(rows, cols) (p-1)^2 < 2^63, which holds up to 8 rows
+# at p = 1073741789 (8x512, 9x456) and 2 rows at 2^31 - 1 (2x2048, 3x1366).  A
+# pivot row scaled before its reduction would need min(rows, cols) (p-1)^3 <
+# 2^63, which at p = 1270249 holds up to 4 rows (4x1024, 5x820).  Over Q the
+# switches do not apply, and exact fractions grow with the rank, so Q takes
+# small shapes.
 ELIMINATION_SHAPES = [(5, 7), (7, 5), (63, 64), (64, 64), (2, 2048), (3, 1366),
                       (4, 1024), (5, 820), (8, 512), (9, 456), (4, 41)]
+RATIONAL_SHAPES = [(5, 7), (7, 5), (4, 41), (12, 16), (16, 12)]
 
 
 @pytest.mark.parametrize("p", ELIMINATION_PRIMES)
@@ -613,11 +622,11 @@ ELIMINATION_SHAPES = [(5, 7), (7, 5), (63, 64), (64, 64), (2, 2048), (3, 1366),
 def test_elimination_matches_reference(p, kind):
     field = FieldSpec(p)
     ref_field = _RefField(p)
-    for seed, (rows, cols) in enumerate(ELIMINATION_SHAPES):
+    for seed, (rows, cols) in enumerate(ELIMINATION_SHAPES if p else RATIONAL_SHAPES):
         data = _elimination_case(p, rows, cols, kind, seed)
         want, pivots = _ref_rref(data, cols, ref_field)
         red, got_pivots = rref_with_pivots(M(field, data))
         assert got_pivots == tuple(pivots), (rows, cols)
         assert red.entries == tuple(tuple(r) for r in want), (rows, cols)
-        assert red._data.dtype == exact._dtype_for(p)
+        assert red._data.dtype == (exact._dtype_for(p) if p else object)
         assert rank(M(field, data)) == len(pivots), (rows, cols)

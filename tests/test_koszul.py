@@ -11,8 +11,11 @@ from lochom.complexes import (
     ChainMap,
     ModuleChainMap,
     ModuleComplex,
+    StrandContext,
+    coset_level_map,
     homology_strand,
     homology_table,
+    quasi_iso_check,
     shift,
     tensor,
     tensor_chain_maps,
@@ -24,7 +27,7 @@ from lochom.errors import (
     OrderError,
     ZeroGeneratorError,
 )
-from lochom.exact import ExactMatrix, FieldSpec, kernel_basis
+from lochom.exact import ExactMatrix, FieldSpec, StrandSpace, induced_map, kernel_basis, rank
 from lochom.koszul import (
     DIRECT,
     INVERSE,
@@ -35,6 +38,7 @@ from lochom.koszul import (
     stable_cech_truncated,
     transition,
 )
+from lochom.localcoh import KoszulTowerSystem
 from lochom.modules import FreeModule, GradedMap, PresentedModule, mult_operator, strand
 from lochom.rings import GradedRing, Poly, monomial_basis, parse_poly
 
@@ -321,3 +325,52 @@ def test_stable_cech_tensor_module_matches_terminal_stage(data, k_max):
     left = homology_table(tensor(stable_cech_truncated(gens, k_max), module), (-n, 0), window)
     right = homology_table(tensor(stage, module), (-n, 0), window)
     assert left == right
+
+
+# -- homology in kernel coordinates against the super-block reference ------------
+
+def _reference_homology(ctx, h):
+    """H_h as the subquotient im d_{h+1} <= ker d_h of the coset space V_h."""
+    return StrandSpace(ctx.op(h + 1), kernel_basis(ctx.op(h)))
+
+
+def _reference_induced(f, ctx_src, ctx_dst, h):
+    return induced_map(
+        _reference_homology(ctx_src, h),
+        _reference_homology(ctx_dst, h),
+        coset_level_map(f, ctx_src, ctx_dst, h),
+    )
+
+
+@settings(max_examples=40)
+@given(data=st.data(), k_max=st.integers(2, 3), convention=st.sampled_from((DIRECT, INVERSE)))
+def test_homology_towers_match_the_super_block_reference(data, k_max, convention):
+    r, gens = data.draw(_ring_and_gens(max_gens=3, max_exp=1))
+    f = data.draw(_homogeneous(r, 2))
+    module = PresentedModule.quotient(FreeModule(r, [0]), [[f]])
+    system = KoszulTowerSystem(gens, module, k_max, convention)
+    lo, hi = system.homological_support()
+    window = (-2, 3)
+    for d in range(window[0], window[1] + 1):
+        contexts = system.contexts(d)
+        for h in range(lo, hi + 1):
+            tower = system.homology_tower(contexts, h)
+            assert tower.dims() == tuple(_reference_homology(c, h).dim for c in contexts)
+            for j, f_j in enumerate(system.maps):
+                src, tgt = (j, j + 1) if convention == DIRECT else (j + 1, j)
+                want = _reference_induced(f_j, contexts[src], contexts[tgt], h)
+                assert tower.transitions[j] == want
+    # a chain map between two stages, against the reference's quasi-isomorphism test
+    f_0 = system.maps[0]
+    mismatches = []
+    for d in range(window[0], window[1] + 1):
+        ctx_src, ctx_dst = StrandContext(f_0.source, d), StrandContext(f_0.target, d)
+        for h in range(lo, hi + 1):
+            dims = (_reference_homology(ctx_src, h).dim, _reference_homology(ctx_dst, h).dim)
+            if dims[0] != dims[1] or (
+                dims[0] and rank(_reference_induced(f_0, ctx_src, ctx_dst, h)) != dims[0]
+            ):
+                mismatches.append((h, d))
+    report = quasi_iso_check(f_0, (lo, hi), window)
+    assert report.mismatches == tuple(mismatches)
+    assert report.compared == (hi - lo + 1) * (window[1] - window[0] + 1)

@@ -1,10 +1,12 @@
 """Truncated colimits, lim/lim1, pro-zero certificates, annihilator bounds."""
 
+import collections
 import random
 
 import pytest
 
-from lochom.errors import OrderError
+from lochom import exact, towers
+from lochom.errors import InternalInvariantError, OrderError
 from lochom.exact import ExactMatrix, FieldSpec, StrandSpace, rank
 from lochom.koszul import INVERSE
 from lochom.localcoh import KoszulTowerSystem
@@ -175,3 +177,41 @@ def test_annihilator_bound_unresolved():
     x = r.variable(0)
     res = annihilator_bound(m, x, (0, 8), 3)
     assert res.t is None and not res.resolved
+
+
+def test_lim_checks_each_restricted_transition(monkeypatch):
+    real = towers.rref_with_pivots
+
+    def perturbed(m):
+        red, pivots = real(m)
+        return red.scale(2), pivots
+
+    monkeypatch.setattr(towers, "rref_with_pivots", perturbed)
+    with pytest.raises(InternalInvariantError, match="restricted transition"):
+        lim_lim1_truncated(constant_tower(2, 4, "inverse"), 2)
+
+
+@pytest.mark.parametrize(
+    "tower, levels",
+    [
+        (constant_tower(2, 5, "inverse"), 5),
+        (StrandTower([full(2)] * 6, [ExactMatrix.zeros(FP, 2, 2)] * 5, "inverse"), 4),
+    ],
+    ids=["stabilized", "pro-zero"],
+)
+def test_lim_eliminates_once_per_trusted_level(tower, levels, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("rref_with_pivots", "column_basis", "solve_columns"):
+        wrapper = counted(name, getattr(exact, name))
+        for module in (exact, towers):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    res = lim_lim1_truncated(tower, 2)
+    assert res.levels_used == levels
+    assert calls == {"rref_with_pivots": levels}
