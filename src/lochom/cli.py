@@ -38,6 +38,7 @@ from .rings import GradedRing, parse_poly
 __all__ = ["JobSpec", "parse_input", "run", "emit_report", "main"]
 
 TABLE_COMMANDS = ("lc", "lh", "koszul", "hilbert", "homsc")
+MODULE_COMMANDS = ("lh", "koszul", "hilbert")  # table commands that take no complex
 VERIFY_SUBJECTS = {
     "selfdual": (2,),
     "genindep": (8,),
@@ -87,6 +88,8 @@ class JobSpec:
             raise SchemaError(f"report format must be one of {REPORT_FORMATS}", "report")
         if self.module is not None and self.complex is not None:
             raise SchemaError("give a module or a complex, not both", "module")
+        if self.complex is not None and self.command in MODULE_COMMANDS:
+            raise SchemaError(f"{self.command} takes a module, not a complex", "complex")
         if self.ideal == ():
             raise SchemaError("ideal must list at least one generator", "ideal")
         return self
@@ -117,6 +120,13 @@ def _integer(value, location: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"expected an integer, got {value!r}", location)
     return value
+
+
+def _index(key: str, what: str, location: str) -> int:
+    """A term or differential index, written as a canonical integer."""
+    if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+        raise SchemaError(f"{what} index {key!r} is not a canonical integer", location)
+    return int(key)
 
 
 def _object(value, location: str) -> dict:
@@ -259,10 +269,7 @@ def build_complex(ring: GradedRing, spec: dict) -> ModuleComplex:
         raise SchemaError("complex needs a terms object", "complex")
     terms = {}
     for key, val in _object(spec["terms"], "complex.terms").items():
-        try:
-            idx = int(key)
-        except ValueError:
-            raise SchemaError(f"term index {key!r} is not an integer", "complex.terms")
+        idx = _index(key, "term", "complex.terms")
         twists = val.get("twists") if isinstance(val, dict) else None
         if twists is None:
             raise SchemaError(f"term {key} needs twists", "complex.terms")
@@ -270,12 +277,7 @@ def build_complex(ring: GradedRing, spec: dict) -> ModuleComplex:
     diffs = {}
     differentials = _object(spec.get("differentials", {}), "complex.differentials")
     for key, rows in differentials.items():
-        try:
-            idx = int(key)
-        except ValueError:
-            raise SchemaError(
-                f"differential index {key!r} is not an integer", "complex.differentials"
-            )
+        idx = _index(key, "differential", "complex.differentials")
         for n, row in enumerate(_list(rows, f"complex.differentials.{key}")):
             _list(row, f"complex.differentials.{key}[{n}]")
         src = terms.get(idx)
@@ -393,8 +395,6 @@ def run(job: JobSpec) -> Report:
         )
         return Report("lc", params, table=table)
     if job.command == "lh":
-        if isinstance(coefficients, ModuleComplex):
-            raise SchemaError("local homology takes a module, not a complex", "complex")
         table = local_homology_table(
             gens, coefficients, job.i_range, job.window, job.k_max, job.s
         )

@@ -1,14 +1,15 @@
 """Exact dense linear algebra over F_p (p prime) and Q.
 
 Every strandwise computation in the engine bottoms out here: reduced row
-echelon forms, kernels, and induced maps on subquotients W <= U <= k^n
+echelon forms, kernels, and induced maps on quotients k^n/W
 (:class:`StrandSpace`).  One elimination kernel serves both fields: every
 echelon form, kernel and rank comes from it, and a rank is its pivot count.
-A strand space runs one elimination when it is built
-and keeps the inverse of the basis it picks, so coordinates, containment
-checks and induced maps are matrix products with no further elimination.  A
-direct sum of strand spaces runs none: it keeps its summands and applies
-each summand's inverse to its own block of coordinates.
+A strand space runs one elimination when it is built and keeps the inverse
+of the basis it picks, so coordinates, containment checks and induced maps
+are matrix products with no further elimination.  Its coset basis is a set
+of coordinates, so no space stores a coset matrix.  A direct sum of strand
+spaces runs none: it keeps its summands and applies each summand's inverse
+to its own block of coordinates.
 Matrices over F_p are stored as numpy integer arrays
 with entries reduced into ``[0, p)``; matrices over Q hold
 :class:`fractions.Fraction` entries (always in lowest terms with positive
@@ -135,6 +136,15 @@ def _dtype_for(p: int):
     return np.int32 if p < 46341 else np.int64
 
 
+def _zeros(field: FieldSpec, rows: int, cols: int) -> np.ndarray:
+    """A fresh writable zero array for matrices over ``field``."""
+    if field.is_rational:
+        out = np.empty((rows, cols), dtype=object)
+        out[...] = Fraction(0)
+        return out
+    return np.zeros((rows, cols), dtype=_dtype_for(field.characteristic))
+
+
 def _same_field(a: "ExactMatrix", b: "ExactMatrix") -> FieldSpec:
     if a.field != b.field:
         raise FieldMismatchError(f"mixed fields {a.field} and {b.field}")
@@ -180,26 +190,13 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
-        if field.characteristic == 0:
-            data = np.empty((rows, cols), dtype=object)
-            data[...] = Fraction(0)
-        else:
-            data = np.zeros((rows, cols), dtype=_dtype_for(field.characteristic))
-        return cls(field, data)
+        return cls(field, _zeros(field, rows, cols))
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "ExactMatrix":
-        m = cls.zeros(field, n, n)
-        data = m._mutable_copy()
-        one = field.one()
-        for i in range(n):
-            data[i, i] = one
+        data = _zeros(field, n, n)
+        data[range(n), range(n)] = field.one()
         return cls(field, data)
-
-    def _mutable_copy(self) -> np.ndarray:
-        out = self._data.copy()
-        out.flags.writeable = True
-        return out
 
     # -- inspection --------------------------------------------------------
     @property
@@ -276,7 +273,7 @@ class ExactMatrix:
             return ExactMatrix.zeros(field, self.rows, other.cols)
         if field.is_rational:
             # sum of outer products over the inner index, nonzero entries only
-            data = self._empty_like(self.rows, other.cols)
+            data = _zeros(field, self.rows, other.cols)
             for k in range(self.cols):
                 rows = np.flatnonzero(self._data[:, k] != 0)
                 cols = np.flatnonzero(other._data[k] != 0)
@@ -303,20 +300,13 @@ class ExactMatrix:
     # -- slicing / stacking --------------------------------------------------
     def columns(self, indices) -> "ExactMatrix":
         idx = list(indices)
-        data = self._data[:, idx].copy() if idx else self._empty_like(self.rows, 0)
+        data = self._data[:, idx].copy() if idx else _zeros(self.field, self.rows, 0)
         return ExactMatrix(self.field, data)
 
     def take_rows(self, indices) -> "ExactMatrix":
         idx = list(indices)
-        data = self._data[idx].copy() if idx else self._empty_like(0, self.cols)
+        data = self._data[idx].copy() if idx else _zeros(self.field, 0, self.cols)
         return ExactMatrix(self.field, data)
-
-    def _empty_like(self, r: int, c: int) -> np.ndarray:
-        if self.field.is_rational:
-            out = np.empty((r, c), dtype=object)
-            out[...] = Fraction(0)
-            return out
-        return np.zeros((r, c), dtype=self._data.dtype)
 
     @staticmethod
     def hstack(mats) -> "ExactMatrix":
@@ -349,7 +339,7 @@ class ExactMatrix:
         """Block matrix from grid[i][j] in (ExactMatrix | None); None blocks are zero."""
         nr = sum(row_dims)
         nc = sum(col_dims)
-        out = ExactMatrix.zeros(field, nr, nc)._mutable_copy()
+        out = _zeros(field, nr, nc)
         r0 = 0
         for bi, rd in enumerate(row_dims):
             c0 = 0
@@ -433,7 +423,7 @@ def _kernel(m: ExactMatrix):
     red, pivots = rref_with_pivots(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    out = ExactMatrix.zeros(m.field, m.cols, len(free))._mutable_copy()
+    out = _zeros(m.field, m.cols, len(free))
     out[free, range(len(free))] = m.field.one()
     if pivots:
         out[list(pivots)] = (-ExactMatrix(m.field, red._data[: len(pivots), free]))._data
@@ -482,7 +472,7 @@ def solve_columns(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         return ExactMatrix.zeros(field, 0, b.cols)
     if any(p >= a.cols for p in pivots):
         raise InternalInvariantError("inconsistent linear system")
-    out = ExactMatrix.zeros(field, a.cols, b.cols)._mutable_copy()
+    out = _zeros(field, a.cols, b.cols)
     out[list(pivots)] = red._data[: len(pivots), a.cols :]
     return ExactMatrix(field, out)
 
@@ -490,76 +480,65 @@ def solve_columns(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 # -- strand spaces -----------------------------------------------------------
 
 class StrandSpace:
-    """A subquotient U/W of a coordinate space k^n with a chosen coset basis.
+    """A quotient k^n/W of a coordinate space with a chosen coset basis.
 
-    ``sub_basis`` columns span W and the super basis columns span U; with no
-    super basis U is all of k^n.  One reduced echelon form of
-    ``[sub | super | I_n]`` (``[sub | I_n]`` when U = k^n) fixes everything:
-    its pivots in the sub block pick a basis of W (the leftmost independent
-    sub columns), its pivots in the super block pick ``coset_reps`` (the
-    greedy super columns independent modulo W, a basis of U/W), its pivots in
-    the identity block complete these to a basis B of k^n, and its last n
-    columns are B^-1.  :meth:`coordinates` reads every query off B^-1: a
-    vector lies in U when its coordinates past the W and coset blocks vanish,
-    and in W when those past the W block do.
+    ``sub_basis`` columns span W.  One reduced echelon form of ``[sub | I_n]``
+    fixes everything: its pivots in the sub block pick a basis of W (the
+    leftmost independent sub columns), its pivots in the identity block pick
+    the coordinates ``coset_cols`` whose unit vectors complete it to a basis
+    B of k^n, and its last n columns are B^-1.  The cosets of those unit
+    vectors are the coset basis, so a space stores them as indices and no
+    coset matrix.  :meth:`coordinates` reads every query off B^-1: a vector
+    lies in W when its coordinates past the W block vanish.  With W = 0 the
+    coset basis is every coordinate and no elimination runs.
 
-    :meth:`direct_sum` builds the space of block-diagonal ``sub`` and
-    ``super`` matrices from the spaces of their blocks, with no elimination
-    and no n x n inverse.  The reduced echelon form is unique, and that of a
-    block-diagonal ``[sub | super | I_n]`` is a row permutation of the
-    blocks' forms, so the sum has the basis, the coset representatives and
-    the coordinates that one elimination of the whole matrix gives.
+    :meth:`direct_sum` builds the space of a block-diagonal ``sub`` from the
+    spaces of its blocks, with no elimination and no n x n inverse.  The
+    reduced echelon form is unique, and that of a block-diagonal
+    ``[sub | I_n]`` is a row permutation of the blocks' forms, so the sum has
+    the basis, the coset coordinates and the coordinates that one
+    elimination of the whole matrix gives.
     """
 
-    __slots__ = ("field", "ambient_dim", "coset_reps", "_sub_cb", "_inverse", "_parts")
+    __slots__ = ("field", "ambient_dim", "coset_cols", "_sub_cb", "_inverse", "_parts")
 
-    def __init__(self, sub_basis: ExactMatrix, super_basis: ExactMatrix | None = None):
+    def __init__(self, sub_basis: ExactMatrix):
         field = self.field = sub_basis.field
         n = self.ambient_dim = sub_basis.rows
         self._parts = ()
-        if super_basis is not None and (super_basis.rows != n or super_basis.field != field):
-            raise ValueError("super basis shape or field mismatch")
-        identity = ExactMatrix.identity(field, n)
-        if super_basis is None and sub_basis.cols == 0:
-            # U = k^n, W = 0: B is the identity and coordinates are the vectors
-            self._sub_cb, self.coset_reps, self._inverse = sub_basis, identity, None
+        if sub_basis.cols == 0:
+            # W = 0: B is the identity and coordinates are the vectors
+            self._sub_cb, self.coset_cols, self._inverse = sub_basis, tuple(range(n)), None
             return
-        # with U = k^n the identity block is the super block as well
-        sup = identity if super_basis is None else super_basis
-        blocks = [sub_basis, sup] + ([] if super_basis is None else [identity])
-        red, pivots = rref_with_pivots(ExactMatrix.hstack(blocks))
-        s, u = sub_basis.cols, sup.cols
-        sub_pivots = [c for c in pivots if c < s]
-        super_pivots = [c - s for c in pivots if s <= c < s + u]
-        if (
-            super_basis is not None
-            and sub_pivots
-            and rank(super_basis) != len(sub_pivots) + len(super_pivots)
-        ):
-            raise WellDefinednessError("sub space is not contained in super space")
-        self._sub_cb = sub_basis.columns(sub_pivots)
-        self.coset_reps = sup.columns(super_pivots)
-        self._inverse = red.columns(range(red.cols - n, red.cols))
+        s = sub_basis.cols
+        identity = ExactMatrix.identity(field, n)
+        red, pivots = rref_with_pivots(ExactMatrix.hstack([sub_basis, identity]))
+        self._sub_cb = sub_basis.columns([c for c in pivots if c < s])
+        self.coset_cols = tuple(c - s for c in pivots if c >= s)
+        self._inverse = red.columns(range(s, s + n))
 
     @classmethod
     def direct_sum(cls, spaces) -> "StrandSpace":
-        """(+)_p U_p/W_p inside (+)_p k^{n_p}, summands in order."""
+        """(+)_p k^{n_p}/W_p, summands in order."""
         spaces = tuple(spaces)
         if len(spaces) == 1:
             return spaces[0]
-        field = spaces[0].field
         space = cls.__new__(cls)
-        space.field = field
-        space.ambient_dim = sum(sp.ambient_dim for sp in spaces)
-        space._sub_cb = _block_diagonal(field, [sp._sub_cb for sp in spaces])
-        space.coset_reps = _block_diagonal(field, [sp.coset_reps for sp in spaces])
+        space.field = spaces[0].field
+        space._sub_cb = _block_diagonal(space.field, [sp._sub_cb for sp in spaces])
+        coset_cols, offset = [], 0
+        for sp in spaces:
+            coset_cols += [c + offset for c in sp.coset_cols]
+            offset += sp.ambient_dim
+        space.ambient_dim = offset
+        space.coset_cols = tuple(coset_cols)
         space._inverse = None
         space._parts = () if all(sp.is_full for sp in spaces) else spaces
         return space
 
     @property
     def dim(self) -> int:
-        return self.coset_reps.cols
+        return len(self.coset_cols)
 
     @property
     def is_full(self) -> bool:
@@ -569,20 +548,19 @@ class StrandSpace:
         return self._sub_cb
 
     def coordinates(self, vectors: ExactMatrix) -> ExactMatrix:
-        """Coordinates B^-1 v: W block, then coset block, then the rest of k^n."""
+        """Coordinates B^-1 v: the W block, then the coset block."""
         if self._parts:
-            # each part's coordinates, split into its W, coset and other rows
-            w_rows, coset_rows, rest = [], [], []
+            # each part's coordinates, split into its W and coset rows
+            w_rows, coset_rows = [], []
             start = 0
             for part in self._parts:
                 stop = start + part.ambient_dim
                 y = part.coordinates(ExactMatrix(self.field, vectors._data[start:stop]))._data
                 w = part._sub_cb.cols
                 w_rows.append(y[:w])
-                coset_rows.append(y[w : w + part.dim])
-                rest.append(y[w + part.dim :])
+                coset_rows.append(y[w:])
                 start = stop
-            return ExactMatrix(self.field, np.vstack(w_rows + coset_rows + rest))
+            return ExactMatrix(self.field, np.vstack(w_rows + coset_rows))
         return vectors if self._inverse is None else self._inverse @ vectors
 
     def __repr__(self):
@@ -602,11 +580,11 @@ def _block_diagonal(field: FieldSpec, blocks) -> ExactMatrix:
 def induced_map(src: StrandSpace, dst: StrandSpace, ambient: ExactMatrix) -> ExactMatrix:
     """Matrix of the map induced on coset bases by an ambient matrix.
 
-    Checks that the ambient matrix sends src's super space into dst's super
-    space and src's sub space into dst's sub space; failure of either raises
-    WellDefinednessError (the signature of a non-homogeneous or wrong-degree
-    map upstream).  Both checks and the matrix are read off the target
-    coordinates of the images of src's W basis and coset representatives.
+    Checks that the ambient matrix sends src's sub space into dst's sub
+    space; failure raises WellDefinednessError (the signature of a
+    non-homogeneous or wrong-degree map upstream).  The check and the matrix
+    are read off the target coordinates of the images of src's W basis and
+    coset basis; the latter are columns of the ambient matrix.
     """
     if src.field != dst.field or ambient.field != src.field:
         raise FieldMismatchError("induced_map operands over different fields")
@@ -615,12 +593,11 @@ def induced_map(src: StrandSpace, dst: StrandSpace, ambient: ExactMatrix) -> Exa
     if src.is_full and dst.is_full:
         return ambient
     w_src = src._sub_cb.cols
-    images = ambient if src.is_full else ambient @ ExactMatrix.hstack([src._sub_cb, src.coset_reps])
+    images = ambient if src.is_full else ExactMatrix.hstack(
+        [ambient @ src._sub_cb, ambient.columns(src.coset_cols)]
+    )
     y = dst.coordinates(images)._data
     w_dst = dst._sub_cb.cols
-    top = w_dst + dst.dim
-    if not ExactMatrix(dst.field, y[top:]).is_zero():
-        raise WellDefinednessError("image leaves the target super space")
     if not ExactMatrix(dst.field, y[w_dst:, :w_src]).is_zero():
         raise WellDefinednessError("image of sub space leaves the target sub space")
-    return ExactMatrix(dst.field, y[w_dst:top, w_src:].copy())
+    return ExactMatrix(dst.field, y[w_dst:, w_src:].copy())

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import NonHomogeneousError
-from .exact import ExactMatrix, StrandSpace, induced_map, kernel_basis
+from .exact import ExactMatrix, StrandSpace, induced_map, rank
 from .rings import GradedRing, Poly, monomial_basis, mult_matrix
 
 __all__ = [
@@ -442,15 +442,10 @@ def _ambient_mult(module: PresentedModule, f: Poly, deg: int) -> GradedMap:
 
 
 def annihilator_strand(module: PresentedModule, f: Poly, d: int) -> StrandSpace:
-    """(0 :_M f)_d as a strand space inside M_d."""
+    """(0 :_M f)_d in the coordinates of the kernel basis of multiplication
+    by f from M_d to M_{d+deg f}: the full space k^m, m = dim ker."""
     op = mult_operator(module, f, d)
-    ker = kernel_basis(op)
-    base = strand(module, d)
-    lifted = base.coset_reps @ ker
-    # W by its basis picks the same pivots, hence the same B^-1, as W by the
-    # relation columns spanning it
-    sub = base.sub_column_basis()
-    return StrandSpace(sub, ExactMatrix.hstack([sub, lifted]))
+    return StrandSpace(ExactMatrix.zeros(module.ring.field, op.cols - rank(op), 0))
 
 
 class TableEntry(NamedTuple):

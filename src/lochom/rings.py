@@ -15,7 +15,7 @@ from .errors import (
     ParseError,
     UnknownVariableError,
 )
-from .exact import ExactMatrix, FieldSpec
+from .exact import ExactMatrix, FieldSpec, _zeros
 
 __all__ = ["GradedRing", "Poly", "monomial_basis", "mult_matrix", "parse_poly"]
 
@@ -288,7 +288,7 @@ def mult_matrix(f: Poly, d: int) -> ExactMatrix:
         return cached
     src = monomial_basis(ring, d)
     dst_index = _basis_index(ring, d + deg)
-    out = ExactMatrix.zeros(ring.field, len(dst_index), len(src))._mutable_copy()
+    out = _zeros(ring.field, len(dst_index), len(src))
     fld = ring.field
     for j, mono in enumerate(src):
         for exp, coeff in f.terms.items():

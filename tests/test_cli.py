@@ -188,6 +188,7 @@ def test_verify_subject_dispatch(capsys):
     assert "2,koszul-self-duality,true" in out
 
 
+TWO_TERM = {"terms": {"0": {"twists": [0]}, "1": {"twists": [-1]}}, "differentials": {"1": [["x"]]}}
 MALFORMED = {
     "k_max-string": {"k_max": "abc"},
     "complex-terms-list": {"complex": {"terms": [1]}},
@@ -198,6 +199,16 @@ MALFORMED = {
     "ideal-empty": {"ideal": []},
     "weights-string": {"ring": {"char": 32003, "vars": ["x", "y"], "weights": "12"}},
     "char-above-bound": {"ring": {"char": 4294967311, "vars": ["x", "y"]}},
+    "hilbert-complex": {"command": "hilbert", "complex": TWO_TERM},
+    "koszul-complex": {"command": "koszul", "complex": TWO_TERM},
+    "complex-term-leading-zero": {"complex": {
+        "terms": {"0": {"twists": [0]}, "1": {"twists": [-1]}, "01": {"twists": [-1]}},
+        "differentials": {"1": [["x"]]}}},
+    "complex-term-underscore": {"complex": {
+        "terms": {"0": {"twists": [0]}, "1_0": {"twists": [-1]}}}},
+    "complex-differential-key": {"complex": {
+        "terms": {"0": {"twists": [0]}, "1": {"twists": [-1]}},
+        "differentials": {" 1": [["x"]]}}},
 }
 
 

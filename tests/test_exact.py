@@ -174,36 +174,21 @@ def test_column_basis_picks_leftmost_pivots():
 def test_strand_space_full_and_quotient():
     full = StrandSpace(ExactMatrix.zeros(FP, 3, 0))
     assert full.dim == 3
-    assert full.coset_reps == ExactMatrix.identity(FP, 3)
+    assert full.coset_cols == (0, 1, 2) and full.is_full
     quot = StrandSpace(M(FP, [[1], [2], [0]]))
     assert quot.dim == 2
     assert quot.ambient_dim == 3
-
-
-def test_strand_space_sub_inside_super_checked():
-    sub = M(QQ, [[1], [0]])
-    super_ = M(QQ, [[0], [1]])
-    with pytest.raises(WellDefinednessError):
-        StrandSpace(sub, super_)
-
-
-def test_strand_space_subquotient_dim():
-    # U = <e1, e2>, W = <e1> inside Q^3: dim U/W = 1
-    sub = M(QQ, [[1], [0], [0]])
-    super_ = M(QQ, [[1, 0], [0, 1], [0, 0]])
-    sp = StrandSpace(sub, super_)
-    assert sp.dim == 1
-    assert sp.coset_reps.entries == ((0,), (1,), (0,))
+    # e_0 and e_2 complete W = <(1, 2, 0)> to k^3; e_1 is then dependent
+    assert quot.coset_cols == (0, 2)
 
 
 def test_induced_map_identity_and_zero_target():
     sp = StrandSpace(M(FP, [[1], [0]]))
     ident = induced_map(sp, sp, ExactMatrix.identity(FP, 2))
     assert ident == ExactMatrix.identity(FP, 1)
-    # src = U/W with U = W: zero-dimensional source
-    w = M(FP, [[1], [0]])
-    degenerate = StrandSpace(w, w)
-    mat = induced_map(degenerate, sp, ExactMatrix.identity(FP, 2))
+    # src = k^2/k^2: zero-dimensional source, mapped onto the target's W
+    degenerate = StrandSpace(ExactMatrix.identity(FP, 2))
+    mat = induced_map(degenerate, sp, M(FP, [[1, 1], [0, 0]]))
     assert mat.cols == 0 and mat.rows == 1
 
 
@@ -283,14 +268,14 @@ def _ref_greedy(vectors, start, n, f):
     return chosen
 
 
-def _ref_space(sub, sup, n, f):
-    """(W basis, coset reps) as StrandSpace picks them; raises on W not inside U."""
+def _units(f, n):
+    return [[f.norm(int(i == j)) for i in range(n)] for j in range(n)]
+
+
+def _ref_space(sub, n, f):
+    """(W basis, coset reps) as StrandSpace picks them; the reps are unit vectors."""
     w = _ref_greedy(sub, [], n, f)
-    if sup is None:
-        sup = [[f.norm(int(i == j)) for i in range(n)] for j in range(n)]
-    elif any(_ref_solve(_ref_greedy(sup, [], n, f), v, n, f) is None for v in w):
-        raise WellDefinednessError("sub space is not contained in super space")
-    return w, _ref_greedy(sup, w, n, f)
+    return w, _ref_greedy(_units(f, n), w, n, f)
 
 
 def _ref_apply(a, v, f):
@@ -300,8 +285,6 @@ def _ref_apply(a, v, f):
 def _ref_induced(src, dst, a, n_dst, f):
     (w_src, r_src), (w_dst, r_dst) = src, dst
     coords = [_ref_solve(w_dst + r_dst, _ref_apply(a, v, f), n_dst, f) for v in w_src + r_src]
-    if any(c is None for c in coords):
-        raise WellDefinednessError("image leaves the target super space")
     if any(any(x != 0 for x in c[len(w_dst):]) for c in coords[: len(w_src)]):
         raise WellDefinednessError("image of sub space leaves the target sub space")
     return [c[len(w_dst):] for c in coords[len(w_src):]]
@@ -337,39 +320,36 @@ def _combos(draw, f, basis, n, count):
 
 @st.composite
 def _space_data(draw, f, n):
-    """(sub columns, super columns or None); W sits inside U unless one column strays."""
-    if draw(st.booleans()):
-        return draw(_vectors(f, n, draw(st.integers(0, 4)))), None
-    sup = draw(_vectors(f, n, draw(st.integers(0, 4))))
-    sub = draw(_combos(f, sup, n, draw(st.integers(0, 3))))
-    if draw(st.integers(0, 5)) == 0:
-        sub += draw(_vectors(f, n, 1))
-    return sub, sup
+    """Sub columns: up to three vectors, then up to two combinations of them."""
+    sub = draw(_vectors(f, n, draw(st.integers(0, 3))))
+    return sub + draw(_combos(f, sub, n, draw(st.integers(0, 2))))
 
 
 @st.composite
 def _ambient(draw, f, src, dst, n_src, n_dst):
-    """A map sending each src basis vector into dst's W, dst's U or anywhere."""
+    """A map sending each src W basis vector into dst's W or anywhere."""
     if draw(st.integers(0, 4)) == 0:
         cols = draw(_vectors(f, n_dst, n_src))
         return [[c[r] for c in cols] for r in range(n_dst)]
-    (w_src, r_src), (w_dst, r_dst) = src, dst
+    (w_src, r_src), (w_dst, _) = src, dst
     basis = w_src + r_src
-    basis += _ref_greedy([[f.norm(int(i == j)) for i in range(n_src)] for j in range(n_src)],
-                         basis, n_src, f)
     images = []
     for j in range(n_src):
-        level = draw(st.sampled_from(["sub", "super", "any"] if j < len(w_src) else ["super", "any"]))
-        target = {"sub": w_dst, "super": w_dst + r_dst}.get(level)
-        if target is None:
-            images += draw(_vectors(f, n_dst, 1))
+        if j < len(w_src) and draw(st.booleans()):
+            images += draw(_combos(f, w_dst, n_dst, 1))
         else:
-            images += draw(_combos(f, target, n_dst, 1))
+            images += draw(_vectors(f, n_dst, 1))
     # A = images @ basis^-1, one row of A at a time
     inverse_t = [_ref_solve(basis, [f.norm(int(i == k)) for i in range(n_src)], n_src, f)
                  for k in range(n_src)]
     return [[f.norm(sum(img[r] * inverse_t[k][j] for j, img in enumerate(images)))
              for k in range(n_src)] for r in range(n_dst)]
+
+
+def _coset_cols(ref, n, f):
+    """The coordinates of a reference space's unit coset reps."""
+    units = _units(f, n)
+    return tuple(units.index(v) for v in ref[1])
 
 
 @settings(max_examples=200)
@@ -380,18 +360,12 @@ def test_strand_spaces_and_induced_maps_match_reference(data, p):
     n_src, n_dst = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
     spaces, refs = [], []
     for n in (n_src, n_dst):
-        sub, sup = data.draw(_space_data(f, n))
-        try:
-            ref = _ref_space(sub, sup, n, f)
-        except WellDefinednessError as err:
-            with pytest.raises(WellDefinednessError, match=str(err)):
-                StrandSpace(_from_columns(field, n, sub),
-                            None if sup is None else _from_columns(field, n, sup))
-            return
-        sp = StrandSpace(_from_columns(field, n, sub),
-                         None if sup is None else _from_columns(field, n, sup))
+        sub = data.draw(_space_data(f, n))
+        ref = _ref_space(sub, n, f)
+        sp = StrandSpace(_from_columns(field, n, sub))
         assert sp.dim == len(ref[1])
-        assert _columns_of(sp.coset_reps) == ref[1]
+        assert sp.coset_cols == _coset_cols(ref, n, f)
+        assert _columns_of(sp.sub_column_basis()) == ref[0]
         spaces.append(sp)
         refs.append(ref)
     a_rows = data.draw(_ambient(f, refs[0], refs[1], n_src, n_dst))
@@ -406,11 +380,6 @@ def test_strand_spaces_and_induced_maps_match_reference(data, p):
     got = induced_map(spaces[0], spaces[1], a)
     assert (got.rows, got.cols) == (spaces[1].dim, spaces[0].dim)
     assert _columns_of(got) == want
-
-
-def _space(field, n, sub, sup):
-    return StrandSpace(_from_columns(field, n, sub),
-                       None if sup is None else _from_columns(field, n, sup))
 
 
 def _block_columns(f, blocks, n):
@@ -432,29 +401,20 @@ def test_direct_sum_space_matches_one_elimination_of_the_block_matrix(data, p):
         sizes = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
         parts = [data.draw(_space_data(f, n)) for n in sizes]
         n = sum(sizes)
-        sub = _block_columns(f, [(k, s) for k, (s, _) in zip(sizes, parts)], n)
-        sup = None
-        if any(u is not None for _, u in parts):  # U = k^n_p is the block I_n_p
-            sup = _block_columns(f, [
-                (k, [[f.norm(int(i == j)) for i in range(k)] for j in range(k)] if u is None else u)
-                for k, (_, u) in zip(sizes, parts)
-            ], n)
-        try:
-            spaces = [_space(field, k, s, u) for k, (s, u) in zip(sizes, parts)]
-        except WellDefinednessError as err:
-            with pytest.raises(WellDefinednessError, match=str(err)):
-                _space(field, n, sub, sup)
-            return
-        whole, direct = _space(field, n, sub, sup), StrandSpace.direct_sum(spaces)
+        sub = _block_columns(f, list(zip(sizes, parts)), n)
+        spaces = [StrandSpace(_from_columns(field, k, s)) for k, s in zip(sizes, parts)]
+        whole, direct = StrandSpace(_from_columns(field, n, sub)), StrandSpace.direct_sum(spaces)
+        ref = _ref_space(sub, n, f)
         assert (direct.dim, direct.ambient_dim, direct.is_full) == (
             whole.dim, whole.ambient_dim, whole.is_full)
-        assert direct.coset_reps == whole.coset_reps
+        assert direct.coset_cols == whole.coset_cols == _coset_cols(ref, n, f)
         assert direct.sub_column_basis() == whole.sub_column_basis()
+        assert _columns_of(direct.sub_column_basis()) == ref[0]
         vectors = _from_columns(field, n, data.draw(_vectors(f, n, 3)))
         assert direct.coordinates(vectors) == whole.coordinates(vectors)
         sums.append(direct)
         wholes.append(whole)
-        refs.append(_ref_space(sub, sup, n, f))
+        refs.append(ref)
     n_src, n_dst = sums[0].ambient_dim, sums[1].ambient_dim
     a_rows = data.draw(_ambient(f, refs[0], refs[1], n_src, n_dst))
     a = ExactMatrix.from_rows(field, a_rows, cols=n_src) if n_dst else ExactMatrix.zeros(
@@ -493,14 +453,6 @@ def test_kernel_and_solve_match_reference(data, p):
     assert _columns_of(solve_columns(a, _from_columns(field, n, b_cols))) == want
 
 
-def test_induced_map_rejects_image_outside_target_super_space():
-    # src = Q^2 / <e1>; dst = <e1>/0 inside Q^2; the identity sends e2 outside <e1>
-    src = StrandSpace(M(QQ, [[1], [0]]))
-    dst = StrandSpace(ExactMatrix.zeros(QQ, 2, 0), M(QQ, [[1], [0]]))
-    with pytest.raises(WellDefinednessError, match="image leaves the target super space"):
-        induced_map(src, dst, ExactMatrix.identity(QQ, 2))
-
-
 @pytest.mark.parametrize("field", [FP, QQ], ids=repr)
 def test_strand_space_and_induced_map_elimination_budget(field, monkeypatch):
     calls = collections.Counter()
@@ -515,15 +467,18 @@ def test_strand_space_and_induced_map_elimination_budget(field, monkeypatch):
         calls.clear()
         return out
 
-    # W = <(1, 0, 2)> twice over, U = <(1, 0, 2), e2>
+    # W = <(1, 0, 2)> twice over
     sub = M(field, [[1, 2], [0, 0], [2, 4]])
     quotient = StrandSpace(sub)
     assert spent() == (1, 0)
-    subquotient = StrandSpace(sub, M(field, [[1, 0], [0, 1], [2, 0]]))
-    assert spent() == (1, 1)
-    assert (quotient.dim, subquotient.dim) == (2, 1)
-    induced_map(subquotient, quotient, ExactMatrix.identity(field, 3))
+    # neither a full space nor a direct sum eliminates
+    full = StrandSpace(ExactMatrix.zeros(field, 3, 0))
+    total = StrandSpace.direct_sum([quotient, full])
+    assert spent() == (0, 0)
+    assert (quotient.dim, full.dim, total.dim) == (2, 3, 5)
+    induced_map(full, quotient, ExactMatrix.identity(field, 3))
     induced_map(quotient, quotient, ExactMatrix.identity(field, 3).scale(2))
+    induced_map(total, total, ExactMatrix.identity(field, 6))
     assert spent() == (0, 0)
 
 
