@@ -73,6 +73,11 @@ class JobSpec:
             raise SchemaError(
                 f"unknown verify subject {self.verify_subject!r}", "verify"
             )
+        if self.command == "verify":
+            # the verify subjects build their own rings and modules
+            for name in ("module", "complex", "ideal", "ring"):
+                if getattr(self, name) is not None:
+                    raise SchemaError(f"verify takes no {name}", name)
         for name, pair in (("i_range", self.i_range), ("window", self.window)):
             if len(pair) != 2 or pair[0] > pair[1]:
                 raise SchemaError(f"{name} must be [lo, hi] with lo <= hi", name)

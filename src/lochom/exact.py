@@ -4,12 +4,13 @@ Every strandwise computation in the engine bottoms out here: reduced row
 echelon forms, kernels, and induced maps on quotients k^n/W
 (:class:`StrandSpace`).  One elimination kernel serves both fields: every
 echelon form, kernel and rank comes from it, and a rank is its pivot count.
-A strand space runs one elimination when it is built and keeps the inverse
-of the basis it picks, so coordinates, containment checks and induced maps
-are matrix products with no further elimination.  Its coset basis is a set
-of coordinates, so no space stores a coset matrix.  A direct sum of strand
-spaces runs none: it keeps its summands and applies each summand's inverse
-to its own block of coordinates.
+A strand space runs one elimination when it is built, of the transposed
+sub basis, and keeps only the projection onto its coset basis (dim x n), so
+coset coordinates, well-definedness checks and induced maps are matrix
+products with no further elimination.  Its coset basis is a set of
+coordinates, so no space stores a coset matrix.  A direct sum of strand
+spaces runs none: it keeps its summands and projects each block of
+coordinates with its own summand.
 Matrices over F_p are stored as numpy integer arrays
 with entries reduced into ``[0, p)``; matrices over Q hold
 :class:`fractions.Fraction` entries (always in lowest terms with positive
@@ -444,7 +445,7 @@ def column_basis(m: ExactMatrix) -> ExactMatrix:
 def span_contains(basis: ExactMatrix, vectors: ExactMatrix) -> bool:
     """True iff every column of ``vectors`` lies in the span of ``basis`` columns.
 
-    The package itself tests containment through StrandSpace.coordinates;
+    The package itself tests containment through StrandSpace.project;
     ``bench/spans.py`` still traces this function by name.
     """
     if vectors.cols == 0:
@@ -482,40 +483,40 @@ def solve_columns(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 class StrandSpace:
     """A quotient k^n/W of a coordinate space with a chosen coset basis.
 
-    ``sub_basis`` columns span W.  One reduced echelon form of ``[sub | I_n]``
-    fixes everything: its pivots in the sub block pick a basis of W (the
-    leftmost independent sub columns), its pivots in the identity block pick
-    the coordinates ``coset_cols`` whose unit vectors complete it to a basis
-    B of k^n, and its last n columns are B^-1.  The cosets of those unit
-    vectors are the coset basis, so a space stores them as indices and no
-    coset matrix.  :meth:`coordinates` reads every query off B^-1: a vector
-    lies in W when its coordinates past the W block vanish.  With W = 0 the
-    coset basis is every coordinate and no elimination runs.
+    ``sub_basis`` columns span W.  The coset basis is the cosets of the unit
+    vectors e_c, c in ``coset_cols``: the leftmost coordinates whose unit
+    vectors are independent modulo W.  A space keeps one matrix, the
+    projection Q (dim x n) with Q W = 0 whose columns ``coset_cols`` form the
+    identity, so :meth:`project` gives the coset coordinates of a vector, and
+    a vector lies in W when they vanish.  Q is the reduced echelon basis of
+    the annihilator of W, and one elimination gives it: the kernel of sub^T
+    with its coordinates reversed.  Coordinate c is not a coset coordinate
+    when some vector of W has its last nonzero entry at c, that is when
+    n-1-c is a pivot of the reversed echelon form; so the coset coordinates
+    are n-1-f for the free columns f, and kernel vector f has its first
+    nonzero entry, a 1, at n-1-f.  With W = 0 the coset basis is every
+    coordinate, Q is the identity, and the space keeps no matrix.
 
     :meth:`direct_sum` builds the space of a block-diagonal ``sub`` from the
-    spaces of its blocks, with no elimination and no n x n inverse.  The
-    reduced echelon form is unique, and that of a block-diagonal
-    ``[sub | I_n]`` is a row permutation of the blocks' forms, so the sum has
-    the basis, the coset coordinates and the coordinates that one
-    elimination of the whole matrix gives.
+    spaces of its blocks, with no elimination.  Independence modulo a
+    block-diagonal W is decided block by block, so the sum has the coset
+    coordinates one elimination of the whole matrix gives, and its Q is
+    block-diagonal: the sum keeps its summands and projects each block of
+    coordinates with its own summand.
     """
 
-    __slots__ = ("field", "ambient_dim", "coset_cols", "_sub_cb", "_inverse", "_parts")
+    __slots__ = ("field", "ambient_dim", "coset_cols", "_proj", "_parts")
 
     def __init__(self, sub_basis: ExactMatrix):
         field = self.field = sub_basis.field
         n = self.ambient_dim = sub_basis.rows
-        self._parts = ()
+        self.coset_cols, self._proj, self._parts = tuple(range(n)), None, ()
         if sub_basis.cols == 0:
-            # W = 0: B is the identity and coordinates are the vectors
-            self._sub_cb, self.coset_cols, self._inverse = sub_basis, tuple(range(n)), None
             return
-        s = sub_basis.cols
-        identity = ExactMatrix.identity(field, n)
-        red, pivots = rref_with_pivots(ExactMatrix.hstack([sub_basis, identity]))
-        self._sub_cb = sub_basis.columns([c for c in pivots if c < s])
-        self.coset_cols = tuple(c - s for c in pivots if c >= s)
-        self._inverse = red.columns(range(s, s + n))
+        kernel, free = _kernel(ExactMatrix(field, np.ascontiguousarray(sub_basis._data[::-1].T)))
+        if len(free) < n:
+            self.coset_cols = tuple(n - 1 - c for c in reversed(free))
+            self._proj = ExactMatrix(field, np.ascontiguousarray(kernel._data[::-1, ::-1].T))
 
     @classmethod
     def direct_sum(cls, spaces) -> "StrandSpace":
@@ -525,15 +526,15 @@ class StrandSpace:
             return spaces[0]
         space = cls.__new__(cls)
         space.field = spaces[0].field
-        space._sub_cb = _block_diagonal(space.field, [sp._sub_cb for sp in spaces])
         coset_cols, offset = [], 0
         for sp in spaces:
             coset_cols += [c + offset for c in sp.coset_cols]
             offset += sp.ambient_dim
         space.ambient_dim = offset
         space.coset_cols = tuple(coset_cols)
-        space._inverse = None
-        space._parts = () if all(sp.is_full for sp in spaces) else spaces
+        space._proj = None
+        parts = tuple(part for sp in spaces for part in sp._parts or (sp,))
+        space._parts = () if all(part.is_full for part in parts) else parts
         return space
 
     @property
@@ -542,62 +543,51 @@ class StrandSpace:
 
     @property
     def is_full(self) -> bool:
-        return self._inverse is None and not self._parts
+        return self._proj is None and not self._parts
 
-    def sub_column_basis(self) -> ExactMatrix:
-        return self._sub_cb
+    def _summands(self):
+        """(summand, start, stop) for each summand and its block of coordinates."""
+        start = 0
+        for part in self._parts or (self,):
+            yield part, start, start + part.ambient_dim
+            start += part.ambient_dim
 
-    def coordinates(self, vectors: ExactMatrix) -> ExactMatrix:
-        """Coordinates B^-1 v: the W block, then the coset block."""
+    def project(self, vectors: ExactMatrix) -> ExactMatrix:
+        """Q v: the coordinates of the cosets of the columns of ``vectors``."""
         if self._parts:
-            # each part's coordinates, split into its W and coset rows
-            w_rows, coset_rows = [], []
-            start = 0
-            for part in self._parts:
-                stop = start + part.ambient_dim
-                y = part.coordinates(ExactMatrix(self.field, vectors._data[start:stop]))._data
-                w = part._sub_cb.cols
-                w_rows.append(y[:w])
-                coset_rows.append(y[w:])
-                start = stop
-            return ExactMatrix(self.field, np.vstack(w_rows + coset_rows))
-        return vectors if self._inverse is None else self._inverse @ vectors
+            return ExactMatrix(self.field, np.vstack([
+                part.project(ExactMatrix(self.field, vectors._data[start:stop]))._data
+                for part, start, stop in self._summands()
+            ]))
+        return vectors if self._proj is None else self._proj @ vectors
 
     def __repr__(self):
         return (
             f"StrandSpace(dim={self.dim}, ambient={self.ambient_dim}, "
-            f"sub_rank={self._sub_cb.cols})"
+            f"sub_rank={self.ambient_dim - self.dim})"
         )
-
-
-def _block_diagonal(field: FieldSpec, blocks) -> ExactMatrix:
-    grid = [[b if i == j else None for j in range(len(blocks))] for i, b in enumerate(blocks)]
-    return ExactMatrix.assemble(
-        field, grid, [b.rows for b in blocks], [b.cols for b in blocks]
-    )
 
 
 def induced_map(src: StrandSpace, dst: StrandSpace, ambient: ExactMatrix) -> ExactMatrix:
     """Matrix of the map induced on coset bases by an ambient matrix.
 
-    Checks that the ambient matrix sends src's sub space into dst's sub
-    space; failure raises WellDefinednessError (the signature of a
-    non-homogeneous or wrong-degree map upstream).  The check and the matrix
-    are read off the target coordinates of the images of src's W basis and
-    coset basis; the latter are columns of the ambient matrix.
+    With qa = dst.project(ambient), the matrix is the columns
+    ``src.coset_cols`` of qa.  The ambient matrix must send src's W into
+    dst's W; failure raises WellDefinednessError (the signature of a
+    non-homogeneous or wrong-degree map upstream).  As W = ker Q for src's
+    projection Q, qa vanishes on W exactly when qa = qa[:, coset_cols] Q,
+    which is checked one summand of src at a time.
     """
     if src.field != dst.field or ambient.field != src.field:
         raise FieldMismatchError("induced_map operands over different fields")
     if ambient.cols != src.ambient_dim or ambient.rows != dst.ambient_dim:
         raise ValueError("ambient matrix shape mismatch")
-    if src.is_full and dst.is_full:
-        return ambient
-    w_src = src._sub_cb.cols
-    images = ambient if src.is_full else ExactMatrix.hstack(
-        [ambient @ src._sub_cb, ambient.columns(src.coset_cols)]
-    )
-    y = dst.coordinates(images)._data
-    w_dst = dst._sub_cb.cols
-    if not ExactMatrix(dst.field, y[w_dst:, :w_src]).is_zero():
-        raise WellDefinednessError("image of sub space leaves the target sub space")
-    return ExactMatrix(dst.field, y[w_dst:, w_src:].copy())
+    qa = dst.project(ambient)
+    if src.is_full:
+        return qa
+    for part, start, stop in src._summands():
+        if part._proj is not None:
+            block = ExactMatrix(qa.field, qa._data[:, start:stop])
+            if block.columns(part.coset_cols) @ part._proj != block:
+                raise WellDefinednessError("image of sub space leaves the target sub space")
+    return qa.columns(src.coset_cols)

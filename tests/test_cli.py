@@ -189,6 +189,8 @@ def test_verify_subject_dispatch(capsys):
 
 
 TWO_TERM = {"terms": {"0": {"twists": [0]}, "1": {"twists": [-1]}}, "differentials": {"1": [["x"]]}}
+# the verify subjects build their own rings and modules, so verify takes none of these
+VERIFY_REJECTS = {"ring": RING, "module": {"target_twists": [0]}, "complex": TWO_TERM, "ideal": ["x"]}
 MALFORMED = {
     "k_max-string": {"k_max": "abc"},
     "complex-terms-list": {"complex": {"terms": [1]}},
@@ -209,6 +211,7 @@ MALFORMED = {
     "complex-differential-key": {"complex": {
         "terms": {"0": {"twists": [0]}, "1": {"twists": [-1]}},
         "differentials": {" 1": [["x"]]}}},
+    **{f"verify-{field}": {"command": "verify", field: value} for field, value in VERIFY_REJECTS.items()},
 }
 
 
@@ -220,6 +223,14 @@ def test_malformed_job_exits_2_without_traceback(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert "input error" in err and "(at " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", sorted(VERIFY_REJECTS))
+def test_verify_rejects_each_table_field_at_that_field(field):
+    doc = {"command": "verify", "verify": "selfdual", field: VERIFY_REJECTS[field]}
+    with pytest.raises(SchemaError) as err:
+        _document_to_jobspec(doc)
+    assert err.value.location == field
 
 
 # -- fuzzing the job surface ---------------------------------------------------

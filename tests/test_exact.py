@@ -352,6 +352,17 @@ def _coset_cols(ref, n, f):
     return tuple(units.index(v) for v in ref[1])
 
 
+def _ref_projection(ref, n, f):
+    """The coset rows of B^-1 for the reference basis B = [W basis | coset reps]."""
+    w, reps = ref
+    coords = [_ref_solve(w + reps, e, n, f) for e in _units(f, n)]
+    return [[c[len(w) + j] for c in coords] for j in range(len(reps))]
+
+
+def _rows_of(m):
+    return [list(row) for row in m.entries]
+
+
 @settings(max_examples=200)
 @given(data=st.data(), p=st.sampled_from(REF_PRIMES))
 def test_strand_spaces_and_induced_maps_match_reference(data, p):
@@ -365,7 +376,7 @@ def test_strand_spaces_and_induced_maps_match_reference(data, p):
         sp = StrandSpace(_from_columns(field, n, sub))
         assert sp.dim == len(ref[1])
         assert sp.coset_cols == _coset_cols(ref, n, f)
-        assert _columns_of(sp.sub_column_basis()) == ref[0]
+        assert _rows_of(sp.project(ExactMatrix.identity(field, n))) == _ref_projection(ref, n, f)
         spaces.append(sp)
         refs.append(ref)
     a_rows = data.draw(_ambient(f, refs[0], refs[1], n_src, n_dst))
@@ -408,10 +419,11 @@ def test_direct_sum_space_matches_one_elimination_of_the_block_matrix(data, p):
         assert (direct.dim, direct.ambient_dim, direct.is_full) == (
             whole.dim, whole.ambient_dim, whole.is_full)
         assert direct.coset_cols == whole.coset_cols == _coset_cols(ref, n, f)
-        assert direct.sub_column_basis() == whole.sub_column_basis()
-        assert _columns_of(direct.sub_column_basis()) == ref[0]
+        projection = direct.project(ExactMatrix.identity(field, n))
+        assert projection == whole.project(ExactMatrix.identity(field, n))
+        assert _rows_of(projection) == _ref_projection(ref, n, f)
         vectors = _from_columns(field, n, data.draw(_vectors(f, n, 3)))
-        assert direct.coordinates(vectors) == whole.coordinates(vectors)
+        assert direct.project(vectors) == whole.project(vectors)
         sums.append(direct)
         wholes.append(whole)
         refs.append(ref)
@@ -480,6 +492,31 @@ def test_strand_space_and_induced_map_elimination_budget(field, monkeypatch):
     induced_map(quotient, quotient, ExactMatrix.identity(field, 3).scale(2))
     induced_map(total, total, ExactMatrix.identity(field, 6))
     assert spent() == (0, 0)
+
+
+@pytest.mark.parametrize("field", [FP, QQ], ids=repr)
+def test_induced_map_into_a_quotient_multiplies_by_no_square_target_matrix(field, monkeypatch):
+    shapes = []
+    product = ExactMatrix.__matmul__
+
+    def recorded(a, b):
+        shapes.append((a.rows, a.cols, b.rows, b.cols))
+        return product(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", recorded)
+    # W_dst: four independent vectors of k^6, so dst has dim 2
+    w_dst = M(field, [[1, 0, 0, 2], [0, 1, 0, 3], [0, 0, 1, 5], [4, 0, 0, 1], [0, 6, 1, 0], [1, 1, 1, 1]])
+    dst = StrandSpace(w_dst)
+    # W_src = <e_0, e_1, e_2> in k^5, sent onto three vectors of W_dst
+    src = StrandSpace(ExactMatrix.identity(field, 5).columns(range(3)))
+    ambient = ExactMatrix.hstack([w_dst.columns(range(3)), M(field, [[1, 2]] * 6)])
+    for source, amb in ((src, ambient), (StrandSpace.direct_sum([src, src]),
+                                         ExactMatrix.hstack([ambient, ambient]))):
+        shapes.clear()
+        got = induced_map(source, dst, amb)
+        assert (dst.dim, got.rows, got.cols) == (2, 2, source.dim)
+        assert shapes and all(rows <= dst.dim for rows, _, _, _ in shapes)
+        assert all((rows, cols) != (6, 6) for rows, cols, _, _ in shapes)
 
 
 # -- mod-p kernels at their exactness bounds ------------------------------------
