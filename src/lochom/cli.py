@@ -211,10 +211,14 @@ def parse_input(path: str) -> JobSpec:
             text = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read input file: {exc}", path)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"input file is not UTF-8: {exc}", path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}", f"{path}:{exc.lineno}:{exc.colno}")
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply", path)
     return _document_to_jobspec(doc)
 
 
@@ -518,6 +522,8 @@ def _merge(job: JobSpec, args) -> JobSpec:
         updates["power"] = args.power
     if args.report is not None:
         updates["report"] = args.report
+    if args.field is not None and updates.get("command", job.command) == "verify":
+        raise SchemaError("verify takes no field", "ring.char")
     if args.field is not None and job.ring is not None:
         ring = dict(job.ring)
         ring["char"] = args.field
@@ -561,6 +567,14 @@ def main(argv=None) -> int:
         job = _merge(job, args)
         report = run(job)
         text = emit_report(report, job.report)
+        if args.output:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise SchemaError(f"cannot write output file: {exc}", "--output")
+        else:
+            sys.stdout.write(text)
     except (InternalInvariantError, WellDefinednessError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
@@ -574,11 +588,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0 if report.passed else 1
 
 

@@ -481,14 +481,13 @@ def tensor_map_with_module(f: ModuleChainMap, module: PresentedModule) -> Module
 # -- strandwise homology -------------------------------------------------------
 
 class StrandContext:
-    """Caches coset spaces, coset-level differentials and their kernels at one degree."""
+    """Caches coset-level differentials, their kernels and homology at one degree."""
 
-    __slots__ = ("complex", "d", "_spaces", "_ops", "_kernels", "_homology")
+    __slots__ = ("complex", "d", "_ops", "_kernels", "_homology")
 
     def __init__(self, c, d: int):
         object.__setattr__(self, "complex", _complex(c))
         object.__setattr__(self, "d", int(d))
-        object.__setattr__(self, "_spaces", {})
         object.__setattr__(self, "_ops", {})
         object.__setattr__(self, "_kernels", {})
         object.__setattr__(self, "_homology", {})
@@ -497,11 +496,7 @@ class StrandContext:
         raise AttributeError("StrandContext is immutable")
 
     def space(self, i: int) -> StrandSpace:
-        sp = self._spaces.get(i)
-        if sp is None:
-            sp = strand(self.complex.module(i), self.d)
-            self._spaces[i] = sp
-        return sp
+        return strand(self.complex.module(i), self.d)
 
     def op(self, i: int) -> ExactMatrix:
         """Coset-level differential V_i -> V_{i-1}."""

@@ -138,8 +138,7 @@ def local_cohomology_table(
             if contexts is None:
                 contexts = system.contexts(d)
             tower = system.homology_tower(contexts, h)
-            res = colim_truncated(tower, s)
-            table.set(i, d, TableEntry(res.dim, res.stabilized, res.k_used))
+            table.set(i, d, colim_truncated(tower, s))
     return table
 
 

@@ -10,6 +10,9 @@ Modules are always presented (a free module is the cokernel of the empty
 presentation) so that one elimination of a presentation strand computes any
 strand.  A twist or direct sum of modules also records its summands, and its
 strands are direct sums of theirs, so each summand strand is eliminated once.
+Strand spaces are cached per module; strand matrices are not: each is
+assembled per call from the multiplication blocks the ring caches
+(``rings.mult_matrix``), and nothing here keeps it.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def free_module_sum(modules: Iterable[FreeModule]) -> FreeModule:
 class GradedMap:
     """Homogeneous matrix of polynomials between twisted free modules."""
 
-    __slots__ = ("source", "target", "entries", "internal_degree", "_strand_cache")
+    __slots__ = ("source", "target", "entries", "internal_degree")
 
     def __init__(self, source: FreeModule, target: FreeModule, entries, internal_degree: int = 0):
         if source.ring != target.ring:
@@ -115,7 +118,6 @@ class GradedMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "internal_degree", int(internal_degree))
-        object.__setattr__(self, "_strand_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedMap is immutable")
@@ -226,10 +228,8 @@ class GradedMap:
 
     # -- strands -----------------------------------------------------------------
     def strand_matrix(self, d: int) -> ExactMatrix:
-        """Matrix of F_d -> G_{d+internal_degree} on monomial strand bases."""
-        cached = self._strand_cache.get(d)
-        if cached is not None:
-            return cached
+        """Matrix of F_d -> G_{d+internal_degree} on monomial strand bases,
+        assembled per call from the ring's cached blocks and kept by nothing."""
         ring = self.ring
         src_dims = self.source.strand_block_dims(d)
         tgt_dims = self.target.strand_block_dims(d + self.internal_degree)
@@ -243,9 +243,7 @@ class GradedMap:
                 else:
                     row.append(mult_matrix(e, d + self.source.twists[j]))
             grid.append(row)
-        result = ExactMatrix.assemble(ring.field, grid, tgt_dims, src_dims)
-        self._strand_cache[d] = result
-        return result
+        return ExactMatrix.assemble(ring.field, grid, tgt_dims, src_dims)
 
 
 def _tensor_module(a: FreeModule, b: FreeModule) -> FreeModule:

@@ -15,12 +15,11 @@ from typing import NamedTuple
 
 from .errors import InternalInvariantError, OrderError
 from .exact import ExactMatrix, StrandSpace, rank, rref_with_pivots
-from .modules import PresentedModule, annihilator_strand, degree_window
+from .modules import PresentedModule, TableEntry, annihilator_strand, degree_window
 from .rings import Poly
 
 __all__ = [
     "StrandTower",
-    "ColimitResult",
     "LimLim1Result",
     "ProZeroReport",
     "AnnihilatorBound",
@@ -91,12 +90,6 @@ class StrandTower:
         return out
 
 
-class ColimitResult(NamedTuple):
-    dim: int
-    stabilized: bool
-    k_used: int
-
-
 def _is_iso(m: ExactMatrix) -> bool:
     return m.rows == m.cols and rank(m) == m.rows
 
@@ -116,7 +109,7 @@ def _top_iso_run(k: int, isos_from_top, stab_window: int) -> tuple[bool, int]:
     return True, first
 
 
-def colim_truncated(tower: StrandTower, stab_window: int) -> ColimitResult:
+def colim_truncated(tower: StrandTower, stab_window: int) -> TableEntry:
     """Final-stage dim; stabilized iff the last ``stab_window`` transitions are isos.
 
     When stabilized, k_used is the first stage of the maximal run of
@@ -128,7 +121,7 @@ def colim_truncated(tower: StrandTower, stab_window: int) -> ColimitResult:
         raise ValueError("stab_window must be >= 1")
     isos = map(_is_iso, reversed(tower.transitions))
     stabilized, k_used = _top_iso_run(tower.length, isos, stab_window)
-    return ColimitResult(tower.stages[-1].dim, stabilized, k_used)
+    return TableEntry(tower.stages[-1].dim, stabilized, k_used)
 
 
 class LimLim1Result(NamedTuple):

@@ -11,10 +11,15 @@ from pathlib import Path
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
-def test_tracer_installs_and_uninstalls():
+def load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_tracer_installs_and_uninstalls():
+    spans = load_spans()
     from lochom import exact
 
     rank = exact.rank
@@ -24,3 +29,25 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert exact.rank is rank
+
+
+def test_tracer_counts_mult_matrix_misses_and_hits():
+    # the tracer tells a miss from a hit by the size of ``ring._mult_cache``
+    spans = load_spans()
+    from lochom.exact import FieldSpec
+    from lochom.modules import FreeModule, GradedMap
+    from lochom.rings import GradedRing, parse_poly
+
+    r = GradedRing(FieldSpec(32003), ["x", "y"], [1, 1])
+    f = GradedMap(FreeModule(r, [0]), FreeModule(r, [2]), [[parse_poly(r, "x*y - y^2")]])
+    tracer = spans.Tracer().install()
+    try:
+        f.strand_matrix(1)
+        missed = (tracer.counts["rings.mult_cache_bytes"], tracer.counts["rings.mult_matrix_hits"])
+        f.strand_matrix(1)
+    finally:
+        tracer.uninstall()
+    assert missed[0] > 0 and missed[1] == 0
+    assert tracer.counts["rings.mult_cache_bytes"] == missed[0]
+    assert tracer.counts["rings.mult_matrix_hits"] == 1
+    assert tracer.calls["rings.mult_matrix"] == 2

@@ -233,6 +233,34 @@ def test_verify_rejects_each_table_field_at_that_field(field):
     assert err.value.location == field
 
 
+def test_field_flag_on_verify_is_an_input_error(capsys):
+    assert main(["verify", "selfdual", "--field", "5"]) == 2
+    assert "(at ring.char)" in capsys.readouterr().err
+
+
+UNREADABLE = {"not-utf8": b'{"command": "lc", "ideal": ["\xff"]}', "nested-100000": b"[" * 100_000}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_input_exits_2_at_the_path(tmp_path, capsys, name):
+    path = tmp_path / "job.json"
+    path.write_bytes(UNREADABLE[name])
+    assert main(["--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"(at {path})" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_exits_2_at_output(tmp_path, capsys, where):
+    job = write_job(tmp_path, {"command": "hilbert", "ring": RING, "window": [0, 1]})
+    out = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
+    assert main(["--input", job, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "(at --output)" in err
+    assert "Traceback" not in err
+
+
 # -- fuzzing the job surface ---------------------------------------------------
 
 POLY_TEXTS = ("x", "y", "x^2", "x*y", "y^2 - x^2", "2*x*y", "x + y^2", "z", "0", "1", "x +")

@@ -325,6 +325,17 @@ def test_strand_of_a_quotient_keeps_no_square_matrix():
     assert (space.dim, space.ambient_dim) == (4, n)
 
 
+def test_strand_matrix_is_assembled_per_call_from_cached_blocks():
+    r = ring2()
+    entries = [[parse_poly(r, "x^2 + y^2"), parse_poly(r, "x - 3*y")]]
+    f = GradedMap(FreeModule(r, [0, 1]), FreeModule(r, [2]), entries)
+    first = f.strand_matrix(3)
+    blocks = len(r._mult_cache)
+    second = f.strand_matrix(3)
+    assert second is not first and second == first
+    assert len(r._mult_cache) == blocks
+
+
 def test_strand_eliminates_each_base_module_and_degree_once(monkeypatch):
     r = GradedRing(FP, ["x", "y", "z"], [1, 1, 1])
     m = PresentedModule.quotient(FreeModule(r, [0]), [[parse_poly(r, "x^2 + y*z")]])
@@ -333,6 +344,7 @@ def test_strand_eliminates_each_base_module_and_degree_once(monkeypatch):
     needed = set()  # (base module, degree) pairs whose strand takes an elimination
     depth = [0]
     real_rref, real_strand = exact.rref_with_pivots, modules.strand
+    real_strand_matrix = GradedMap.strand_matrix
 
     def counted_rref(matrix):
         if depth[0]:
@@ -348,7 +360,14 @@ def test_strand_eliminates_each_base_module_and_degree_once(monkeypatch):
         finally:
             depth[0] -= 1
 
+    assembled = []  # every GradedMap whose strand matrix is built
+
+    def recorded_strand_matrix(f, d):
+        assembled.append(f)
+        return real_strand_matrix(f, d)
+
     monkeypatch.setattr(exact, "rref_with_pivots", counted_rref)
+    monkeypatch.setattr(GradedMap, "strand_matrix", recorded_strand_matrix)
     for owner in (modules, complexes):
         monkeypatch.setattr(owner, "strand", counted_strand)
     for d in range(-6, 3):
@@ -361,7 +380,7 @@ def test_strand_eliminates_each_base_module_and_degree_once(monkeypatch):
     for c in system.complexes:
         for term in c.terms.values():
             assert all(base is m for base, _ in term.parts)
-            assert not term.presentation._strand_cache
+            assert not any(f is term.presentation for f in assembled)
     twice = m.twisted(2).twisted(-5)
     assert twice.parts == ((m, -3),)
     assert all(real_strand(twice, d) is real_strand(m, d - 3) for d in range(-2, 6))
