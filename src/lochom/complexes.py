@@ -74,7 +74,7 @@ class ModuleComplex:
     ``module(i)`` is the presented term that strands are taken of.
     """
 
-    __slots__ = ("ring", "terms", "differentials")
+    __slots__ = ("ring", "terms", "differentials", "_empty")
 
     def __init__(self, ring: GradedRing, terms: dict, differentials: dict):
         clean_terms = {}
@@ -100,6 +100,7 @@ class ModuleComplex:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean_terms)
         object.__setattr__(self, "differentials", clean_diffs)
+        object.__setattr__(self, "_empty", PresentedModule.free(FreeModule(ring, ())))
         for i, f in clean_diffs.items():
             g = clean_diffs.get(i + 1)
             if g is not None and not f.compose(g).is_zero_map():
@@ -114,17 +115,11 @@ class ModuleComplex:
 
     def module(self, i: int) -> PresentedModule:
         """The presented term in degree i."""
-        m = self.terms.get(i)
-        if m is None:
-            return PresentedModule.free(FreeModule(self.ring, ()))
-        return m
+        return self.terms.get(i, self._empty)
 
     def term(self, i: int) -> FreeModule:
         """The generators of the term in degree i."""
-        m = self.terms.get(i)
-        if m is None:
-            return FreeModule(self.ring, ())
-        return m.generators
+        return self.module(i).generators
 
     def differential(self, i: int) -> GradedMap:
         f = self.differentials.get(i)

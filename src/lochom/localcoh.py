@@ -160,30 +160,18 @@ def local_homology_table(
     system = KoszulTowerSystem(gens, module, k_max, INVERSE)
     lo, hi = system.homological_support()
     i_lo, i_hi = int(i_range[0]), int(i_range[1])
+    # the towers that rows i_lo..i_hi read (lim of H_i, lim1 of H_{i+1}), ascending
+    hs = range(max(i_lo, lo), min(i_hi + 1, hi) + 1)
     table = HilbertTable()
     for d in degree_window(window):
-        contexts = None
+        contexts = system.contexts(d) if hs else None
         results = {}
-
-        def tower_result(h):
-            nonlocal contexts
-            if h in results:
-                return results[h]
-            if h < lo or h > hi:
-                res = None
-            else:
-                if contexts is None:
-                    contexts = system.contexts(d)
-                tower = system.homology_tower(contexts, h)
-                res = lim_lim1_truncated(tower, s)
-                if collector is not None:
-                    collector.append(((h, d), res))
-            results[h] = res
-            return res
-
+        for h in hs:
+            results[h] = res = lim_lim1_truncated(system.homology_tower(contexts, h), s)
+            if collector is not None:
+                collector.append(((h, d), res))
         for i in range(i_lo, i_hi + 1):
-            res_i = tower_result(i)
-            res_up = tower_result(i + 1)
+            res_i, res_up = results.get(i), results.get(i + 1)
             dim = (res_i.lim_dim if res_i else 0) + (res_up.lim1_dim if res_up else 0)
             stable = (res_i.stabilized if res_i else True) and (
                 res_up.stabilized if res_up else True

@@ -30,8 +30,11 @@ class GradedRing:
             raise ValueError("a graded ring needs at least one variable")
         if len(set(var_names)) != len(var_names):
             raise ValueError("variable names must be distinct")
-        if any(not v for v in var_names):
-            raise ValueError("variable names must be nonempty")
+        for v in var_names:
+            if not _is_name(v):
+                raise ValueError(
+                    f"variable name {v!r} is not a letter or _ then letters, digits or _"
+                )
         if len(weights) != len(var_names):
             raise ValueError("one weight per variable")
         if any(w < 1 for w in weights):
@@ -335,6 +338,15 @@ def _tokenize(src: str):
         raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", n))
     return tokens
+
+
+def _is_name(text: str) -> bool:
+    """Whether ``_tokenize`` reads ``text`` back as exactly one name token."""
+    try:
+        tokens = _tokenize(text)
+    except ParseError:
+        return False
+    return len(tokens) == 2 and tokens[0][:2] == ("name", text)
 
 
 def parse_poly(ring: GradedRing, src: str) -> Poly:

@@ -74,18 +74,16 @@ class StrandTower:
 
     def composite(self, k: int, l: int) -> ExactMatrix:
         """Composite transition between 1-based stages (directed: k<=l, inverse: k>=l)."""
-        field = self.stages[0].field
         if self.direction == DIRECTED:
             if k > l:
                 raise OrderError("directed composites need k <= l")
-            out = ExactMatrix.identity(field, self.stages[k - 1].dim)
-            for j in range(k - 1, l - 1):
-                out = self.transitions[j] @ out
-            return out
-        if k < l:
-            raise OrderError("inverse composites need k >= l")
-        out = ExactMatrix.identity(field, self.stages[k - 1].dim)
-        for j in range(k - 2, l - 2, -1):
+            steps = range(k - 1, l - 1)
+        else:
+            if k < l:
+                raise OrderError("inverse composites need k >= l")
+            steps = range(k - 2, l - 2, -1)
+        out = ExactMatrix.identity(self.stages[0].field, self.stages[k - 1].dim)
+        for j in steps:
             out = self.transitions[j] @ out
         return out
 
@@ -129,9 +127,7 @@ class LimLim1Result(NamedTuple):
     lim1_dim: int
     stabilized: bool
     k_used: int
-    ml_stable: bool
     levels_used: int
-    image_dims: tuple
 
 
 def lim_lim1_truncated(tower: StrandTower, stab_window: int = 2) -> LimLim1Result:
@@ -145,14 +141,13 @@ def lim_lim1_truncated(tower: StrandTower, stab_window: int = 2) -> LimLim1Resul
     particular reports 0 whenever the composite into every trusted level has
     died (the pro-zero case).  The cokernel dim is lim1; on towers of
     finite-dimensional strands the restricted transitions are onto, so it
-    vanishes, but it is computed rather than assumed.  The ML flag records
-    whether the image dims im(V_k -> V_j) were constant over the last
-    ``stab_window`` stages for every level.
+    vanishes, but it is computed rather than assumed.
 
-    One echelon form of the composite V_K -> V_j serves each trusted level:
-    its pivot columns are the basis of W_j, and its entries in the pivot
-    columns of level j+1 (which the transition maps to the same columns of
-    this composite) are the restricted transition W_{j+1} -> W_j.
+    One composite C_j : V_K -> V_j walks down the tower (C_K = I, C_j =
+    T_j C_{j+1}), and one echelon form of it serves each trusted level: its
+    pivot columns are the basis of W_j, and its entries in the pivot columns
+    of level j+1 (which the transition maps to the same columns of this
+    composite) are the restricted transition W_{j+1} -> W_j.
     """
     if tower.direction != INVERSE:
         raise OrderError("lim_lim1_truncated expects an inverse tower")
@@ -163,40 +158,28 @@ def lim_lim1_truncated(tower: StrandTower, stab_window: int = 2) -> LimLim1Resul
     isos = map(_is_iso, reversed(tower.transitions))
     tail_stable, k_used = _top_iso_run(k, isos, stab_window)
     levels = k if tail_stable else max(1, k - stab_window)
-    # composites V_kk -> V_j for the top window of stages kk, j walking down:
-    # the one into V_j is transitions[j-1] times the one into V_{j+1}
-    window = {}
-    ml_stable = True
-    image_dims = [0] * k
     bases = [None] * levels
     restricted = [None] * (levels - 1)
     pivots_above = ()
+    top = ExactMatrix.identity(field, tower.stages[k - 1].dim)
     for j in range(k, 0, -1):
-        window = {kk: tower.transitions[j - 1] @ m for kk, m in window.items()}
-        if j >= k - stab_window:
-            window[j] = ExactMatrix.identity(field, tower.stages[j - 1].dim)
-        top = window[k]
-        if j <= levels:
-            red, pivots = rref_with_pivots(top)
-            bases[j - 1] = top.columns(pivots)
-            if j < levels:
-                r_j = red.columns(pivots_above).take_rows(range(len(pivots)))
-                if bases[j - 1] @ r_j != tower.transitions[j - 1] @ bases[j]:
-                    raise InternalInvariantError(f"restricted transition into level {j} is wrong")
-                restricted[j - 1] = r_j
-            pivots_above = pivots
-            image_dims[j - 1] = len(pivots)
-        else:
-            image_dims[j - 1] = rank(top)
-        if any(rank(m) != image_dims[j - 1] for kk, m in window.items() if kk != k):
-            ml_stable = False
+        if j < k:
+            top = tower.transitions[j - 1] @ top
+        if j > levels:
+            continue
+        red, pivots = rref_with_pivots(top)
+        bases[j - 1] = top.columns(pivots)
+        if j < levels:
+            r_j = red.columns(pivots_above).take_rows(range(len(pivots)))
+            if bases[j - 1] @ r_j != tower.transitions[j - 1] @ bases[j]:
+                raise InternalInvariantError(f"restricted transition into level {j} is wrong")
+            restricted[j - 1] = r_j
+        pivots_above = pivots
     dims = [b.cols for b in bases]
     total_src = sum(dims)
     total_tgt = sum(dims[:-1])
     if total_tgt == 0:
-        return LimLim1Result(
-            dims[-1] if dims else 0, 0, tail_stable, k_used, ml_stable, levels, tuple(image_dims)
-        )
+        return LimLim1Result(dims[-1], 0, tail_stable, k_used, levels)
     grid = []
     for j in range(levels - 1):
         row = []
@@ -210,9 +193,7 @@ def lim_lim1_truncated(tower: StrandTower, stab_window: int = 2) -> LimLim1Resul
         grid.append(row)
     varpi = ExactMatrix.assemble(field, grid, dims[:-1], dims)
     r = rank(varpi)
-    return LimLim1Result(
-        total_src - r, total_tgt - r, tail_stable, k_used, ml_stable, levels, tuple(image_dims)
-    )
+    return LimLim1Result(total_src - r, total_tgt - r, tail_stable, k_used, levels)
 
 
 class ProZeroReport:

@@ -51,3 +51,25 @@ def test_tracer_counts_mult_matrix_misses_and_hits():
     assert tracer.counts["rings.mult_cache_bytes"] == missed[0]
     assert tracer.counts["rings.mult_matrix_hits"] == 1
     assert tracer.calls["rings.mult_matrix"] == 2
+
+
+def test_tracer_covers_the_lim_lim1_path_of_an_lh_job():
+    spans = load_spans()
+    from lochom import cli, localcoh, towers
+
+    lim = towers.lim_lim1_truncated
+    job = cli._document_to_jobspec({
+        "command": "lh", "ring": {"char": 32003, "vars": ["x", "y"]},
+        "module": {"relations": [["x^2"]]}, "i_range": [0, 1], "window": [-1, 1], "k_max": 4,
+    })
+    tracer = spans.Tracer().install()
+    try:
+        cli.run(job)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["towers.limlim1"] > 0
+    # the eliminations of the trusted levels are recorded inside the lim/lim1 spans
+    names = [span[0] for span in tracer.spans]
+    elim_parents = {names[span[3]] for span in tracer.spans if span[0].startswith("exact.elim.")}
+    assert "towers.limlim1" in elim_parents
+    assert towers.lim_lim1_truncated is lim and localcoh.lim_lim1_truncated is lim

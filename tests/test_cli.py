@@ -201,6 +201,9 @@ MALFORMED = {
     "ideal-empty": {"ideal": []},
     "weights-string": {"ring": {"char": 32003, "vars": ["x", "y"], "weights": "12"}},
     "char-above-bound": {"ring": {"char": 4294967311, "vars": ["x", "y"]}},
+    # "1" would parse as the constant, never as the variable
+    "ring-var-digit": {"command": "hilbert", "ring": {"char": 32003, "vars": ["1", "y"]},
+                       "module": {"relations": [["1"]]}},
     "hilbert-complex": {"command": "hilbert", "complex": TWO_TERM},
     "koszul-complex": {"command": "koszul", "complex": TWO_TERM},
     "complex-term-leading-zero": {"complex": {

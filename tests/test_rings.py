@@ -78,6 +78,10 @@ def test_ring_validation():
         GradedRing(FP, ["x", "x"], [1, 1])
     with pytest.raises(ValueError):
         GradedRing(FP, ["x"], [0])
+    # a name that polynomial text would read as something else
+    for name in ("", "1", "x y", "x^2", " x", "x-y", "2x"):
+        with pytest.raises(ValueError, match="variable name"):
+            GradedRing(FP, [name, "z"], [1, 1])
 
 
 def test_mult_matrix_one_and_zero():

@@ -110,6 +110,8 @@ def test_lim1_zero_on_random_towers():
 
 
 def test_lim_image_dims_match_composites():
+    # on towers of finite-dimensional strands lim is the rank of the composite
+    # from the top into the lowest level used, and lim1 vanishes
     rng = random.Random(23)
     for _ in range(30):
         length = rng.randint(1, 7)
@@ -124,12 +126,8 @@ def test_lim_image_dims_match_composites():
         tower = StrandTower([full(d) for d in dims], transitions, "inverse")
         for s in (1, 2, 3):
             res = lim_lim1_truncated(tower, s)
-            ranks = [
-                [rank(tower.composite(kk, j)) for kk in range(max(j, length - s), length + 1)]
-                for j in range(1, length + 1)
-            ]
-            assert res.image_dims == tuple(r[-1] for r in ranks)
-            assert res.ml_stable == all(len(set(r)) == 1 for r in ranks)
+            want = rank(tower.composite(length, res.levels_used))
+            assert (res.lim_dim, res.lim1_dim) == (want, 0)
 
 
 def test_pro_zero_identity_tower_fails():
@@ -215,3 +213,25 @@ def test_lim_eliminates_once_per_trusted_level(tower, levels, monkeypatch):
     res = lim_lim1_truncated(tower, 2)
     assert res.levels_used == levels
     assert calls == {"rref_with_pivots": levels}
+
+
+@pytest.mark.parametrize(
+    "tower, ranks",
+    [
+        (StrandTower([full(2)] * 6, [ExactMatrix.zeros(FP, 2, 2)] * 5, "inverse"), 1),
+        (constant_tower(2, 5, "inverse"), 5),
+    ],
+    ids=["pro-zero", "stabilized"],
+)
+def test_lim_ranks_only_the_iso_run_and_the_difference_map(tower, ranks, monkeypatch):
+    # one rank per transition of the top isomorphism run, up to its first
+    # non-isomorphism, and one for the shifted-difference map when it is not empty
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(towers, "rank", counted)
+    lim_lim1_truncated(tower, 2)
+    assert len(calls) == ranks
