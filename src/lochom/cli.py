@@ -140,6 +140,12 @@ def _object(value, location: str) -> dict:
     return value
 
 
+def _known_fields(obj: dict, known, location: str) -> None:
+    extra = sorted(k for k in obj if k not in known)
+    if extra:
+        raise SchemaError(f"unknown fields {extra}", location)
+
+
 def _list(value, location: str) -> list:
     if not isinstance(value, list):
         raise SchemaError(f"expected a list, got {value!r}", location)
@@ -176,9 +182,7 @@ def _document_to_jobspec(doc: dict) -> JobSpec:
         "report",
         "verify",
     }
-    extra = {k: v for k, v in doc.items() if k not in known}
-    if extra:
-        raise SchemaError(f"unknown fields {sorted(extra)}", "$")
+    _known_fields(doc, known, "$")
 
     def pair(name, default):
         value = doc.get(name, default)
@@ -229,6 +233,7 @@ def build_ring(spec: dict | None) -> GradedRing:
         raise SchemaError("this command needs a ring", "ring")
     if not isinstance(spec, dict):
         raise SchemaError("ring must be an object", "ring")
+    _known_fields(spec, ("char", "vars", "weights"), "ring")
     char = _integer(spec.get("char", DEFAULT_PRIME), "ring.char")
     try:
         field = FieldSpec(char)
@@ -249,6 +254,7 @@ def build_module(ring: GradedRing, spec: dict | None) -> PresentedModule:
         return PresentedModule.free(FreeModule(ring, [0]))
     if not isinstance(spec, dict):
         raise SchemaError("module must be an object", "module")
+    _known_fields(spec, ("target_twists", "relations"), "module")
     twists = _integers(spec.get("target_twists", [0]), "module.target_twists")
     target = FreeModule(ring, twists)
     rows = _list(spec.get("relations", []), "module.relations")
@@ -276,12 +282,14 @@ def build_module(ring: GradedRing, spec: dict | None) -> PresentedModule:
 def build_complex(ring: GradedRing, spec: dict) -> ModuleComplex:
     if not isinstance(spec, dict) or "terms" not in spec:
         raise SchemaError("complex needs a terms object", "complex")
+    _known_fields(spec, ("terms", "differentials"), "complex")
     terms = {}
     for key, val in _object(spec["terms"], "complex.terms").items():
         idx = _index(key, "term", "complex.terms")
         twists = val.get("twists") if isinstance(val, dict) else None
         if twists is None:
             raise SchemaError(f"term {key} needs twists", "complex.terms")
+        _known_fields(val, ("twists",), f"complex.terms.{key}")
         terms[idx] = FreeModule(ring, _integers(twists, f"complex.terms.{key}.twists"))
     diffs = {}
     differentials = _object(spec.get("differentials", {}), "complex.differentials")

@@ -371,20 +371,16 @@ def hom_complex(x, t) -> ModuleComplex:
         for bj, s in enumerate(src_list):
             bi = tgt_index.get(s)
             if bi is not None:
-                dt = t.differential(s + i)
-                if dt.source.rank and dt.target.rank:
-                    blk = _post_compose_block(x.term(s), dt)
-                    if not blk.is_zero_map():
-                        blocks[(bi, bj)] = blk
+                blk = _post_compose_block(x.term(s), t.differential(s + i))
+                if not blk.is_zero_map():
+                    blocks[(bi, bj)] = blk
             bi = tgt_index.get(s + 1)
             if bi is not None:
-                dx = x.differential(s + 1)
-                if dx.source.rank and dx.target.rank:
-                    blk = _pre_compose_block(dx, t.term(s + i))
-                    if sign != 1:
-                        blk = blk.scale(sign)
-                    if not blk.is_zero_map():
-                        blocks[(bi, bj)] = blk
+                blk = _pre_compose_block(x.differential(s + 1), t.term(s + i))
+                if sign != 1:
+                    blk = blk.scale(sign)
+                if not blk.is_zero_map():
+                    blocks[(bi, bj)] = blk
         if blocks:
             diffs[i] = graded_map_from_blocks(src_blocks, tgt_blocks, blocks)
     return ModuleComplex(ring, terms, diffs)
@@ -400,18 +396,11 @@ def _pre_compose_block(dx: GradedMap, values: FreeModule) -> GradedMap:
     """Hom(dx, values): f -> f o dx, from Hom(dx.target, V) to Hom(dx.source, V)."""
     src = _hom_module_pair(dx.target, values)
     tgt = _hom_module_pair(dx.source, values)
-    ring = dx.ring
-    zero = ring.zero()
-    rows = [[zero] * src.rank for _ in range(tgt.rank)]
     rv = values.rank
-    for q in range(dx.source.rank):
-        for q2 in range(dx.target.rank):
-            e = dx.entries[q2][q]
-            if e.is_zero():
-                continue
-            for p in range(rv):
-                rows[q * rv + p][q2 * rv + p] = e
-    return GradedMap(src, tgt, rows)
+    entries = {
+        (q * rv + p, q2 * rv + p): e for (q2, q), e in dx.entries.items() for p in range(rv)
+    }
+    return GradedMap(src, tgt, entries)
 
 
 def direct_sum(complexes: Iterable[ModuleComplex]) -> ModuleComplex:
@@ -456,9 +445,7 @@ def tensor_chain_maps(f: ModuleChainMap, g: ModuleChainMap) -> ModuleChainMap:
             bi = tgt_index.get((s, t))
             if bi is None:
                 continue
-            blk = f.component(s).tensor(g.component(t))
-            if not blk.is_zero_map():
-                blocks[(bi, bj)] = blk
+            blocks[(bi, bj)] = f.component(s).tensor(g.component(t))
         comps[i] = graded_map_from_blocks(src_blocks, tgt_blocks, blocks)
     return ModuleChainMap(source, target, comps)
 
@@ -553,16 +540,12 @@ def homology_table(c, i_range, window, *, stabilized: bool = True, k_used: int =
     return table
 
 
-def _component_strand(f, i: int, d: int) -> ExactMatrix:
-    return f.component(i).strand_matrix(d)
-
-
 def coset_level_map(f, ctx_src: StrandContext, ctx_dst: StrandContext, i: int) -> ExactMatrix:
     src = ctx_src.space(i)
     dst = ctx_dst.space(i)
     if src.dim == 0 or dst.dim == 0:
         return ExactMatrix.zeros(ctx_src.complex.ring.field, dst.dim, src.dim)
-    return induced_map(src, dst, _component_strand(f, i, ctx_src.d))
+    return induced_map(src, dst, f.component(i).strand_matrix(ctx_src.d))
 
 
 def homology_induced_matrix(f, ctx_src: StrandContext, ctx_dst: StrandContext, i: int) -> ExactMatrix:

@@ -237,8 +237,7 @@ def _adjunction_chain_map(a: ModuleComplex, x: ModuleComplex, y: ModuleComplex) 
     for i in degrees:
         lmod = left.term(i)
         rmod = right.term(i)
-        zero = ring.zero()
-        entries = [[zero] * lmod.rank for _ in range(rmod.rank)]
+        entries = {}
         # left layout: for u in hom_summands(ax, y, i): gens (q, p) with
         # q running over tensor_summands(a, x, u) blocks (s asc; alpha-major,
         # chi-minor) and p over Y_{u+i}.
@@ -274,7 +273,7 @@ def _adjunction_chain_map(a: ModuleComplex, x: ModuleComplex, y: ModuleComplex) 
                             if lidx is None:
                                 continue
                             ridx = right_offset + chi * rha + g_offset + alpha * ry + p
-                            entries[ridx][lidx] = plus if (s * t) % 2 == 0 else minus
+                            entries[ridx, lidx] = plus if (s * t) % 2 == 0 else minus
                     g_offset += ra * ry
             right_offset += x.term(t).rank * rha
         components[i] = GradedMap(lmod, rmod, entries)

@@ -130,15 +130,15 @@ def koszul_complex(spec: KoszulSpec) -> ModuleComplex:
         ]
         terms[i] = FreeModule(ring, twists)
     powers = [g**spec.power for g in spec.gens]
-    zero = ring.zero()
     diffs = {}
     for i in range(1, spec.n + 1):
         row_of = {s: r for r, s in enumerate(basis[i - 1])}
-        rows = [[zero] * len(basis[i]) for _ in basis[i - 1]]
-        for col, s in enumerate(basis[i]):
-            for p, j in enumerate(s):
-                rows[row_of[s[:p] + s[p + 1:]]][col] = -powers[j] if p % 2 else powers[j]
-        diffs[i] = GradedMap(terms[i], terms[i - 1], rows)
+        entries = {
+            (row_of[s[:p] + s[p + 1:]], col): -powers[j] if p % 2 else powers[j]
+            for col, s in enumerate(basis[i])
+            for p, j in enumerate(s)
+        }
+        diffs[i] = GradedMap(terms[i], terms[i - 1], entries)
     return ModuleComplex(ring, terms, diffs)
 
 
@@ -150,7 +150,7 @@ def _stage_map(spec_k: KoszulSpec, spec_l: KoszulSpec, source, target, x_ranks) 
     diagonal: e_S (x) v goes to c_S e_S (x) v.
     """
     direct = spec_k.convention == DIRECT
-    one, zero = spec_k.ring.one(), spec_k.ring.zero()
+    one = spec_k.ring.one()
     powers = [g ** abs(spec_l.power - spec_k.power) for g in spec_k.gens]
     factors = [  # c_S: the product of powers[j] over the j that the twist of e_S runs over
         [prod((f for j, f in enumerate(powers) if (j in s) != direct), start=one) for s in sets]
@@ -161,9 +161,7 @@ def _stage_map(spec_k: KoszulSpec, spec_l: KoszulSpec, source, target, x_ranks) 
         diagonal = [
             c for size, cs in enumerate(factors) for c in cs for _ in range(x_ranks.get(i - size, 0))
         ]
-        entries = [[zero] * len(diagonal) for _ in diagonal]
-        for r, c in enumerate(diagonal):
-            entries[r][r] = c
+        entries = {(r, r): c for r, c in enumerate(diagonal)}
         components[i] = GradedMap(source.term(i), target.term(i), entries)
     return ModuleChainMap(source, target, components)
 
@@ -246,8 +244,6 @@ def stable_cech_truncated(gens, k_max: int, ring: GradedRing | None = None) -> M
         tgt_blocks = [st.term(i) for st in stages]
         blocks = {}
         for k, st in enumerate(sources):
-            if st.term(i).rank == 0:
-                continue
             blocks[(k, k)] = GradedMap.identity(st.term(i))
             blocks[(k + 1, k)] = -transitions[k].component(i)
         components[i] = graded_map_from_blocks(src_blocks, tgt_blocks, blocks)

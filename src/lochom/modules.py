@@ -4,7 +4,9 @@ Twist convention, fixed globally: R(a)_d = R_{a+d}, so the generator of
 R(-t) sits in internal degree t.  A map F -> G of internal degree t with
 F = (+)R(a_j) and G = (+)R(b_i) must have entry (i, j) zero or homogeneous of
 degree t + b_i - a_j; this is enforced at construction, and it is exactly what
-makes every strand matrix well typed.
+makes every strand matrix well typed.  A map stores its nonzero entries only,
+as a dict (i, j) -> Poly, so identities, zero maps, block assemblies,
+composites and strand matrices cost the nonzero entries, not rank^2.
 
 Modules are always presented (a free module is the cokernel of the empty
 presentation) so that one elimination of a presentation strand computes any
@@ -88,7 +90,13 @@ def free_module_sum(modules: Iterable[FreeModule]) -> FreeModule:
 
 
 class GradedMap:
-    """Homogeneous matrix of polynomials between twisted free modules."""
+    """Homogeneous matrix of polynomials between twisted free modules.
+
+    ``entries`` maps ``(row, col)`` to the nonzero entries only; a missing key
+    is a zero entry.  The constructor takes that dict, or the rows of the
+    matrix as a sequence of ``target.rank`` sequences of ``source.rank``
+    polynomials, and drops the zero entries either way.
+    """
 
     __slots__ = ("source", "target", "entries", "internal_degree")
 
@@ -96,27 +104,34 @@ class GradedMap:
         if source.ring != target.ring:
             raise ValueError("source and target over different rings")
         ring = source.ring
-        rows = tuple(tuple(e for e in row) for row in entries)
-        if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
-            raise ValueError(
-                f"entry matrix must be {target.rank}x{source.rank}, "
-                f"got {len(rows)}x{len(rows[0]) if rows else 0}"
-            )
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                if e.ring != ring:
-                    raise ValueError("entry over the wrong ring")
-                if e.is_zero():
-                    continue
-                deg = e.degree()
-                want = internal_degree + target.twists[i] - source.twists[j]
-                if deg != want:
-                    raise NonHomogeneousError(
-                        f"entry ({i},{j}) has degree {deg}, expected {want}"
-                    )
+        if not isinstance(entries, dict):
+            rows = [tuple(row) for row in entries]
+            if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
+                raise ValueError(
+                    f"entry matrix must be {target.rank}x{source.rank}, "
+                    f"got {len(rows)}x{len(rows[0]) if rows else 0}"
+                )
+            entries = {(i, j): e for i, row in enumerate(rows) for j, e in enumerate(row)}
+        nonzero = {}
+        for (i, j), e in entries.items():
+            if not (0 <= i < target.rank and 0 <= j < source.rank):
+                raise ValueError(
+                    f"entry ({i},{j}) lies outside the {target.rank}x{source.rank} matrix"
+                )
+            if e.ring != ring:
+                raise ValueError("entry over the wrong ring")
+            if e.is_zero():
+                continue
+            deg = e.degree()
+            want = internal_degree + target.twists[i] - source.twists[j]
+            if deg != want:
+                raise NonHomogeneousError(
+                    f"entry ({i},{j}) has degree {deg}, expected {want}"
+                )
+            nonzero[i, j] = e
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "entries", nonzero)
         object.__setattr__(self, "internal_degree", int(internal_degree))
 
     def __setattr__(self, name, value):
@@ -128,22 +143,15 @@ class GradedMap:
 
     @classmethod
     def identity(cls, module: FreeModule) -> "GradedMap":
-        ring = module.ring
-        one = ring.one()
-        zero = ring.zero()
-        entries = [
-            [one if i == j else zero for j in range(module.rank)] for i in range(module.rank)
-        ]
-        return cls(module, module, entries)
+        one = module.ring.one()
+        return cls(module, module, {(i, i): one for i in range(module.rank)})
 
     @classmethod
     def zero(cls, source: FreeModule, target: FreeModule, internal_degree: int = 0) -> "GradedMap":
-        zero = source.ring.zero()
-        entries = [[zero] * source.rank for _ in range(target.rank)]
-        return cls(source, target, entries, internal_degree)
+        return cls(source, target, {}, internal_degree)
 
     def is_zero_map(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not self.entries
 
     def __eq__(self, other):
         return (
@@ -168,22 +176,17 @@ class GradedMap:
         """self after other (matrix product self * other)."""
         if other.target != self.source:
             raise ValueError("composition endpoint mismatch")
-        ring = self.ring
-        zero = ring.zero()
-        rows = []
-        for i in range(self.target.rank):
-            row = []
-            for j in range(other.source.rank):
-                acc = zero
-                for k in range(self.source.rank):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
+        other_rows: dict = {}
+        for (k, j), b in other.entries.items():
+            other_rows.setdefault(k, []).append((j, b))
+        product: dict = {}
+        for (i, k), a in self.entries.items():
+            for j, b in other_rows.get(k, ()):
+                ab = a * b
+                acc = product.get((i, j))
+                product[i, j] = ab if acc is None else acc + ab
         return GradedMap(
-            other.source, self.target, rows, self.internal_degree + other.internal_degree
+            other.source, self.target, product, self.internal_degree + other.internal_degree
         )
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
@@ -193,14 +196,15 @@ class GradedMap:
             or self.internal_degree != other.internal_degree
         ):
             raise ValueError("sum endpoint mismatch")
-        rows = [
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)
-        ]
-        return GradedMap(self.source, self.target, rows, self.internal_degree)
+        total = dict(self.entries)
+        for key, b in other.entries.items():
+            a = total.get(key)
+            total[key] = b if a is None else a + b
+        return GradedMap(self.source, self.target, total, self.internal_degree)
 
     def scale(self, c) -> "GradedMap":
-        rows = [[e.scale(c) for e in row] for row in self.entries]
-        return GradedMap(self.source, self.target, rows, self.internal_degree)
+        scaled = {key: e.scale(c) for key, e in self.entries.items()}
+        return GradedMap(self.source, self.target, scaled, self.internal_degree)
 
     def __neg__(self) -> "GradedMap":
         return self.scale(-1 if self.ring.field.is_rational else self.ring.field.characteristic - 1)
@@ -216,34 +220,24 @@ class GradedMap:
             raise ValueError("tensor over different rings")
         src = _tensor_module(self.source, other.source)
         tgt = _tensor_module(self.target, other.target)
-        rows = []
-        for p in range(self.target.rank):
-            for q in range(other.target.rank):
-                row = []
-                for p2 in range(self.source.rank):
-                    for q2 in range(other.source.rank):
-                        row.append(self.entries[p][p2] * other.entries[q][q2])
-                rows.append(row)
-        return GradedMap(src, tgt, rows, self.internal_degree + other.internal_degree)
+        rows, cols = other.target.rank, other.source.rank
+        product = {
+            (p * rows + q, p2 * cols + q2): a * b
+            for (p, p2), a in self.entries.items()
+            for (q, q2), b in other.entries.items()
+        }
+        return GradedMap(src, tgt, product, self.internal_degree + other.internal_degree)
 
     # -- strands -----------------------------------------------------------------
     def strand_matrix(self, d: int) -> ExactMatrix:
         """Matrix of F_d -> G_{d+internal_degree} on monomial strand bases,
         assembled per call from the ring's cached blocks and kept by nothing."""
-        ring = self.ring
         src_dims = self.source.strand_block_dims(d)
         tgt_dims = self.target.strand_block_dims(d + self.internal_degree)
-        grid = []
-        for i in range(self.target.rank):
-            row = []
-            for j in range(self.source.rank):
-                e = self.entries[i][j]
-                if e.is_zero():
-                    row.append(None)
-                else:
-                    row.append(mult_matrix(e, d + self.source.twists[j]))
-            grid.append(row)
-        return ExactMatrix.assemble(ring.field, grid, tgt_dims, src_dims)
+        grid = [[None] * self.source.rank for _ in range(self.target.rank)]
+        for (i, j), e in self.entries.items():
+            grid[i][j] = mult_matrix(e, d + self.source.twists[j])
+        return ExactMatrix.assemble(self.ring.field, grid, tgt_dims, src_dims)
 
 
 def _tensor_module(a: FreeModule, b: FreeModule) -> FreeModule:
@@ -262,23 +256,22 @@ def graded_map_from_blocks(
     ring = (source_blocks[0] if source_blocks else target_blocks[0]).ring
     source = free_module_sum(source_blocks) if source_blocks else FreeModule(ring, ())
     target = free_module_sum(target_blocks) if target_blocks else FreeModule(ring, ())
-    zero = ring.zero()
-    rows = [[zero] * source.rank for _ in range(target.rank)]
     tgt_off = [0]
     for m in target_blocks:
         tgt_off.append(tgt_off[-1] + m.rank)
     src_off = [0]
     for m in source_blocks:
         src_off.append(src_off[-1] + m.rank)
+    entries = {}
     for (bi, bj), blk in blocks.items():
         if blk is None:
             continue
         if blk.source != source_blocks[bj] or blk.target != target_blocks[bi]:
             raise ValueError("block endpoints do not match the block decomposition")
-        for i in range(blk.target.rank):
-            for j in range(blk.source.rank):
-                rows[tgt_off[bi] + i][src_off[bj] + j] = blk.entries[i][j]
-    return GradedMap(source, target, rows, internal_degree)
+        r0, c0 = tgt_off[bi], src_off[bj]
+        for (i, j), e in blk.entries.items():
+            entries[r0 + i, c0 + j] = e
+    return GradedMap(source, target, entries, internal_degree)
 
 
 class PresentedModule:
@@ -334,9 +327,7 @@ class PresentedModule:
                     )
             src_twists.append(0 if twist is None else twist)
         source = FreeModule(ring, src_twists)
-        entries = [
-            [columns[j][i] for j in range(len(columns))] for i in range(target.rank)
-        ]
+        entries = {(i, j): e for j, col in enumerate(columns) for i, e in enumerate(col)}
         return cls(GradedMap(source, target, entries))
 
     @property
@@ -425,18 +416,9 @@ def mult_operator(module: PresentedModule, f: Poly, d: int) -> ExactMatrix:
     deg = f.degree()
     if deg is None:
         deg = 0
-    ambient = _ambient_mult(module, f, deg).strand_matrix(d)
-    return induced_map(strand(module, d), strand(module, d + deg), ambient)
-
-
-def _ambient_mult(module: PresentedModule, f: Poly, deg: int) -> GradedMap:
     gens = module.generators
-    ring = module.ring
-    zero = ring.zero()
-    entries = [
-        [f if i == j else zero for j in range(gens.rank)] for i in range(gens.rank)
-    ]
-    return GradedMap(gens, gens, entries, deg)
+    ambient = GradedMap(gens, gens, {(i, i): f for i in range(gens.rank)}, deg).strand_matrix(d)
+    return induced_map(strand(module, d), strand(module, d + deg), ambient)
 
 
 def annihilator_strand(module: PresentedModule, f: Poly, d: int) -> StrandSpace:
@@ -484,9 +466,6 @@ class HilbertTable:
 
     def dims(self) -> dict:
         return {key: entry.dim for key, entry in self.entries.items()}
-
-    def nonzero(self):
-        return {key: e for key, e in self.items() if e.dim != 0}
 
     def __eq__(self, other):
         return isinstance(other, HilbertTable) and self.entries == other.entries

@@ -214,6 +214,13 @@ MALFORMED = {
     "complex-differential-key": {"complex": {
         "terms": {"0": {"twists": [0]}, "1": {"twists": [-1]}},
         "differentials": {" 1": [["x"]]}}},
+    # a misspelt key in a nested object would otherwise be read as its default
+    "ring-unknown-key": {"ring": {"char": 32003, "vars": ["x", "y"], "weight": [1, 3]}},
+    "module-unknown-key": {"command": "hilbert", "module": {"relation": [["x^2"]]}},
+    "complex-unknown-key": {"complex": {"terms": TWO_TERM["terms"], "differential": {"1": [["x"]]}}},
+    "complex-term-unknown-key": {"complex": {
+        "terms": {"0": {"twists": [0]}, "1": {"twists": [-1], "twist": [0]}},
+        "differentials": {"1": [["x"]]}}},
     **{f"verify-{field}": {"command": "verify", field: value} for field, value in VERIFY_REJECTS.items()},
 }
 

@@ -87,7 +87,7 @@ def test_one_generator_inverse_shape():
     k = koszul_complex(KoszulSpec(r, (x,), 1, INVERSE))
     assert k.term(1).twists == (-1,)
     assert k.term(0).twists == (0,)
-    assert k.differential(1).entries[0][0] == x
+    assert k.differential(1).entries[0, 0] == x
 
 
 def test_binomial_ranks_and_twists():
@@ -123,13 +123,13 @@ def test_transition_identity_and_paper_entries():
     s3 = s1.at_power(3)
     t = transition(s1, s3)
     # degree-0 component multiplies by a^{l-k} = x^2; degree-1 is the identity
-    assert t.component(0).entries[0][0] == x * x
-    assert t.component(1).entries[0][0] == r.one()
+    assert t.component(0).entries[0, 0] == x * x
+    assert t.component(1).entries[0, 0] == r.one()
     si3, si1 = (KoszulSpec(r, (x,), k, INVERSE) for k in (3, 1))
     u = transition(si3, si1)
     # inverse: degree-1 component multiplies by a^{k-l} = x^2; degree-0 identity
-    assert u.component(1).entries[0][0] == x * x
-    assert u.component(0).entries[0][0] == r.one()
+    assert u.component(1).entries[0, 0] == x * x
+    assert u.component(0).entries[0, 0] == r.one()
 
 
 def test_transition_errors():

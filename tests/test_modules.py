@@ -181,6 +181,140 @@ def test_quotient_rejects_mixed_degree_column():
         )
 
 
+def test_graded_map_rejects_a_key_outside_the_matrix():
+    r = ring2()
+    x = r.variable(0)
+    src, tgt = FreeModule(r, [-1]), FreeModule(r, [0, 0])
+    assert GradedMap(src, tgt, {(1, 0): x}).entries == {(1, 0): x}
+    for key in [(2, 0), (0, 1), (-1, 0)]:
+        with pytest.raises(ValueError, match="outside"):
+            GradedMap(src, tgt, {key: x})
+
+
+def test_zero_maps_build_and_scan_no_polynomials(monkeypatch):
+    r = ring2()
+    f30 = FreeModule(r, [0] * 30)
+    cx = complexes.ModuleComplex(r, {1: FreeModule(r, [-1] * 30), 0: f30}, {})
+    counts = {"built": 0, "scanned": 0}
+    init, is_zero = Poly.__init__, Poly.is_zero
+
+    def counting_init(self, *args):
+        counts["built"] += 1
+        init(self, *args)
+
+    def counting_is_zero(self):
+        counts["scanned"] += 1
+        return is_zero(self)
+
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    monkeypatch.setattr(Poly, "is_zero", counting_is_zero)
+    zero = GradedMap.zero(f30, f30)
+    missing = cx.differential(1)
+    assert counts == {"built": 0, "scanned": 0}
+    assert zero.is_zero_map() and missing.is_zero_map()
+    assert (missing.source.rank, missing.target.rank) == (30, 30)
+
+
+# -- sparse graded maps against a dense reference -------------------------------
+
+def _dense(f):
+    """The full matrix of f, zero entries included."""
+    zero = f.ring.zero()
+    return [[f.entries.get((i, j), zero) for j in range(f.source.rank)] for i in range(f.target.rank)]
+
+
+def _assert_matches(f, want):
+    """f stores exactly the nonzero entries of the dense reference ``want``."""
+    assert _dense(f) == want
+    assert not any(e.is_zero() for e in f.entries.values())
+    assert f.is_zero_map() == all(e.is_zero() for row in want for e in row)
+
+
+def _ref_product(a, b, zero, cols):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), zero) for j in range(cols)] for i in range(len(a))]
+
+
+def _ref_kronecker(a, b, a_cols, b_cols):
+    return [
+        [a[p][p2] * b[q][q2] for p2 in range(a_cols) for q2 in range(b_cols)]
+        for p in range(len(a))
+        for q in range(len(b))
+    ]
+
+
+def _ref_strand_matrix(ring, rows, src_twists, tgt_twists, degree, d):
+    """Column by column: each monomial of F_d times the entries of its column."""
+    src = [(j, m) for j, a in enumerate(src_twists) for m in monomial_basis(ring, d + a)]
+    tgt = [(i, m) for i, b in enumerate(tgt_twists) for m in monomial_basis(ring, d + degree + b)]
+    row_of = {key: r for r, key in enumerate(tgt)}
+    dense = [[0] * len(src) for _ in tgt]
+    for col, (j, m) in enumerate(src):
+        for i in range(len(tgt_twists)):
+            for exp, c in (rows[i][j] * Poly(ring, {m: 1})).terms.items():
+                dense[row_of[i, exp]][col] = c
+    return ExactMatrix.from_rows(ring.field, dense, cols=len(src))
+
+
+@st.composite
+def _dense_maps(draw, ring, src_twists, tgt_twists, degree):
+    """Rows of a random homogeneous map; an entry is zero where its degree is
+    negative, and now and then elsewhere."""
+    return [[draw(_forms(ring, degree + b - a)) for a in src_twists] for b in tgt_twists]
+
+
+@settings(max_examples=60)
+@given(data=st.data(), field=st.sampled_from((FieldSpec(2), FieldSpec(3), FP, QQ)))
+def test_sparse_graded_maps_match_a_dense_reference(data, field):
+    ring = GradedRing(field, ["x", "y"], data.draw(st.sampled_from([[1, 1], [1, 2]])))
+    zero = ring.zero()
+    twists = st.lists(st.integers(-1, 1), max_size=3)
+    f_tw, h_tw = data.draw(twists), data.draw(twists)
+    g_tw = data.draw(st.lists(st.integers(-1, 1), min_size=1, max_size=3))
+    t1, t2 = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    b = data.draw(_dense_maps(ring, f_tw, g_tw, t1))
+    a = data.draw(_dense_maps(ring, g_tw, h_tw, t2))
+    cancel = data.draw(st.booleans())
+    if cancel:
+        # [A | A] after [B ; -B]: every product term meets its negative
+        a = [row + row for row in a]
+        b = b + [[-e for e in row] for row in b]
+        g_tw = g_tw + g_tw
+    F, G, H = FreeModule(ring, f_tw), FreeModule(ring, g_tw), FreeModule(ring, h_tw)
+    fa, fb = GradedMap(G, H, a, t2), GradedMap(F, G, b, t1)
+    _assert_matches(fa, a)
+    _assert_matches(fb, b)
+    ab = fa.compose(fb)
+    _assert_matches(ab, _ref_product(a, b, zero, F.rank))
+    if cancel:
+        assert ab.is_zero_map()
+
+    # f + (-f) cancels entry by entry
+    c = [[-e for e in row] for row in b] if cancel else data.draw(_dense_maps(ring, f_tw, g_tw, t1))
+    fc = GradedMap(F, G, c, t1)
+    total = fb + fc
+    sums = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(b, c)]
+    _assert_matches(total, sums)
+    if cancel:
+        assert total.is_zero_map()
+    k = data.draw(st.integers(-3, 3))
+    _assert_matches(fb.scale(k), [[e.scale(k) for e in row] for row in b])
+    n = data.draw(st.integers(-2, 2))
+    shifted = fb.twisted(n)
+    _assert_matches(shifted, b)
+    assert (shifted.source, shifted.target) == (F.twisted(n), G.twisted(n))
+    _assert_matches(fa.tensor(fb), _ref_kronecker(a, b, G.rank, F.rank))
+
+    # blocks (0, 0) = B, (1, 1) = C and (0, 1) = B + C, each F -> G
+    blocks = {(0, 0): fb, (1, 1): fc, (0, 1): total}
+    glued = modules.graded_map_from_blocks([F, F], [G, G], blocks, t1)
+    _assert_matches(glued, [r1 + r2 for r1, r2 in zip(b, sums)] + [[zero] * F.rank + r for r in c])
+
+    d = data.draw(st.integers(-1, 3))
+    for f, rows in ((fb, b), (ab, _ref_product(a, b, zero, F.rank))):
+        got = f.strand_matrix(d)
+        assert got == _ref_strand_matrix(ring, rows, f.source.twists, f.target.twists, f.internal_degree, d)
+
+
 # -- strands of twists and direct sums ----------------------------------------
 
 def _plain(module):
