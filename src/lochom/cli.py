@@ -532,10 +532,8 @@ def _merge(job: JobSpec, args) -> JobSpec:
         updates["report"] = args.report
     if args.field is not None and updates.get("command", job.command) == "verify":
         raise SchemaError("verify takes no field", "ring.char")
-    if args.field is not None and job.ring is not None:
-        ring = dict(job.ring)
-        ring["char"] = args.field
-        updates["ring"] = ring
+    if args.field is not None and isinstance(job.ring, dict):
+        updates["ring"] = {**job.ring, "char": args.field}
     if not updates:
         return job
     return replace(job, **updates).validate()

@@ -19,7 +19,6 @@ from .duality import (
     gm_adjunction_check,
     koszul_resolution,
     local_duality_check,
-    matlis_dual_table,
     trivial_resolution,
 )
 from .exact import DEFAULT_PRIME, FieldSpec

@@ -34,7 +34,6 @@ from .modules import (
     GradedMap,
     HilbertTable,
     PresentedModule,
-    TableEntry,
     degree_window,
     strand,
 )

@@ -4,11 +4,25 @@ A ring fixes a coefficient field, variable names, and positive integer
 weights.  Monomial bases of each graded piece R_d are enumerated in
 graded-lexicographic order (variables in declaration order, exponents
 descending), and that enumeration is the basis contract used by every matrix
-in the engine.  Rings cache their strand bases and multiplication matrices;
+in the engine.  A monomial's row in that basis is its graded-lex rank, read
+from one rank table per degree D: entry [i, c] counts the degree-D monomials
+that agree with it before variable i and have a larger exponent at i, where c
+is the degree of its exponents through i.  The rank is the sum of n-1 such
+entries and never exceeds dim R_D; entries no monomial reads are capped at
+dim R_D, so the table cannot overflow for any number of variables or any
+weights.  Lex order is multiplicative, so multiplying R_d by one term sends
+distinct monomials to distinct rows, and a multiplication matrix is one
+scatter of each term's coefficient.  Rings cache their strand bases, rank
+tables, the positions of each term's scatter and the multiplication matrices;
 everything is immutable after construction.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from operator import mul
+
+import numpy as np
 
 from .errors import (
     NonHomogeneousError,
@@ -21,7 +35,8 @@ __all__ = ["GradedRing", "Poly", "monomial_basis", "mult_matrix", "parse_poly"]
 
 
 class GradedRing:
-    __slots__ = ("field", "var_names", "weights", "_basis_cache", "_index_cache", "_mult_cache")
+    __slots__ = ("field", "var_names", "weights", "_basis_cache", "_prefix_cache",
+                 "_rank_cache", "_scatter_cache", "_mult_cache")
 
     def __init__(self, field: FieldSpec, var_names, weights):
         var_names = tuple(str(v) for v in var_names)
@@ -43,7 +58,9 @@ class GradedRing:
         object.__setattr__(self, "var_names", var_names)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_basis_cache", {})
-        object.__setattr__(self, "_index_cache", {})
+        object.__setattr__(self, "_prefix_cache", {})
+        object.__setattr__(self, "_rank_cache", {})
+        object.__setattr__(self, "_scatter_cache", {})
         object.__setattr__(self, "_mult_cache", {})
 
     def __setattr__(self, name, value):
@@ -69,7 +86,7 @@ class GradedRing:
         return len(self.var_names)
 
     def exponent_degree(self, exps) -> int:
-        return sum(e * w for e, w in zip(exps, self.weights))
+        return sum(map(mul, exps, self.weights))
 
     # -- canonical element constructors -----------------------------------
     def zero(self) -> "Poly":
@@ -97,7 +114,6 @@ def monomial_basis(ring: GradedRing, d: int):
         return cached
     basis = tuple(_fill(ring.weights, 0, d, [0] * ring.nvars, [])) if d >= 0 else ()
     ring._basis_cache[d] = basis
-    ring._index_cache[d] = {e: i for i, e in enumerate(basis)}
     return basis
 
 
@@ -119,9 +135,48 @@ def _fill(weights, pos: int, remaining: int, exps: list, out: list) -> list:
     return out
 
 
-def _basis_index(ring: GradedRing, d: int):
-    monomial_basis(ring, d)
-    return ring._index_cache[d]
+def _rank_table(ring: GradedRing, D: int) -> np.ndarray:
+    """The rank table of R_D (see the module docstring), shape (n-1, D+1)."""
+    table = ring._rank_cache.get(D)
+    if table is not None:
+        return table
+    w = ring.weights
+    # counts[r]: the monomials of degree r in variables i..n-1, for i from n-1
+    # down, capped at dim R_D.  An entry a monomial reads counts monomials of
+    # R_D, so the cap leaves it exact; an entry none reads can pass 2^63.
+    cap = len(monomial_basis(ring, D))
+    counts = [1 if r % w[-1] == 0 else 0 for r in range(D + 1)]
+    table = np.zeros((ring.nvars - 1, D + 1), dtype=np.int64)
+    for i in range(ring.nvars - 2, -1, -1):
+        for r in range(w[i], D + 1):
+            counts[r] = min(counts[r] + counts[r - w[i]], cap)
+        # raising the exponent at i leaves counts[D - c - w_i] completions
+        top = D - w[i]
+        if top >= 0:
+            table[i, : top + 1] = counts[top::-1]
+    ring._rank_cache[D] = table
+    return table
+
+
+def _scatter_positions(ring: GradedRing, exp: tuple, d: int, D: int) -> np.ndarray:
+    """Flat positions (row * dim R_d + column) in the block R_d -> R_D of
+    the products of the term x^exp with the monomials of R_d."""
+    key = (exp, d)
+    positions = ring._scatter_cache.get(key)
+    if positions is not None:
+        return positions
+    prefix = ring._prefix_cache.get(d)
+    if prefix is None:
+        basis = monomial_basis(ring, d)
+        exps = np.array(basis, dtype=np.int64).reshape(len(basis), ring.nvars)
+        weights = np.array(ring.weights[:-1], dtype=np.int64)
+        # entry [j, i]: the degree of monomial j's exponents through variable i < n-1
+        prefix = ring._prefix_cache[d] = np.cumsum(exps[:, :-1] * weights, axis=1)
+    shift = np.fromiter(accumulate(map(mul, exp[:-1], ring.weights)), np.int64, ring.nvars - 1)
+    rows = _rank_table(ring, D)[np.arange(ring.nvars - 1), prefix + shift].sum(axis=1)
+    cols = len(prefix)
+    positions = ring._scatter_cache[key] = rows * cols + np.arange(cols)
+    return positions
 
 
 class Poly:
@@ -282,22 +337,16 @@ def format_poly(p: Poly) -> str:
 def mult_matrix(f: Poly, d: int) -> ExactMatrix:
     """Matrix of multiplication by homogeneous f from R_d to R_{d+deg f}."""
     ring = f.ring
-    deg = f.degree()
-    if deg is None:
-        deg = 0
     cache_key = (f.key(), d)
     cached = ring._mult_cache.get(cache_key)
     if cached is not None:
         return cached
-    src = monomial_basis(ring, d)
-    dst_index = _basis_index(ring, d + deg)
-    out = _zeros(ring.field, len(dst_index), len(src))
-    fld = ring.field
-    for j, mono in enumerate(src):
+    D = d + (f.degree() or 0)
+    cols = len(monomial_basis(ring, d))
+    out = _zeros(ring.field, len(monomial_basis(ring, D)), cols)
+    if cols:
         for exp, coeff in f.terms.items():
-            target = tuple(a + b for a, b in zip(exp, mono))
-            i = dst_index[target]
-            out[i, j] = fld.add(fld.normalize(out[i, j]), coeff)
+            out.put(_scatter_positions(ring, exp, d, D), coeff)
     result = ExactMatrix(ring.field, out)
     ring._mult_cache[cache_key] = result
     return result

@@ -222,16 +222,22 @@ MALFORMED = {
         "terms": {"0": {"twists": [0]}, "1": {"twists": [-1], "twist": [0]}},
         "differentials": {"1": [["x"]]}}},
     **{f"verify-{field}": {"command": "verify", field: value} for field, value in VERIFY_REJECTS.items()},
+    # --field rewrites ring.char, which needs the ring to be an object first
+    "field-ring-string": {"command": "hilbert", "ring": "ab"},
+    "field-ring-pairs": {"command": "hilbert", "ring": [["vars", ["x"]]]},
 }
+# the cases run with --field 5, whose error must point at the ring
+WITH_FIELD = {"field-ring-string", "field-ring-pairs"}
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_job_exits_2_without_traceback(tmp_path, capsys, name):
     doc = {"command": "lc", "ring": RING, "window": [-1, 0], "k_max": 2}
     doc.update(MALFORMED[name])
-    assert main(["--input", write_job(tmp_path, doc)]) == 2
+    flags = ["--field", "5"] if name in WITH_FIELD else []
+    assert main(["--input", write_job(tmp_path, doc), *flags]) == 2
     err = capsys.readouterr().err
-    assert "input error" in err and "(at " in err
+    assert "input error" in err and ("(at ring)" if name in WITH_FIELD else "(at ") in err
     assert "Traceback" not in err
 
 

@@ -2,8 +2,11 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lochom.errors import NonHomogeneousError, ParseError, UnknownVariableError
 from lochom.exact import QQ, FieldSpec
@@ -115,8 +118,101 @@ def test_mult_matrix_functorial():
 
 def test_mult_matrix_rejects_inhomogeneous():
     r = ring2()
-    with pytest.raises(NonHomogeneousError):
-        mult_matrix(parse_poly(r, "x + x^2"), 1)
+    mult_matrix(parse_poly(r, "x"), 1)
+    blocks = len(r._mult_cache)
+    # the block is never cached, so a second call checks again
+    for _ in range(2):
+        with pytest.raises(NonHomogeneousError):
+            mult_matrix(parse_poly(r, "x + x^2"), 1)
+    assert len(r._mult_cache) == blocks
+
+
+def lex_basis(weights, d):
+    """Exponent vectors of degree d, largest first in lex order: graded-lex
+    order within one degree, found with no engine code."""
+    def rec(i, rem):
+        if i == len(weights) - 1:
+            return [(rem // weights[i],)] if rem % weights[i] == 0 else []
+        w = weights[i]
+        return [(e,) + rest for e in range(rem // w + 1) for rest in rec(i + 1, rem - e * w)]
+
+    return sorted(rec(0, d), reverse=True) if d >= 0 else []
+
+
+def reference_mult_matrix(f, d):
+    """Rows of multiplication by f on R_d, accumulated entry by entry in a dict."""
+    ring, p = f.ring, f.ring.field.characteristic
+    deg = ring.exponent_degree(next(iter(f.terms))) if f.terms else 0
+    src = lex_basis(ring.weights, d)
+    dst = {m: i for i, m in enumerate(lex_basis(ring.weights, d + deg))}
+    acc = {}
+    for j, mono in enumerate(src):
+        for exp, c in f.terms.items():
+            key = (dst[tuple(a + b for a, b in zip(exp, mono))], j)
+            acc[key] = acc.get(key, 0) + c
+    zero = Fraction(0) if p == 0 else 0
+    return tuple(
+        tuple(acc.get((i, j), zero) % p if p else acc.get((i, j), zero) for j in range(len(src)))
+        for i in range(len(dst))
+    )
+
+
+@settings(max_examples=80)
+@given(
+    data=st.data(),
+    field=st.sampled_from((FieldSpec(2), FieldSpec(3), FP, QQ)),
+    weights=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+    d=st.integers(-1, 8),
+)
+def test_mult_matrix_matches_a_dense_reference(data, field, weights, d):
+    ring = GradedRing(field, [f"x{i}" for i in range(len(weights))], weights)
+    deg = data.draw(st.integers(0, 4))
+    monos = lex_basis(weights, deg)
+    chosen = data.draw(st.lists(st.sampled_from(monos), max_size=4, unique=True)) if monos else []
+    coeffs = st.fractions(-3, 3, max_denominator=3) if field.is_rational else st.integers(-5, 5)
+    f = Poly(ring, {m: data.draw(coeffs) for m in chosen})
+    assert mult_matrix(f, d).entries == reference_mult_matrix(f, d)
+
+
+def test_mult_matrix_on_64_variables():
+    names = [f"x{i}" for i in range(64)]
+    ring = GradedRing(FP, names, [1] * 64)
+    f = parse_poly(ring, "x0 + 2*x17 - x63")
+    m = mult_matrix(f, 1)
+    assert (m.rows, m.cols) == (64 * 65 // 2, 64)
+    assert m.entries == reference_mult_matrix(f, 1)
+
+
+def test_mult_matrix_with_mixed_weights_past_int64():
+    # 25 variables of weight 2 and z of weight 121: dim R_121 = 1 (only z),
+    # but the degree-118 monomials in all 26 variables number C(83, 24) > 2^63.
+    # Enumerating R_121 and R_123 walks that many prefixes, so their bases
+    # (z, and x_i z) are given.
+    names = [f"x{i}" for i in range(25)] + ["z"]
+    ring = GradedRing(FP, names, [2] * 25 + [121])
+    z = (0,) * 25 + (1,)
+    ring._basis_cache[121] = (z,)
+    ring._basis_cache[123] = tuple(z[:i] + (1,) + z[i + 1:] for i in range(25))
+    assert mult_matrix(ring.variable(25), 0).entries == ((1,),)
+    # x1 * z is the second of the 25 monomials x_i z of R_123
+    assert mult_matrix(ring.variable(1), 121).entries == tuple((int(i == 1),) for i in range(25))
+
+
+def test_mult_matrix_cache_hit_reads_no_degree(monkeypatch):
+    r = ring2()
+    first = mult_matrix(parse_poly(r, "x^2 + x*y"), 3)
+    monkeypatch.setattr(Poly, "degree", lambda self: pytest.fail("degree() on a cache hit"))
+    assert mult_matrix(parse_poly(r, "x*y + x^2"), 3) is first
+
+
+def test_terms_shared_at_one_degree_share_their_positions():
+    r = GradedRing(FP, ["x", "y", "z"], [1, 2, 1])
+    mult_matrix(parse_poly(r, "x^2 + y"), 3)
+    positions = r._scatter_cache[((0, 1, 0), 3)]
+    before = len(r._scatter_cache)
+    mult_matrix(parse_poly(r, "y - z^2"), 3)
+    assert r._scatter_cache[((0, 1, 0), 3)] is positions
+    assert len(r._scatter_cache) == before + 1
 
 
 def test_parse_basic_forms():
