@@ -228,7 +228,12 @@ def criterion_4_truncated_hocolim() -> CheckResult:
 
 
 def criterion_5_lim1_vanishing() -> CheckResult:
-    """Every inverse tower in the suite has lim1 = 0; pro-zero towers give (0, 0)."""
+    """Every inverse tower in the suite has lim1 = 0; pro-zero towers give (0, 0).
+
+    The lim1 half holds by construction (the truncated lim1 is the cokernel
+    of a map that is onto for any tower), so it checks the reported fields,
+    not Mittag-Leffler; the pro-zero half checks the lim ranks.
+    """
     ring = _ring(2)
     x, y = ring.variables()
     modules = {

@@ -3,7 +3,10 @@
 Local cohomology H^i of a module or bounded free complex is the truncated
 colimit of the directed system {H_{n-i}(a^k (x) -)}_k with phi-induced
 transitions; local homology H_i is read off the inverse psi-towers through
-the short exact sequence 0 -> lim1 H_{i+1} -> H_i -> lim H_i -> 0.  Every
+the short exact sequence 0 -> lim1 H_{i+1} -> H_i -> lim H_i -> 0.  The
+truncated lim1 is zero by construction and the true one vanishes on towers
+of finite-dimensional strands (Mittag-Leffler), so an entry is in effect the
+lim of its H_i tower: one rank of a composite into a trusted level.  Every
 table entry carries a stabilization flag; for ideals that are not primary to
 the irrelevant maximal ideal some strands never stabilize, and the honest
 answer is the last computed dimension with stabilized=False.
@@ -153,9 +156,11 @@ def local_homology_table(
 ) -> HilbertTable:
     """H_i at each internal degree, via lim/lim1 on the inverse psi-towers.
 
-    Entry (i, d) is lim of the H_i tower plus lim1 of the H_{i+1} tower
-    (the latter vanishes on towers of finite-dimensional strands; pass a
-    ``collector`` list to record every LimLim1Result for inspection).
+    Entry (i, d) is lim of the H_i tower plus lim1 of the H_{i+1} tower.
+    The truncated lim1 is 0 by construction (see ``lim_lim1_truncated``),
+    which agrees with, but does not witness, the Mittag-Leffler vanishing on
+    towers of finite-dimensional strands; pass a ``collector`` list to record
+    every LimLim1Result for inspection.
     """
     system = KoszulTowerSystem(gens, module, k_max, INVERSE)
     lo, hi = system.homological_support()

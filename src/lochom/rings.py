@@ -169,7 +169,9 @@ def _scatter_positions(ring: GradedRing, exp: tuple, d: int, D: int) -> np.ndarr
     if prefix is None:
         basis = monomial_basis(ring, d)
         exps = np.array(basis, dtype=np.int64).reshape(len(basis), ring.nvars)
-        weights = np.array(ring.weights[:-1], dtype=np.int64)
+        # a variable of weight above d has exponent 0 in every monomial of R_d,
+        # so clipping the weights to d + 1 keeps the prefixes and fits int64
+        weights = np.array([min(w, d + 1) for w in ring.weights[:-1]], dtype=np.int64)
         # entry [j, i]: the degree of monomial j's exponents through variable i < n-1
         prefix = ring._prefix_cache[d] = np.cumsum(exps[:, :-1] * weights, axis=1)
     shift = np.fromiter(accumulate(map(mul, exp[:-1], ring.weights)), np.int64, ring.nvars - 1)

@@ -2,19 +2,21 @@
 
 Every limit statement here is truncated at a finite stage count with explicit
 stabilization flags; there are no effective bounds, so honesty lives in the
-flags.  For an inverse tower the truncated lim/lim1 are computed as kernel and
-cokernel of the shifted-difference map on the tower of top-stage images
-im(V_K -> V_j), restricted to the levels j <= K - s that the truncation can
-vouch for; on towers of finite-dimensional spaces that map is onto, which is
-the Mittag-Leffler vanishing of lim1 in computable form.
+flags.  For an inverse tower the truncated lim/lim1 are those of the
+shifted-difference map on the tower of top-stage images im(V_K -> V_j),
+restricted to the levels j <= K - s that the truncation can vouch for.  That
+map is onto for any transitions, so the truncated lim1 is zero by
+construction and the truncated lim is one rank; the true lim1 of a tower of
+finite-dimensional spaces vanishes by Mittag-Leffler, a fact the truncation
+does not witness.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InternalInvariantError, OrderError
-from .exact import ExactMatrix, StrandSpace, rank, rref_with_pivots
+from .errors import OrderError
+from .exact import ExactMatrix, StrandSpace, rank
 from .modules import PresentedModule, TableEntry, annihilator_strand, degree_window
 from .rings import Poly
 
@@ -131,69 +133,34 @@ class LimLim1Result(NamedTuple):
 
 
 def lim_lim1_truncated(tower: StrandTower, stab_window: int = 2) -> LimLim1Result:
-    """Kernel/cokernel dims of the truncated shifted-difference map.
+    """lim and lim1 of the inverse tower truncated to its trusted levels.
 
-    The map is built on the stable-image subtower W_j = im(V_K -> V_j).  When
-    the last ``stab_window`` transitions are isomorphisms the tower is
-    declared stabilized and all K levels enter (the kernel then reports the
-    settled top dimension, with k_used the start of the isomorphism run);
-    otherwise only the trusted levels j <= K - stab_window enter, which in
-    particular reports 0 whenever the composite into every trusted level has
-    died (the pro-zero case).  The cokernel dim is lim1; on towers of
-    finite-dimensional strands the restricted transitions are onto, so it
-    vanishes, but it is computed rather than assumed.
+    When the last ``stab_window`` transitions are isomorphisms the tower is
+    declared stabilized and all K levels are used (lim is then the settled top
+    dimension, with k_used the start of the isomorphism run); otherwise only
+    the trusted levels j <= K - stab_window are used, which in particular
+    reports 0 whenever the composite into the lowest trusted level has died
+    (the pro-zero case).
 
-    One composite C_j : V_K -> V_j walks down the tower (C_K = I, C_j =
-    T_j C_{j+1}), and one echelon form of it serves each trusted level: its
-    pivot columns are the basis of W_j, and its entries in the pivot columns
-    of level j+1 (which the transition maps to the same columns of this
-    composite) are the restricted transition W_{j+1} -> W_j.
+    With L levels and W_j = im(V_K -> V_j), the shifted-difference map
+    (w_j)_{j<=L} -> (w_j - r_j w_{j+1})_{j<L}, r_j the restricted transitions,
+    has identity blocks on its block diagonal, so it is onto for any r_j: its
+    cokernel (the truncated lim1) is zero by construction, and its kernel
+    (the truncated lim) has dim W_L = rank(V_K -> V_L).  The true lim1 of a
+    tower of finite-dimensional strands vanishes as well, by Mittag-Leffler;
+    neither fact is evidence the truncation produces, so lim1 is reported as
+    0 and lim as that one rank.
     """
     if tower.direction != INVERSE:
         raise OrderError("lim_lim1_truncated expects an inverse tower")
     if stab_window < 1:
         raise ValueError("stab_window must be >= 1")
     k = tower.length
-    field = tower.stages[0].field
     isos = map(_is_iso, reversed(tower.transitions))
     tail_stable, k_used = _top_iso_run(k, isos, stab_window)
     levels = k if tail_stable else max(1, k - stab_window)
-    bases = [None] * levels
-    restricted = [None] * (levels - 1)
-    pivots_above = ()
-    top = ExactMatrix.identity(field, tower.stages[k - 1].dim)
-    for j in range(k, 0, -1):
-        if j < k:
-            top = tower.transitions[j - 1] @ top
-        if j > levels:
-            continue
-        red, pivots = rref_with_pivots(top)
-        bases[j - 1] = top.columns(pivots)
-        if j < levels:
-            r_j = red.columns(pivots_above).take_rows(range(len(pivots)))
-            if bases[j - 1] @ r_j != tower.transitions[j - 1] @ bases[j]:
-                raise InternalInvariantError(f"restricted transition into level {j} is wrong")
-            restricted[j - 1] = r_j
-        pivots_above = pivots
-    dims = [b.cols for b in bases]
-    total_src = sum(dims)
-    total_tgt = sum(dims[:-1])
-    if total_tgt == 0:
-        return LimLim1Result(dims[-1], 0, tail_stable, k_used, levels)
-    grid = []
-    for j in range(levels - 1):
-        row = []
-        for j2 in range(levels):
-            if j2 == j:
-                row.append(ExactMatrix.identity(field, dims[j]))
-            elif j2 == j + 1:
-                row.append(-restricted[j])
-            else:
-                row.append(None)
-        grid.append(row)
-    varpi = ExactMatrix.assemble(field, grid, dims[:-1], dims)
-    r = rank(varpi)
-    return LimLim1Result(total_src - r, total_tgt - r, tail_stable, k_used, levels)
+    lim = tower.stages[k - 1].dim if levels == k else rank(tower.composite(k, levels))
+    return LimLim1Result(lim, 0, tail_stable, k_used, levels)
 
 
 class ProZeroReport:

@@ -241,6 +241,25 @@ def test_malformed_job_exits_2_without_traceback(tmp_path, capsys, name):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, extra", [("hilbert", {}), ("lc", {"ideal": ["y"], "k_max": 3})], ids=["hilbert", "lc"]
+)
+def test_weight_past_int64_reports_like_a_large_weight(tmp_path, capsys, command, extra):
+    # x of weight above every degree the job reaches has exponent 0 in every
+    # strand, so weight 2^63 gives the report of weight 10^6
+    reports = []
+    for weight in (2**63, 10**6):
+        ring = {"char": 5, "vars": ["x", "y"], "weights": [weight, 1]}
+        doc = {"command": command, "ring": ring, "module": {"relations": [["y"]]},
+               "window": [0, 2], **extra}
+        assert main(["--input", write_job(tmp_path, doc)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["parameters"]["ring"]["weights"] == [weight, 1]
+        report["parameters"]["ring"]["weights"] = None
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("field", sorted(VERIFY_REJECTS))
 def test_verify_rejects_each_table_field_at_that_field(field):
     doc = {"command": "verify", "verify": "selfdual", field: VERIFY_REJECTS[field]}

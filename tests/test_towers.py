@@ -4,9 +4,11 @@ import collections
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lochom import exact, towers
-from lochom.errors import InternalInvariantError, OrderError
+from lochom.errors import OrderError
 from lochom.exact import ExactMatrix, FieldSpec, StrandSpace, rank
 from lochom.koszul import INVERSE
 from lochom.localcoh import KoszulTowerSystem
@@ -177,27 +179,17 @@ def test_annihilator_bound_unresolved():
     assert res.t is None and not res.resolved
 
 
-def test_lim_checks_each_restricted_transition(monkeypatch):
-    real = towers.rref_with_pivots
-
-    def perturbed(m):
-        red, pivots = real(m)
-        return red.scale(2), pivots
-
-    monkeypatch.setattr(towers, "rref_with_pivots", perturbed)
-    with pytest.raises(InternalInvariantError, match="restricted transition"):
-        lim_lim1_truncated(constant_tower(2, 4, "inverse"), 2)
-
-
 @pytest.mark.parametrize(
-    "tower, levels",
+    "tower, levels, ranks",
     [
-        (constant_tower(2, 5, "inverse"), 5),
-        (StrandTower([full(2)] * 6, [ExactMatrix.zeros(FP, 2, 2)] * 5, "inverse"), 4),
+        (constant_tower(2, 5, "inverse"), 5, 4),
+        (StrandTower([full(2)] * 6, [ExactMatrix.zeros(FP, 2, 2)] * 5, "inverse"), 4, 2),
     ],
     ids=["stabilized", "pro-zero"],
 )
-def test_lim_eliminates_once_per_trusted_level(tower, levels, monkeypatch):
+def test_lim_eliminates_once_per_trusted_level(tower, levels, ranks, monkeypatch):
+    # at most one elimination per trusted level, and every one of them a rank:
+    # no echelon form, column basis or solve
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -206,26 +198,31 @@ def test_lim_eliminates_once_per_trusted_level(tower, levels, monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("rref_with_pivots", "column_basis", "solve_columns"):
+    for name in ("rank", "rref_with_pivots", "column_basis", "solve_columns"):
         wrapper = counted(name, getattr(exact, name))
         for module in (exact, towers):
             monkeypatch.setattr(module, name, wrapper, raising=False)
-    res = lim_lim1_truncated(tower, 2)
-    assert res.levels_used == levels
-    assert calls == {"rref_with_pivots": levels}
+    assert lim_lim1_truncated(tower, 2).levels_used == levels
+    assert calls == {"rank": ranks}
+    assert ranks <= levels
+
+
+ZERO_TOWER = StrandTower([full(2)] * 6, [ExactMatrix.zeros(FP, 2, 2)] * 5, "inverse")
+IDENTITY_TOWER = constant_tower(2, 5, "inverse")
 
 
 @pytest.mark.parametrize(
-    "tower, ranks",
+    "tower, ranked",
     [
-        (StrandTower([full(2)] * 6, [ExactMatrix.zeros(FP, 2, 2)] * 5, "inverse"), 1),
-        (constant_tower(2, 5, "inverse"), 5),
+        (ZERO_TOWER, [ZERO_TOWER.transitions[4], ZERO_TOWER.composite(6, 4)]),
+        (IDENTITY_TOWER, list(IDENTITY_TOWER.transitions[::-1])),
     ],
     ids=["pro-zero", "stabilized"],
 )
-def test_lim_ranks_only_the_iso_run_and_the_difference_map(tower, ranks, monkeypatch):
+def test_lim_ranks_only_the_iso_run_and_the_difference_map(tower, ranked, monkeypatch):
     # one rank per transition of the top isomorphism run, up to its first
-    # non-isomorphism, and one for the shifted-difference map when it is not empty
+    # non-isomorphism, and one for the composite into the lowest trusted level
+    # unless that level is the top; the difference map itself is never built
     calls = []
 
     def counted(m):
@@ -234,4 +231,103 @@ def test_lim_ranks_only_the_iso_run_and_the_difference_map(tower, ranks, monkeyp
 
     monkeypatch.setattr(towers, "rank", counted)
     lim_lim1_truncated(tower, 2)
-    assert len(calls) == ranks
+    assert calls == ranked
+
+
+def reference_lim_lim1(tower, s):
+    """The truncated lim/lim1 as kernel and cokernel of the shifted-difference
+    map (w_j) -> (w_j - r_j w_{j+1}) on the stable images W_j = im(V_K -> V_j),
+    built from one echelon form per trusted level: its pivot columns are a
+    basis of W_j, and its entries in the pivot columns of level j+1 are the
+    restricted transition r_j : W_{j+1} -> W_j."""
+    k = tower.length
+    field = tower.stages[0].field
+    run = 0
+    for t in reversed(tower.transitions):
+        if not (t.rows == t.cols == rank(t)):
+            break
+        run += 1
+    stable = run >= s
+    k_used = k - run if stable else k
+    levels = k if stable else max(1, k - s)
+    bases = [None] * levels
+    restricted = [None] * (levels - 1)
+    pivots_above = ()
+    top = ExactMatrix.identity(field, tower.stages[k - 1].dim)
+    for j in range(k, 0, -1):
+        if j < k:
+            top = tower.transitions[j - 1] @ top
+        if j > levels:
+            continue
+        red, pivots = exact.rref_with_pivots(top)
+        bases[j - 1] = top.columns(pivots)
+        if j < levels:
+            r_j = red.columns(pivots_above).take_rows(range(len(pivots)))
+            assert bases[j - 1] @ r_j == tower.transitions[j - 1] @ bases[j]
+            restricted[j - 1] = r_j
+        pivots_above = pivots
+    dims = [b.cols for b in bases]
+    r = rank(shifted_difference(field, dims, restricted))
+    return (sum(dims) - r, sum(dims[:-1]) - r, stable, k_used, levels)
+
+
+def shifted_difference(field, dims, blocks):
+    """The map (w_j)_{j<=L} -> (w_j - blocks[j] w_{j+1})_{j<L}."""
+    levels = len(dims)
+    grid = [
+        [
+            ExactMatrix.identity(field, dims[j]) if j2 == j
+            else -blocks[j] if j2 == j + 1
+            else None
+            for j2 in range(levels)
+        ]
+        for j in range(levels - 1)
+    ]
+    return ExactMatrix.assemble(field, grid, dims[:-1], dims)
+
+
+REF_FIELDS = [FieldSpec(2), FieldSpec(3), FP, FieldSpec(0)]
+
+
+def _matrix(draw, field, rows, cols):
+    entries = st.lists(st.integers(-3, 3), min_size=rows * cols, max_size=rows * cols)
+    flat = draw(entries)
+    if not rows:
+        return ExactMatrix.zeros(field, 0, cols)
+    return ExactMatrix.from_rows(field, [flat[r * cols:(r + 1) * cols] for r in range(rows)], cols)
+
+
+@st.composite
+def _inverse_towers(draw):
+    field = draw(st.sampled_from(REF_FIELDS))
+    length = draw(st.integers(1, 8))
+    if draw(st.integers(0, 9)) < 3:
+        # identity-heavy: one dimension throughout, most transitions identities
+        dims = [draw(st.integers(0, 4))] * length
+        identity = st.integers(0, 3).map(bool)
+    else:
+        dims = draw(st.lists(st.integers(0, 4), min_size=length, max_size=length))
+        identity = st.just(False)
+    transitions = [
+        ExactMatrix.identity(field, dims[j]) if draw(identity)
+        else _matrix(draw, field, dims[j], dims[j + 1])
+        for j in range(length - 1)
+    ]
+    return StrandTower([StrandSpace(ExactMatrix.zeros(field, d, 0)) for d in dims],
+                       transitions, "inverse")
+
+
+@settings(max_examples=150)
+@given(tower=_inverse_towers(), s=st.integers(1, 3))
+def test_lim_matches_the_shifted_difference_reference(tower, s):
+    assert tuple(lim_lim1_truncated(tower, s)) == reference_lim_lim1(tower, s)
+
+
+@settings(max_examples=150)
+@given(data=st.data(), field=st.sampled_from(REF_FIELDS),
+       dims=st.lists(st.integers(0, 4), min_size=1, max_size=6))
+def test_shifted_difference_has_full_row_rank_for_any_blocks(data, field, dims):
+    # the blocks need not come from a tower: the identity blocks on the
+    # diagonal alone make the map onto, so the truncated lim1 is always 0
+    blocks = [_matrix(data.draw, field, dims[j], dims[j + 1]) for j in range(len(dims) - 1)]
+    assert rank(shifted_difference(field, dims, blocks)) == sum(dims[:-1])
