@@ -333,6 +333,28 @@ def _build_ideal(ring: GradedRing, job: JobSpec):
     return tuple(gens)
 
 
+def _check_strand_degrees(job: JobSpec, coefficients, gens=(), k: int = 1, k_field: str = "k_max"):
+    """SchemaError at the first field that takes a strand degree d to |d| + 1 >= 2^63.
+
+    The rings hold strand degrees (plus one) in int64.  A strand degree is a
+    window degree shifted by a module twist and by a multiple k' <= k of a sum
+    of ideal degrees, so the fields add up in that order.
+    """
+    if isinstance(coefficients, ModuleComplex):
+        twists_field = "complex.terms"
+        twists = [t for m in coefficients.terms.values() for t in m.generators.twists]
+    else:
+        twists_field, twists = "module.target_twists", coefficients.generators.twists
+    ideal = sum(g.degree() for g in gens)
+    reach = 0
+    for name, more in (("window", max(map(abs, job.window))),
+                       (twists_field, max(map(abs, twists), default=0)),
+                       ("ideal", ideal), (k_field, (k - 1) * ideal)):
+        reach += more
+        if reach + 1 >= 2**63:
+            raise SchemaError("strand degrees must stay below 2^63 - 1", name)
+
+
 # -- running --------------------------------------------------------------------
 
 class Report:
@@ -391,11 +413,13 @@ def run(job: JobSpec) -> Report:
     }
     if job.command == "hilbert":
         module = build_module(ring, job.module)
+        _check_strand_degrees(job, module)
         table = hilbert_row(module, job.window)
         return Report("hilbert", params, table=table)
     if job.command == "koszul":
         module = build_module(ring, job.module)
         gens = _build_ideal(ring, job)
+        _check_strand_degrees(job, module, gens, job.power, "power")
         spec = KoszulSpec(ring, gens, job.power, INVERSE)
         table = koszul_homology_table(spec, module, job.window)
         params["power"] = job.power
@@ -406,6 +430,10 @@ def run(job: JobSpec) -> Report:
         coefficients = build_complex(ring, job.complex)
     else:
         coefficients = build_module(ring, job.module)
+    if job.command == "homsc":
+        _check_strand_degrees(job, coefficients, gens, job.cech_k_max, "K_max")
+    else:
+        _check_strand_degrees(job, coefficients, gens, job.k_max)
     if job.command == "lc":
         table = local_cohomology_table(
             gens, coefficients, job.i_range, job.window, job.k_max, job.s

@@ -27,6 +27,18 @@ Elimination mod p leaves its rank-1 updates unreduced in int64 when
 at most ``(p-1)^2`` per pivot; past that bound, and on matrices of fewer than
 4096 entries, it reduces after every update.  Over Q it divides the pivot
 row by the pivot and has nothing to reduce.
+
+An elimination of 4096 entries or more, over either field, first takes the
+pivots it knows (Faugere and Lachartre, PASCO 2010; Boyer, Eder, Faugere,
+Lachartre and Martani, *GBLA*, ISSAC 2016).  Strand matrices are Macaulay
+matrices: one row per distinct leading column gives a triangular pivot
+block A, back substitution over its nonzero entries gives Z = A_L^-1 A_N,
+and the other rows C reduce to the Schur complement S = C_N - C_L Z, the only
+part that goes through the dense loop.  Smaller matrices take the dense loop
+whole, as the front end costs more than it saves there.  Each product
+``v z < (p-1)^2 < 2^62`` of the back substitution and of S is reduced before
+it is added, so a sum stays below 2^63 for every p < 2^31; the correction of
+Z by RREF(S) is a mod-p product with the bounds above.
 """
 
 from __future__ import annotations
@@ -150,6 +162,23 @@ def _same_field(a: "ExactMatrix", b: "ExactMatrix") -> FieldSpec:
     if a.field != b.field:
         raise FieldMismatchError(f"mixed fields {a.field} and {b.field}")
     return a.field
+
+
+def _product_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p as int64, for reduced operands."""
+    if a.shape[1] * (p - 1) ** 2 < 2**53:
+        # every partial sum is an integer below 2^53, so BLAS sums exactly
+        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    else:
+        # a chunk of `step` int64 products sums below 2^62
+        a = a.astype(np.int64)
+        b = b.astype(np.int64)
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+        step = (2**62) // (p - 1) ** 2
+        for start in range(0, a.shape[1], step):
+            out = out % p + a[:, start : start + step].dot(b[start : start + step])
+    out %= p
+    return out
 
 
 class ExactMatrix:
@@ -284,19 +313,7 @@ class ExactMatrix:
                     )
             return ExactMatrix(field, data)
         p = field.characteristic
-        if self.cols * (p - 1) ** 2 < 2**53:
-            # every partial sum is an integer below 2^53, so BLAS sums exactly
-            data = (self._data.astype(np.float64) @ other._data.astype(np.float64)).astype(np.int64)
-        else:
-            # a chunk of `step` int64 products sums below 2^62
-            a = self._data.astype(np.int64)
-            b = other._data.astype(np.int64)
-            data = np.zeros((self.rows, other.cols), dtype=np.int64)
-            step = (2**62) // (p - 1) ** 2
-            for start in range(0, self.cols, step):
-                data = data % p + a[:, start : start + step].dot(b[start : start + step])
-        data %= p
-        return ExactMatrix(field, data.astype(_dtype_for(p)))
+        return ExactMatrix(field, _product_mod(self._data, other._data, p).astype(_dtype_for(p)))
 
     # -- slicing / stacking --------------------------------------------------
     def columns(self, indices) -> "ExactMatrix":
@@ -357,8 +374,135 @@ class ExactMatrix:
 
 # -- elimination kernel ------------------------------------------------------
 
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p entrywise, by squaring; every product is below 2^62."""
+    out, e = np.ones_like(x), p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x, e = x * x % p, e >> 1
+    return out
+
+
+def _ranges(ptr, rows):
+    """The positions ptr[r] .. ptr[r+1]-1 of each r in ``rows``, in order,
+    and where the positions of each r start among them."""
+    lens = ptr[rows + 1] - ptr[rows]
+    starts = np.cumsum(lens) - lens
+    return np.arange(lens.sum()) + np.repeat(ptr[rows] - starts, lens), starts
+
+
+def _subtract_products(target, rows, starts, j, v, z, p):
+    """target[rows[t]] -= the sum of v[e] z[j[e]] over the entries e from starts[t] on.
+
+    Over F_p each term is reduced before the sum, so a row of fewer than 2^32
+    terms sums below 2^63.
+    """
+    terms = z[j]
+    terms *= v[:, None]
+    if p:
+        terms %= p
+    target[rows] -= np.add.reduceat(terms, starts, axis=0)
+    if p:
+        target[rows] %= p
+
+
+def _known_pivots(a: np.ndarray, p: int):
+    """The known pivot columns L of ``a``, the other columns N, Z and S.
+
+    One row per distinct leading (first nonzero) column forms the pivot
+    block A; Z = A_L^-1 A_N, and S = C_N - C_L Z for the other rows C.
+    """
+    nrows, ncols = a.shape
+    rows, cols = a.nonzero()
+    vals = a[rows, cols].astype(np.int64) if p else a[rows, cols]
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    # any one row with leading column c may be the pivot row of c
+    owner = np.full(ncols, -1)
+    owner[cols[first]] = rows[first]
+    is_l = owner >= 0
+    L, N = np.flatnonzero(is_l), np.flatnonzero(~is_l)
+    in_a = np.full(nrows, -1)
+    in_a[owner[L]] = np.arange(L.size)
+    at = np.where(is_l, np.cumsum(is_l), np.cumsum(~is_l)) - 1
+    k, on_l, c = in_a[rows], is_l[cols], at[cols]
+    # scale each pivot row to a leading 1
+    in_block = k >= 0
+    lead = in_block & on_l & (c == k)
+    scale = np.empty(L.size, dtype=vals.dtype)
+    scale[k[lead]] = _inverse_mod(vals[lead], p) if p else 1 / vals[lead]
+    vals[in_block] *= scale[k[in_block]]
+    if p:
+        vals %= p
+    z, s = (np.zeros((r, N.size), dtype=np.int64) if p else _zeros(QQ, r, N.size)
+            for r in (L.size, nrows - L.size))
+    if not N.size:
+        return L, N, z, s
+    right = in_block & ~on_l
+    z[k[right], c[right]] = vals[right]
+    # Back substitution, one level at a time: row r of Z is solved once the
+    # rows of Z at every other pivot column of A's row r are.
+    off = in_block & on_l & ~lead
+    order = np.argsort(k[off], kind="stable")
+    i, j, v = k[off][order], c[off][order], vals[off][order]
+    by_j = np.argsort(j, kind="stable")
+    marks = np.arange(L.size + 1)
+    i_ptr, j_ptr = np.searchsorted(i, marks), np.searchsorted(j[by_j], marks)
+    pending = np.diff(i_ptr)
+    ready = np.flatnonzero(pending == 0)
+    while ready.size:
+        hits = np.bincount(i[by_j[_ranges(j_ptr, ready)[0]]], minlength=L.size)
+        pending -= hits
+        ready = np.flatnonzero((hits > 0) & (pending == 0))
+        if ready.size:
+            e, starts = _ranges(i_ptr, ready)
+            _subtract_products(z, ready, starts, j[e], v[e], z, p)
+    c_row = np.cumsum(in_a < 0) - 1
+    right, left = ~in_block & ~on_l, ~in_block & on_l
+    s[c_row[rows[right]], c[right]] = vals[right]
+    if left.any():
+        i = c_row[rows[left]]
+        starts = np.flatnonzero(np.diff(i, prepend=-1))
+        _subtract_products(s, i[starts], starts, c[left], vals[left], z, p)
+    return L, N, z, s
+
+
 def _rref(a: np.ndarray, p: int):
     """Reduced row echelon form of ``a`` and its pivot columns; p = 0 means Q.
+
+    From 4096 entries on, only the Schur complement S of the known pivots
+    (:func:`_known_pivots`) goes through the dense loop.  The pivot columns
+    are L and those of RREF(S); the pivot row of c in L is e_c plus Z K_S on
+    the free columns (K_S the kernel of S), and the others are the rows of
+    RREF(S).  The output is written once, in the input dtype.
+    """
+    if a.size < 4096:
+        return _dense_rref(a, p)
+    L, N, z, s = _known_pivots(a, p)
+    red, piv_s = _dense_rref(s, p) if s.size else (s, [])
+    rank_s = len(piv_s)
+    is_free = np.ones(N.size, dtype=bool)
+    is_free[piv_s] = False
+    free = np.flatnonzero(is_free)
+    pivots = np.sort(np.concatenate([L, N[piv_s]]))
+    out = np.zeros(a.shape, dtype=a.dtype) if p else _zeros(QQ, *a.shape)
+    pos = np.searchsorted(pivots, L)
+    out[pos, L] = 1 if p else Fraction(1)
+    if free.size:
+        zk = z[:, free]
+        if rank_s:
+            zk = zk - (_product_mod(z[:, piv_s], red[:rank_s, free], p) if p
+                       else z[:, piv_s] @ red[:rank_s, free])
+            if p:
+                zk %= p
+        out[np.ix_(pos, N[free])] = zk
+    if rank_s:
+        out[np.ix_(np.searchsorted(pivots, N[piv_s]), N)] = red[:rank_s]
+    return out, pivots.tolist()
+
+
+def _dense_rref(a: np.ndarray, p: int):
+    """The dense loop of :func:`_rref`.
 
     A pivot touches only the columns from its own rightward and only the rows
     with a nonzero entry in its column.

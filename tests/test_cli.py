@@ -260,6 +260,26 @@ def test_weight_past_int64_reports_like_a_large_weight(tmp_path, capsys, command
     assert reports[0] == reports[1]
 
 
+DEGREES_PAST_INT64 = {
+    "ideal": {"ideal": ["x", "y"]},
+    "window": {"window": [0, 2**63 - 1]},
+    "module.target_twists": {"module": {"target_twists": [-(2**63)], "relations": [["y"]]}},
+    "k_max": {"k_max": 2**63},
+}
+
+
+@pytest.mark.parametrize("field", sorted(DEGREES_PAST_INT64))
+def test_strand_degrees_past_int64_exit_2_at_the_field(tmp_path, capsys, field):
+    # x of weight 2^63 is harmless while no strand degree reaches it (the
+    # test above); the ideal (x, y) takes the strand degrees of K(x, y) there
+    doc = {"command": "lc", "ring": {"char": 5, "vars": ["x", "y"], "weights": [2**63, 1]},
+           "module": {"relations": [["y"]]}, "ideal": ["y"], "window": [0, 2], "k_max": 3}
+    doc.update(DEGREES_PAST_INT64[field])
+    assert main(["--input", write_job(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"(at {field})" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("field", sorted(VERIFY_REJECTS))
 def test_verify_rejects_each_table_field_at_that_field(field):
     doc = {"command": "verify", "verify": "selfdual", field: VERIFY_REJECTS[field]}

@@ -597,6 +597,47 @@ def _elimination_case(p, rows, cols, kind, seed):
     ]
 
 
+def _monomials(nvars, degree):
+    """Exponent vectors of the given degree, lexicographically descending."""
+    if nvars == 1:
+        return [(degree,)]
+    return [(a, *rest) for a in range(degree, -1, -1) for rest in _monomials(nvars - 1, degree - a)]
+
+
+def _macaulay_case(p, nvars, degree, form_degrees, seed):
+    """Rows of a Macaulay matrix: the monomial multiples of sparse forms, plus zero rows.
+
+    Multiples of one form have distinct leading columns, the known pivots;
+    multiples of different forms collide, and past the sum of two form
+    degrees their Koszul syzygies make the rows dependent.
+    """
+    rng = random.Random(seed)
+    f = _RefField(p)
+    columns = {m: i for i, m in enumerate(_monomials(nvars, degree))}
+    rows = [[f.norm(0)] * len(columns) for _ in range(3)]
+    for e in form_degrees:
+        support = rng.sample(_monomials(nvars, e), 3)
+        form = [(m, f.norm(rng.choice((rng.randint(1, 9), -1, p - 2)))) for m in support]
+        for shift in _monomials(nvars, degree - e):
+            row = [f.norm(0)] * len(columns)
+            for m, v in form:
+                row[columns[tuple(a + b for a, b in zip(m, shift))]] = v
+            rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+def _unit_row_case(p, rows, cols, seed):
+    """One nonzero entry per row, in columns that repeat and columns left empty."""
+    rng = random.Random(seed)
+    f = _RefField(p)
+    hit = rng.sample(range(cols), cols * 3 // 4)
+    out = [[f.norm(0)] * cols for _ in range(rows)]
+    for row in out:
+        row[rng.choice(hit)] = f.norm(rng.choice((1, -1, rng.randint(2, 9))))
+    return out
+
+
 # Shapes on both sides of each switch of the mod-p kernel: 4096 entries
 # (63x64, 64x64), and min(rows, cols) (p-1)^2 < 2^63, which holds up to 8 rows
 # at p = 1073741789 (8x512, 9x456) and 2 rows at 2^31 - 1 (2x2048, 3x1366).  A
@@ -607,15 +648,35 @@ def _elimination_case(p, rows, cols, kind, seed):
 ELIMINATION_SHAPES = [(5, 7), (7, 5), (63, 64), (64, 64), (2, 2048), (3, 1366),
                       (4, 1024), (5, 820), (8, 512), (9, 456), (4, 41)]
 RATIONAL_SHAPES = [(5, 7), (7, 5), (4, 41), (12, 16), (16, 12)]
+# From 4096 entries on, the kernel eliminates only the Schur complement of the
+# rows with distinct leading columns, over F_p and Q alike.  Macaulay cases
+# are (variables, degree, form degrees); each shape pair straddles 4096
+# entries: 81x41 and 121x61 (tall), 48x66 and 69x91 (wide), 73x120 (wide,
+# with syzygies) and 95x45 (three forms, tall).
+MACAULAY_SHAPES = [(2, 40, (2, 2)), (2, 60, (2, 2)), (3, 10, (2,)), (3, 12, (2,)),
+                   (4, 7, (3, 3)), (3, 8, (1, 2, 2))]
+UNIT_ROW_SHAPES = [(60, 64), (100, 64), (64, 100)]
+
+
+def _structured_cases(p, kind):
+    """Rows of each Macaulay or unit-row test matrix."""
+    if kind == "macaulay":
+        return [_macaulay_case(p, *shape, seed) for seed, shape in enumerate(MACAULAY_SHAPES)]
+    return [_unit_row_case(p, *shape, seed) for seed, shape in enumerate(UNIT_ROW_SHAPES)]
 
 
 @pytest.mark.parametrize("p", ELIMINATION_PRIMES)
-@pytest.mark.parametrize("kind", ["random", "top", "low-rank"])
+@pytest.mark.parametrize("kind", ["random", "top", "low-rank", "macaulay", "unit-rows"])
 def test_elimination_matches_reference(p, kind):
     field = FieldSpec(p)
     ref_field = _RefField(p)
-    for seed, (rows, cols) in enumerate(ELIMINATION_SHAPES if p else RATIONAL_SHAPES):
-        data = _elimination_case(p, rows, cols, kind, seed)
+    if kind in ("macaulay", "unit-rows"):
+        cases = _structured_cases(p, kind)
+    else:
+        cases = [_elimination_case(p, rows, cols, kind, seed)
+                 for seed, (rows, cols) in enumerate(ELIMINATION_SHAPES if p else RATIONAL_SHAPES)]
+    for data in cases:
+        rows, cols = len(data), len(data[0])
         want, pivots = _ref_rref(data, cols, ref_field)
         red, got_pivots = rref_with_pivots(M(field, data))
         assert got_pivots == tuple(pivots), (rows, cols)

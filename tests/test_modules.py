@@ -470,6 +470,33 @@ def test_strand_matrix_is_assembled_per_call_from_cached_blocks():
     assert len(r._mult_cache) == blocks
 
 
+def test_big_quotient_strand_hands_the_dense_loop_only_the_schur_complement(monkeypatch):
+    # R/(two dense quadrics) in degree 10: the elimination of the transposed
+    # presentation strand is 90 x 66, and its rows with distinct leading
+    # columns are pivots known before any elimination
+    r = GradedRing(FP, ["x", "y", "z"], [1, 1, 1])
+    m = quotient(r, "-9*x^2 - 4*x*y + 2*x*z + 3*y^2 - 5*y*z - 8*z^2",
+                 "x^2 + 4*x*y + 7*x*z - 6*y^2 - 8*y*z - 5*z^2")
+    eliminated, dense = [], []
+    real_rref, real_dense = exact._rref, exact._dense_rref
+
+    def recorded_rref(a, p):
+        leads = {int(row.nonzero()[0][0]) for row in a if row.any()}
+        eliminated.append((a.shape, len(leads)))
+        return real_rref(a, p)
+
+    def recorded_dense(a, p):
+        dense.append(a.shape)
+        return real_dense(a, p)
+
+    monkeypatch.setattr(exact, "_rref", recorded_rref)
+    monkeypatch.setattr(exact, "_dense_rref", recorded_dense)
+    assert strand(m, 10).dim == 4
+    [((rows, cols), known)] = eliminated
+    assert rows * cols >= 4096 and known > cols // 2
+    assert dense and all(c <= cols - known and n <= rows - known for n, c in dense)
+
+
 def test_strand_eliminates_each_base_module_and_degree_once(monkeypatch):
     r = GradedRing(FP, ["x", "y", "z"], [1, 1, 1])
     m = PresentedModule.quotient(FreeModule(r, [0]), [[parse_poly(r, "x^2 + y*z")]])
