@@ -99,27 +99,6 @@ class JobSpec:
             raise SchemaError("ideal must list at least one generator", "ideal")
         return self
 
-    def to_document(self) -> dict:
-        doc: dict = {"command": self.command}
-        if self.ring is not None:
-            doc["ring"] = self.ring
-        if self.module is not None:
-            doc["module"] = self.module
-        if self.complex is not None:
-            doc["complex"] = self.complex
-        if self.ideal is not None:
-            doc["ideal"] = list(self.ideal)
-        doc["i_range"] = list(self.i_range)
-        doc["window"] = list(self.window)
-        doc["k_max"] = self.k_max
-        doc["s"] = self.s
-        doc["K_max"] = self.cech_k_max
-        doc["power"] = self.power
-        doc["report"] = self.report
-        if self.command == "verify":
-            doc["verify"] = self.verify_subject
-        return doc
-
 
 def _integer(value, location: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):

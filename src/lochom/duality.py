@@ -181,18 +181,7 @@ def local_duality_check(
     i_lo, i_hi = int(i_range[0]), int(i_range[1])
     d_lo, d_hi = int(window[0]), int(window[1])
     rhs = ext_table(resolution, omega, (n - i_hi, n - i_lo), (-d_hi, -d_lo))
-    mismatches = []
-    skipped = []
-    compared = 0
-    for (i, d), entry in lhs.items():
-        if not entry.stabilized:
-            skipped.append((i, d))
-            continue
-        compared += 1
-        dual_dim = rhs.dim(n - i, -d)
-        if entry.dim != dual_dim:
-            mismatches.append((i, d, entry.dim, dual_dim))
-    return CheckReport(mismatches, skipped, compared, omega)
+    return CheckReport.compare(lhs, lambda i, d: rhs.dim(n - i, -d), omega)
 
 
 def dualizing_module_check(ring: GradedRing, window, k_max: int = 10, s: int = 2) -> CheckReport:
@@ -202,18 +191,8 @@ def dualizing_module_check(ring: GradedRing, window, k_max: int = 10, s: int = 2
     free = PresentedModule.free(FreeModule(ring, [0]))
     top = local_cohomology_table(ring.variables(), free, (n, n), window, k_max, s)
     dual = matlis_dual_table(top)
-    mismatches = []
-    skipped = []
-    compared = 0
-    for (i, d), entry in dual.items():
-        if not entry.stabilized:
-            skipped.append((i, d))
-            continue
-        compared += 1
-        expected = FreeModule(ring, [omega]).strand_dim(d)
-        if entry.dim != expected:
-            mismatches.append((i, d, entry.dim, expected))
-    return CheckReport(mismatches, skipped, compared, omega)
+    canonical = FreeModule(ring, [omega])
+    return CheckReport.compare(dual, lambda i, d: canonical.strand_dim(d), omega)
 
 
 # -- the adjunction between derived torsion and derived completion -------------

@@ -200,14 +200,7 @@ def self_duality_check(spec: KoszulSpec, module: PresentedModule, window) -> Che
     lo, hi = int(window[0]), int(window[1])
     tensor_side = homology_table(tensor(kc, module), (0, n), (lo, hi))
     hom_side = homology_table(hom_complex(kc, module), (-n, 0), (lo + sign * t, hi + sign * t))
-    mismatches = []
-    for d in range(lo, hi + 1):
-        for i in range(0, n + 1):
-            lhs = tensor_side.dim(i, d)
-            rhs = hom_side.dim(i - n, d + sign * t)
-            if lhs != rhs:
-                mismatches.append((i, d, lhs, rhs))
-    return CheckReport(mismatches, compared=(hi - lo + 1) * (n + 1), twist=t)
+    return CheckReport.compare(tensor_side, lambda i, d: hom_side.dim(i - n, d + sign * t), t)
 
 
 def stable_cech_truncated(gens, k_max: int, ring: GradedRing | None = None) -> ModuleComplex:

@@ -2,14 +2,14 @@
 
 Local cohomology H^i of a module or bounded free complex is the truncated
 colimit of the directed system {H_{n-i}(a^k (x) -)}_k with phi-induced
-transitions; local homology H_i is read off the inverse psi-towers through
-the short exact sequence 0 -> lim1 H_{i+1} -> H_i -> lim H_i -> 0.  The
-truncated lim1 is zero by construction and the true one vanishes on towers
-of finite-dimensional strands (Mittag-Leffler), so an entry is in effect the
-lim of its H_i tower: one rank of a composite into a trusted level.  Every
-table entry carries a stabilization flag; for ideals that are not primary to
-the irrelevant maximal ideal some strands never stabilize, and the honest
-answer is the last computed dimension with stabilized=False.
+transitions; local homology H_i is the truncated lim of the inverse psi-tower
+of H_i: one rank of a composite into a trusted level.  The lim1 term of
+0 -> lim1 H_{i+1} -> H_i -> lim H_i -> 0 vanishes on towers of
+finite-dimensional strands (Mittag-Leffler) and is not computed; the H_{i+1}
+tower only gates the flag and k_used of row i.  Every table entry carries a
+stabilization flag; for ideals that are not primary to the irrelevant maximal
+ideal some strands never stabilize, and the honest answer is the last
+computed dimension with stabilized=False.
 """
 
 from __future__ import annotations
@@ -154,35 +154,34 @@ def local_homology_table(
     s: int = 2,
     collector: list | None = None,
 ) -> HilbertTable:
-    """H_i at each internal degree, via lim/lim1 on the inverse psi-towers.
+    """H_i at each internal degree, via lim on the inverse psi-towers.
 
-    Entry (i, d) is lim of the H_i tower plus lim1 of the H_{i+1} tower.
-    The truncated lim1 is 0 by construction (see ``lim_lim1_truncated``),
-    which agrees with, but does not witness, the Mittag-Leffler vanishing on
-    towers of finite-dimensional strands; pass a ``collector`` list to record
-    every LimLim1Result for inspection.
+    Entry (i, d) has the dim of the truncated lim of the H_i tower (see
+    ``lim_lim1_truncated``).  Its flag and k_used come from both the H_i and
+    the H_{i+1} towers, whose lim1 the exact sequence would add: it is 0 on
+    towers of finite-dimensional strands by Mittag-Leffler, which the
+    truncation does not witness.  Pass a ``collector`` list to record the
+    TableEntry of every tower for inspection.
     """
     system = KoszulTowerSystem(gens, module, k_max, INVERSE)
     lo, hi = system.homological_support()
     i_lo, i_hi = int(i_range[0]), int(i_range[1])
-    # the towers that rows i_lo..i_hi read (lim of H_i, lim1 of H_{i+1}), ascending
+    # the towers that rows i_lo..i_hi read (H_i, and H_{i+1} for the flag), ascending
     hs = range(max(i_lo, lo), min(i_hi + 1, hi) + 1)
+    # a tower outside the homological support is zero at every stage
+    outside = TableEntry(0, True, 1)
     table = HilbertTable()
     for d in degree_window(window):
         contexts = system.contexts(d) if hs else None
-        results = {}
+        lims = {}
         for h in hs:
-            results[h] = res = lim_lim1_truncated(system.homology_tower(contexts, h), s)
+            lims[h] = entry = lim_lim1_truncated(system.homology_tower(contexts, h), s)
             if collector is not None:
-                collector.append(((h, d), res))
+                collector.append(((h, d), entry))
         for i in range(i_lo, i_hi + 1):
-            res_i, res_up = results.get(i), results.get(i + 1)
-            dim = (res_i.lim_dim if res_i else 0) + (res_up.lim1_dim if res_up else 0)
-            stable = (res_i.stabilized if res_i else True) and (
-                res_up.stabilized if res_up else True
-            )
-            k_used = max(res_i.k_used if res_i else 1, res_up.k_used if res_up else 1)
-            table.set(i, d, TableEntry(dim, stable, k_used))
+            lim, gate = lims.get(i, outside), lims.get(i + 1, outside)
+            stable = lim.stabilized and gate.stabilized
+            table.set(i, d, TableEntry(lim.dim, stable, max(lim.k_used, gate.k_used)))
     return table
 
 
@@ -209,15 +208,9 @@ def generator_independence_check(
     """
     table_a = local_cohomology_table(gens_a, x, i_range, window, k_max, s)
     table_b = local_cohomology_table(gens_b, x, i_range, window, k_max, s)
-    mismatches = []
-    skipped = []
-    compared = 0
-    for (i, d), ea in table_a.items():
-        eb = table_b.get(i, d)
-        if not (ea.stabilized and eb.stabilized):
-            skipped.append((i, d))
-            continue
-        compared += 1
-        if ea.dim != eb.dim:
-            mismatches.append((i, d, ea.dim, eb.dim))
-    return CheckReport(mismatches, skipped, compared)
+
+    def expected(i, d):
+        entry = table_b.get(i, d)
+        return entry.dim if entry.stabilized else None
+
+    return CheckReport.compare(table_a, expected)

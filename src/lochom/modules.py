@@ -494,8 +494,9 @@ class CheckReport:
     """Outcome of a cell-by-cell comparison of two computations.
 
     ``mismatches`` lists the cells where the two disagree, ``skipped`` the
-    cells left out (unstabilized entries), ``compared`` counts the cells
-    compared, and ``twist`` is the twist the comparison is made under, if any.
+    cells left out (unstabilized entries, or cells with no expected value),
+    ``compared`` counts the cells compared, and ``twist`` is the twist the
+    comparison is made under, if any.
     """
 
     __slots__ = ("passed", "mismatches", "skipped", "compared", "twist")
@@ -506,6 +507,24 @@ class CheckReport:
         self.skipped = tuple(skipped)
         self.compared = compared
         self.twist = twist
+
+    @classmethod
+    def compare(cls, table: HilbertTable, expected, twist: int | None = None) -> "CheckReport":
+        """Compare each cell of ``table``, in (i, d) order, with ``expected(i, d)``.
+
+        A cell that is unstabilized, or whose expected value is None, is
+        skipped; every other cell is compared, and one whose dim differs is
+        recorded as the mismatch (i, d, dim, expected).
+        """
+        mismatches = []
+        skipped = []
+        for (i, d), entry in table.items():
+            want = expected(i, d) if entry.stabilized else None
+            if want is None:
+                skipped.append((i, d))
+            elif entry.dim != want:
+                mismatches.append((i, d, entry.dim, want))
+        return cls(mismatches, skipped, len(table.entries) - len(skipped), twist)
 
     def __repr__(self):
         status = "pass" if self.passed else f"fail {list(self.mismatches)}"

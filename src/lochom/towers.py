@@ -2,13 +2,15 @@
 
 Every limit statement here is truncated at a finite stage count with explicit
 stabilization flags; there are no effective bounds, so honesty lives in the
-flags.  For an inverse tower the truncated lim/lim1 are those of the
-shifted-difference map on the tower of top-stage images im(V_K -> V_j),
-restricted to the levels j <= K - s that the truncation can vouch for.  That
-map is onto for any transitions, so the truncated lim1 is zero by
-construction and the truncated lim is one rank; the true lim1 of a tower of
-finite-dimensional spaces vanishes by Mittag-Leffler, a fact the truncation
-does not witness.
+flags.  For an inverse tower the truncated lim is one rank: that of the
+composite from the top stage into the lowest level j <= K - s that the
+truncation can vouch for.  No lim1 is reported.  The shifted-difference map
+on the tower of top-stage images im(V_K -> V_j), whose cokernel it would be,
+is onto for any transitions, so the truncated lim1 is the constant 0; the
+true lim1 of a tower of finite-dimensional spaces vanishes by
+Mittag-Leffler, a fact the truncation does not witness.  A local homology
+row i takes its dim from the H_i tower; the H_{i+1} tower, whose lim1 the
+exact sequence would add, only gates its flag and k_used.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .rings import Poly
 
 __all__ = [
     "StrandTower",
-    "LimLim1Result",
     "ProZeroReport",
     "AnnihilatorBound",
     "colim_truncated",
@@ -124,16 +125,8 @@ def colim_truncated(tower: StrandTower, stab_window: int) -> TableEntry:
     return TableEntry(tower.stages[-1].dim, stabilized, k_used)
 
 
-class LimLim1Result(NamedTuple):
-    lim_dim: int
-    lim1_dim: int
-    stabilized: bool
-    k_used: int
-    levels_used: int
-
-
-def lim_lim1_truncated(tower: StrandTower, stab_window: int = 2) -> LimLim1Result:
-    """lim and lim1 of the inverse tower truncated to its trusted levels.
+def lim_lim1_truncated(tower: StrandTower, stab_window: int = 2) -> TableEntry:
+    """lim of the inverse tower truncated to its trusted levels.
 
     When the last ``stab_window`` transitions are isomorphisms the tower is
     declared stabilized and all K levels are used (lim is then the settled top
@@ -145,11 +138,12 @@ def lim_lim1_truncated(tower: StrandTower, stab_window: int = 2) -> LimLim1Resul
     With L levels and W_j = im(V_K -> V_j), the shifted-difference map
     (w_j)_{j<=L} -> (w_j - r_j w_{j+1})_{j<L}, r_j the restricted transitions,
     has identity blocks on its block diagonal, so it is onto for any r_j: its
-    cokernel (the truncated lim1) is zero by construction, and its kernel
-    (the truncated lim) has dim W_L = rank(V_K -> V_L).  The true lim1 of a
-    tower of finite-dimensional strands vanishes as well, by Mittag-Leffler;
-    neither fact is evidence the truncation produces, so lim1 is reported as
-    0 and lim as that one rank.
+    kernel (the truncated lim) has dim W_L = rank(V_K -> V_L), and its
+    cokernel (the truncated lim1) is the constant 0, which is why no lim1 is
+    returned.  The true lim1 of a tower of finite-dimensional strands
+    vanishes as well, by Mittag-Leffler, but the truncation does not witness
+    it; ``local_homology_table`` reads the entry of the H_{i+1} tower only
+    for the flag and k_used of row i.
     """
     if tower.direction != INVERSE:
         raise OrderError("lim_lim1_truncated expects an inverse tower")
@@ -157,10 +151,10 @@ def lim_lim1_truncated(tower: StrandTower, stab_window: int = 2) -> LimLim1Resul
         raise ValueError("stab_window must be >= 1")
     k = tower.length
     isos = map(_is_iso, reversed(tower.transitions))
-    tail_stable, k_used = _top_iso_run(k, isos, stab_window)
-    levels = k if tail_stable else max(1, k - stab_window)
+    stabilized, k_used = _top_iso_run(k, isos, stab_window)
+    levels = k if stabilized else max(1, k - stab_window)
     lim = tower.stages[k - 1].dim if levels == k else rank(tower.composite(k, levels))
-    return LimLim1Result(lim, 0, tail_stable, k_used, levels)
+    return TableEntry(lim, stabilized, k_used)
 
 
 class ProZeroReport:

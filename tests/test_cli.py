@@ -33,23 +33,6 @@ def test_minimal_document_gets_defaults(tmp_path):
     assert ring.field.characteristic == 32003
 
 
-def test_jobspec_roundtrip_identity(tmp_path):
-    doc = {
-        "command": "lc",
-        "ring": RING,
-        "ideal": ["x", "y"],
-        "i_range": [0, 2],
-        "window": [-6, 2],
-        "k_max": 8,
-        "s": 2,
-        "K_max": 6,
-        "power": 1,
-        "report": "json",
-    }
-    job = parse_input(write_job(tmp_path, doc))
-    assert _document_to_jobspec(job.to_document()) == job
-
-
 def test_module_twist_inference(tmp_path):
     from lochom.cli import build_module, build_ring
 

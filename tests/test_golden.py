@@ -48,6 +48,7 @@ JOBS = {
     "verify-selfdual": {"command": "verify", "verify": "selfdual"},
     "verify-gm": {"command": "verify", "verify": "gm"},
     "verify-duality": {"command": "verify", "verify": "duality"},
+    "verify-corpus": {"command": "verify", "verify": "corpus"},
 }
 # the same jobs over Q, the rational elimination path
 JOBS["lc-quotient-qq"] = dict(JOBS["lc-quotient"], ring=dict(RING, char=0))
@@ -76,6 +77,7 @@ DIGESTS = {
     "lh-weighted": "9adde9172860fbd83c5ea1b22ddce3fcdae2abc046bfcd5ebeacdbfbd90553ee",
     "lh-weighted-ideal-qq": "56eb2b636a20f8423b3ab3eacf529cc3e0ea8ade341e1091a6da9003ee11c891",
     "lh-weighted-qq": "274133ee79bb89e9172c0a0c23995b4501a685c998d23aeaffa8f7569be901bb",
+    "verify-corpus": "d7af8ac9461d12c6f498675d631cf7091b7aa9ddd1a34694fc4a68993b34259c",
     "verify-duality": "d13252483d0630b3ad50753652ade2c6553f52e84f9dda9bbd7803b58c71095f",
     "verify-gm": "2bf4930f808ede7d0b0ec8ae46f09c3ea43523be41f9fa9c1d33cfea531f865a",
     "verify-selfdual": "2828b247b1b15836d1ba4de7fe0b7b88ee6d6cfd16fd396f252c423d4089122e",

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is read somewhere in it."""
+"""Source hygiene: every name a module imports is read somewhere in it, and
+every name in a module's ``__all__`` is defined there."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,18 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lochom"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+
+
+def exported(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= set(ast.literal_eval(node.value))
+    return names
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -19,11 +31,7 @@ def unused_imports(tree: ast.Module) -> list:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            read |= set(ast.literal_eval(node.value))
+    read |= exported(tree)
     return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
@@ -39,3 +47,30 @@ def test_the_scan_sees_an_unused_import():
         "__all__ = ['d']\nprint(a)\n"
     )
     assert unused_imports(tree) == [(2, "os"), (3, "c")]
+
+
+def undefined_exports(tree: ast.Module) -> list:
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(exported(tree) - defined)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_every_exported_name_is_defined(path):
+    assert undefined_exports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_scan_sees_an_undefined_export():
+    tree = ast.parse(
+        "from x import a\nimport os.path\nb, (c, d) = 1, (2, 3)\ne: int = 4\n"
+        "def f(): pass\nclass G: pass\n"
+        "__all__ = ['a', 'os', 'b', 'c', 'd', 'e', 'f', 'G', 'gone', 'h']\n"
+    )
+    assert undefined_exports(tree) == ["gone", "h"]

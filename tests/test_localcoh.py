@@ -21,7 +21,7 @@ from lochom.localcoh import (
     local_cohomology_table,
     local_homology_table,
 )
-from lochom.modules import FreeModule, PresentedModule, hilbert_row
+from lochom.modules import FreeModule, PresentedModule, TableEntry, hilbert_row
 from lochom.rings import GradedRing, parse_poly
 
 FP = FieldSpec(32003)
@@ -123,16 +123,48 @@ def test_local_homology_finitely_generated():
     r = ring(2)
     x, y = r.variables()
     for module in (free(r), quotient(r, "x^2"), quotient(r, "x^2", "x*y")):
-        collector = []
-        lh = local_homology_table(
-            (x, y), module, (0, 2), (-2, 6), k_max=10, collector=collector
-        )
+        lh = local_homology_table((x, y), module, (0, 2), (-2, 6), k_max=10)
         hr = hilbert_row(module, (-2, 6))
         for d in range(-2, 7):
             assert lh.dim(0, d) == hr.dim(0, d)
             assert lh.get(0, d).stabilized
             assert lh.dim(1, d) == 0 and lh.dim(2, d) == 0
-        assert all(res.lim1_dim == 0 for _, res in collector)
+
+
+def test_local_homology_flag_is_gated_by_the_next_tower():
+    # row 0 takes its dim from the H_0 tower, but its flag and k_used from
+    # both the H_0 and the H_1 towers
+    r = ring(2)
+    x = r.variable(0)
+    module = quotient(r, "x^2")
+    collector = []
+    lh = local_homology_table((x,), module, (0, 1), (2, 4), k_max=4, s=2, collector=collector)
+    towers = dict(collector)
+    for d in range(2, 5):
+        assert lh.get(0, d) == TableEntry(2, False, 4)
+        assert towers[(0, d)] == TableEntry(2, True, 2)
+        assert towers[(1, d)] == TableEntry(0, False, 4)
+
+
+def test_local_homology_outside_the_support():
+    # a row whose tower lies outside the homological support reads a zero,
+    # settled tower; row -1 is still gated by the H_0 tower
+    r = ring(2)
+    x, y = r.variables()
+    lh = local_homology_table((x, y), quotient(r, "x^2"), (-1, 3), (0, 1), k_max=1, s=2)
+    for d in (0, 1):
+        assert lh.get(3, d) == TableEntry(0, True, 1)
+        assert lh.get(-1, d) == TableEntry(0, False, 1)
+
+
+def test_local_cohomology_outside_the_support():
+    # lc reports what the top isomorphism run of an all-zero tower gives: at
+    # k_max <= s that is unstabilized at the top stage
+    r = ring(2)
+    x, y = r.variables()
+    lc = local_cohomology_table((x, y), quotient(r, "x^2"), (-1, -1), (-2, -1), k_max=1, s=2)
+    for d in (-2, -1):
+        assert lc.get(-1, d) == TableEntry(0, False, 1)
 
 
 def test_local_homology_zero_module():

@@ -80,7 +80,7 @@ def test_colim_requires_direction():
 
 def test_lim_constant_identities():
     res = lim_lim1_truncated(constant_tower(4, 6, "inverse"), 2)
-    assert (res.lim_dim, res.lim1_dim) == (4, 0)
+    assert res.dim == 4
     assert res.stabilized and res.k_used == 1
 
 
@@ -89,7 +89,7 @@ def test_lim_pro_zero_tower():
     transitions = [ExactMatrix.zeros(FP, 2, 2) for _ in range(5)]
     tower = StrandTower(stages, transitions, "inverse")
     res = lim_lim1_truncated(tower, 2)
-    assert (res.lim_dim, res.lim1_dim) == (0, 0)
+    assert res.dim == 0
     cert = pro_zero_certificate(tower)
     assert cert.success
     assert all(cert.resolved[l] == l + 1 for l in range(1, 6))
@@ -107,13 +107,14 @@ def test_lim1_zero_on_random_towers():
             for j in range(length - 1)
         ]
         tower = StrandTower([full(d) for d in dims], transitions, "inverse")
-        res = lim_lim1_truncated(tower, 2)
-        assert res.lim1_dim == 0
+        # the truncation reports no lim1: it is the cokernel of the reference's
+        # shifted-difference map, which is onto
+        assert reference_lim_lim1(tower, 2)[1] == 0
 
 
 def test_lim_image_dims_match_composites():
     # on towers of finite-dimensional strands lim is the rank of the composite
-    # from the top into the lowest level used, and lim1 vanishes
+    # from the top into the lowest level used
     rng = random.Random(23)
     for _ in range(30):
         length = rng.randint(1, 7)
@@ -128,8 +129,8 @@ def test_lim_image_dims_match_composites():
         tower = StrandTower([full(d) for d in dims], transitions, "inverse")
         for s in (1, 2, 3):
             res = lim_lim1_truncated(tower, s)
-            want = rank(tower.composite(length, res.levels_used))
-            assert (res.lim_dim, res.lim1_dim) == (want, 0)
+            levels_used = length if res.stabilized else max(1, length - s)
+            assert res.dim == rank(tower.composite(length, levels_used))
 
 
 def test_pro_zero_identity_tower_fails():
@@ -153,10 +154,9 @@ def test_pro_zero_koszul_power_tower():
     for l in range(1, 7):
         assert cert.resolved[l] == l + 2
     assert cert.certified_through >= 6
-    # each per-degree tower reports lim = lim1 = 0
+    # each per-degree tower reports lim = 0
     for tower in towers[:-1]:
-        res = lim_lim1_truncated(tower, 2)
-        assert (res.lim_dim, res.lim1_dim) == (0, 0)
+        assert lim_lim1_truncated(tower, 2).dim == 0
 
 
 def test_annihilator_bound_cases():
@@ -202,7 +202,8 @@ def test_lim_eliminates_once_per_trusted_level(tower, levels, ranks, monkeypatch
         wrapper = counted(name, getattr(exact, name))
         for module in (exact, towers):
             monkeypatch.setattr(module, name, wrapper, raising=False)
-    assert lim_lim1_truncated(tower, 2).levels_used == levels
+    res = lim_lim1_truncated(tower, 2)
+    assert (tower.length if res.stabilized else max(1, tower.length - 2)) == levels
     assert calls == {"rank": ranks}
     assert ranks <= levels
 
@@ -320,7 +321,9 @@ def _inverse_towers(draw):
 @settings(max_examples=150)
 @given(tower=_inverse_towers(), s=st.integers(1, 3))
 def test_lim_matches_the_shifted_difference_reference(tower, s):
-    assert tuple(lim_lim1_truncated(tower, s)) == reference_lim_lim1(tower, s)
+    res = lim_lim1_truncated(tower, s)
+    levels_used = tower.length if res.stabilized else max(1, tower.length - s)
+    assert (res.dim, 0, res.stabilized, res.k_used, levels_used) == reference_lim_lim1(tower, s)
 
 
 @settings(max_examples=150)
