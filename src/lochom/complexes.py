@@ -60,10 +60,6 @@ __all__ = [
 ]
 
 
-def _sign_of(ring: GradedRing, n: int):
-    return 1 if n % 2 == 0 else (-1 if ring.field.is_rational else ring.field.characteristic - 1)
-
-
 class ModuleComplex:
     """Finitely supported complex {terms[i]} with differentials term i -> term i-1.
 
@@ -240,9 +236,8 @@ ChainMap = ModuleChainMap
 
 def shift(x: ModuleComplex, n: int) -> ModuleComplex:
     """(S^n X)_i = X_{i-n} with differential scaled by (-1)^n."""
-    sign = _sign_of(x.ring, n)
     terms = {i + n: m for i, m in x.terms.items()}
-    diffs = {i + n: (f if sign == 1 else f.scale(sign)) for i, f in x.differentials.items()}
+    diffs = {i + n: (-f if n % 2 else f) for i, f in x.differentials.items()}
     return ModuleComplex(x.ring, terms, diffs)
 
 
@@ -250,7 +245,6 @@ def cone(f: ModuleChainMap) -> ModuleComplex:
     """Mapping cone: Cone(f)_i = X_{i-1} (+) Y_i, d = [[-dX, 0], [f, dY]]."""
     x, y = f.source, f.target
     ring = x.ring
-    neg = _sign_of(ring, 1)
     degrees = sorted(set(i + 1 for i in x.terms) | set(y.terms))
     terms = {i: module_sum([x.module(i - 1), y.module(i)]) for i in degrees}
     diffs = {}
@@ -260,7 +254,7 @@ def cone(f: ModuleChainMap) -> ModuleComplex:
         blocks = {}
         dx = x.differential(i - 1)
         if dx.source.rank and dx.target.rank:
-            blocks[(0, 0)] = dx.scale(neg)
+            blocks[(0, 0)] = -dx
         comp = f.component(i - 1)
         if comp.source.rank and comp.target.rank:
             blocks[(1, 0)] = comp
@@ -275,6 +269,17 @@ def cone(f: ModuleChainMap) -> ModuleComplex:
 def tensor_summands(x: ModuleComplex, y: ModuleComplex, i: int):
     """Ordered (s, t) pairs with s+t=i contributing to (X (x) Y)_i."""
     return [(s, i - s) for s in x.support if (i - s) in y.terms]
+
+
+def tensor_generators(x: ModuleComplex, y: ModuleComplex, i: int):
+    """Labels (s, a, t, b) of the generators of (X (x) Y)_i, in the order
+    ``tensor`` lays them out: generator a of X_s times generator b of Y_t."""
+    return [
+        (s, a, t, b)
+        for s, t in tensor_summands(x, y, i)
+        for a in range(x.term(s).rank)
+        for b in range(y.term(t).rank)
+    ]
 
 
 def tensor(x, y) -> ModuleComplex:
@@ -316,9 +321,8 @@ def tensor(x, y) -> ModuleComplex:
             if bi is not None:
                 dy = y.differential(t)
                 blk = GradedMap.identity(x.term(s)).tensor(dy)
-                sign = _sign_of(ring, s)
-                if sign != 1:
-                    blk = blk.scale(sign)
+                if s % 2:
+                    blk = -blk
                 if not blk.is_zero_map():
                     blocks[(bi, bj)] = blk
         if blocks:
@@ -334,6 +338,18 @@ def _hom_module_pair(a: FreeModule, b: FreeModule) -> FreeModule:
 def hom_summands(x: ModuleComplex, t: ModuleComplex, i: int):
     """Ordered s with Hom(X_s, T_{s+i}) contributing to Hom(X, T)_i."""
     return [s for s in x.support if (s + i) in t.terms]
+
+
+def hom_generators(x: ModuleComplex, t: ModuleComplex, i: int):
+    """Labels (s, q, p) of the generators of Hom(X, T)_i, in the order
+    ``hom_complex`` lays them out: generator q of X_s sent to generator p of
+    T_{s+i}."""
+    return [
+        (s, q, p)
+        for s in hom_summands(x, t, i)
+        for q in range(x.term(s).rank)
+        for p in range(t.term(s + i).rank)
+    ]
 
 
 def hom_complex(x, t) -> ModuleComplex:
@@ -366,7 +382,6 @@ def hom_complex(x, t) -> ModuleComplex:
         src_blocks = [_hom_module_pair(x.term(s), t.term(s + i)) for s in src_list]
         tgt_blocks = [_hom_module_pair(x.term(s), t.term(s + i - 1)) for s in tgt_list]
         tgt_index = {s: b for b, s in enumerate(tgt_list)}
-        sign = _sign_of(ring, i + 1)  # -(-1)^i
         blocks = {}
         for bj, s in enumerate(src_list):
             bi = tgt_index.get(s)
@@ -377,8 +392,8 @@ def hom_complex(x, t) -> ModuleComplex:
             bi = tgt_index.get(s + 1)
             if bi is not None:
                 blk = _pre_compose_block(x.differential(s + 1), t.term(s + i))
-                if sign != 1:
-                    blk = blk.scale(sign)
+                if i % 2 == 0:  # the sign -(-1)^i
+                    blk = -blk
                 if not blk.is_zero_map():
                     blocks[(bi, bj)] = blk
         if blocks:

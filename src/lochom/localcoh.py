@@ -146,13 +146,7 @@ def local_cohomology_table(
 
 
 def local_homology_table(
-    gens,
-    module: PresentedModule,
-    i_range,
-    window,
-    k_max: int = 8,
-    s: int = 2,
-    collector: list | None = None,
+    gens, module: PresentedModule, i_range, window, k_max: int = 8, s: int = 2
 ) -> HilbertTable:
     """H_i at each internal degree, via lim on the inverse psi-towers.
 
@@ -160,8 +154,7 @@ def local_homology_table(
     ``lim_lim1_truncated``).  Its flag and k_used come from both the H_i and
     the H_{i+1} towers, whose lim1 the exact sequence would add: it is 0 on
     towers of finite-dimensional strands by Mittag-Leffler, which the
-    truncation does not witness.  Pass a ``collector`` list to record the
-    TableEntry of every tower for inspection.
+    truncation does not witness.
     """
     system = KoszulTowerSystem(gens, module, k_max, INVERSE)
     lo, hi = system.homological_support()
@@ -175,9 +168,7 @@ def local_homology_table(
         contexts = system.contexts(d) if hs else None
         lims = {}
         for h in hs:
-            lims[h] = entry = lim_lim1_truncated(system.homology_tower(contexts, h), s)
-            if collector is not None:
-                collector.append(((h, d), entry))
+            lims[h] = lim_lim1_truncated(system.homology_tower(contexts, h), s)
         for i in range(i_lo, i_hi + 1):
             lim, gate = lims.get(i, outside), lims.get(i + 1, outside)
             stable = lim.stabilized and gate.stabilized

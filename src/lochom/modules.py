@@ -207,7 +207,7 @@ class GradedMap:
         return GradedMap(self.source, self.target, scaled, self.internal_degree)
 
     def __neg__(self) -> "GradedMap":
-        return self.scale(-1 if self.ring.field.is_rational else self.ring.field.characteristic - 1)
+        return self.scale(-1)
 
     def twisted(self, n: int) -> "GradedMap":
         return GradedMap(

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is read somewhere in it, and
-every name in a module's ``__all__`` is defined there."""
+"""Source hygiene: every name a module imports is read somewhere in it, every
+name in a module's ``__all__`` is defined there, and every function reads
+each of its parameters."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,42 @@ def test_the_scan_sees_an_undefined_export():
         "__all__ = ['a', 'os', 'b', 'c', 'd', 'e', 'f', 'G', 'gone', 'h']\n"
     )
     assert undefined_exports(tree) == ["gone", "h"]
+
+
+def unread_parameters(tree: ast.Module) -> list:
+    """(line, function, parameter) for each parameter its function never reads;
+    dunder methods are exempt, since their signatures are fixed by Python."""
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        hits += [(node.lineno, node.name, p) for p in params if p not in read]
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_scan_sees_an_unread_parameter():
+    tree = ast.parse(
+        "def _sign_of(ring, n: int) -> int:\n    return -1 if n % 2 else 1\n"
+        "def f(a, *args, b=1, **kw):\n    def g(c):\n        return a + b\n    return g\n"
+        "class C:\n    def __init__(self, unused):\n        pass\n"
+        "    def m(self, v):\n        return lambda: self.k + v\n"
+    )
+    assert unread_parameters(tree) == [
+        (1, "_sign_of", "ring"), (3, "f", "args"), (3, "f", "kw"), (4, "g", "c"),
+    ]

@@ -23,6 +23,7 @@ from lochom.localcoh import (
 )
 from lochom.modules import FreeModule, PresentedModule, TableEntry, hilbert_row
 from lochom.rings import GradedRing, parse_poly
+from lochom.towers import lim_lim1_truncated
 
 FP = FieldSpec(32003)
 
@@ -137,13 +138,13 @@ def test_local_homology_flag_is_gated_by_the_next_tower():
     r = ring(2)
     x = r.variable(0)
     module = quotient(r, "x^2")
-    collector = []
-    lh = local_homology_table((x,), module, (0, 1), (2, 4), k_max=4, s=2, collector=collector)
-    towers = dict(collector)
+    lh = local_homology_table((x,), module, (0, 1), (2, 4), k_max=4, s=2)
+    system = KoszulTowerSystem((x,), module, 4, INVERSE)
     for d in range(2, 5):
+        contexts = system.contexts(d)
         assert lh.get(0, d) == TableEntry(2, False, 4)
-        assert towers[(0, d)] == TableEntry(2, True, 2)
-        assert towers[(1, d)] == TableEntry(0, False, 4)
+        assert lim_lim1_truncated(system.homology_tower(contexts, 0), 2) == TableEntry(2, True, 2)
+        assert lim_lim1_truncated(system.homology_tower(contexts, 1), 2) == TableEntry(0, False, 4)
 
 
 def test_local_homology_outside_the_support():
