@@ -4,13 +4,17 @@ Every strandwise computation in the engine bottoms out here: reduced row
 echelon forms, kernels, and induced maps on quotients k^n/W
 (:class:`StrandSpace`).  One elimination kernel serves both fields: every
 echelon form, kernel and rank comes from it, and a rank is its pivot count.
-A strand space runs one elimination when it is built, of the transposed
-sub basis, and keeps only the projection onto its coset basis (dim x n), so
+A strand space keeps only the projection onto its coset basis (dim x n), so
 coset coordinates, well-definedness checks and induced maps are matrix
 products with no further elimination.  Its coset basis is a set of
-coordinates, so no space stores a coset matrix.  A direct sum of strand
-spaces runs none: it keeps its summands and projects each block of
-coordinates with its own summand.
+coordinates, so no space stores a coset matrix.  The projection is the
+reduced echelon basis of the annihilator of W, and it has two routes: one
+elimination of the transposed sub basis, or, for W = sum_j x_j W_j plus a
+few relations, Macaulay's inverse system over the spaces of the W_j, which
+eliminates a system as wide as their dims and then the dim x n basis it
+yields.  A reduced echelon basis is unique, so both routes give the same
+bytes.  A direct sum of strand spaces runs none: it keeps its summands and
+projects each block of coordinates with its own summand.
 Matrices over F_p are stored as numpy integer arrays
 with entries reduced into ``[0, p)``; matrices over Q hold
 :class:`fractions.Fraction` entries (always in lowest terms with positive
@@ -641,6 +645,11 @@ class StrandSpace:
     nonzero entry, a 1, at n-1-f.  With W = 0 the coset basis is every
     coordinate, Q is the identity, and the space keeps no matrix.
 
+    :meth:`_from_below` reaches the same Q another way, for W = sum_j x_j W_j
+    plus a few relations, from the spaces of the W_j: any rows spanning the
+    annihilator have Q as their reduced echelon form, and its pivots are the
+    coset coordinates, as the echelon form is unique.
+
     :meth:`direct_sum` builds the space of a block-diagonal ``sub`` from the
     spaces of its blocks, with no elimination.  Independence modulo a
     block-diagonal W is decided block by block, so the sum has the coset
@@ -661,6 +670,63 @@ class StrandSpace:
         if len(free) < n:
             self.coset_cols = tuple(n - 1 - c for c in reversed(free))
             self._proj = ExactMatrix(field, np.ascontiguousarray(kernel._data[::-1, ::-1].T))
+
+    @classmethod
+    def _from_below(cls, below, sources, checks, relations: ExactMatrix) -> "StrandSpace":
+        """k^n/W for W = sum_j x_j W_j + span(relations), by Macaulay's inverse system.
+
+        ``below[j]`` is the space k^{n_j}/W_j one variable down, ``sources[j]``
+        gives for each coordinate c of k^n the coordinate of c / x_j in k^{n_j}
+        (-1 where x_j does not divide c), and the n x r matrix ``relations``
+        spans the rest of W.  A functional phi on k^n kills W exactly when it
+        kills the relations and each phi o x_j kills W_j, that is
+        phi o x_j = c_j Q_j for the projection Q_j of ``below[j]``.  The
+        unknowns are the c_j and phi at the coordinates no variable divides,
+        and the gather G (n x U) reads phi off them through the first variable
+        dividing each coordinate.  The constraints are that phi kills the
+        relations and that for each ``(j, k, coords)`` in ``checks`` x_j and
+        x_k give phi the same value at ``coords``; the caller picks coords at
+        which agreement implies agreement wherever x_j and x_k both divide.
+        G maps their kernel K one to one onto ann(W) (phi o x_j fixes c_j),
+        so the rows of (G K)^T span it and their reduced echelon form is the
+        Q one elimination of W gives.
+        """
+        field = relations.field
+        n = relations.rows
+        divides = sources >= 0
+        owner = divides.argmax(axis=0)
+        units = np.flatnonzero(~divides.any(axis=0))
+        starts = np.cumsum([0] + [sp.dim for sp in below])
+        width = int(starts[-1]) + units.size
+
+        def read(j, coords):
+            # rows of G: phi at ``coords`` through c_j
+            out = _zeros(field, coords.size, width)
+            at = sources[j, coords]
+            if below[j]._proj is None:
+                out[np.arange(coords.size), starts[j] + at] = field.one()
+            else:
+                out[:, starts[j] : starts[j + 1]] = below[j]._proj._data[:, at].T
+            return out
+
+        gather = _zeros(field, n, width)
+        gather[units, starts[-1] + np.arange(units.size)] = field.one()
+        for j in range(len(below)):
+            first = np.flatnonzero(divides[j] & (owner == j))
+            gather[first] = read(j, first)
+        gather = ExactMatrix(field, gather)
+        constraints = [
+            ExactMatrix(field, read(j, coords)) - ExactMatrix(field, read(k, coords))
+            for j, k, coords in checks
+        ]
+        constraints.append(ExactMatrix(field, np.ascontiguousarray(relations._data.T)) @ gather)
+        kernel = _kernel(ExactMatrix.vstack(constraints))[0]
+        phi = gather @ kernel
+        red, pivots = rref_with_pivots(ExactMatrix(field, np.ascontiguousarray(phi._data.T)))
+        space = cls.__new__(cls)
+        space.field, space.ambient_dim, space._parts = field, n, ()
+        space.coset_cols, space._proj = pivots, red if len(pivots) < n else None
+        return space
 
     @classmethod
     def direct_sum(cls, spaces) -> "StrandSpace":

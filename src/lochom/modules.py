@@ -10,8 +10,10 @@ composites and strand matrices cost the nonzero entries, not rank^2.
 
 Modules are always presented (a free module is the cokernel of the empty
 presentation) so that one elimination of a presentation strand computes any
-strand.  A twist or direct sum of modules also records its summands, and its
-strands are direct sums of theirs, so each summand strand is eliminated once.
+strand; a quotient strand whose strands one variable down are cached is read
+off them instead (see :func:`strand`).  A twist or direct sum of modules also
+records its summands, and its strands are direct sums of theirs, so each
+summand strand is eliminated once.
 Strand spaces are cached per module; strand matrices are not: each is
 assembled per call from the multiplication blocks the ring caches
 (``rings.mult_matrix``), and nothing here keeps it.
@@ -19,11 +21,15 @@ assembled per call from the multiplication blocks the ring caches
 
 from __future__ import annotations
 
+from itertools import combinations
+from operator import add
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import NonHomogeneousError
 from .exact import ExactMatrix, StrandSpace, induced_map, rank
-from .rings import GradedRing, Poly, monomial_basis, mult_matrix
+from .rings import GradedRing, Poly, _scatter_positions, monomial_basis, mult_matrix
 
 __all__ = [
     "FreeModule",
@@ -394,6 +400,17 @@ def strand(module: PresentedModule, d: int) -> StrandSpace:
     base, so one base in one degree is eliminated once however many sums,
     twists and complexes it occurs in; the result is the space one
     elimination of the block-diagonal presentation strand would give.
+
+    A base module with relations takes one of two routes to the same space.
+    When its strands M_{d-w_j} one variable down are all cached, and the
+    unknowns of Macaulay's inverse system (their dims plus the generators of
+    degree d) are at most half of dim (F0)_d, it reads M_d off them
+    (:meth:`StrandSpace._from_below`): the image of the relations in degree d
+    is the sum of the x_j-multiples of the images below and of the relations
+    of degree exactly d.  Otherwise it eliminates the presentation strand.
+    Both give the reduced echelon basis of the same annihilator, which is
+    unique, so the route leaves no trace in the space.  Nothing recurses: a
+    strand whose lower strands are not cached is eliminated directly.
     """
     cached = module._strand_cache.get(d)
     if cached is not None:
@@ -406,9 +423,58 @@ def strand(module: PresentedModule, d: int) -> StrandSpace:
             ExactMatrix.zeros(module.ring.field, pres.target.strand_dim(d), 0)
         )
     else:
-        space = StrandSpace(pres.strand_matrix(d))
+        space = _strand_from_below(module, d)
+        if space is None:
+            space = StrandSpace(pres.strand_matrix(d))
     module._strand_cache[d] = space
     return space
+
+
+def _strand_from_below(module: PresentedModule, d: int) -> StrandSpace | None:
+    """M_d by the inverse system of the cached M_{d-w_j}, or None where the
+    direct elimination is due (see :func:`strand`)."""
+    ring, gens, pres = module.ring, module.generators, module.presentation
+    below = [module._strand_cache.get(d - w) for w in ring.weights]
+    if None in below:
+        return None
+    dims = gens.strand_block_dims(d)
+    n = sum(dims)
+    unknowns = sum(sp.dim for sp in below) + sum(d + a == 0 for a in gens.twists)
+    if not n or 2 * unknowns > n:
+        return None
+
+    def lift(exp, lower):
+        # the coordinate in (F0)_d of x^exp times each coordinate of (F0)_lower
+        out, start = [], 0
+        for a, dim in zip(gens.twists, dims):
+            cols = len(monomial_basis(ring, lower + a))
+            if cols:
+                # positions are row * cols + col in the block R_{lower+a} -> R_{d+a}
+                out.append(start + _scatter_positions(ring, exp, lower + a, d + a) // cols)
+            start += dim
+        return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+
+    var = [tuple(int(i == j) for i in range(ring.nvars)) for j in range(ring.nvars)]
+    sources = np.full((ring.nvars, n), -1, dtype=np.int64)
+    for j, w in enumerate(ring.weights):
+        up = lift(var[j], d - w)
+        sources[j, up] = np.arange(up.size)
+    # phi through x_j and through x_k differ by a functional that kills the
+    # relations two variables down, so they agree wherever both divide once
+    # they agree at x_j x_k times the coset coordinates of that strand (at
+    # x_j x_k times all its coordinates when it is not cached)
+    checks = []
+    for j, k in combinations(range(ring.nvars), 2):
+        lower = d - ring.weights[j] - ring.weights[k]
+        up = lift(tuple(map(add, var[j], var[k])), lower)
+        sub = module._strand_cache.get(lower)
+        checks.append((j, k, up if sub is None else up[list(sub.coset_cols)]))
+    # the relations of degree exactly d, as columns of (F0)_d
+    top = [k for k, b in enumerate(pres.source.twists) if b == -d]
+    column = {k: c for c, k in enumerate(top)}
+    entries = {(i, column[k]): e for (i, k), e in pres.entries.items() if k in column}
+    relations = GradedMap(FreeModule(ring, [-d] * len(top)), gens, entries).strand_matrix(d)
+    return StrandSpace._from_below(below, sources, checks, relations)
 
 
 def mult_operator(module: PresentedModule, f: Poly, d: int) -> ExactMatrix:

@@ -64,13 +64,31 @@ JOBS["lh-weighted-ideal-qq"] = {
     "module": {"target_twists": [0], "relations": [["x*z - y^5"]]},
     "ideal": ["y^2", "x", "z"], "i_range": [0, 3], "window": [-1, 6], "k_max": 5,
 }
+# k[x,y,z]/(two dense quadrics): its strands of degree 6 and up are read off
+# the strands below them once those are cached, as in a hilbert row
+RING_3 = {"char": 32003, "vars": ["x", "y", "z"], "weights": [1, 1, 1]}
+DENSE_QUADRICS = {"target_twists": [0], "relations": [[
+    "x^2 + 2*x*y + 3*y^2 + 5*x*z + 7*y*z + 11*z^2",
+    "13*x^2 + 17*x*y + 19*y^2 + 23*x*z + 29*y*z + 31*z^2",
+]]}
+JOBS["lc-dense-quadrics"] = {
+    "command": "lc", "ring": RING_3, "module": DENSE_QUADRICS,
+    "i_range": [0, 3], "window": [-4, 2], "k_max": 6,
+}
+JOBS["lc-dense-quadrics-qq"] = dict(JOBS["lc-dense-quadrics"], ring=dict(RING_3, char=0))
+JOBS["hilbert-dense-quadrics"] = {
+    "command": "hilbert", "ring": RING_3, "module": DENSE_QUADRICS, "window": [0, 30],
+}
 
 DIGESTS = {
     "hilbert": "82abe7e8ac64d1ebaca79d0ef0295a397554de26ad782d179a69c5b0197d3584",
+    "hilbert-dense-quadrics": "4b27c149d77c2eb5b282da49fe7fa2c8ec8617af07acf43e4f77ec5304c810ba",
     "homsc-complex": "50b43bddb7118a59ad6db7ae53d41d3fcfc76ec65c01b029de571550edd8599f",
     "homsc-module": "9706af23ded941e7f4be755a457286c08ca5c2ecd72ab0c8b8a50379e030b732",
     "koszul": "8a48d02886f0822056ad888e0c164b9d3e6fdb4499e285f234956680d4105067",
     "lc-complex": "070edac12473ac5b39cddc345667783f38a5e35cd5d85770ec09361bc1bef115",
+    "lc-dense-quadrics": "8ae62b35d64a29c0239afd172660c2bfeeba65938eae09863296f7b977eeb293",
+    "lc-dense-quadrics-qq": "d2d433b6f726a02f2d518933888f475cf04793d003216ce8c7495c9ea5bf3a0f",
     "lc-nonlinear-ideal": "c369a158c58fc37602917631a84ba20b6221d2e24e65e886bf67d1bc5e450274",
     "lc-quotient": "d03079c5e7e9f44feae20f7847c4cf3e07bcf2702254400272767d20cd30e772",
     "lc-quotient-qq": "5a65c6c6c516471054b2c41d4ce29724c6140e36ae176674df49f50aaf3b0c11",

@@ -545,3 +545,82 @@ def test_strand_eliminates_each_base_module_and_degree_once(monkeypatch):
     twice = m.twisted(2).twisted(-5)
     assert twice.parts == ((m, -3),)
     assert all(real_strand(twice, d) is real_strand(m, d - 3) for d in range(-2, 6))
+
+
+# -- quotient strands read off the strands below them --------------------------
+
+def _direct(module, d):
+    """The space one elimination of the presentation strand gives."""
+    return exact.StrandSpace(module.presentation.strand_matrix(d))
+
+
+def _same_space(got, want):
+    assert (got.ambient_dim, got.coset_cols) == (want.ambient_dim, want.coset_cols)
+    assert (got._proj is None) == (want._proj is None)
+    assert got._proj is None or got._proj == want._proj
+
+
+@st.composite
+def _presented_modules(draw, field):
+    """A quotient of 1-3 twisted generators over 2-3 variables of weight 1-3 by
+    dense forms of mixed degrees and powers of the variables."""
+    nvars = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars))
+    ring = GradedRing(field, ["x", "y", "z"][:nvars], weights)
+    twists = draw(st.lists(st.integers(-2, 1), min_size=1, max_size=3))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            # a power of a variable on one generator
+            i, j = draw(st.integers(0, len(twists) - 1)), draw(st.integers(0, nvars - 1))
+            power = ring.variable(j) ** draw(st.integers(1, 3))
+            columns.append([power if g == i else ring.zero() for g in range(len(twists))])
+        else:
+            source = draw(st.integers(min(twists) - 4, max(twists)))
+            columns.append([draw(_forms(ring, a - source)) for a in twists])
+    return PresentedModule.quotient(FreeModule(ring, twists), columns)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), field=st.sampled_from([FieldSpec(2), FieldSpec(3), FP, QQ]))
+def test_strands_read_off_the_strands_below_equal_one_elimination(data, field):
+    m = data.draw(_presented_modules(field))
+    degrees = list(range(-3, 10))
+    orders = (degrees, degrees[::-1], data.draw(st.permutations(degrees)))
+    for order in orders:
+        fresh = PresentedModule(m.presentation)
+        for d in order:
+            _same_space(strand(fresh, d), _direct(m, d))
+
+
+def test_a_top_strand_over_cached_strands_runs_only_small_eliminations(monkeypatch):
+    # R/(two dense quadrics) in degree 26: dim M_e = 4 from e = 3 on, so the
+    # inverse system has 3 x 4 unknowns where the direct route eliminates the
+    # 650 x 378 presentation strand
+    r = GradedRing(FP, ["x", "y", "z"], [1, 1, 1])
+    m = quotient(r, "-9*x^2 - 4*x*y + 2*x*z + 3*y^2 - 5*y*z - 8*z^2",
+                 "x^2 + 4*x*y + 7*x*z - 6*y^2 - 8*y*z - 5*z^2")
+    for d in range(26):
+        strand(m, d)
+    shapes = []
+    real_rref = exact._rref
+
+    def recorded_rref(a, p):
+        shapes.append(a.shape)
+        return real_rref(a, p)
+
+    monkeypatch.setattr(exact, "_rref", recorded_rref)
+    space = strand(m, 26)
+    assert (space.dim, space.ambient_dim) == (4, 378)
+    assert shapes and all(min(shape) <= 12 for shape in shapes)
+    constraints, final = shapes
+    assert constraints[1] <= 12 and final == (4, 378)
+    _same_space(space, _direct(m, 26))
+
+
+def test_a_strand_far_above_the_cache_is_eliminated_without_recursion():
+    # R_{10^4} is spanned by x^100 alone
+    r = GradedRing(FP, ["x", "y"], [100, 101])
+    m = quotient(r, "y")
+    assert strand(m, 10**4).dim == 1
+    assert list(m._strand_cache) == [10**4]
