@@ -38,7 +38,7 @@ from .modules import (
     TableEntry,
     degree_window,
 )
-from .towers import StrandTower, _top_iso_run, colim_truncated, lim_lim1_truncated
+from .towers import StrandTower, _Memo, _top_iso_run, colim_truncated, lim_lim1_truncated
 
 __all__ = [
     "KoszulTowerSystem",
@@ -105,14 +105,23 @@ class KoszulTowerSystem:
         return [StrandContext(c, d) for c in self.complexes]
 
     def homology_tower(self, contexts, h: int) -> StrandTower:
-        """Tower of H_h strands across the stages, with induced transitions."""
-        stages = [ctx.homology(h) for ctx in contexts]
-        transitions = []
-        for j, f in enumerate(self.maps):
+        """Tower of H_h strands across the stages, with induced transitions.
+
+        Nothing is computed here: stage k is ``contexts[k].homology(h)`` and
+        transition j is ``homology_induced_matrix`` between its two stages,
+        each built at its first read (with its d∘d, chain-map and shape
+        checks) and kept.  The readers walk from the top stage down, so a
+        stage below the point where the walk stops is never built; in the
+        inverse convention those are the largest strands.
+        """
+
+        def transition(j):
             src, tgt = (j, j + 1) if self.convention == DIRECT else (j + 1, j)
-            transitions.append(homology_induced_matrix(f, contexts[src], contexts[tgt], h))
+            return homology_induced_matrix(self.maps[j], contexts[src], contexts[tgt], h)
+
         direction = "directed" if self.convention == DIRECT else "inverse"
-        return StrandTower(stages, transitions, direction)
+        stages = _Memo(len(contexts), lambda k: contexts[k].homology(h))
+        return StrandTower(stages, _Memo(len(self.maps), transition), direction)
 
 
 def local_cohomology_table(

@@ -11,10 +11,19 @@ true lim1 of a tower of finite-dimensional spaces vanishes by
 Mittag-Leffler, a fact the truncation does not witness.  A local homology
 row i takes its dim from the H_i tower; the H_{i+1} tower, whose lim1 the
 exact sequence would add, only gates its flag and k_used.
+
+A tower may be built lazily (``KoszulTowerSystem.homology_tower``): its stage
+k and its transition j are computed the first time a reader asks for them and
+kept after that.  Every reader walks from the top stage down, to the first
+transition that is not an isomorphism and then, for an unstabilized lim, into
+level K - s, so the stages below that stop are never built.  The entries do
+not depend on it: each reader takes its dims, flags and k_used from the same
+matrices in the same top-first order as it would on a tower built in full.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .errors import OrderError
@@ -37,30 +46,71 @@ DIRECTED = "directed"
 INVERSE = "inverse"
 
 
+class _Memo(Sequence):
+    """A sequence whose item j is ``build(j)``, computed at its first read and kept."""
+
+    __slots__ = ("_build", "_items")
+
+    def __init__(self, length: int, build):
+        self._build = build
+        self._items = [None] * length
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self[i] for i in range(len(self))[j])
+        j = range(len(self._items))[j]
+        item = self._items[j]
+        if item is None:
+            item = self._items[j] = self._build(j)
+        return item
+
+
+def _checked_transition(stages, direction: str, j: int, t: ExactMatrix) -> ExactMatrix:
+    if direction == DIRECTED:
+        want = (stages[j + 1].dim, stages[j].dim)
+    else:
+        want = (stages[j].dim, stages[j + 1].dim)
+    if (t.rows, t.cols) != want:
+        raise ValueError(f"transition {j} has shape {(t.rows, t.cols)}, expected {want}")
+    return t
+
+
 class StrandTower:
     """Stages V_1..V_K with transitions between consecutive stages.
 
     directed: transitions[j] maps stage j+1 to stage j+2 (V_k -> V_{k+1});
     inverse:  transitions[j] maps stage j+2 to stage j+1 (V_{k+1} -> V_k).
     Transition matrices act on coset coordinates of the stage spaces.
+
+    Stages and transitions given as lists are kept as tuples, and every
+    transition's shape is checked here.  Given as ``_Memo`` sequences, each
+    stage and transition is built at its first read and kept, and a
+    transition's shape is checked when it is built.
     """
 
     __slots__ = ("stages", "transitions", "direction")
 
     def __init__(self, stages, transitions, direction: str):
-        stages = tuple(stages)
-        transitions = tuple(transitions)
         if direction not in (DIRECTED, INVERSE):
             raise ValueError(f"unknown tower direction {direction!r}")
+        if not isinstance(stages, _Memo):
+            stages = tuple(stages)
+        lazy = isinstance(transitions, _Memo)
+        if not lazy:
+            transitions = tuple(transitions)
         if len(transitions) != max(len(stages) - 1, 0):
             raise ValueError("need exactly one transition between consecutive stages")
-        for j, t in enumerate(transitions):
-            if direction == DIRECTED:
-                want = (stages[j + 1].dim, stages[j].dim)
-            else:
-                want = (stages[j].dim, stages[j + 1].dim)
-            if (t.rows, t.cols) != want:
-                raise ValueError(f"transition {j} has shape {(t.rows, t.cols)}, expected {want}")
+        if lazy:
+            given = transitions
+            transitions = _Memo(
+                len(given), lambda j: _checked_transition(stages, direction, j, given[j])
+            )
+        else:
+            for j, t in enumerate(transitions):
+                _checked_transition(stages, direction, j, t)
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "direction", direction)
@@ -85,7 +135,8 @@ class StrandTower:
             if k < l:
                 raise OrderError("inverse composites need k >= l")
             steps = range(k - 2, l - 2, -1)
-        out = ExactMatrix.identity(self.stages[0].field, self.stages[k - 1].dim)
+        top = self.stages[k - 1]
+        out = ExactMatrix.identity(top.field, top.dim)
         for j in steps:
             out = self.transitions[j] @ out
         return out

@@ -79,6 +79,25 @@ JOBS["lc-dense-quadrics-qq"] = dict(JOBS["lc-dense-quadrics"], ring=dict(RING_3,
 JOBS["hilbert-dense-quadrics"] = {
     "command": "hilbert", "ring": RING_3, "module": DENSE_QUADRICS, "window": [0, 30],
 }
+# inverse towers over weights 1, 2, 3 modulo a degree-6 form (the lh-towers-fp
+# shape): long top isomorphism runs, and unstabilized cells at the top degrees
+JOBS["lh-towers-weighted"] = {
+    "command": "lh", "ring": RING_W,
+    "module": {"target_twists": [0], "relations": [[
+        "3*x^6 + 2*x^4*y - x^3*z + 5*x^2*y^2 - 7*x*y*z + y^3 + 4*z^2",
+    ]]},
+    "ideal": ["x", "y", "z"], "i_range": [0, 3], "window": [-2, 14], "k_max": 14,
+}
+# an ideal that is not primary to the irrelevant ideal: towers whose top
+# transitions are not isomorphisms, so cells stop early or stay unstabilized
+# (the lh cells then take the rank of a composite into a trusted level)
+RING_XY = {"char": 32003, "vars": ["x", "y"], "weights": [1, 1]}
+JOBS["lc-unstable-tops"] = {
+    "command": "lc", "ring": RING_XY,
+    "module": {"target_twists": [0], "relations": [["x^2*y"]]},
+    "ideal": ["x"], "i_range": [0, 2], "window": [-4, 2], "k_max": 5,
+}
+JOBS["lh-unstable-tops"] = dict(JOBS["lc-unstable-tops"], command="lh", window=[-1, 5], k_max=6)
 
 DIGESTS = {
     "hilbert": "82abe7e8ac64d1ebaca79d0ef0295a397554de26ad782d179a69c5b0197d3584",
@@ -92,6 +111,9 @@ DIGESTS = {
     "lc-nonlinear-ideal": "c369a158c58fc37602917631a84ba20b6221d2e24e65e886bf67d1bc5e450274",
     "lc-quotient": "d03079c5e7e9f44feae20f7847c4cf3e07bcf2702254400272767d20cd30e772",
     "lc-quotient-qq": "5a65c6c6c516471054b2c41d4ce29724c6140e36ae176674df49f50aaf3b0c11",
+    "lc-unstable-tops": "ecb6b02427cef0420d15612ae4223914e0b85ea168371307ed6d269728484880",
+    "lh-towers-weighted": "9eca9c4ca7293f663d53ff604c02a7c6b99a3b4525056e8e658d37a550f3f6dc",
+    "lh-unstable-tops": "27a3fdeddeae52f2916f0e4a6c4050805779aa7374bd6858ed1384638ea4c567",
     "lh-weighted": "9adde9172860fbd83c5ea1b22ddce3fcdae2abc046bfcd5ebeacdbfbd90553ee",
     "lh-weighted-ideal-qq": "56eb2b636a20f8423b3ab3eacf529cc3e0ea8ade341e1091a6da9003ee11c891",
     "lh-weighted-qq": "274133ee79bb89e9172c0a0c23995b4501a685c998d23aeaffa8f7569be901bb",

@@ -1,18 +1,23 @@
 """Local cohomology and local homology tables against closed forms."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lochom import complexes, localcoh
 from lochom.complexes import (
     FreeComplex,
     ModuleChainMap,
     ModuleComplex,
+    StrandContext,
+    homology_induced_matrix,
     homology_table,
     hom_complex,
     shift,
     tensor_chain_maps,
 )
-from lochom.errors import EmptyGeneratorsError, NonHomogeneousError
-from lochom.exact import FieldSpec
+from lochom.errors import EmptyGeneratorsError, NonHomogeneousError, WellDefinednessError
+from lochom.exact import ExactMatrix, FieldSpec, rank
 from lochom.koszul import DIRECT, INVERSE, KoszulSpec, koszul_complex, transition
 from lochom.localcoh import (
     KoszulTowerSystem,
@@ -22,7 +27,7 @@ from lochom.localcoh import (
     local_homology_table,
 )
 from lochom.modules import FreeModule, PresentedModule, TableEntry, hilbert_row
-from lochom.rings import GradedRing, parse_poly
+from lochom.rings import GradedRing, Poly, monomial_basis, parse_poly
 from lochom.towers import lim_lim1_truncated
 
 FP = FieldSpec(32003)
@@ -279,3 +284,232 @@ def test_tower_system_builds_each_stage_once(convention, monkeypatch):
         assert f.source is system.complexes[src] and f.target is system.complexes[tgt]
         spec_src, spec_tgt = (KoszulSpec(r, gens, k + 1, convention) for k in (src, tgt))
         assert f == tensor_chain_maps(transition(spec_src, spec_tgt), ModuleChainMap.identity(module))
+
+
+# -- lazy towers: what the stabilization walk builds ----------------------------
+
+def _weighted_quotient():
+    """k[x,y,z], weights 1, 2, 3, modulo a form of degree 6."""
+    r = GradedRing(FP, ["x", "y", "z"], [1, 2, 3])
+    return r, quotient(r, "3*x^6 + 2*x^4*y - x^3*z + 5*x^2*y^2 - 7*x*y*z + y^3 + 4*z^2")
+
+
+def _computed_homology(monkeypatch):
+    """(context, i) of every StrandContext.homology computed, not read from its cache."""
+    computed = []
+    real = StrandContext.homology
+
+    def counted(self, i):
+        if i not in self._homology:
+            computed.append((self, i))
+        return real(self, i)
+
+    monkeypatch.setattr(StrandContext, "homology", counted)
+    return computed
+
+
+def _is_iso(t):
+    return t.rows == t.cols and rank(t) == t.rows
+
+
+def _walk_stop(tower, s):
+    """The lowest stage a truncated colim or lim reads.
+
+    The walk goes from the top down to the first transition that is not an
+    isomorphism and reads both its stages; an unstabilized lim reads down to
+    level K - s, and a tower too short to stabilize reads no transition for
+    a colim.
+    """
+    k = tower.length
+    run = 0
+    for t in reversed(tower.transitions):
+        if not _is_iso(t):
+            break
+        run += 1
+    if k - 1 >= s and run >= s:
+        return max(k - run - 1, 1)
+    if tower.direction == "inverse":
+        return max(1, k - s)
+    return k if k - 1 < s else k - run - 1
+
+
+@pytest.mark.parametrize("command", ["lc", "lh"])
+def test_tables_compute_no_stage_below_the_walk_stop(command, monkeypatch):
+    r, module = _weighted_quotient()
+    k_max, s = 8, 2
+    towers = []
+    real_tower = KoszulTowerSystem.homology_tower
+
+    def recorded(self, contexts, h):
+        tower = real_tower(self, contexts, h)
+        towers.append((contexts, h, tower))
+        return tower
+
+    monkeypatch.setattr(KoszulTowerSystem, "homology_tower", recorded)
+    computed = _computed_homology(monkeypatch)
+    if command == "lh":
+        local_homology_table(r.variables(), module, (0, 3), (-2, 8), k_max=k_max, s=s)
+    else:
+        local_cohomology_table(r.variables(), module, (0, 3), (-12, 0), k_max=k_max, s=s)
+    computed = set(computed)  # before the towers are forced below
+    stops = []
+    for contexts, h, tower in towers:
+        stages = {k + 1 for k, ctx in enumerate(contexts) if (ctx, h) in computed}
+        stop = _walk_stop(tower, s)
+        assert stages == set(range(stop, k_max + 1)), (h, contexts[0].d)
+        stops.append(stop)
+    assert min(stops) == 1 and max(stops) > 2
+
+
+def test_composite_builds_no_stage_below_its_target(monkeypatch):
+    r, module = _weighted_quotient()
+    k_max = 6
+    system = KoszulTowerSystem(r.variables(), module, k_max, INVERSE)
+    computed = _computed_homology(monkeypatch)
+    contexts = system.contexts(6)
+    tower = system.homology_tower(contexts, 0)
+    assert computed == []
+    for l in range(k_max, 1, -1):
+        tower.composite(k_max, l)
+        assert {ctx for ctx, _ in computed} == set(contexts[l - 1:])
+    tower.composite(k_max, 1)
+    assert {ctx for ctx, _ in computed} == set(contexts)
+
+
+def test_a_walked_transition_keeps_its_chain_map_check(monkeypatch):
+    # the walk reads the top transition of the H_1 tower first; a chain map
+    # bumped there sends a kernel basis vector of the source off the target kernel
+    r = ring(2)
+    x, y = r.variables()
+    module = quotient(r, "x^2")
+    job = ((x, y), module, (0, 1), (6, 6), 4)
+    local_homology_table(*job)
+    real = complexes.coset_level_map
+    bumped = []
+
+    def perturbed(f, ctx_src, ctx_dst, i):
+        m = real(f, ctx_src, ctx_dst, i)
+        kernel, op = ctx_src._kernel_of(i)[0], ctx_dst.op(i)
+        if kernel.cols and not op.is_zero():
+            row = next(a for a in range(op.cols) if not op.columns([a]).is_zero())
+            col = next(b for b in range(kernel.rows) if kernel.entry(b, 0))
+            unit = [[int((a, b) == (row, col)) for b in range(m.cols)] for a in range(m.rows)]
+            m = m + ExactMatrix.from_rows(m.field, unit, m.cols)
+            bumped.append(i)
+        return m
+
+    monkeypatch.setattr(complexes, "coset_level_map", perturbed)
+    with pytest.raises(WellDefinednessError, match="cycle off the target kernel"):
+        local_homology_table(*job)
+    assert len(bumped) == 1
+
+
+def test_a_lazy_transition_of_the_wrong_shape_fails_at_its_first_read(monkeypatch):
+    r = ring(2)
+    x, y = r.variables()
+    system = KoszulTowerSystem((x, y), quotient(r, "x^2"), 4, INVERSE)
+
+    def one_row_too_many(f, ctx_src, ctx_dst, i):
+        m = homology_induced_matrix(f, ctx_src, ctx_dst, i)
+        return ExactMatrix.zeros(m.field, m.rows + 1, m.cols)
+
+    monkeypatch.setattr(localcoh, "homology_induced_matrix", one_row_too_many)
+    tower = system.homology_tower(system.contexts(4), 0)  # nothing is built yet
+    for j in (2, 0):
+        with pytest.raises(ValueError, match=f"transition {j} has shape"):
+            tower.transitions[j]
+    with pytest.raises(ValueError, match="transition 2 has shape"):
+        lim_lim1_truncated(system.homology_tower(system.contexts(4), 0), 2)
+
+
+# -- lazy towers against towers built in full -------------------------------------
+
+ORACLE_FIELDS = (FieldSpec(2), FieldSpec(3), FP, FieldSpec(0))
+
+
+@st.composite
+def _form(draw, r):
+    """A nonzero homogeneous polynomial of degree 1, 2 or 3."""
+    degree = draw(st.sampled_from([d for d in (1, 2, 3) if monomial_basis(r, d)]))
+    monomials = draw(st.lists(
+        st.sampled_from(monomial_basis(r, degree)), min_size=1, max_size=3, unique=True,
+    ))
+    p = r.field.characteristic
+    coeffs = st.integers(1, p - 1) if p else st.sampled_from((-3, -2, -1, 1, 2, 3))
+    return Poly(r, {m: draw(coeffs) for m in monomials})
+
+
+@st.composite
+def _oracle_jobs(draw):
+    """A presented module, an ideal, k_max and s small enough for exact runs over Q."""
+    nvars = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars))
+    r = GradedRing(draw(st.sampled_from(ORACLE_FIELDS)), ["x", "y", "z"][:nvars], weights)
+    relations = draw(st.lists(_form(r), max_size=2))
+    module = PresentedModule.quotient(
+        FreeModule(r, [draw(st.integers(-1, 1))]), [[f] for f in relations]
+    )
+    gens = tuple(draw(st.lists(_form(r), min_size=1, max_size=2)))
+    # the top stage reads degrees k_max * (sum of the generator degrees) away
+    k_max = draw(st.integers(1, min(6, 12 // sum(g.degree() for g in gens))))
+    return gens, module, k_max, draw(st.integers(1, 3))
+
+
+def _reference_entry(stages, transitions, s, inverse):
+    """Truncated colim (directed) or lim (inverse) of a tower given in full."""
+    k = len(stages)
+    run = 0
+    for t in reversed(transitions):
+        if not _is_iso(t):
+            break
+        run += 1
+    stabilized = k - 1 >= s and run >= s
+    k_used = k - run if stabilized else k
+    if not inverse:
+        return TableEntry(stages[-1].dim, stabilized, k_used)
+    level = k if stabilized else max(1, k - s)
+    composite = ExactMatrix.identity(stages[-1].field, stages[-1].dim)
+    for t in reversed(transitions[level - 1:]):
+        composite = t @ composite
+    return TableEntry(rank(composite), stabilized, k_used)
+
+
+def _forced_entries(gens, module, k_max, s, convention, hs, d):
+    """Entries of the H_h towers at degree d, every stage and transition built first."""
+    system = KoszulTowerSystem(gens, module, k_max, convention)
+    contexts = system.contexts(d)
+    entries = {}
+    for h in hs:
+        stages = tuple(ctx.homology(h) for ctx in contexts)
+        transitions = []
+        for j, f in enumerate(system.maps):
+            src, tgt = (j, j + 1) if convention == DIRECT else (j + 1, j)
+            transitions.append(homology_induced_matrix(f, contexts[src], contexts[tgt], h))
+        entries[h] = _reference_entry(stages, tuple(transitions), s, convention == INVERSE)
+    return entries
+
+
+@settings(max_examples=40)
+@given(job=_oracle_jobs(), lc_lo=st.integers(-4, 0), lh_lo=st.integers(-1, 3))
+def test_lazy_tables_match_towers_built_in_full(job, lc_lo, lh_lo):
+    gens, module, k_max, s = job
+    n = len(gens)
+    i_range = (-1, n + 1)
+    lo, hi = KoszulTowerSystem(gens, module, 1, DIRECT).homological_support()
+
+    lc = local_cohomology_table(gens, module, i_range, (lc_lo, lc_lo + 2), k_max, s)
+    for d in range(lc_lo, lc_lo + 3):
+        want = _forced_entries(gens, module, k_max, s, DIRECT, range(-1, n + 2), d)
+        for i in range(-1, n + 2):
+            assert lc.get(i, d) == want[n - i], (i, d)
+
+    lh = local_homology_table(gens, module, i_range, (lh_lo, lh_lo + 2), k_max, s)
+    outside = TableEntry(0, True, 1)  # a tower outside the homological support
+    hs = range(max(-1, lo), min(n + 2, hi) + 1)
+    for d in range(lh_lo, lh_lo + 3):
+        lims = _forced_entries(gens, module, k_max, s, INVERSE, hs, d)
+        for i in range(-1, n + 2):
+            lim, gate = lims.get(i, outside), lims.get(i + 1, outside)
+            want = TableEntry(lim.dim, lim.stabilized and gate.stabilized,
+                              max(lim.k_used, gate.k_used))
+            assert lh.get(i, d) == want, (i, d)
