@@ -14,6 +14,13 @@ modules (a free term is the cokernel of the empty presentation).  A
 differential is carried by a polynomial matrix between the generator modules,
 and all strandwise homology runs through :class:`StrandContext`.  Wherever a
 complex is expected, a presented module stands for its stalk in degree 0.
+
+The generator labels are the layout: :func:`tensor_generators` lists the
+labels (s, a, t, b) of the generators of (X (x) Y)_i and :func:`hom_generators`
+the labels (s, q, p) of those of Hom(X, T)_i, in order.  ``tensor``,
+``hom_complex`` and ``tensor_chain_maps`` walk the source labels and write
+each entry at the row of its target label, and the Koszul transitions read
+their diagonals off the same labels.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from .modules import (
     HilbertTable,
     PresentedModule,
     TableEntry,
-    _tensor_module,
     degree_window,
     graded_map_from_blocks,
     module_sum,
@@ -282,57 +288,48 @@ def tensor_generators(x: ModuleComplex, y: ModuleComplex, i: int):
     ]
 
 
+def _columns(maps: dict, transpose: bool = False) -> dict:
+    """The entries of the maps f_i of a dict by column, (i, c) -> [(r, f_i[r, c]), ...],
+    or by row, (i, r) -> [(c, f_i[r, c]), ...], if transposed."""
+    out: dict = {}
+    for i, f in maps.items():
+        for (r, c), e in f.entries.items():
+            if transpose:
+                r, c = c, r
+            out.setdefault((i, c), []).append((r, e))
+    return out
+
+
 def tensor(x, y) -> ModuleComplex:
     """X (x) Y with the Koszul sign (-1)^s on the second differential.
 
     X must have free terms; Y may have presented ones, and a presented module
-    for Y means its stalk.  (X_s (x) Y_t) = (+)_p Y_t(a_p) over the twists a_p
-    of X_s, generators X-major.
+    for Y means its stalk.  (X_s (x) Y_t) = (+)_a Y_t(x_a) over the twists x_a
+    of X_s; each entry is written at the row of its ``tensor_generators`` label.
     """
     x, y = _complex(x), _complex(y)
     if x.ring != y.ring:
         raise ValueError("tensor over different rings")
     _require_free(x, "tensor")
-    ring = x.ring
-    degrees = sorted({s + t for s in x.terms for t in y.terms})
-    terms = {}
-    for i in degrees:
-        mods = [module_sum_twisted(y.module(t), x.term(s).twists) for s, t in tensor_summands(x, y, i)]
-        if mods:
-            terms[i] = module_sum(mods)
+    terms = {
+        i: module_sum([
+            module_sum_twisted(y.module(t), x.term(s).twists) for s, t in tensor_summands(x, y, i)
+        ])
+        for i in sorted({s + t for s in x.terms for t in y.terms})
+    }
+    dx, dy = _columns(x.differentials), _columns(y.differentials)
     diffs = {}
-    for i in degrees:
-        src_pairs = tensor_summands(x, y, i)
-        tgt_pairs = tensor_summands(x, y, i - 1)
-        if not src_pairs or not tgt_pairs:
-            continue
-        src_blocks = [_tensor_module(x.term(s), y.term(t)) for s, t in src_pairs]
-        tgt_blocks = [_tensor_module(x.term(s), y.term(t)) for s, t in tgt_pairs]
-        tgt_index = {pair: b for b, pair in enumerate(tgt_pairs)}
-        blocks = {}
-        for bj, (s, t) in enumerate(src_pairs):
-            bi = tgt_index.get((s - 1, t))
-            if bi is not None:
-                dx = x.differential(s)
-                blk = dx.tensor(GradedMap.identity(y.term(t)))
-                if not blk.is_zero_map():
-                    blocks[(bi, bj)] = blk
-            bi = tgt_index.get((s, t - 1))
-            if bi is not None:
-                dy = y.differential(t)
-                blk = GradedMap.identity(x.term(s)).tensor(dy)
-                if s % 2:
-                    blk = -blk
-                if not blk.is_zero_map():
-                    blocks[(bi, bj)] = blk
-        if blocks:
-            diffs[i] = graded_map_from_blocks(src_blocks, tgt_blocks, blocks)
-    return ModuleComplex(ring, terms, diffs)
-
-
-def _hom_module_pair(a: FreeModule, b: FreeModule) -> FreeModule:
-    """Hom(A, B) with generator (q, p) at index q*rank(B)+p and twist b_p - a_q."""
-    return FreeModule(a.ring, tuple(bp - aq for aq in a.twists for bp in b.twists))
+    for i in terms:
+        row = {label: r for r, label in enumerate(tensor_generators(x, y, i - 1))}
+        entries = {}
+        for col, (s, a, t, b) in enumerate(tensor_generators(x, y, i)):
+            for a2, e in dx.get((s, a), ()):
+                entries[row[s - 1, a2, t, b], col] = e
+            for b2, e in dy.get((t, b), ()):
+                entries[row[s, a, t - 1, b2], col] = -e if s % 2 else e
+        if entries:
+            diffs[i] = GradedMap(terms[i].generators, terms[i - 1].generators, entries)
+    return ModuleComplex(x.ring, terms, diffs)
 
 
 def hom_summands(x: ModuleComplex, t: ModuleComplex, i: int):
@@ -356,66 +353,33 @@ def hom_complex(x, t) -> ModuleComplex:
     """Hom(X, T)_i = (+)_s Hom(X_s, T_{s+i}) with (df)(v) = d(f(v)) - (-1)^i f(dv).
 
     X must have free terms; T may have presented ones, and a presented module
-    for T means its stalk.  Hom(X_s, T_u) = (+)_q T_u(-a_q) over the twists
-    a_q of X_s, generators X-major.
+    for T means its stalk.  Hom(X_s, T_u) = (+)_q T_u(-x_q) over the twists
+    x_q of X_s; each entry is written at the row of its ``hom_generators`` label.
     """
     x, t = _complex(x), _complex(t)
     if x.ring != t.ring:
         raise ValueError("hom over different rings")
     _require_free(x, "hom")
-    ring = x.ring
-    degrees = sorted({u - s for s in x.terms for u in t.terms})
-    terms = {}
-    for i in degrees:
-        mods = [
+    terms = {
+        i: module_sum([
             module_sum_twisted(t.module(s + i), tuple(-a for a in x.term(s).twists))
             for s in hom_summands(x, t, i)
-        ]
-        if mods:
-            terms[i] = module_sum(mods)
-    diffs = {}
-    for i in degrees:
-        src_list = hom_summands(x, t, i)
-        tgt_list = hom_summands(x, t, i - 1)
-        if not src_list or not tgt_list:
-            continue
-        src_blocks = [_hom_module_pair(x.term(s), t.term(s + i)) for s in src_list]
-        tgt_blocks = [_hom_module_pair(x.term(s), t.term(s + i - 1)) for s in tgt_list]
-        tgt_index = {s: b for b, s in enumerate(tgt_list)}
-        blocks = {}
-        for bj, s in enumerate(src_list):
-            bi = tgt_index.get(s)
-            if bi is not None:
-                blk = _post_compose_block(x.term(s), t.differential(s + i))
-                if not blk.is_zero_map():
-                    blocks[(bi, bj)] = blk
-            bi = tgt_index.get(s + 1)
-            if bi is not None:
-                blk = _pre_compose_block(x.differential(s + 1), t.term(s + i))
-                if i % 2 == 0:  # the sign -(-1)^i
-                    blk = -blk
-                if not blk.is_zero_map():
-                    blocks[(bi, bj)] = blk
-        if blocks:
-            diffs[i] = graded_map_from_blocks(src_blocks, tgt_blocks, blocks)
-    return ModuleComplex(ring, terms, diffs)
-
-
-def _post_compose_block(x_s: FreeModule, dt: GradedMap) -> GradedMap:
-    """Hom(X_s, dt): the map E_{qp} -> sum_r dt[r,p] E_{qr} in q-major layout."""
-    left = FreeModule(x_s.ring, tuple(-a for a in x_s.twists))
-    return GradedMap.identity(left).tensor(dt)
-
-
-def _pre_compose_block(dx: GradedMap, values: FreeModule) -> GradedMap:
-    """Hom(dx, values): f -> f o dx, from Hom(dx.target, V) to Hom(dx.source, V)."""
-    src = _hom_module_pair(dx.target, values)
-    tgt = _hom_module_pair(dx.source, values)
-    rv = values.rank
-    entries = {
-        (q * rv + p, q2 * rv + p): e for (q2, q), e in dx.entries.items() for p in range(rv)
+        ])
+        for i in sorted({u - s for s in x.terms for u in t.terms})
     }
-    return GradedMap(src, tgt, entries)
+    dt, dx_rows = _columns(t.differentials), _columns(x.differentials, transpose=True)
+    diffs = {}
+    for i in terms:
+        row = {label: r for r, label in enumerate(hom_generators(x, t, i - 1))}
+        entries = {}
+        for col, (s, q, p) in enumerate(hom_generators(x, t, i)):
+            for p2, e in dt.get((s + i, p), ()):  # d(f(v))
+                entries[row[s, q, p2], col] = e
+            for q2, e in dx_rows.get((s + 1, q), ()):  # -(-1)^i f(dv)
+                entries[row[s + 1, q2, p], col] = e if i % 2 else -e
+        if entries:
+            diffs[i] = GradedMap(terms[i].generators, terms[i - 1].generators, entries)
+    return ModuleComplex(x.ring, terms, diffs)
 
 
 def direct_sum(complexes: Iterable[ModuleComplex]) -> ModuleComplex:
@@ -442,26 +406,18 @@ def direct_sum(complexes: Iterable[ModuleComplex]) -> ModuleComplex:
 
 def tensor_chain_maps(f: ModuleChainMap, g: ModuleChainMap) -> ModuleChainMap:
     """f (x) g : X (x) Y -> X' (x) Y' for degree-0 chain maps (no signs needed)."""
-    sx, sy = f.source, g.source
-    tx, ty = f.target, g.target
-    source = tensor(sx, sy)
-    target = tensor(tx, ty)
+    sx, sy, tx, ty = f.source, g.source, f.target, g.target
+    source, target = tensor(sx, sy), tensor(tx, ty)
+    fc, gc = _columns(f.components), _columns(g.components)
     comps = {}
     for i in source.support:
-        src_pairs = tensor_summands(sx, sy, i)
-        tgt_pairs = tensor_summands(tx, ty, i)
-        if not tgt_pairs:
-            continue
-        src_blocks = [_tensor_module(sx.term(s), sy.term(t)) for s, t in src_pairs]
-        tgt_blocks = [_tensor_module(tx.term(s), ty.term(t)) for s, t in tgt_pairs]
-        tgt_index = {pair: b for b, pair in enumerate(tgt_pairs)}
-        blocks = {}
-        for bj, (s, t) in enumerate(src_pairs):
-            bi = tgt_index.get((s, t))
-            if bi is None:
-                continue
-            blocks[(bi, bj)] = f.component(s).tensor(g.component(t))
-        comps[i] = graded_map_from_blocks(src_blocks, tgt_blocks, blocks)
+        row = {label: r for r, label in enumerate(tensor_generators(tx, ty, i))}
+        entries = {}
+        for col, (s, a, t, b) in enumerate(tensor_generators(sx, sy, i)):
+            for a2, e in fc.get((s, a), ()):
+                for b2, e2 in gc.get((t, b), ()):
+                    entries[row[s, a2, t, b2], col] = e * e2
+        comps[i] = GradedMap(source.term(i), target.term(i), entries)
     return ModuleChainMap(source, target, comps)
 
 
@@ -499,14 +455,8 @@ class StrandContext:
         """Coset-level differential V_i -> V_{i-1}."""
         m = self._ops.get(i)
         if m is None:
-            src = self.space(i)
-            dst = self.space(i - 1)
-            if src.dim == 0 or dst.dim == 0:
-                m = ExactMatrix.zeros(self.complex.ring.field, dst.dim, src.dim)
-            else:
-                ambient = self.complex.differential(i).strand_matrix(self.d)
-                m = induced_map(src, dst, ambient)
-            self._ops[i] = m
+            f = self.complex.differential(i)
+            m = self._ops[i] = _coset_map(f, self.space(i), self.space(i - 1), self.d)
         return m
 
     def _kernel_of(self, i: int):
@@ -555,12 +505,15 @@ def homology_table(c, i_range, window, *, stabilized: bool = True, k_used: int =
     return table
 
 
-def coset_level_map(f, ctx_src: StrandContext, ctx_dst: StrandContext, i: int) -> ExactMatrix:
-    src = ctx_src.space(i)
-    dst = ctx_dst.space(i)
+def _coset_map(f: GradedMap, src: StrandSpace, dst: StrandSpace, d: int) -> ExactMatrix:
+    """The map f induces from the strand space src in degree d to dst, in coset coordinates."""
     if src.dim == 0 or dst.dim == 0:
-        return ExactMatrix.zeros(ctx_src.complex.ring.field, dst.dim, src.dim)
-    return induced_map(src, dst, f.component(i).strand_matrix(ctx_src.d))
+        return ExactMatrix.zeros(src.field, dst.dim, src.dim)
+    return induced_map(src, dst, f.strand_matrix(d))
+
+
+def coset_level_map(f, ctx_src: StrandContext, ctx_dst: StrandContext, i: int) -> ExactMatrix:
+    return _coset_map(f.component(i), ctx_src.space(i), ctx_dst.space(i), ctx_src.d)
 
 
 def homology_induced_matrix(f, ctx_src: StrandContext, ctx_dst: StrandContext, i: int) -> ExactMatrix:

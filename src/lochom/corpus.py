@@ -139,16 +139,9 @@ def criterion_2_self_duality() -> CheckResult:
 
 
 def _h1_power_towers(gens, module, k_max, i, window):
-    """Inverse towers of H_i(a^k; M)_d for d across the window, direct-summed."""
+    """The lazy inverse towers of H_i(a^k; M)_d, d -> tower for d across the window."""
     system = KoszulTowerSystem(gens, module, k_max, INVERSE)
-    towers = []
-    per_degree = {}
-    for d in range(window[0], window[1] + 1):
-        contexts = system.contexts(d)
-        tower = system.homology_tower(contexts, i)
-        per_degree[d] = tower
-        towers.append(tower)
-    return direct_sum_towers(towers), per_degree
+    return {d: system.homology_tower(system.contexts(d), i) for d in degree_window(window)}
 
 
 def criterion_3_pro_zero() -> CheckResult:
@@ -159,8 +152,8 @@ def criterion_3_pro_zero() -> CheckResult:
     bound = annihilator_bound(m, x1, (0, 4), 6)
     ok_t = bound.t == 2
 
-    windowed, per_degree = _h1_power_towers((x1,), m, 8, 1, (0, 8))
-    cert = pro_zero_certificate(windowed)
+    per_degree = _h1_power_towers((x1,), m, 8, 1, (0, 8))
+    cert = pro_zero_certificate(direct_sum_towers(per_degree.values()))
     expected = {l: l + 2 for l in range(1, 7)}
     ok_cert = all(cert.resolved.get(l) == l + 2 for l in range(1, 7))
 
@@ -181,8 +174,8 @@ def criterion_3_pro_zero() -> CheckResult:
     certs2 = {}
     ok_xy = True
     for i in (1, 2):
-        windowed2, per_d2 = _h1_power_towers(gens, free2, 8, i, (0, 8))
-        cert2 = pro_zero_certificate(windowed2)
+        per_d2 = _h1_power_towers(gens, free2, 8, i, (0, 8))
+        cert2 = pro_zero_certificate(direct_sum_towers(per_d2.values()))
         certs2[str(i)] = {
             "resolved": {str(l): k for l, k in sorted(cert2.resolved.items())},
             "unresolved": list(cert2.unresolved),
@@ -253,8 +246,7 @@ def criterion_5_lim1_vanishing() -> CheckResult:
     x1 = ring1.variable(0)
     m = _quotient(ring1, "x^2")
     pro_zero_bad = []
-    _, per_degree = _h1_power_towers((x1,), m, 8, 1, (0, 7))
-    for d, tower in per_degree.items():
+    for d, tower in _h1_power_towers((x1,), m, 8, 1, (0, 7)).items():
         lim = lim_lim1_truncated(tower, 2).dim
         count += 1
         if lim != 0:

@@ -13,7 +13,8 @@ homogeneous components in different spots:
 
 The conventions differ by the global twist R(k * sum deg a_i), recorded by
 ``KoszulSpec.global_twist``.  The transitions are diagonal, so they are built
-between stages that already exist, also when the stages are tensored with X.
+between stages that already exist, also when the stages are tensored with X:
+the factor of each generator is read off its ``tensor_generators`` label.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .complexes import (
     homology_table,
     shift,
     tensor,
+    tensor_generators,
 )
 from .errors import (
     ConventionMismatchError,
@@ -108,7 +110,7 @@ class KoszulSpec:
 
 
 def _exterior_basis(n: int):
-    """The sets S by size, each size in the X-major order of the iterated tensor:
+    """The sets S by size, each size by descending sum of 2^j over j in S:
     the sets holding the last generator first, and so on down."""
     return [
         sorted(combinations(range(n), i), key=lambda s: -sum(1 << j for j in s))
@@ -142,12 +144,14 @@ def koszul_complex(spec: KoszulSpec) -> ModuleComplex:
     return ModuleComplex(ring, terms, diffs)
 
 
-def _stage_map(spec_k: KoszulSpec, spec_l: KoszulSpec, source, target, x_ranks) -> ModuleChainMap:
+def _stage_map(
+    spec_k: KoszulSpec, spec_l: KoszulSpec, koszul_k, x, source, target
+) -> ModuleChainMap:
     """The transition K(a^k) (x) X -> K(a^l) (x) X between two built stages.
 
-    ``x_ranks[t]`` is the rank of X_t.  Term i lists e_S (x) X_t, |S| + t = i,
-    by ascending |S| and e_S-major, as ``tensor`` lays it out.  The map is
-    diagonal: e_S (x) v goes to c_S e_S (x) v.
+    The map is diagonal: e_S (x) v goes to c_S e_S (x) v, at the row of its
+    label (|S|, a, t, b) in ``tensor_generators(koszul_k, x, i)``, where e_S is
+    generator a of K_{|S|} and v generator b of X_t.
     """
     direct = spec_k.convention == DIRECT
     one = spec_k.ring.one()
@@ -158,10 +162,8 @@ def _stage_map(spec_k: KoszulSpec, spec_l: KoszulSpec, source, target, x_ranks) 
     ]
     components = {}
     for i in source.support:
-        diagonal = [
-            c for size, cs in enumerate(factors) for c in cs for _ in range(x_ranks.get(i - size, 0))
-        ]
-        entries = {(r, r): c for r, c in enumerate(diagonal)}
+        labels = tensor_generators(koszul_k, x, i)
+        entries = {(r, r): factors[size][s] for r, (size, s, _, _) in enumerate(labels)}
         components[i] = GradedMap(source.term(i), target.term(i), entries)
     return ModuleChainMap(source, target, components)
 
@@ -178,7 +180,8 @@ def transition(spec_k: KoszulSpec, spec_l: KoszulSpec) -> ModuleChainMap:
         raise OrderError("direct transitions need k <= l")
     if spec_k.convention == INVERSE and spec_k.power < spec_l.power:
         raise OrderError("inverse transitions need k >= l")
-    return _stage_map(spec_k, spec_l, koszul_complex(spec_k), koszul_complex(spec_l), {0: 1})
+    source, unit = koszul_complex(spec_k), ModuleComplex.stalk(FreeModule(spec_k.ring, [0]))
+    return _stage_map(spec_k, spec_l, source, unit, source, koszul_complex(spec_l))
 
 
 def koszul_homology_table(spec: KoszulSpec, module: PresentedModule, window) -> HilbertTable:
@@ -221,14 +224,17 @@ def stable_cech_truncated(gens, k_max: int, ring: GradedRing | None = None) -> M
         raise ValueError("k_max must be >= 1")
     specs = [KoszulSpec(ring, gens, k, DIRECT) for k in range(1, k_max + 1)]
     n = specs[0].n
-    stages = [shift(koszul_complex(s), -n) for s in specs]
+    koszuls = [koszul_complex(s) for s in specs]
+    stages = [shift(kc, -n) for kc in koszuls]
     b = direct_sum(stages)
     if k_max == 1:
         return cone(ModuleChainMap(ModuleComplex.zero(ring), b, {}))
     sources = stages[:-1]
     b_src = direct_sum(sources)
+    # S^{-n} K has the layout of K (x) R in degree -n
+    unit = ModuleComplex.stalk(FreeModule(ring, [0]), -n)
     transitions = [
-        _stage_map(specs[k], specs[k + 1], stages[k], stages[k + 1], {-n: 1})
+        _stage_map(specs[k], specs[k + 1], koszuls[k], unit, stages[k], stages[k + 1])
         for k in range(k_max - 1)
     ]
     components = {}

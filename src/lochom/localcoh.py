@@ -80,12 +80,14 @@ class KoszulTowerSystem:
         gens, ring = _validate_gens(gens)
         specs = [KoszulSpec(ring, gens, k, convention) for k in range(1, k_max + 1)]
         x = _complex(x)
-        complexes = [tensor(koszul_complex(spec), x) for spec in specs]
-        x_ranks = {t: x.term(t).rank for t in x.support}
+        koszuls = [koszul_complex(spec) for spec in specs]
+        complexes = [tensor(kc, x) for kc in koszuls]
         maps = []
         for k in range(k_max - 1):
             src, tgt = (k, k + 1) if convention == DIRECT else (k + 1, k)
-            maps.append(_stage_map(specs[src], specs[tgt], complexes[src], complexes[tgt], x_ranks))
+            maps.append(
+                _stage_map(specs[src], specs[tgt], koszuls[src], x, complexes[src], complexes[tgt])
+            )
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "convention", convention)
         object.__setattr__(self, "k_max", k_max)

@@ -246,15 +246,16 @@ def pro_zero_certificate(tower: StrandTower) -> ProZeroReport:
     resolved = {}
     unresolved = []
     for l in range(1, k_max):
-        found = None
+        # composite(k, l), extended by one transition per stage k
+        composite = tower.composite(l, l)
         for k in range(l, k_max + 1):
-            if tower.composite(k, l).is_zero():
-                found = k
+            if k > l:
+                composite = composite @ tower.transitions[k - 2]
+            if composite.is_zero():
+                resolved[l] = k
                 break
-        if found is None:
-            unresolved.append(l)
         else:
-            resolved[l] = found
+            unresolved.append(l)
     return ProZeroReport(resolved, unresolved, k_max)
 
 

@@ -1,26 +1,47 @@
 """Chain complex calculus: shift, cone, tensor, Hom, homology strands."""
 
+from functools import reduce
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lochom import complexes, exact
 from lochom.complexes import (
     ChainMap,
     FreeComplex,
+    ModuleChainMap,
+    ModuleComplex,
     StrandContext,
     cone,
     hom_complex,
+    hom_generators,
     hom_into_module,
+    hom_summands,
     homology_strand,
     homology_table,
     quasi_iso_check,
     shift,
     tensor,
+    tensor_chain_maps,
+    tensor_generators,
+    tensor_summands,
     tensor_with_module,
 )
 from lochom.errors import InternalInvariantError, NotFreeError, WellDefinednessError
 from lochom.exact import ExactMatrix, FieldSpec
-from lochom.modules import FreeModule, GradedMap, PresentedModule, hilbert_row
-from lochom.rings import GradedRing, parse_poly
+from lochom.koszul import DIRECT, INVERSE, KoszulSpec, koszul_complex
+from lochom.localcoh import KoszulTowerSystem
+from lochom.modules import (
+    FreeModule,
+    GradedMap,
+    PresentedModule,
+    graded_map_from_blocks,
+    hilbert_row,
+    module_sum,
+    module_sum_twisted,
+)
+from lochom.rings import GradedRing, Poly, monomial_basis, parse_poly
 
 FP = FieldSpec(32003)
 
@@ -244,8 +265,6 @@ def test_cone_triangle_dimension_constraints():
 
 
 def test_hom_complex_dispatches_presented_modules():
-    from lochom.complexes import ModuleComplex
-
     r = ring2()
     k = koszul_xy(r)
     m = PresentedModule.quotient(FreeModule(r, [0]), [[parse_poly(r, "x^2")]])
@@ -331,3 +350,280 @@ def test_homology_eliminates_the_kernel_once_and_the_quotient_in_kernel_coordina
         monkeypatch.setattr(complexes, name, counted, raising=False)
     assert ctx.homology(1).dim == 0
     assert calls == [("rref_with_pivots", 4), ("rref_with_pivots", 2)]
+
+
+# -- the label layout against the block construction ---------------------------
+#
+# The reference builds each differential and chain-map component the way the
+# constructors did before they read the generator labels: Kronecker products
+# with identity maps, and the pre-/post-composition blocks of Hom, assembled by
+# graded_map_from_blocks from the (s, t) and s summands.
+
+def _kron_module(a, b):
+    return FreeModule(a.ring, [p + q for p in a.twists for q in b.twists])
+
+
+def _hom_module(a, b):
+    return FreeModule(a.ring, [q - p for p in a.twists for q in b.twists])
+
+
+def _post_compose_block(x_s, dt):
+    """Hom(X_s, dt) as identity (x) dt."""
+    return GradedMap.identity(FreeModule(x_s.ring, [-a for a in x_s.twists])).tensor(dt)
+
+
+def _pre_compose_block(dx, values):
+    """Hom(dx, V): f -> f o dx."""
+    rv = values.rank
+    entries = {
+        (q * rv + p, q2 * rv + p): e for (q2, q), e in dx.entries.items() for p in range(rv)
+    }
+    return GradedMap(_hom_module(dx.target, values), _hom_module(dx.source, values), entries)
+
+
+def _block_differentials(terms, summands, block, images):
+    """d_i assembled from the blocks images(i, j) -> [(target summand, block)] of
+    the summands j of degree i, each of generator module block(i, j); the
+    all-zero blocks, and the all-zero differentials, are dropped."""
+    diffs = {}
+    for i in terms:
+        src, tgt = summands(i), summands(i - 1)
+        if not tgt:
+            continue
+        index = {key: b for b, key in enumerate(tgt)}
+        blocks = {
+            (index[key], bj): blk
+            for bj, j in enumerate(src)
+            for key, blk in images(i, j)
+            if key in index and not blk.is_zero_map()
+        }
+        if blocks:
+            diffs[i] = graded_map_from_blocks(
+                [block(i, j) for j in src], [block(i - 1, j) for j in tgt], blocks
+            )
+    return diffs
+
+
+def reference_tensor(x, y):
+    terms = {
+        i: module_sum([module_sum_twisted(y.module(t), x.term(s).twists)
+                       for s, t in tensor_summands(x, y, i)])
+        for i in sorted({s + t for s in x.terms for t in y.terms})
+    }
+
+    def images(_, pair):
+        s, t = pair
+        blk = GradedMap.identity(x.term(s)).tensor(y.differential(t))
+        return [
+            ((s - 1, t), x.differential(s).tensor(GradedMap.identity(y.term(t)))),
+            ((s, t - 1), -blk if s % 2 else blk),
+        ]
+
+    def block(_, pair):
+        return _kron_module(x.term(pair[0]), y.term(pair[1]))
+
+    diffs = _block_differentials(terms, lambda i: tensor_summands(x, y, i), block, images)
+    return ModuleComplex(x.ring, terms, diffs)
+
+
+def reference_hom(x, t):
+    terms = {
+        i: module_sum([module_sum_twisted(t.module(s + i), [-a for a in x.term(s).twists])
+                       for s in hom_summands(x, t, i)])
+        for i in sorted({u - s for s in x.terms for u in t.terms})
+    }
+
+    def images(i, s):
+        pre = _pre_compose_block(x.differential(s + 1), t.term(s + i))
+        return [
+            (s, _post_compose_block(x.term(s), t.differential(s + i))),
+            (s + 1, pre if i % 2 else -pre),
+        ]
+
+    def block(i, s):
+        return _hom_module(x.term(s), t.term(s + i))
+
+    diffs = _block_differentials(terms, lambda i: hom_summands(x, t, i), block, images)
+    return ModuleComplex(x.ring, terms, diffs)
+
+
+def reference_tensor_chain_maps(f, g):
+    sx, sy, tx, ty = f.source, g.source, f.target, g.target
+    source, target = reference_tensor(sx, sy), reference_tensor(tx, ty)
+    comps = {}
+    for i in source.support:
+        src, tgt = tensor_summands(sx, sy, i), tensor_summands(tx, ty, i)
+        if not tgt:
+            continue
+        index = {pair: b for b, pair in enumerate(tgt)}
+        blocks = {
+            (index[s, t], bj): f.component(s).tensor(g.component(t))
+            for bj, (s, t) in enumerate(src)
+            if (s, t) in index
+        }
+        comps[i] = graded_map_from_blocks(
+            [_kron_module(sx.term(s), sy.term(t)) for s, t in src],
+            [_kron_module(tx.term(s), ty.term(t)) for s, t in tgt],
+            blocks,
+        )
+    return ModuleChainMap(source, target, comps)
+
+
+ORACLE_FIELDS = (FieldSpec(2), FieldSpec(3), FP, FieldSpec(0))
+
+
+@st.composite
+def _rings(draw):
+    weights = draw(st.sampled_from(((1, 1), (1, 2))))
+    return GradedRing(draw(st.sampled_from(ORACLE_FIELDS)), ["x", "y"], weights)
+
+
+@st.composite
+def _forms(draw, r, degree=None):
+    """A nonzero form, of the given degree or of degree 1 or 2."""
+    degree = draw(st.integers(1, 2)) if degree is None else degree
+    picked = draw(st.lists(st.sampled_from(monomial_basis(r, degree)), min_size=1, max_size=3,
+                           unique=True))
+    p = r.field.characteristic
+    coeffs = st.integers(1, p - 1) if p else st.sampled_from((-2, -1, 1, 3))
+    return Poly(r, {m: draw(coeffs) for m in picked})
+
+
+def _twisted(x, n):
+    return ModuleComplex(
+        x.ring,
+        {i: x.term(i).twisted(n) for i in x.support},
+        {i: f.twisted(n) for i, f in x.differentials.items()},
+    )
+
+
+def _multiplication(x, f):
+    """Multiplication by the form f, X(-deg f) -> X."""
+    src = _twisted(x, -f.degree())
+    comps = {
+        i: GradedMap(src.term(i), x.term(i), {(a, a): f for a in range(x.term(i).rank)})
+        for i in x.support
+    }
+    return ModuleChainMap(src, x, comps)
+
+
+@st.composite
+def _free_complexes(draw, r, max_gens=3, max_ops=2):
+    """A Koszul complex of forms (regular or not), then shifts, twists and cones
+    of multiplication maps."""
+    gens = draw(st.lists(_forms(r), min_size=1, max_size=max_gens))
+    spec = KoszulSpec(r, gens, draw(st.integers(1, 2)), draw(st.sampled_from((DIRECT, INVERSE))))
+    x = koszul_complex(spec)
+    for op in draw(st.lists(st.sampled_from(("shift", "twist", "cone")), max_size=max_ops)):
+        if op == "shift":
+            x = shift(x, draw(st.sampled_from((-1, 1, 2))))
+        elif op == "twist":
+            x = _twisted(x, draw(st.integers(-2, 2)))
+        else:
+            x = cone(_multiplication(x, draw(_forms(r))))
+    return x
+
+
+@st.composite
+def _module_stalks(draw, r):
+    """The stalk, in degree -1, 0 or 1, of a module on one or two generators
+    with up to two relations."""
+    twists = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=2))
+    relations = []
+    for _ in range(draw(st.integers(0, 2))):
+        j, f = draw(st.integers(0, len(twists) - 1)), draw(_forms(r))
+        relations.append([f if i == j else r.zero() for i in range(len(twists))])
+    module = PresentedModule.quotient(FreeModule(r, twists), relations)
+    return ModuleComplex.stalk(module, draw(st.integers(-1, 1)))
+
+
+def _right_factors(r):
+    return st.one_of(_module_stalks(r), _free_complexes(r, max_gens=2, max_ops=1))
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_tensor_and_hom_write_every_entry_at_its_label(data):
+    r = data.draw(_rings())
+    x, y = data.draw(_free_complexes(r)), data.draw(_right_factors(r))
+    out, ref = tensor(x, y), reference_tensor(x, y)
+    assert out.terms == ref.terms
+    assert out.differentials == ref.differentials
+    for i in out.support:
+        labels = tensor_generators(x, y, i)
+        want = [x.term(s).twists[a] + y.term(t).twists[b] for s, a, t, b in labels]
+        assert list(out.term(i).twists) == want
+    out, ref = hom_complex(x, y), reference_hom(x, y)
+    assert out.terms == ref.terms
+    assert out.differentials == ref.differentials
+    for i in out.support:
+        labels = hom_generators(x, y, i)
+        want = [y.term(s + i).twists[p] - x.term(s).twists[q] for s, q, p in labels]
+        assert list(out.term(i).twists) == want
+
+
+@st.composite
+def _free_stalk_maps(draw, r):
+    """A random homogeneous matrix between two free stalks in one degree."""
+    src, tgt = (FreeModule(r, draw(st.lists(st.integers(-1, 1), min_size=1, max_size=2)))
+                for _ in range(2))
+    entries = {}
+    for a, u in enumerate(tgt.twists):
+        for b, v in enumerate(src.twists):
+            if u > v and draw(st.booleans()):
+                entries[a, b] = draw(_forms(r, u - v))
+            elif u == v and draw(st.booleans()):
+                entries[a, b] = r.constant(draw(st.integers(1, 2)))
+    degree = draw(st.integers(-1, 1))
+    source, target = ModuleComplex.stalk(src, degree), ModuleComplex.stalk(tgt, degree)
+    return ModuleChainMap(source, target, {degree: GradedMap(src, tgt, entries)})
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_tensor_chain_maps_write_every_entry_at_its_label(data):
+    r = data.draw(_rings())
+    x = data.draw(_free_complexes(r, max_ops=1))
+    kind = data.draw(st.sampled_from(("identity", "multiplication", "differential")))
+    if kind == "identity":
+        f = ModuleChainMap.identity(x)
+    elif kind == "multiplication":
+        f = _multiplication(x, data.draw(_forms(r)))
+    else:  # d : X -> S^1 X, a chain map with off-diagonal entries
+        f = ModuleChainMap(x, shift(x, 1), {i: x.differential(i) for i in x.support})
+    if data.draw(st.booleans()):
+        g = data.draw(_free_stalk_maps(r))
+    else:
+        g = ModuleChainMap.identity(data.draw(_right_factors(r)))
+    assert tensor_chain_maps(f, g) == reference_tensor_chain_maps(f, g)
+
+
+def _one_variable_transition(r, g, k, l, convention):
+    """K(g^k) -> K(g^l) on the two-term complexes: g^|k-l| in the degree that
+    carries the twist of the convention, the identity in the other."""
+    def two_term(power):
+        w = power * g.degree()
+        src, tgt = ([0], [w]) if convention == DIRECT else ([-w], [0])
+        return ModuleComplex.two_term(
+            GradedMap(FreeModule(r, src), FreeModule(r, tgt), [[g**power]])
+        )
+
+    ck, cl = two_term(k), two_term(l)
+    factor = g ** abs(k - l)
+    diagonal = {1: r.one(), 0: factor} if convention == DIRECT else {1: factor, 0: r.one()}
+    comps = {i: GradedMap(ck.term(i), cl.term(i), [[e]]) for i, e in diagonal.items()}
+    return ModuleChainMap(ck, cl, comps)
+
+
+@settings(max_examples=15)
+@given(data=st.data(), k_max=st.integers(2, 3), convention=st.sampled_from((DIRECT, INVERSE)))
+def test_koszul_stage_maps_match_the_block_reference(data, k_max, convention):
+    r = data.draw(_rings())
+    gens = data.draw(st.lists(_forms(r), min_size=1, max_size=3))
+    x = data.draw(_right_factors(r))
+    system = KoszulTowerSystem(gens, x, k_max, convention)
+    for j, f in enumerate(system.maps):
+        k, l = (j + 1, j + 2) if convention == DIRECT else (j + 2, j + 1)
+        on_k = reduce(reference_tensor_chain_maps,
+                      [_one_variable_transition(r, g, k, l, convention) for g in gens])
+        assert f == reference_tensor_chain_maps(on_k, ModuleChainMap.identity(x))
