@@ -105,7 +105,9 @@ class FieldSpec:
         raise AttributeError("FieldSpec is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self.characteristic == other.characteristic
+        return self is other or (
+            isinstance(other, FieldSpec) and self.characteristic == other.characteristic
+        )
 
     def __hash__(self):
         return hash(("FieldSpec", self.characteristic))
@@ -565,6 +567,30 @@ def rank(m: ExactMatrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     return len(_rref(m._data, m.field.characteristic)[1])
+
+
+def _is_invertible(m: ExactMatrix) -> bool:
+    """Whether m is square of full rank, by forward elimination that stops at
+    the first column with no pivot; nothing above a pivot is cleared."""
+    n = m.rows
+    if m.cols != n:
+        return False
+    if n == 0:
+        return True
+    p = m.field.characteristic
+    a = m._data.astype(np.int64) if p else m._data.copy()
+    for c in range(n):
+        nz = np.flatnonzero(a[c:, c] != 0)
+        if not nz.size:
+            return False
+        if nz[0]:
+            a[[c, c + nz[0]], c:] = a[[c + nz[0], c], c:]
+        hit = c + nz[1:]
+        if hit.size:
+            factor = a[hit, c] * pow(int(a[c, c]), p - 2, p) % p if p else a[hit, c] / a[c, c]
+            update = a[hit, c:] - factor[:, None] * a[c, c:]
+            a[hit, c:] = update % p if p else update
+    return True
 
 
 def _kernel(m: ExactMatrix):

@@ -71,7 +71,7 @@ class FreeModule:
         return FreeModule(self.ring, tuple(a + n for a in self.twists))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FreeModule)
             and self.ring == other.ring
             and self.twists == other.twists
@@ -119,17 +119,17 @@ class GradedMap:
                 )
             entries = {(i, j): e for i, row in enumerate(rows) for j, e in enumerate(row)}
         nonzero = {}
+        row_twists, col_twists = target.twists, source.twists
+        n_rows, n_cols = len(row_twists), len(col_twists)
         for (i, j), e in entries.items():
-            if not (0 <= i < target.rank and 0 <= j < source.rank):
-                raise ValueError(
-                    f"entry ({i},{j}) lies outside the {target.rank}x{source.rank} matrix"
-                )
+            if not (0 <= i < n_rows and 0 <= j < n_cols):
+                raise ValueError(f"entry ({i},{j}) lies outside the {n_rows}x{n_cols} matrix")
             if e.ring != ring:
                 raise ValueError("entry over the wrong ring")
             if e.is_zero():
                 continue
             deg = e.degree()
-            want = internal_degree + target.twists[i] - source.twists[j]
+            want = internal_degree + row_twists[i] - col_twists[j]
             if deg != want:
                 raise NonHomogeneousError(
                     f"entry ({i},{j}) has degree {deg}, expected {want}"

@@ -15,12 +15,25 @@ distinct monomials to distinct rows, and a multiplication matrix is one
 scatter of each term's coefficient.  Rings cache their strand bases, rank
 tables, the positions of each term's scatter and the multiplication matrices;
 everything is immutable after construction.
+
+A polynomial is validated once, where its terms enter: ``Poly(ring, terms)``
+converts and checks every exponent vector and normalizes and sums every
+coefficient, and ``parse_poly`` and every caller outside this module go
+through it.  The arithmetic of this module (``*``, ``+``, ``-``, ``scale``,
+``**``) and the ring's ``zero``, ``one`` and ``variable`` build terms that
+are valid by construction (exponent tuples of the ring's length, nonzero
+canonical coefficients) and hand them to the module-private
+``_trusted_poly`` unchecked.  A product of two monomials is one tuple sum
+and one field product.  A polynomial keeps its degree once computed, and a
+product, negation or scaling inherits it from its operands; a
+non-homogeneous polynomial keeps that fact and raises on every ``degree()``
+call.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -67,7 +80,7 @@ class GradedRing:
         raise AttributeError("GradedRing is immutable")
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, GradedRing)
             and self.field == other.field
             and self.var_names == other.var_names
@@ -90,10 +103,10 @@ class GradedRing:
 
     # -- canonical element constructors -----------------------------------
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return _trusted_poly(self, {}, None)
 
     def one(self) -> "Poly":
-        return Poly(self, {(0,) * self.nvars: 1})
+        return _trusted_poly(self, {(0,) * self.nvars: self.field.one()}, 0)
 
     def constant(self, c) -> "Poly":
         return Poly(self, {(0,) * self.nvars: c})
@@ -101,7 +114,7 @@ class GradedRing:
     def variable(self, i: int) -> "Poly":
         exp = [0] * self.nvars
         exp[i] = 1
-        return Poly(self, {tuple(exp): 1})
+        return _trusted_poly(self, {tuple(exp): self.field.one()}, self.weights[i])
 
     def variables(self):
         return tuple(self.variable(i) for i in range(self.nvars))
@@ -181,10 +194,25 @@ def _scatter_positions(ring: GradedRing, exp: tuple, d: int, D: int) -> np.ndarr
     return positions
 
 
-class Poly:
-    """Polynomial as a map exponent-vector -> nonzero canonical scalar."""
+# The kept degree of a polynomial before it is computed, and of one that is
+# not homogeneous.
+_UNSET = object()
+_MIXED = object()
 
-    __slots__ = ("ring", "terms", "_key")
+
+class Poly:
+    """Polynomial as a map exponent-vector -> nonzero canonical scalar.
+
+    ``Poly(ring, terms)`` is the validating constructor, for parsed and user
+    input: it checks that every exponent vector has the ring's length and no
+    negative entry, normalizes every coefficient, sums repeated exponents
+    and drops zeros.  The arithmetic returns through ``_trusted_poly``, which
+    takes terms that are valid by construction as they are (see the module
+    docstring).  Either way the terms are the same canonical dict, so
+    equality and hash do not depend on the route.
+    """
+
+    __slots__ = ("ring", "terms", "_key", "_degree")
 
     def __init__(self, ring: GradedRing, terms):
         clean = {}
@@ -207,6 +235,7 @@ class Poly:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_degree", _UNSET)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -215,18 +244,24 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _kept_degree(self):
+        """The degree, None for the zero poly or _MIXED, computed at the first call."""
+        deg = self._degree
+        if deg is _UNSET:
+            degs = {self.ring.exponent_degree(e) for e in self.terms}
+            deg = degs.pop() if len(degs) == 1 else (_MIXED if degs else None)
+            object.__setattr__(self, "_degree", deg)
+        return deg
+
     def is_homogeneous(self) -> bool:
-        degs = {self.ring.exponent_degree(e) for e in self.terms}
-        return len(degs) <= 1
+        return self._kept_degree() is not _MIXED
 
     def degree(self):
         """Weighted degree of a homogeneous polynomial; None for the zero poly."""
-        if not self.terms:
-            return None
-        degs = {self.ring.exponent_degree(e) for e in self.terms}
-        if len(degs) > 1:
+        deg = self._kept_degree()
+        if deg is _MIXED:
             raise NonHomogeneousError(f"{self} is not homogeneous")
-        return degs.pop()
+        return deg
 
     def key(self):
         if self._key is None:
@@ -234,7 +269,7 @@ class Poly:
         return self._key
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
         )
 
@@ -251,16 +286,27 @@ class Poly:
         out = dict(self.terms)
         fld = self.ring.field
         for exp, c in other.terms.items():
-            s = fld.add(out.get(exp, fld.zero()), c)
-            if s == 0:
-                out.pop(exp, None)
+            c0 = out.get(exp)
+            if c0 is None:
+                out[exp] = c
             else:
-                out[exp] = s
-        return Poly(self.ring, out)
+                s = fld.add(c0, c)
+                if s == 0:
+                    del out[exp]
+                else:
+                    out[exp] = s
+        deg = self._degree
+        if not out:
+            deg = None
+        elif type(deg) is not int or deg != other._degree:
+            deg = _UNSET
+        return _trusted_poly(self.ring, out, deg)
 
     def __neg__(self) -> "Poly":
         fld = self.ring.field
-        return Poly(self.ring, {e: fld.neg(c) for e, c in self.terms.items()})
+        return _trusted_poly(
+            self.ring, {e: fld.neg(c) for e, c in self.terms.items()}, self._degree
+        )
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -268,21 +314,37 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_ring(other)
         fld = self.ring.field
+        a, b = self.terms, other.terms
+        da, db = self._degree, other._degree
+        deg = da + db if type(da) is int and type(db) is int else _UNSET
+        if len(a) == 1 == len(b):
+            # one term times one term: a field has no zero divisors
+            ((e1, c1),), ((e2, c2),) = a.items(), b.items()
+            return _trusted_poly(self.ring, {tuple(map(add, e1, e2)): fld.mul(c1, c2)}, deg)
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = fld.add(out.get(exp, fld.zero()), fld.mul(c1, c2))
-                if s == 0:
-                    out.pop(exp, None)
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                exp = tuple(map(add, e1, e2))
+                c = fld.mul(c1, c2)
+                c0 = out.get(exp)
+                if c0 is None:
+                    out[exp] = c
                 else:
-                    out[exp] = s
-        return Poly(self.ring, out)
+                    s = fld.add(c0, c)
+                    if s == 0:
+                        del out[exp]
+                    else:
+                        out[exp] = s
+        return _trusted_poly(self.ring, out, deg if out else None)
 
     def scale(self, c) -> "Poly":
         fld = self.ring.field
         c = fld.normalize(c)
-        return Poly(self.ring, {e: fld.mul(v, c) for e, v in self.terms.items()})
+        if c == 0:
+            return self.ring.zero()
+        return _trusted_poly(
+            self.ring, {e: fld.mul(v, c) for e, v in self.terms.items()}, self._degree
+        )
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -299,6 +361,29 @@ class Poly:
     # -- text -------------------------------------------------------------------
     def __repr__(self):
         return format_poly(self)
+
+
+# a Poly refuses attribute writes, so the trusted path fills its slots
+# through their descriptors
+_new = object.__new__
+_set_ring, _set_terms, _set_key, _set_degree = (
+    getattr(Poly, name).__set__ for name in ("ring", "terms", "_key", "_degree")
+)
+
+
+def _trusted_poly(ring: GradedRing, terms: dict, degree) -> Poly:
+    """A Poly on ``terms`` as they are, with its degree: None for no terms,
+    _MIXED if not homogeneous, _UNSET if not known yet.  The terms must be
+    valid by construction: exponent tuples of length ``ring.nvars`` with no
+    negative entry and nonzero canonical coefficients.  Only this module's
+    arithmetic calls it; everything else builds a Poly with
+    ``Poly(ring, terms)``."""
+    p = _new(Poly)
+    _set_ring(p, ring)
+    _set_terms(p, terms)
+    _set_key(p, None)
+    _set_degree(p, degree)
+    return p
 
 
 def format_poly(p: Poly) -> str:

@@ -208,6 +208,11 @@ MALFORMED = {
     # --field rewrites ring.char, which needs the ring to be an object first
     "field-ring-string": {"command": "hilbert", "ring": "ab"},
     "field-ring-pairs": {"command": "hilbert", "ring": [["vars", ["x"]]]},
+    # every polynomial of a job goes through the validating constructor
+    "relation-negative-exponent": {"module": {"relations": [["x*y^-1"]]}},
+    "ideal-negative-exponent": {"ideal": ["x", "y^-2"]},
+    "differential-negative-exponent": {"complex": {
+        "terms": TWO_TERM["terms"], "differentials": {"1": [["x^-1"]]}}},
 }
 # the cases run with --field 5, whose error must point at the ring
 WITH_FIELD = {"field-ring-string", "field-ring-pairs"}

@@ -114,3 +114,43 @@ def test_the_scan_sees_an_unread_parameter():
     assert unread_parameters(tree) == [
         (1, "_sign_of", "ring"), (3, "f", "args"), (3, "f", "kw"), (4, "g", "c"),
     ]
+
+
+TRUSTED = "_trusted_poly"
+
+
+def trusted_constructor_uses(tree: ast.Module) -> list:
+    """(line, how) for each reference to the unchecked Poly constructor: a
+    name, an attribute, an import or a string naming it."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == TRUSTED:
+            hits.append((node.lineno, "name"))
+        elif isinstance(node, ast.Attribute) and node.attr == TRUSTED:
+            hits.append((node.lineno, "attribute"))
+        elif isinstance(node, ast.ImportFrom) and any(a.name == TRUSTED for a in node.names):
+            hits.append((node.lineno, "import"))
+        elif isinstance(node, ast.Constant) and node.value == TRUSTED:
+            hits.append((node.lineno, "string"))
+    return sorted(hits)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "rings.py"], ids=lambda p: p.name
+)
+def test_only_rings_builds_a_poly_unchecked(path):
+    # parsed and user input must reach Poly(ring, terms), which validates it
+    assert trusted_constructor_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_scan_sees_an_unchecked_poly():
+    tree = ast.parse(
+        "from .rings import _trusted_poly as make\nfrom . import rings\n"
+        "p = make(r, {})\nq = rings._trusted_poly(r, {})\n"
+        "f = getattr(rings, '_trusted_poly')\ndef g():\n    return _trusted_poly\n"
+    )
+    assert trusted_constructor_uses(tree) == [
+        (1, "import"), (4, "attribute"), (5, "string"), (7, "name"),
+    ]
+    rings = SRC / "rings.py"
+    assert trusted_constructor_uses(ast.parse(rings.read_text(encoding="utf-8")))

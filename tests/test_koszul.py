@@ -23,6 +23,7 @@ from lochom.complexes import (
 )
 from lochom.errors import (
     ConventionMismatchError,
+    InternalInvariantError,
     NonHomogeneousError,
     OrderError,
     ZeroGeneratorError,
@@ -155,6 +156,45 @@ def test_transition_functoriality():
     u42 = transition(inv, inv.at_power(2))
     u21 = transition(inv.at_power(2), inv.at_power(1))
     assert u21.compose(u42) == transition(inv, inv.at_power(1))
+
+
+@pytest.mark.parametrize("field", (FieldSpec(3), FP, FieldSpec(0)), ids=str)
+@pytest.mark.parametrize("convention", (DIRECT, INVERSE))
+def test_a_koszul_differential_with_one_sign_flipped_fails_d_squared(field, convention):
+    # monomial entries +-x_j^k: the d o d check still sees every single flip
+    r = GradedRing(field, ["x", "y", "z"], [1, 2, 1])
+    kc = koszul_complex(KoszulSpec(r, r.variables(), 2, convention))
+    ModuleComplex(r, kc.terms, kc.differentials)
+    flips = 0
+    for i, f in kc.differentials.items():
+        for key, e in f.entries.items():
+            diffs = {**kc.differentials, i: GradedMap(f.source, f.target, {**f.entries, key: -e})}
+            with pytest.raises(InternalInvariantError, match="d o d"):
+                ModuleComplex(r, kc.terms, diffs)
+            flips += 1
+    assert flips == 3 * 2**2
+
+
+@pytest.mark.parametrize("convention", (DIRECT, INVERSE))
+def test_a_stage_map_with_one_factor_changed_fails_to_commute(convention):
+    # the diagonal factors c_S are monomials; changing any one of them, alone,
+    # breaks the commutation check
+    r = ring(2)
+    x, y = r.variables()
+    k, l = (1, 3) if convention == DIRECT else (3, 1)
+    spec = KoszulSpec(r, (x, y), k, convention)
+    system = KoszulTowerSystem((x, y), quotient(r, "x^2"), 2, convention)
+    changed = 0
+    for t in (transition(spec, spec.at_power(l)), system.maps[0]):
+        ModuleChainMap(t.source, t.target, t.components)
+        for i, f in t.components.items():
+            for key, c in f.entries.items():
+                wrong = GradedMap(f.source, f.target, {**f.entries, key: c.scale(2)})
+                comps = {**t.components, i: wrong}
+                with pytest.raises(InternalInvariantError, match="commute"):
+                    ModuleChainMap(t.source, t.target, comps)
+                changed += 1
+    assert changed == 4 + 4
 
 
 def test_regular_sequence_table():

@@ -513,3 +513,23 @@ def test_lazy_tables_match_towers_built_in_full(job, lc_lo, lh_lo):
             want = TableEntry(lim.dim, lim.stabilized and gate.stabilized,
                               max(lim.k_used, gate.k_used))
             assert lh.get(i, d) == want, (i, d)
+
+
+@settings(max_examples=30)
+@given(
+    job=_oracle_jobs(),
+    data=st.data(),
+    convention=st.sampled_from((DIRECT, INVERSE)),
+    stages=st.integers(2, 6),
+)
+def test_one_stage_has_the_homological_support_of_every_stage(job, data, convention, stages):
+    # term i of K(a^k) (x) X is C(n, i) twisted copies of the terms of X for
+    # every k, so criterion 5 reads the support off a one-stage system
+    gens, module, _, _ = job
+    x = module
+    if data.draw(st.booleans()):
+        r = module.ring
+        forms = data.draw(st.lists(_form(r), min_size=1, max_size=2))
+        x = shift(koszul_complex(KoszulSpec(r, forms, 1, INVERSE)), data.draw(st.integers(-2, 2)))
+    one = KoszulTowerSystem(gens, x, 1, convention).homological_support()
+    assert KoszulTowerSystem(gens, x, stages, convention).homological_support() == one

@@ -57,6 +57,19 @@ def test_graded_map_homogeneity_enforced():
         GradedMap(src, tgt, [[parse_poly(r, "x + x^2")]])
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_a_monomial_entry_of_the_wrong_degree_is_rejected(field):
+    # entries built by the arithmetic carry their kept degree into the check
+    r = GradedRing(field, ["x", "y"], [1, 2])
+    x, y = r.variables()
+    src, tgt = FreeModule(r, [-2, -3]), FreeModule(r, [0])
+    GradedMap(src, tgt, {(0, 0): y, (0, 1): -(x * y)})
+    for wrong in (x, x**4, -(y * y), x.scale(5) * y * y, r.one()):
+        for i, j in ((0, 0), (0, 1)):
+            with pytest.raises(NonHomogeneousError, match=rf"entry \({i},{j}\)"):
+                GradedMap(src, tgt, {(i, j): wrong})
+
+
 def test_strand_of_free_module():
     r = ring2()
     free = PresentedModule.free(FreeModule(r, [0]))

@@ -250,3 +250,90 @@ def test_poly_arithmetic_and_power():
         r, {(0, 0): 3}
     ) + y**3
     assert (x**0) == r.one()
+
+
+FIELDS = (FieldSpec(2), FieldSpec(3), FP, QQ)
+
+
+def assert_canonical(p):
+    """p is what the validating constructor makes of its terms: the same
+    terms, no zero and only canonical coefficients, equal with one hash, and
+    its kept degree is that of a fresh recomputation."""
+    ring, field = p.ring, p.ring.field
+    for exp, c in p.terms.items():
+        assert type(exp) is tuple and len(exp) == ring.nvars
+        assert all(type(e) is int and e >= 0 for e in exp)
+        assert type(c) is (Fraction if field.is_rational else int)
+        assert c != 0 and field.normalize(c) == c
+    ref = Poly(ring, p.terms)
+    assert ref.terms == p.terms and ref == p and p == ref and hash(ref) == hash(p)
+    degs = {ring.exponent_degree(e) for e in p.terms}
+    if len(degs) > 1:
+        assert not p.is_homogeneous()
+        for _ in range(2):
+            with pytest.raises(NonHomogeneousError):
+                p.degree()
+    else:
+        assert p.is_homogeneous()
+        assert p.degree() == ref.degree() == (degs.pop() if degs else None)
+
+
+@st.composite
+def ring_and_polys(draw):
+    """A ring over one of the fields and a few polynomials from the public
+    constructor: monomials and not, homogeneous and not, on a small set of
+    exponents so that sums and products cancel."""
+    field = draw(st.sampled_from(FIELDS))
+    weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    ring = GradedRing(field, [f"x{i}" for i in range(len(weights))], weights)
+    exps = st.tuples(*[st.integers(0, 2) for _ in weights])
+    coeffs = st.fractions(-3, 3, max_denominator=3) if field.is_rational else st.integers(-7, 7)
+    polys = []
+    for _ in range(3):
+        terms = draw(st.dictionaries(exps, coeffs, max_size=draw(st.sampled_from((1, 1, 3)))))
+        p = Poly(ring, terms)
+        if draw(st.booleans()):
+            p.is_homogeneous()  # the kept degree, before p is an operand
+        polys.append(p)
+    return ring, polys
+
+
+@settings(max_examples=150)
+@given(drawn=ring_and_polys(), c=st.integers(-40000, 40000), k=st.integers(0, 3))
+def test_trusted_arithmetic_matches_the_validating_constructor(drawn, c, k):
+    ring, (a, b, m) = drawn
+    for p in (a, b, m):
+        assert_canonical(p)
+    results = [a * b, b * a, a * m, a + b, a - b, a - a, a + (-a), -a, a.scale(c), a.scale(0),
+               a**k, (a + b) * (a - b), a * b - b * a, ring.one(), ring.zero(), ring.variable(0)]
+    for p in results:
+        assert p.ring is ring
+        assert_canonical(p)
+    assert (a - a).is_zero() and (a * b - b * a).is_zero() and a.scale(0).is_zero()
+    x = ring.variable(0)
+    assert x * x == x**2 == Poly(ring, {(2,) + (0,) * (ring.nvars - 1): 1})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_a_non_homogeneous_sum_raises_on_every_degree_call(field):
+    r = ring2((1, 2), field)
+    x, y = r.variables()
+    for p in (x + y, x * x + y + y.scale(-1) + x, (x + y) ** 2, -(x + y), (x + y).scale(5)):
+        assert not p.is_homogeneous()
+        for _ in range(3):
+            with pytest.raises(NonHomogeneousError):
+                p.degree()
+    # products of homogeneous polynomials inherit their degree
+    f = x * x + y
+    assert f.degree() == 2 and (f * f).degree() == 4 and (f * x).degree() == 3
+
+
+@pytest.mark.parametrize(
+    "exp", [(-1, 0), (0, -2), (1,), (1, 0, 0), ()],
+    ids=["neg-x", "neg-y", "short", "long", "empty"],
+)
+def test_poly_rejects_a_bad_exponent_vector(exp):
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        Poly(ring2(), {exp: 1})
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        Poly(ring2(), {(1, 1): 2, exp: 0})
