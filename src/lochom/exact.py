@@ -569,30 +569,6 @@ def rank(m: ExactMatrix) -> int:
     return len(_rref(m._data, m.field.characteristic)[1])
 
 
-def _is_invertible(m: ExactMatrix) -> bool:
-    """Whether m is square of full rank, by forward elimination that stops at
-    the first column with no pivot; nothing above a pivot is cleared."""
-    n = m.rows
-    if m.cols != n:
-        return False
-    if n == 0:
-        return True
-    p = m.field.characteristic
-    a = m._data.astype(np.int64) if p else m._data.copy()
-    for c in range(n):
-        nz = np.flatnonzero(a[c:, c] != 0)
-        if not nz.size:
-            return False
-        if nz[0]:
-            a[[c, c + nz[0]], c:] = a[[c + nz[0], c], c:]
-        hit = c + nz[1:]
-        if hit.size:
-            factor = a[hit, c] * pow(int(a[c, c]), p - 2, p) % p if p else a[hit, c] / a[c, c]
-            update = a[hit, c:] - factor[:, None] * a[c, c:]
-            a[hit, c:] = update % p if p else update
-    return True
-
-
 def _kernel(m: ExactMatrix):
     """Kernel basis K of m and its free columns; K[free] is the identity."""
     red, pivots = rref_with_pivots(m)

@@ -24,10 +24,9 @@ through it.  The arithmetic of this module (``*``, ``+``, ``-``, ``scale``,
 are valid by construction (exponent tuples of the ring's length, nonzero
 canonical coefficients) and hand them to the module-private
 ``_trusted_poly`` unchecked.  A product of two monomials is one tuple sum
-and one field product.  A polynomial keeps its degree once computed, and a
-product, negation or scaling inherits it from its operands; a
-non-homogeneous polynomial keeps that fact and raises on every ``degree()``
-call.
+and one field product.  A homogeneous polynomial keeps its degree from the
+first ``degree()`` call on; a non-homogeneous one keeps nothing and raises on
+every call.
 """
 
 from __future__ import annotations
@@ -103,10 +102,10 @@ class GradedRing:
 
     # -- canonical element constructors -----------------------------------
     def zero(self) -> "Poly":
-        return _trusted_poly(self, {}, None)
+        return _trusted_poly(self, {})
 
     def one(self) -> "Poly":
-        return _trusted_poly(self, {(0,) * self.nvars: self.field.one()}, 0)
+        return _trusted_poly(self, {(0,) * self.nvars: self.field.one()})
 
     def constant(self, c) -> "Poly":
         return Poly(self, {(0,) * self.nvars: c})
@@ -114,7 +113,7 @@ class GradedRing:
     def variable(self, i: int) -> "Poly":
         exp = [0] * self.nvars
         exp[i] = 1
-        return _trusted_poly(self, {tuple(exp): self.field.one()}, self.weights[i])
+        return _trusted_poly(self, {tuple(exp): self.field.one()})
 
     def variables(self):
         return tuple(self.variable(i) for i in range(self.nvars))
@@ -194,10 +193,9 @@ def _scatter_positions(ring: GradedRing, exp: tuple, d: int, D: int) -> np.ndarr
     return positions
 
 
-# The kept degree of a polynomial before it is computed, and of one that is
-# not homogeneous.
+# The kept degree of a polynomial before it is computed (None is the degree
+# of the zero polynomial).
 _UNSET = object()
-_MIXED = object()
 
 
 class Poly:
@@ -244,24 +242,20 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _kept_degree(self):
-        """The degree, None for the zero poly or _MIXED, computed at the first call."""
-        deg = self._degree
-        if deg is _UNSET:
-            degs = {self.ring.exponent_degree(e) for e in self.terms}
-            deg = degs.pop() if len(degs) == 1 else (_MIXED if degs else None)
-            object.__setattr__(self, "_degree", deg)
-        return deg
-
     def is_homogeneous(self) -> bool:
-        return self._kept_degree() is not _MIXED
+        """Whether all terms have one degree, which is then kept."""
+        if self._degree is _UNSET:
+            degs = {self.ring.exponent_degree(e) for e in self.terms}
+            if len(degs) > 1:
+                return False
+            object.__setattr__(self, "_degree", degs.pop() if degs else None)
+        return True
 
     def degree(self):
         """Weighted degree of a homogeneous polynomial; None for the zero poly."""
-        deg = self._kept_degree()
-        if deg is _MIXED:
+        if not self.is_homogeneous():
             raise NonHomogeneousError(f"{self} is not homogeneous")
-        return deg
+        return self._degree
 
     def key(self):
         if self._key is None:
@@ -295,18 +289,11 @@ class Poly:
                     del out[exp]
                 else:
                     out[exp] = s
-        deg = self._degree
-        if not out:
-            deg = None
-        elif type(deg) is not int or deg != other._degree:
-            deg = _UNSET
-        return _trusted_poly(self.ring, out, deg)
+        return _trusted_poly(self.ring, out)
 
     def __neg__(self) -> "Poly":
         fld = self.ring.field
-        return _trusted_poly(
-            self.ring, {e: fld.neg(c) for e, c in self.terms.items()}, self._degree
-        )
+        return _trusted_poly(self.ring, {e: fld.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -315,12 +302,10 @@ class Poly:
         self._check_ring(other)
         fld = self.ring.field
         a, b = self.terms, other.terms
-        da, db = self._degree, other._degree
-        deg = da + db if type(da) is int and type(db) is int else _UNSET
         if len(a) == 1 == len(b):
             # one term times one term: a field has no zero divisors
             ((e1, c1),), ((e2, c2),) = a.items(), b.items()
-            return _trusted_poly(self.ring, {tuple(map(add, e1, e2)): fld.mul(c1, c2)}, deg)
+            return _trusted_poly(self.ring, {tuple(map(add, e1, e2)): fld.mul(c1, c2)})
         out: dict = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -335,16 +320,14 @@ class Poly:
                         del out[exp]
                     else:
                         out[exp] = s
-        return _trusted_poly(self.ring, out, deg if out else None)
+        return _trusted_poly(self.ring, out)
 
     def scale(self, c) -> "Poly":
         fld = self.ring.field
         c = fld.normalize(c)
         if c == 0:
             return self.ring.zero()
-        return _trusted_poly(
-            self.ring, {e: fld.mul(v, c) for e, v in self.terms.items()}, self._degree
-        )
+        return _trusted_poly(self.ring, {e: fld.mul(v, c) for e, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -371,18 +354,16 @@ _set_ring, _set_terms, _set_key, _set_degree = (
 )
 
 
-def _trusted_poly(ring: GradedRing, terms: dict, degree) -> Poly:
-    """A Poly on ``terms`` as they are, with its degree: None for no terms,
-    _MIXED if not homogeneous, _UNSET if not known yet.  The terms must be
-    valid by construction: exponent tuples of length ``ring.nvars`` with no
-    negative entry and nonzero canonical coefficients.  Only this module's
-    arithmetic calls it; everything else builds a Poly with
-    ``Poly(ring, terms)``."""
+def _trusted_poly(ring: GradedRing, terms: dict) -> Poly:
+    """A Poly on ``terms`` as they are.  The terms must be valid by
+    construction: exponent tuples of length ``ring.nvars`` with no negative
+    entry and nonzero canonical coefficients.  Only this module's arithmetic
+    calls it; everything else builds a Poly with ``Poly(ring, terms)``."""
     p = _new(Poly)
     _set_ring(p, ring)
     _set_terms(p, terms)
     _set_key(p, None)
-    _set_degree(p, degree)
+    _set_degree(p, _UNSET)
     return p
 
 

@@ -27,7 +27,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .errors import OrderError
-from .exact import ExactMatrix, StrandSpace, _is_invertible, rank
+from .exact import ExactMatrix, StrandSpace, rank
 from .modules import PresentedModule, TableEntry, annihilator_strand, degree_window
 from .rings import Poly
 
@@ -142,6 +142,10 @@ class StrandTower:
         return out
 
 
+def _is_iso(m: ExactMatrix) -> bool:
+    return m.rows == m.cols and rank(m) == m.rows
+
+
 def _top_iso_run(k: int, isos_from_top, stab_window: int) -> tuple[bool, int]:
     """(stabilized, k_used) of a k-stage tower, read off whether each transition,
     top first, is an isomorphism, down to the first one that is not."""
@@ -167,7 +171,7 @@ def colim_truncated(tower: StrandTower, stab_window: int) -> TableEntry:
         raise OrderError("colim_truncated expects a directed tower")
     if stab_window < 1:
         raise ValueError("stab_window must be >= 1")
-    isos = map(_is_invertible, reversed(tower.transitions))
+    isos = map(_is_iso, reversed(tower.transitions))
     stabilized, k_used = _top_iso_run(tower.length, isos, stab_window)
     return TableEntry(tower.stages[-1].dim, stabilized, k_used)
 
@@ -197,7 +201,7 @@ def lim_lim1_truncated(tower: StrandTower, stab_window: int = 2) -> TableEntry:
     if stab_window < 1:
         raise ValueError("stab_window must be >= 1")
     k = tower.length
-    isos = map(_is_invertible, reversed(tower.transitions))
+    isos = map(_is_iso, reversed(tower.transitions))
     stabilized, k_used = _top_iso_run(k, isos, stab_window)
     levels = k if stabilized else max(1, k - stab_window)
     lim = tower.stages[k - 1].dim if levels == k else rank(tower.composite(k, levels))

@@ -60,7 +60,7 @@ def test_tracer_covers_the_lim_lim1_path_of_an_lh_job():
     lim = towers.lim_lim1_truncated
     job = cli._document_to_jobspec({
         "command": "lh", "ring": {"char": 32003, "vars": ["x", "y"]},
-        "module": {"relations": [["x^2"]]}, "i_range": [0, 1], "window": [-1, 2], "k_max": 4,
+        "module": {"relations": [["x^2"]]}, "i_range": [0, 1], "window": [-1, 1], "k_max": 4,
     })
     tracer = spans.Tracer().install()
     try:
@@ -68,9 +68,7 @@ def test_tracer_covers_the_lim_lim1_path_of_an_lh_job():
     finally:
         tracer.uninstall()
     assert tracer.calls["towers.limlim1"] > 0
-    # the eliminations of the trusted levels are recorded inside the lim/lim1
-    # spans: degree 2 is unstabilized at k_max 4, so its lim is the rank of a
-    # composite (the invertibility checks of the iso run are not eliminations)
+    # the eliminations of the trusted levels are recorded inside the lim/lim1 spans
     names = [span[0] for span in tracer.spans]
     elim_parents = {names[span[3]] for span in tracer.spans if span[0].startswith("exact.elim.")}
     assert "towers.limlim1" in elim_parents

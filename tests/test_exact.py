@@ -64,45 +64,6 @@ def _reference_rank(rows, p):
     return r
 
 
-def _reference_rank_q(rows):
-    """Gaussian elimination on Fractions."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, len(m)):
-            f = m[i][c] / m[r][c]
-            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-    return r
-
-
-@settings(max_examples=300)
-@given(
-    field=st.sampled_from((FieldSpec(2), FieldSpec(3), FP, FieldSpec(2**31 - 1), QQ)),
-    data=st.data(),
-)
-def test_the_invertibility_check_matches_a_reference_rank(field, data):
-    n = data.draw(st.integers(0, 5))
-    cols = n if data.draw(st.integers(0, 3)) else data.draw(st.integers(0, 5))
-    p = field.characteristic
-    entries = st.fractions(-3, 3, max_denominator=3) if p == 0 else st.one_of(
-        st.integers(-2, 2), st.integers(0, p - 1)
-    )
-    rows = [data.draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(n)]
-    if n > 1 and data.draw(st.booleans()):
-        # a row that is a multiple of another, or one that has a zero pivot column
-        i, j = data.draw(st.permutations(range(n)))[:2]
-        rows[i] = [v * data.draw(entries) for v in rows[j]]
-    ref = _reference_rank_q(rows) if p == 0 else _reference_rank(rows, p)
-    assert exact._is_invertible(M(field, rows) if n else ExactMatrix.zeros(field, 0, cols)) == (
-        n == cols and ref == n
-    )
-
-
 def test_rank_at_the_largest_prime_matches_reference():
     p = 2**31 - 1
     field = FieldSpec(p)

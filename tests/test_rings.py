@@ -293,7 +293,7 @@ def ring_and_polys(draw):
         terms = draw(st.dictionaries(exps, coeffs, max_size=draw(st.sampled_from((1, 1, 3)))))
         p = Poly(ring, terms)
         if draw(st.booleans()):
-            p.is_homogeneous()  # the kept degree, before p is an operand
+            p.is_homogeneous()  # keep its degree before p is an operand
         polys.append(p)
     return ring, polys
 
@@ -323,7 +323,7 @@ def test_a_non_homogeneous_sum_raises_on_every_degree_call(field):
         for _ in range(3):
             with pytest.raises(NonHomogeneousError):
                 p.degree()
-    # products of homogeneous polynomials inherit their degree
+    # a product of homogeneous polynomials has the sum of their degrees
     f = x * x + y
     assert f.degree() == 2 and (f * f).degree() == 4 and (f * x).degree() == 3
 

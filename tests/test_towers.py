@@ -180,17 +180,16 @@ def test_annihilator_bound_unresolved():
 
 
 @pytest.mark.parametrize(
-    "tower, levels, checks, ranks",
+    "tower, levels, ranks",
     [
-        (constant_tower(2, 5, "inverse"), 5, 4, 0),
-        (StrandTower([full(2)] * 6, [ExactMatrix.zeros(FP, 2, 2)] * 5, "inverse"), 4, 1, 1),
+        (constant_tower(2, 5, "inverse"), 5, 4),
+        (StrandTower([full(2)] * 6, [ExactMatrix.zeros(FP, 2, 2)] * 5, "inverse"), 4, 2),
     ],
     ids=["stabilized", "pro-zero"],
 )
-def test_lim_eliminates_once_per_trusted_level(tower, levels, checks, ranks, monkeypatch):
-    # at most one elimination per trusted level: a forward invertibility check
-    # per transition of the top isomorphism run and a rank for the lim; no
-    # echelon form, column basis or solve
+def test_lim_eliminates_once_per_trusted_level(tower, levels, ranks, monkeypatch):
+    # at most one elimination per trusted level, and every one of them a rank:
+    # no echelon form, column basis or solve
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -199,14 +198,14 @@ def test_lim_eliminates_once_per_trusted_level(tower, levels, checks, ranks, mon
             return fn(*args)
         return wrapper
 
-    for name in ("rank", "rref_with_pivots", "column_basis", "solve_columns", "_is_invertible"):
+    for name in ("rank", "rref_with_pivots", "column_basis", "solve_columns"):
         wrapper = counted(name, getattr(exact, name))
         for module in (exact, towers):
             monkeypatch.setattr(module, name, wrapper, raising=False)
     res = lim_lim1_truncated(tower, 2)
     assert (tower.length if res.stabilized else max(1, tower.length - 2)) == levels
-    assert calls == collections.Counter(_is_invertible=checks, rank=ranks)
-    assert checks + ranks <= levels
+    assert calls == {"rank": ranks}
+    assert ranks <= levels
 
 
 ZERO_TOWER = StrandTower([full(2)] * 6, [ExactMatrix.zeros(FP, 2, 2)] * 5, "inverse")
@@ -214,30 +213,26 @@ IDENTITY_TOWER = constant_tower(2, 5, "inverse")
 
 
 @pytest.mark.parametrize(
-    "tower, checked, ranked",
+    "tower, ranked",
     [
-        (ZERO_TOWER, [ZERO_TOWER.transitions[4]], [ZERO_TOWER.composite(6, 4)]),
-        (IDENTITY_TOWER, list(IDENTITY_TOWER.transitions[::-1]), []),
+        (ZERO_TOWER, [ZERO_TOWER.transitions[4], ZERO_TOWER.composite(6, 4)]),
+        (IDENTITY_TOWER, list(IDENTITY_TOWER.transitions[::-1])),
     ],
     ids=["pro-zero", "stabilized"],
 )
-def test_lim_ranks_only_the_iso_run_and_the_difference_map(tower, checked, ranked, monkeypatch):
-    # one invertibility check per transition of the top isomorphism run, up
-    # to its first non-isomorphism, and one rank for the composite into the
-    # lowest trusted level unless that level is the top; the difference map
-    # itself is never built
-    calls = {"_is_invertible": [], "rank": []}
+def test_lim_ranks_only_the_iso_run_and_the_difference_map(tower, ranked, monkeypatch):
+    # one rank per transition of the top isomorphism run, up to its first
+    # non-isomorphism, and one for the composite into the lowest trusted level
+    # unless that level is the top; the difference map itself is never built
+    calls = []
 
-    def counted(name, fn):
-        def wrapper(m):
-            calls[name].append(m)
-            return fn(m)
-        return wrapper
+    def counted(m):
+        calls.append(m)
+        return rank(m)
 
-    for name in calls:
-        monkeypatch.setattr(towers, name, counted(name, getattr(exact, name)))
+    monkeypatch.setattr(towers, "rank", counted)
     lim_lim1_truncated(tower, 2)
-    assert calls == {"_is_invertible": checked, "rank": ranked}
+    assert calls == ranked
 
 
 def reference_lim_lim1(tower, s):
