@@ -471,17 +471,31 @@ class StrandContext:
         """ker d_i / im d_{i+1} in the coordinates of the kernel basis of d_i.
 
         Its ambient space is k^m, m = dim ker d_i, and the image enters as
-        the kernel coordinates of the columns of d_{i+1}.
+        the kernel coordinates of the columns of d_{i+1}.  Reading a cycle
+        at the free columns is one to one on ker d_i, so that image has
+        rank d_{i+1}, and the ranks decide two cases with no quotient
+        elimination: if d_{i+1} is zero, H_i is all of k^m; if the kernel of
+        d_{i+1} is cached (H_{i+1} computes it) and gives rank d_{i+1} = m,
+        H_i is zero.  Any other image is eliminated.  No kernel of d_{i+1}
+        is computed only to decide, and the d∘d check runs on every space.
         """
         h = self._homology.get(i)
         if h is None:
+            field = self.complex.ring.field
             if self.space(i).dim == 0:
-                h = StrandSpace(ExactMatrix.zeros(self.complex.ring.field, 0, 0))
+                h = StrandSpace(ExactMatrix.zeros(field, 0, 0))
             else:
                 image = self.op(i + 1)
                 if not (self.op(i) @ image).is_zero():
                     raise WellDefinednessError(f"d_{i} d_{i + 1} != 0 in internal degree {self.d}")
-                h = StrandSpace(image.take_rows(self._kernel_of(i)[1]))
+                free = self._kernel_of(i)[1]
+                above = self._kernels.get(i + 1)
+                if image.is_zero():
+                    h = StrandSpace(ExactMatrix.zeros(field, len(free), 0))
+                elif above is not None and image.cols - len(above[1]) == len(free):
+                    h = StrandSpace._zero(field, len(free))
+                else:
+                    h = StrandSpace(image.take_rows(free))
             self._homology[i] = h
         return h
 
@@ -496,11 +510,16 @@ def homology_strand(c, i: int, d: int) -> StrandSpace:
 
 
 def homology_table(c, i_range, window, *, stabilized: bool = True, k_used: int = 0) -> HilbertTable:
+    """dim H_i at each (i, d) of the ranges, every entry with the given flag and k_used.
+
+    Each degree reads i from the top down, so H_i finds the kernel of
+    d_{i+1} that H_{i+1} computed (see :meth:`StrandContext.homology`).
+    """
     table = HilbertTable()
     i_lo, i_hi = int(i_range[0]), int(i_range[1])
     for d in degree_window(window):
         ctx = StrandContext(c, d)
-        for i in range(i_lo, i_hi + 1):
+        for i in range(i_hi, i_lo - 1, -1):
             table.set(i, d, TableEntry(ctx.homology_dim(i), stabilized, k_used))
     return table
 
@@ -539,15 +558,17 @@ def quasi_iso_check(f: ModuleChainMap, i_range, window) -> CheckReport:
     for d in degree_window(window):
         ctx_src = StrandContext(f.source, d)
         ctx_dst = StrandContext(f.target, d)
-        for i in range(i_lo, i_hi + 1):
+        found = []
+        for i in range(i_hi, i_lo - 1, -1):  # from the top, as homology_table reads
             hs = ctx_src.homology(i)
             ht = ctx_dst.homology(i)
             if hs.dim != ht.dim:
-                mismatches.append((i, d))
+                found.append((i, d))
                 continue
             if hs.dim == 0:
                 continue
             mat = homology_induced_matrix(f, ctx_src, ctx_dst, i)
             if rank(mat) != hs.dim:
-                mismatches.append((i, d))
+                found.append((i, d))
+        mismatches += reversed(found)
     return CheckReport(mismatches, compared=(i_hi - i_lo + 1) * len(degree_window(window)))

@@ -749,6 +749,14 @@ class StrandSpace:
         space._parts = () if all(part.is_full for part in parts) else parts
         return space
 
+    @classmethod
+    def _zero(cls, field: FieldSpec, n: int) -> "StrandSpace":
+        """k^n/k^n, as the elimination of any sub basis of rank n gives it."""
+        space = cls.__new__(cls)
+        space.field, space.ambient_dim, space.coset_cols, space._parts = field, n, (), ()
+        space._proj = ExactMatrix.zeros(field, 0, n) if n else None
+        return space
+
     @property
     def dim(self) -> int:
         return len(self.coset_cols)

@@ -170,8 +170,9 @@ def local_homology_table(
     system = KoszulTowerSystem(gens, module, k_max, INVERSE)
     lo, hi = system.homological_support()
     i_lo, i_hi = int(i_range[0]), int(i_range[1])
-    # the towers that rows i_lo..i_hi read (H_i, and H_{i+1} for the flag), ascending
-    hs = range(max(i_lo, lo), min(i_hi + 1, hi) + 1)
+    # the towers that rows i_lo..i_hi read (H_i, and H_{i+1} for the flag), from the
+    # top down, so that a stage of H_h finds the kernel of d_{h+1} that H_{h+1} computed
+    hs = range(min(i_hi + 1, hi), max(i_lo, lo) - 1, -1)
     # a tower outside the homological support is zero at every stage
     outside = TableEntry(0, True, 1)
     table = HilbertTable()

@@ -216,9 +216,17 @@ class GradedMap:
         return self.scale(-1)
 
     def twisted(self, n: int) -> "GradedMap":
-        return GradedMap(
-            self.source.twisted(n), self.target.twisted(n), self.entries, self.internal_degree
-        )
+        """The same entries between source(n) and target(n).
+
+        Twisting both ends by n keeps the degree every entry must have, so
+        the entries are not checked again.
+        """
+        out = object.__new__(GradedMap)
+        object.__setattr__(out, "source", self.source.twisted(n))
+        object.__setattr__(out, "target", self.target.twisted(n))
+        object.__setattr__(out, "entries", self.entries)
+        object.__setattr__(out, "internal_degree", self.internal_degree)
+        return out
 
     def tensor(self, other: "GradedMap") -> "GradedMap":
         """Kronecker product; generator (p, q) of F (x) G is at index p*rank(G)+q."""

@@ -61,7 +61,8 @@ class _Memo(Sequence):
     def __getitem__(self, j):
         if isinstance(j, slice):
             return tuple(self[i] for i in range(len(self))[j])
-        j = range(len(self._items))[j]
+        if j < 0:
+            j = range(len(self._items))[j]
         item = self._items[j]
         if item is None:
             item = self._items[j] = self._build(j)
@@ -88,7 +89,8 @@ class StrandTower:
     Stages and transitions given as lists are kept as tuples, and every
     transition's shape is checked here.  Given as ``_Memo`` sequences, each
     stage and transition is built at its first read and kept, and a
-    transition's shape is checked when it is built.
+    transition's shape is checked when it is built: the tower keeps one memo
+    of transitions, whose build is the given one followed by the check.
     """
 
     __slots__ = ("stages", "transitions", "direction")
@@ -104,9 +106,9 @@ class StrandTower:
         if len(transitions) != max(len(stages) - 1, 0):
             raise ValueError("need exactly one transition between consecutive stages")
         if lazy:
-            given = transitions
+            build = transitions._build
             transitions = _Memo(
-                len(given), lambda j: _checked_transition(stages, direction, j, given[j])
+                len(transitions), lambda j: _checked_transition(stages, direction, j, build(j))
             )
         else:
             for j, t in enumerate(transitions):

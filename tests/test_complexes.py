@@ -29,7 +29,7 @@ from lochom.complexes import (
     tensor_with_module,
 )
 from lochom.errors import InternalInvariantError, NotFreeError, WellDefinednessError
-from lochom.exact import ExactMatrix, FieldSpec
+from lochom.exact import ExactMatrix, FieldSpec, StrandSpace
 from lochom.koszul import DIRECT, INVERSE, KoszulSpec, koszul_complex
 from lochom.localcoh import KoszulTowerSystem
 from lochom.modules import (
@@ -350,6 +350,120 @@ def test_homology_eliminates_the_kernel_once_and_the_quotient_in_kernel_coordina
         monkeypatch.setattr(complexes, name, counted, raising=False)
     assert ctx.homology(1).dim == 0
     assert calls == [("rref_with_pivots", 4), ("rref_with_pivots", 2)]
+
+
+def _counted_eliminations(monkeypatch):
+    calls = []
+    for name in ("rref_with_pivots", "rank"):
+        def counted(m, _fn=getattr(exact, name), _name=name):
+            calls.append((_name, m.rows))
+            return _fn(m)
+        monkeypatch.setattr(exact, name, counted)
+        monkeypatch.setattr(complexes, name, counted, raising=False)
+    return calls
+
+
+def _eliminated_homology(ctx, i):
+    """H_i as the quotient elimination builds it, on a fresh context."""
+    ref = StrandContext(ctx.complex, ctx.d)
+    if ref.space(i).dim == 0:
+        return StrandSpace(ExactMatrix.zeros(ctx.complex.ring.field, 0, 0))
+    return StrandSpace(ref.op(i + 1).take_rows(ref._kernel_of(i)[1]))
+
+
+def _assert_same_space(got, want):
+    assert (got.dim, got.ambient_dim, got.coset_cols) == (want.dim, want.ambient_dim, want.coset_cols)
+    unit = ExactMatrix.identity(want.field, want.ambient_dim)
+    assert got.project(unit) == want.project(unit)
+
+
+def test_a_zero_homology_read_below_its_neighbour_eliminates_only_its_kernel(monkeypatch):
+    r = ring2()
+    ctx = StrandContext(koszul_xy(r), 3)
+    # degree 3: d_2 is one to one, so H_1 = ker d_1 / im d_2 is 2 / 2 = 0
+    assert ctx.homology(2).dim == 0
+    calls = _counted_eliminations(monkeypatch)
+    h = ctx.homology(1)
+    assert calls == [("rref_with_pivots", 4)]
+    _assert_same_space(h, _eliminated_homology(ctx, 1))
+    assert (h.ambient_dim, h._proj.rows, h._proj.cols) == (2, 0, 2)
+
+
+def test_a_zero_image_leaves_the_whole_kernel_with_no_quotient_elimination(monkeypatch):
+    # K(x, x) (x) R/(x): every differential is a multiple of x, so d_2 is zero
+    # on the coset level though V_2 is not
+    r = ring2()
+    x = parse_poly(r, "x")
+    c = tensor(tensor(two_term(r, "x", -1), two_term(r, "x", -1)),
+               PresentedModule.quotient(FreeModule(r, [0]), [[x]]))
+    ctx = StrandContext(c, 3)
+    # degree 3: V_2 = (R/x)_1, V_1 = (R/x)_2^2, V_0 = (R/x)_3, each y-power only
+    assert (ctx.op(2).rows, ctx.op(2).cols, ctx.op(1).rows) == (2, 1, 1) and ctx.op(2).is_zero()
+    calls = _counted_eliminations(monkeypatch)
+    h = ctx.homology(1)
+    assert calls == [("rref_with_pivots", 1)]
+    assert h.dim == h.ambient_dim == 2 and h.is_full
+    _assert_same_space(h, _eliminated_homology(ctx, 1))
+
+
+def test_a_homology_the_ranks_decide_still_checks_d_squared():
+    r = ring2()
+    ctx = StrandContext(koszul_xy(r), 3)
+    ctx.homology(2)  # the kernel of d_2 is now known, and with it rank d_2
+    m = ctx.op(2)
+    ctx._ops[2] = ExactMatrix.from_rows(FP, [[1] * m.cols] * m.rows, cols=m.cols)
+    with pytest.raises(WellDefinednessError, match="d_1 d_2 != 0"):
+        ctx.homology(1)
+
+
+@st.composite
+def _tower_systems(draw):
+    """Koszul complexes K(a^k) of one to three forms, regular or not, tensored
+    with a presented module, and the maps between their two stages."""
+    r = draw(_rings())
+    gens = draw(st.lists(_forms(r), min_size=1, max_size=3))
+    stalk = draw(_module_stalks(r))
+    convention = draw(st.sampled_from((DIRECT, INVERSE)))
+    return KoszulTowerSystem(gens, stalk, 2, convention)
+
+
+def _eliminated_induced(f, ctx_src, ctx_dst, i):
+    """The induced matrix on the quotient-eliminated homology spaces."""
+    hsrc, hdst = _eliminated_homology(ctx_src, i), _eliminated_homology(ctx_dst, i)
+    if hsrc.dim == 0 or hdst.dim == 0:
+        return ExactMatrix.zeros(hsrc.field, hdst.dim, hsrc.dim)
+    cycles = complexes.coset_level_map(f, ctx_src, ctx_dst, i) @ ctx_src._kernel_of(i)[0]
+    return exact.induced_map(hsrc, hdst, cycles.take_rows(ctx_dst._kernel_of(i)[1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_homology_in_any_read_order_equals_the_quotient_elimination(data):
+    system = data.draw(_tower_systems())
+    r = system.complexes[0].ring
+    extra = tensor(data.draw(_free_complexes(r, max_gens=2, max_ops=1)), data.draw(_module_stalks(r)))
+    degrees = range(-1, 4)
+    for c in system.complexes + (extra,):
+        lo, hi = min(c.support, default=0) - 1, max(c.support, default=0) + 1
+        orders = (
+            list(range(lo, hi + 1)),
+            list(range(hi, lo - 1, -1)),
+            data.draw(st.permutations(range(lo, hi + 1))),
+        )
+        for d in degrees:
+            for order in orders:
+                ctx = StrandContext(c, d)
+                for i in order:
+                    _assert_same_space(ctx.homology(i), _eliminated_homology(ctx, i))
+    src, tgt = (0, 1) if system.convention == DIRECT else (1, 0)
+    lo, hi = system.homological_support()
+    shuffled = data.draw(st.permutations(range(lo, hi + 1)))
+    for d in degrees:
+        for order in (range(lo, hi + 1), range(hi, lo - 1, -1), shuffled):
+            contexts = system.contexts(d)
+            for i in order:
+                got = complexes.homology_induced_matrix(system.maps[0], contexts[src], contexts[tgt], i)
+                assert got == _eliminated_induced(system.maps[0], contexts[src], contexts[tgt], i)
 
 
 # -- the label layout against the block construction ---------------------------

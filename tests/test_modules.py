@@ -328,6 +328,29 @@ def test_sparse_graded_maps_match_a_dense_reference(data, field):
         assert got == _ref_strand_matrix(ring, rows, f.source.twists, f.target.twists, f.internal_degree, d)
 
 
+@settings(max_examples=40)
+@given(data=st.data(), field=st.sampled_from((FieldSpec(2), FieldSpec(3), FP, QQ)))
+def test_a_twisted_map_equals_the_checked_constructor_on_its_entries(data, field):
+    ring = GradedRing(field, ["x", "y"], data.draw(st.sampled_from([[1, 1], [1, 2]])))
+    twists = st.lists(st.integers(-1, 1), max_size=3)
+    src_tw, tgt_tw, degree = data.draw(twists), data.draw(twists), data.draw(st.integers(0, 2))
+    f = GradedMap(
+        FreeModule(ring, src_tw),
+        FreeModule(ring, tgt_tw),
+        data.draw(_dense_maps(ring, src_tw, tgt_tw, degree)),
+        degree,
+    )
+    n = data.draw(st.integers(-3, 3))
+    got = f.twisted(n)
+    want = GradedMap(f.source.twisted(n), f.target.twisted(n), f.entries, f.internal_degree)
+    assert got == want
+    assert (got.source.twists, got.target.twists) == (want.source.twists, want.target.twists)
+    d = data.draw(st.integers(-1, 3))
+    assert got.strand_matrix(d) == want.strand_matrix(d)
+    with pytest.raises(AttributeError):
+        got.entries = {}
+
+
 # -- strands of twists and direct sums ----------------------------------------
 
 def _plain(module):

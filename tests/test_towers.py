@@ -16,6 +16,7 @@ from lochom.modules import FreeModule, PresentedModule
 from lochom.rings import GradedRing, parse_poly
 from lochom.towers import (
     StrandTower,
+    _Memo,
     annihilator_bound,
     colim_truncated,
     direct_sum_towers,
@@ -45,6 +46,25 @@ def test_tower_shape_validation():
         StrandTower([full(1), full(2)], [ExactMatrix.identity(FP, 1)], "directed")
     with pytest.raises(ValueError):
         StrandTower([full(1), full(1)], [], "inverse")
+
+
+def test_a_lazy_tower_builds_and_checks_each_transition_once():
+    built = []
+
+    def build(j):
+        built.append(j)
+        return ExactMatrix.identity(FP, 1)
+
+    tower = StrandTower(_Memo(4, lambda k: full(1)), _Memo(3, build), "inverse")
+    assert built == []
+    assert tower.transitions[-1] is tower.transitions[2]
+    assert tower.transitions[:2] == (tower.transitions[0], tower.transitions[1])
+    assert built == [2, 0, 1]
+    for j in (3, -4):
+        with pytest.raises(IndexError):
+            tower.transitions[j]
+    assert lim_lim1_truncated(tower, 2).dim == 1
+    assert built == [2, 0, 1]
 
 
 def test_colim_constant_identities():
