@@ -38,7 +38,6 @@ from .complexes import (
     cone,
     hom_complex,
     hom_into_module,
-    homology_strand,
     homology_table,
     quasi_iso_check,
     shift,

@@ -59,7 +59,6 @@ __all__ = [
     "hom_into_module",
     "tensor_map_with_module",
     "StrandContext",
-    "homology_strand",
     "homology_table",
     "homology_induced_matrix",
     "quasi_iso_check",
@@ -503,14 +502,8 @@ class StrandContext:
         return self.homology(i).dim
 
 
-def homology_strand(c, i: int, d: int) -> StrandSpace:
-    """ker(d_i)_d / im(d_{i+1})_d as a strand space in the coordinates of the
-    kernel basis of d_i (see :meth:`StrandContext.homology`)."""
-    return StrandContext(c, d).homology(i)
-
-
-def homology_table(c, i_range, window, *, stabilized: bool = True, k_used: int = 0) -> HilbertTable:
-    """dim H_i at each (i, d) of the ranges, every entry with the given flag and k_used.
+def homology_table(c, i_range, window, *, k_used: int = 0) -> HilbertTable:
+    """dim H_i at each (i, d) of the ranges, every entry stabilized with the given k_used.
 
     Each degree reads i from the top down, so H_i finds the kernel of
     d_{i+1} that H_{i+1} computed (see :meth:`StrandContext.homology`).
@@ -520,7 +513,7 @@ def homology_table(c, i_range, window, *, stabilized: bool = True, k_used: int =
     for d in degree_window(window):
         ctx = StrandContext(c, d)
         for i in range(i_hi, i_lo - 1, -1):
-            table.set(i, d, TableEntry(ctx.homology_dim(i), stabilized, k_used))
+            table.set(i, d, TableEntry(ctx.homology_dim(i), True, k_used))
     return table
 
 

@@ -21,16 +21,15 @@ with entries reduced into ``[0, p)``; matrices over Q hold
 denominator).  All values are immutable after construction, so they are safe
 to share across threads.
 
-Mod-p kernels delay reduction while no sum of products can leave the range
+Mod-p products delay reduction while no sum of products can leave the range
 in which its type is exact (Dumas, Giorgi and Pernet, *FFLAS-FFPACK*, ACM
 TOMS 2008).  A product with inner dimension k runs as one float64 BLAS
 product and one reduction when ``k (p-1)^2 < 2^53``; past that bound it sums
 int64 products over chunks of the inner index, reducing after each chunk.
-Elimination mod p leaves its rank-1 updates unreduced in int64 when
-``min(rows, cols) (p-1)^2 < 2^63``, as an entry takes at most one update of
-at most ``(p-1)^2`` per pivot; past that bound, and on matrices of fewer than
-4096 entries, it reduces after every update.  Over Q it divides the pivot
-row by the pivot and has nothing to reduce.
+Elimination mod p reduces every rank-1 update at once: an update subtracts
+one product of two reduced entries, below ``(p-1)^2 < 2^62``, from a reduced
+entry, so it is exact in int64 for every p < 2^31.  Over Q it divides the
+pivot row by the pivot and has nothing to reduce.
 
 An elimination of 4096 entries or more, over either field, first takes the
 pivots it knows (Faugere and Lachartre, PASCO 2010; Boyer, Eder, Faugere,
@@ -238,18 +237,14 @@ class ExactMatrix:
     @property
     def entries(self):
         """Row-major tuple-of-tuples of canonical scalars."""
-        return tuple(tuple(row) for row in self._data.tolist()) if self.field.is_rational \
-            else tuple(tuple(int(v) for v in row) for row in self._data.tolist())
+        return tuple(map(tuple, self._data.tolist()))
 
     def entry(self, i: int, j: int):
-        v = self._data[i, j]
-        return v if self.field.is_rational else int(v)
+        return self._data.item(i, j)
 
     def is_zero(self) -> bool:
         if self.rows == 0 or self.cols == 0:
             return True
-        if self.field.is_rational:
-            return all(v == 0 for v in self._data.flat)
         return not self._data.any()
 
     def __eq__(self, other):
@@ -259,8 +254,6 @@ class ExactMatrix:
             return False
         if self.rows == 0 or self.cols == 0:
             return True
-        if self.field.is_rational:
-            return bool(np.equal(self._data, other._data).all())
         return bool((self._data == other._data).all())
 
     def __hash__(self):
@@ -516,15 +509,12 @@ def _dense_rref(a: np.ndarray, p: int):
     rational = p == 0
     m = a.copy() if rational else a.astype(np.int64)
     nrows, ncols = m.shape
-    # An update subtracts at most (p-1)^2 from an entry, once per pivot.  While
-    # min(nrows, ncols) of them cannot overflow int64 the updates stay
-    # unreduced until the end; below 4096 entries the extra reductions of the
-    # pivot column and row cost more than that saves.
-    delayed = not rational and nrows * ncols >= 4096 and min(nrows, ncols) * (p - 1) ** 2 < 2**63
+    # every entry stays reduced: an update subtracts one product below
+    # (p-1)^2 < 2^62 from an entry below p, so int64 holds it exactly
     pivots = []
     r = 0
     for c in range(ncols):
-        col = m[:, c] % p if delayed else m[:, c].copy()
+        col = m[:, c].copy()
         nz = col[r:].nonzero()[0]
         if not nz.size:
             continue
@@ -536,21 +526,18 @@ def _dense_rref(a: np.ndarray, p: int):
         if rational:
             row = m[r, c:] / col[r]
         else:
-            row = m[r, c:] % p if delayed else m[r, c:]
-            row = row * pow(int(col[r]), p - 2, p) % p
+            row = m[r, c:] * pow(int(col[r]), p - 2, p) % p
         m[r, c:] = row
         col[r] = 0
         hit = col.nonzero()[0]
         if hit.size:
             update = m[hit, c:]
             update -= col[hit, None] * row
-            m[hit, c:] = update if delayed or rational else update % p
+            m[hit, c:] = update if rational else update % p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    if delayed:
-        m %= p
     return m, pivots
 
 

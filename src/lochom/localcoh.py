@@ -38,7 +38,7 @@ from .modules import (
     TableEntry,
     degree_window,
 )
-from .towers import StrandTower, _Memo, _top_iso_run, colim_truncated, lim_lim1_truncated
+from .towers import StrandTower, _Memo, colim_truncated, lim_lim1_truncated
 
 __all__ = [
     "KoszulTowerSystem",
@@ -136,22 +136,11 @@ def local_cohomology_table(
     and say so in the flag.
     """
     system = KoszulTowerSystem(gens, x, k_max, DIRECT)
-    n = system.n
-    lo, hi = system.homological_support()
-    i_lo, i_hi = int(i_range[0]), int(i_range[1])
-    # what colim_truncated reports on an all-zero tower, whose transitions are all isos
-    zero_entry = TableEntry(0, *_top_iso_run(k_max, [True] * (k_max - 1), s))
     table = HilbertTable()
     for d in degree_window(window):
-        contexts = None
-        for i in range(i_lo, i_hi + 1):
-            h = n - i
-            if h < lo or h > hi:
-                table.set(i, d, zero_entry)
-                continue
-            if contexts is None:
-                contexts = system.contexts(d)
-            tower = system.homology_tower(contexts, h)
+        contexts = system.contexts(d)
+        for i in range(int(i_range[0]), int(i_range[1]) + 1):
+            tower = system.homology_tower(contexts, system.n - i)
             table.set(i, d, colim_truncated(tower, s))
     return table
 
@@ -197,7 +186,7 @@ def hom_stable_cech_table(gens, y, k_max: int, i_range, window) -> HilbertTable:
     """
     gens, ring = _validate_gens(gens)
     cx = hom_complex(stable_cech_truncated(gens, k_max, ring), y)
-    return homology_table(cx, i_range, window, stabilized=True, k_used=k_max)
+    return homology_table(cx, i_range, window, k_used=k_max)
 
 
 def generator_independence_check(

@@ -153,8 +153,8 @@ class GradedMap:
         return cls(module, module, {(i, i): one for i in range(module.rank)})
 
     @classmethod
-    def zero(cls, source: FreeModule, target: FreeModule, internal_degree: int = 0) -> "GradedMap":
-        return cls(source, target, {}, internal_degree)
+    def zero(cls, source: FreeModule, target: FreeModule) -> "GradedMap":
+        return cls(source, target, {})
 
     def is_zero_map(self) -> bool:
         return not self.entries

@@ -23,10 +23,9 @@ through it.  The arithmetic of this module (``*``, ``+``, ``-``, ``scale``,
 ``**``) and the ring's ``zero``, ``one`` and ``variable`` build terms that
 are valid by construction (exponent tuples of the ring's length, nonzero
 canonical coefficients) and hand them to the module-private
-``_trusted_poly`` unchecked.  A product of two monomials is one tuple sum
-and one field product.  A homogeneous polynomial keeps its degree from the
-first ``degree()`` call on; a non-homogeneous one keeps nothing and raises on
-every call.
+``_trusted_poly`` unchecked.  A homogeneous polynomial keeps its degree
+from the first ``degree()`` call on; a non-homogeneous one keeps nothing and
+raises on every call.
 """
 
 from __future__ import annotations
@@ -301,14 +300,9 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_ring(other)
         fld = self.ring.field
-        a, b = self.terms, other.terms
-        if len(a) == 1 == len(b):
-            # one term times one term: a field has no zero divisors
-            ((e1, c1),), ((e2, c2),) = a.items(), b.items()
-            return _trusted_poly(self.ring, {tuple(map(add, e1, e2)): fld.mul(c1, c2)})
         out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 exp = tuple(map(add, e1, e2))
                 c = fld.mul(c1, c2)
                 c0 = out.get(exp)

@@ -18,7 +18,6 @@ from lochom.complexes import (
     hom_generators,
     hom_into_module,
     hom_summands,
-    homology_strand,
     homology_table,
     quasi_iso_check,
     shift,
@@ -112,8 +111,8 @@ def test_cone_of_multiplication_realizes_quotient():
     quot = PresentedModule.quotient(FreeModule(r1, [0]), [[x]])
     row = hilbert_row(quot, (0, 4))
     for d in range(0, 5):
-        assert homology_strand(c, 0, d).dim == row.dim(0, d)
-        assert homology_strand(c, 1, d).dim == 0
+        assert StrandContext(c, d).homology(0).dim == row.dim(0, d)
+        assert StrandContext(c, d).homology(1).dim == 0
 
 
 def test_cone_of_zero_map_splits():
@@ -150,7 +149,7 @@ def test_tensor_koszul_realizes_residue_field():
 def test_tensor_detects_non_regularity():
     r = ring2()
     c = tensor(two_term(r, "x", -1), two_term(r, "x*y", -2))
-    dims = {d: homology_strand(c, 1, d).dim for d in range(-1, 6)}
+    dims = {d: StrandContext(c, d).homology(1).dim for d in range(-1, 6)}
     assert dims == {-1: 0, 0: 0, 1: 0, 2: 1, 3: 1, 4: 1, 5: 1}
 
 
@@ -179,7 +178,7 @@ def test_euler_characteristic_per_degree():
     for d in range(-2, 6):
         chi_terms = sum((-1) ** i * c.term(i).strand_dim(d) for i in range(0, 3))
         chi_homology = sum(
-            (-1) ** i * homology_strand(c, i, d).dim for i in range(0, 3)
+            (-1) ** i * StrandContext(c, d).homology(i).dim for i in range(0, 3)
         )
         assert chi_terms == chi_homology
 
@@ -254,9 +253,9 @@ def test_cone_triangle_dimension_constraints():
     )
     c = cone(f)
     for d in range(-2, 5):
-        hx = [homology_strand(kx2, i, d).dim for i in range(-1, 3)]
-        hy = [homology_strand(kx, i, d).dim for i in range(-1, 3)]
-        hc = [homology_strand(c, i, d).dim for i in range(-1, 3)]
+        hx = [StrandContext(kx2, d).homology(i).dim for i in range(-1, 3)]
+        hy = [StrandContext(kx, d).homology(i).dim for i in range(-1, 3)]
+        hc = [StrandContext(c, d).homology(i).dim for i in range(-1, 3)]
         # alternating sum over the triangle vanishes
         assert sum((-1) ** i * (hx[i] - hy[i] + hc[i]) for i in range(4)) == 0
         # exactness bounds each cone dim by its neighbours in the sequence
@@ -322,7 +321,7 @@ def test_induced_homology_checks_that_cycles_stay_cycles(monkeypatch):
     # identity plus E_00 sends it to 2e_1 - e_2, whose boundary is x
     r = ring2()
     c = tensor(two_term(r, "x", -1), two_term(r, "x", -1))
-    assert homology_strand(c, 1, 1).dim == 1
+    assert StrandContext(c, 1).homology(1).dim == 1
     original = complexes.coset_level_map
 
     def perturbed(f, ctx_src, ctx_dst, i):

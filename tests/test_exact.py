@@ -638,13 +638,12 @@ def _unit_row_case(p, rows, cols, seed):
     return out
 
 
-# Shapes on both sides of each switch of the mod-p kernel: 4096 entries
-# (63x64, 64x64), and min(rows, cols) (p-1)^2 < 2^63, which holds up to 8 rows
-# at p = 1073741789 (8x512, 9x456) and 2 rows at 2^31 - 1 (2x2048, 3x1366).  A
-# pivot row scaled before its reduction would need min(rows, cols) (p-1)^3 <
-# 2^63, which at p = 1270249 holds up to 4 rows (4x1024, 5x820).  Over Q the
-# switches do not apply, and exact fractions grow with the rank, so Q takes
-# small shapes.
+# Shapes on both sides of the 4096 entries from which the kernel takes known
+# pivots first (63x64, 64x64), and wide shapes of a few rows (2x2048 up to
+# 9x456) whose updates, at the largest primes, subtract products of two
+# reduced entries close to 2^62: each is reduced at once, so int64 stays exact
+# for every p < 2^31.  Exact fractions grow with the rank, so Q takes small
+# shapes.
 ELIMINATION_SHAPES = [(5, 7), (7, 5), (63, 64), (64, 64), (2, 2048), (3, 1366),
                       (4, 1024), (5, 820), (8, 512), (9, 456), (4, 41)]
 RATIONAL_SHAPES = [(5, 7), (7, 5), (4, 41), (12, 16), (16, 12)]

@@ -98,6 +98,21 @@ JOBS["lc-unstable-tops"] = {
     "ideal": ["x"], "i_range": [0, 2], "window": [-4, 2], "k_max": 5,
 }
 JOBS["lh-unstable-tops"] = dict(JOBS["lc-unstable-tops"], command="lh", window=[-1, 5], k_max=6)
+# small primes, where a product of two residues is tiny: the Stanley-Reisner
+# ring of two disjoint edges, whose strands pass 4096 entries
+RING_4 = {"vars": ["a", "b", "c", "d"], "weights": [1, 1, 1, 1]}
+JOBS["lc-two-edges-gf3"] = {
+    "command": "lc", "ring": dict(RING_4, char=3),
+    "module": {"target_twists": [0], "relations": [["a*c", "a*d", "b*c", "b*d"]]},
+    "i_range": [0, 2], "window": [-3, 0], "k_max": 6,
+}
+JOBS["lc-two-edges-gf2"] = dict(JOBS["lc-two-edges-gf3"], ring=dict(RING_4, char=2))
+# the baseline lc job, k[x,y,z]/(x^2, xy), over F_32003 and Q
+JOBS["lc-baseline"] = {
+    "command": "lc", "ring": RING_3, "module": QUOTIENT,
+    "i_range": [0, 3], "window": [-8, 2], "k_max": 8,
+}
+JOBS["lc-baseline-qq"] = dict(JOBS["lc-baseline"], ring=dict(RING_3, char=0))
 
 DIGESTS = {
     "hilbert": "82abe7e8ac64d1ebaca79d0ef0295a397554de26ad782d179a69c5b0197d3584",
@@ -105,12 +120,16 @@ DIGESTS = {
     "homsc-complex": "50b43bddb7118a59ad6db7ae53d41d3fcfc76ec65c01b029de571550edd8599f",
     "homsc-module": "9706af23ded941e7f4be755a457286c08ca5c2ecd72ab0c8b8a50379e030b732",
     "koszul": "8a48d02886f0822056ad888e0c164b9d3e6fdb4499e285f234956680d4105067",
+    "lc-baseline": "840bb9ecf7e7a0ec12b97bf1730a845a32caeacb7993f47935e9e0cb03254a8d",
+    "lc-baseline-qq": "8a57af9caa6714e7dbb64d2984ab34001dbe5e0683ba267dab81099e2049ed31",
     "lc-complex": "070edac12473ac5b39cddc345667783f38a5e35cd5d85770ec09361bc1bef115",
     "lc-dense-quadrics": "8ae62b35d64a29c0239afd172660c2bfeeba65938eae09863296f7b977eeb293",
     "lc-dense-quadrics-qq": "d2d433b6f726a02f2d518933888f475cf04793d003216ce8c7495c9ea5bf3a0f",
     "lc-nonlinear-ideal": "c369a158c58fc37602917631a84ba20b6221d2e24e65e886bf67d1bc5e450274",
     "lc-quotient": "d03079c5e7e9f44feae20f7847c4cf3e07bcf2702254400272767d20cd30e772",
     "lc-quotient-qq": "5a65c6c6c516471054b2c41d4ce29724c6140e36ae176674df49f50aaf3b0c11",
+    "lc-two-edges-gf2": "3aa928ef2902285542dcaf13372c261a510bc2858e6ef4a685f08ba9a5fb6545",
+    "lc-two-edges-gf3": "bc823d311a34599979d488ff969c54544f8c2fb96dee596fbf2c44cc5d350f6b",
     "lc-unstable-tops": "ecb6b02427cef0420d15612ae4223914e0b85ea168371307ed6d269728484880",
     "lh-towers-weighted": "9eca9c4ca7293f663d53ff604c02a7c6b99a3b4525056e8e658d37a550f3f6dc",
     "lh-unstable-tops": "27a3fdeddeae52f2916f0e4a6c4050805779aa7374bd6858ed1384638ea4c567",

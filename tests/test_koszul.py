@@ -13,7 +13,6 @@ from lochom.complexes import (
     ModuleComplex,
     StrandContext,
     coset_level_map,
-    homology_strand,
     homology_table,
     quasi_iso_check,
     shift,
@@ -230,7 +229,7 @@ def test_top_homology_is_annihilator():
     twist = spec.global_twist
     for d in range(0, 6):
         expected = _annihilator_intersection_dim(m, (x, y), power, d - twist)
-        assert homology_strand(cx, 2, d).dim == expected
+        assert StrandContext(cx, d).homology(2).dim == expected
 
 
 def test_self_duality_small_cases():

@@ -86,6 +86,20 @@ def test_outside_support_is_zero():
             assert e.dim == 0
 
 
+def test_outside_support_flags():
+    # every stage is 0-dimensional and every transition 0x0, so each of them is
+    # an isomorphism: the cell is settled from stage 1 once s transitions exist
+    r = ring(2)
+    x, y = r.variables()
+    for k_max in range(1, 5):
+        for s in range(1, 4):
+            t = local_cohomology_table((x, y), free(r), (-2, 4), (-4, 1), k_max=k_max, s=s)
+            want = TableEntry(0, True, 1) if k_max - 1 >= s else TableEntry(0, False, k_max)
+            outside = [e for (i, d), e in t.items() if i < 0 or i > 2]
+            assert len(outside) == 4 * 6
+            assert all(e == want for e in outside), (k_max, s)
+
+
 def test_non_primary_ideal_unstabilized_entries_are_flagged():
     # H^1_(x)(k[x,y]) strands are infinite-dimensional: truncation must say so
     r = ring(2)
