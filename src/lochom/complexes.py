@@ -36,6 +36,8 @@ from .modules import (
     HilbertTable,
     PresentedModule,
     TableEntry,
+    _coset_map,
+    _product_entries,
     degree_window,
     graded_map_from_blocks,
     module_sum,
@@ -103,8 +105,7 @@ class ModuleComplex:
         object.__setattr__(self, "differentials", clean_diffs)
         object.__setattr__(self, "_empty", PresentedModule.free(FreeModule(ring, ())))
         for i, f in clean_diffs.items():
-            g = clean_diffs.get(i + 1)
-            if g is not None and not f.compose(g).is_zero_map():
+            if _product_entries(f, clean_diffs.get(i + 1)):
                 raise InternalInvariantError(f"d o d != 0 at homological degree {i + 1}")
 
     def __setattr__(self, name, value):
@@ -193,9 +194,9 @@ class ModuleChainMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", comps)
         for i in source.support:
-            left = self.component(i - 1).compose(source.differential(i))
-            right = target.differential(i).compose(self.component(i))
-            if left.entries != right.entries:
+            left = _product_entries(comps.get(i - 1), source.differentials.get(i))
+            right = _product_entries(target.differentials.get(i), comps.get(i))
+            if left != right:
                 raise InternalInvariantError(f"chain map fails to commute at degree {i}")
 
     def __setattr__(self, name, value):
@@ -454,8 +455,8 @@ class StrandContext:
         """Coset-level differential V_i -> V_{i-1}."""
         m = self._ops.get(i)
         if m is None:
-            f = self.complex.differential(i)
-            m = self._ops[i] = _coset_map(f, self.space(i), self.space(i - 1), self.d)
+            c = self.complex
+            m = self._ops[i] = _coset_map(c.differential(i), c.module(i), c.module(i - 1), self.d)
         return m
 
     def _kernel_of(self, i: int):
@@ -517,15 +518,11 @@ def homology_table(c, i_range, window, *, k_used: int = 0) -> HilbertTable:
     return table
 
 
-def _coset_map(f: GradedMap, src: StrandSpace, dst: StrandSpace, d: int) -> ExactMatrix:
-    """The map f induces from the strand space src in degree d to dst, in coset coordinates."""
-    if src.dim == 0 or dst.dim == 0:
-        return ExactMatrix.zeros(src.field, dst.dim, src.dim)
-    return induced_map(src, dst, f.strand_matrix(d))
-
-
 def coset_level_map(f, ctx_src: StrandContext, ctx_dst: StrandContext, i: int) -> ExactMatrix:
-    return _coset_map(f.component(i), ctx_src.space(i), ctx_dst.space(i), ctx_src.d)
+    """The component f_i in coset coordinates, from the source term's strand to the target's."""
+    return _coset_map(
+        f.component(i), ctx_src.complex.module(i), ctx_dst.complex.module(i), ctx_src.d
+    )
 
 
 def homology_induced_matrix(f, ctx_src: StrandContext, ctx_dst: StrandContext, i: int) -> ExactMatrix:

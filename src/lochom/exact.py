@@ -645,6 +645,11 @@ class StrandSpace:
     coordinates one elimination of the whole matrix gives, and its Q is
     block-diagonal: the sum keeps its summands and projects each block of
     coordinates with its own summand.
+
+    Q is read by columns too: a block of its columns, times a multiplication
+    matrix, is the projected block from which a module map's coset map is
+    built, with no strand matrix assembled (``modules._coset_map``); the
+    check and column pick of :func:`induced_map` then run on Q A.
     """
 
     __slots__ = ("field", "ambient_dim", "coset_cols", "_proj", "_parts")
@@ -778,18 +783,27 @@ class StrandSpace:
 def induced_map(src: StrandSpace, dst: StrandSpace, ambient: ExactMatrix) -> ExactMatrix:
     """Matrix of the map induced on coset bases by an ambient matrix.
 
-    With qa = dst.project(ambient), the matrix is the columns
-    ``src.coset_cols`` of qa.  The ambient matrix must send src's W into
-    dst's W; failure raises WellDefinednessError (the signature of a
-    non-homogeneous or wrong-degree map upstream).  As W = ker Q for src's
-    projection Q, qa vanishes on W exactly when qa = qa[:, coset_cols] Q,
-    which is checked one summand of src at a time.
+    It projects, qa = dst.project(ambient), and hands qa to
+    :func:`_coset_columns`, which checks it and picks the columns
+    ``src.coset_cols``.  This serves ambients that are not the strand of a
+    module map; the coset map of a module map is built projected, block by
+    block (``modules._coset_map``), and goes through the same check.
     """
     if src.field != dst.field or ambient.field != src.field:
         raise FieldMismatchError("induced_map operands over different fields")
     if ambient.cols != src.ambient_dim or ambient.rows != dst.ambient_dim:
         raise ValueError("ambient matrix shape mismatch")
-    qa = dst.project(ambient)
+    return _coset_columns(src, dst.project(ambient))
+
+
+def _coset_columns(src: StrandSpace, qa: ExactMatrix) -> ExactMatrix:
+    """The columns ``src.coset_cols`` of qa = Q_dst A, once A is checked well defined.
+
+    A must send src's W into dst's W; failure raises WellDefinednessError
+    (the signature of a non-homogeneous or wrong-degree map upstream).  As
+    W = ker Q for src's projection Q, qa vanishes on W exactly when
+    qa = qa[:, coset_cols] Q, which is checked one summand of src at a time.
+    """
     if src.is_full:
         return qa
     for part, start, stop in src._summands():

@@ -14,21 +14,28 @@ strand; a quotient strand whose strands one variable down are cached is read
 off them instead (see :func:`strand`).  A twist or direct sum of modules also
 records its summands, and its strands are direct sums of theirs, so each
 summand strand is eliminated once.
-Strand spaces are cached per module; strand matrices are not: each is
-assembled per call from the multiplication blocks the ring caches
-(``rings.mult_matrix``), and nothing here keeps it.
+Strand spaces are cached per module.  The coset map of a module map, the
+matrix it induces on two strands, is built projected and never assembles
+the strand matrix (see :func:`_coset_map`): each nonzero entry gives one
+block, the ring's cached multiplication block where the target's part is
+full in that degree, and where it is a quotient M_D the projection of M_D
+restricted to one generator times multiplication by the entry, dim M_D x
+dim R_s, cached on the base module next to its strands.  A strand matrix
+(presentation strands, ambients that are no module map) is assembled per
+call from the ring's cached multiplication blocks (``rings.mult_matrix``),
+and nothing here keeps it.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import add
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import NonHomogeneousError
-from .exact import ExactMatrix, StrandSpace, induced_map, rank
+from .exact import ExactMatrix, StrandSpace, _coset_columns, _zeros, rank
 from .rings import GradedRing, Poly, _scatter_positions, monomial_basis, mult_matrix
 
 __all__ = [
@@ -182,17 +189,11 @@ class GradedMap:
         """self after other (matrix product self * other)."""
         if other.target != self.source:
             raise ValueError("composition endpoint mismatch")
-        other_rows: dict = {}
-        for (k, j), b in other.entries.items():
-            other_rows.setdefault(k, []).append((j, b))
-        product: dict = {}
-        for (i, k), a in self.entries.items():
-            for j, b in other_rows.get(k, ()):
-                ab = a * b
-                acc = product.get((i, j))
-                product[i, j] = ab if acc is None else acc + ab
         return GradedMap(
-            other.source, self.target, product, self.internal_degree + other.internal_degree
+            other.source,
+            self.target,
+            _product_entries(self, other),
+            self.internal_degree + other.internal_degree,
         )
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
@@ -254,6 +255,23 @@ class GradedMap:
         return ExactMatrix.assemble(self.ring.field, grid, tgt_dims, src_dims)
 
 
+def _product_entries(f: GradedMap | None, g: GradedMap | None) -> dict:
+    """The nonzero entries (i, j) -> Poly of the matrix product f g, with no
+    map built and no degree checked; None stands for a zero map."""
+    if f is None or g is None:
+        return {}
+    g_rows: dict = {}
+    for (k, j), b in g.entries.items():
+        g_rows.setdefault(k, []).append((j, b))
+    product: dict = {}
+    for (i, k), a in f.entries.items():
+        for j, b in g_rows.get(k, ()):
+            ab = a * b
+            acc = product.get((i, j))
+            product[i, j] = ab if acc is None else acc + ab
+    return {key: e for key, e in product.items() if not e.is_zero()}
+
+
 def _tensor_module(a: FreeModule, b: FreeModule) -> FreeModule:
     return FreeModule(a.ring, tuple(x + y for x in a.twists for y in b.twists))
 
@@ -298,7 +316,7 @@ class PresentedModule:
     only.
     """
 
-    __slots__ = ("presentation", "parts", "_strand_cache")
+    __slots__ = ("presentation", "parts", "_strand_cache", "_block_cache")
 
     def __init__(self, presentation: GradedMap):
         if presentation.internal_degree != 0:
@@ -306,6 +324,7 @@ class PresentedModule:
         object.__setattr__(self, "presentation", presentation)
         object.__setattr__(self, "parts", ())
         object.__setattr__(self, "_strand_cache", {})
+        object.__setattr__(self, "_block_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PresentedModule is immutable")
@@ -485,14 +504,89 @@ def _strand_from_below(module: PresentedModule, d: int) -> StrandSpace | None:
     return StrandSpace._from_below(below, sources, checks, relations)
 
 
+def _coset_map(f: GradedMap, source: PresentedModule, target: PresentedModule, d: int) -> ExactMatrix:
+    """The matrix f induces from source_d to target_{d+deg f} on coset bases.
+
+    It is ``induced_map`` of the strand matrix A of f, but A is never
+    assembled: Q A is built one block per nonzero entry (i, j), in the rows
+    of the part (B, t) of the target that holds generator i.  Where B's
+    strand is full (Q = I) the block is the ring's multiplication block, in
+    the rows of generator i; where it is a quotient, it is the projection of
+    B restricted to the rows of generator i times multiplication by the
+    entry (:func:`_projected_block`), dim B x dim R_{d+a_j}, cached on B.
+    Entries that meet in one quotient part and column block are summed.
+    Q A then takes the check and column pick of ``induced_map``.  A zero
+    source or target strand gives the zero matrix with no check.
+    """
+    if f.source != source.generators or f.target != target.generators:
+        raise ValueError("the map does not go between the generators of the modules")
+    field, deg = f.ring.field, f.internal_degree
+    src, dst = strand(source, d), strand(target, d + deg)
+    if src.dim == 0 or dst.dim == 0:
+        return ExactMatrix.zeros(field, dst.dim, src.dim)
+    # per target generator: its part, the part's quotient strand (None where
+    # full), its index in the part's base and its first row
+    place = []
+    row = 0
+    for part, (base, t) in enumerate(target.parts or ((target, 0),)):
+        space = strand(base, d + deg + t)
+        if space._proj is None:
+            for i, rows in enumerate(base.generators.strand_block_dims(d + deg + t)):
+                place.append((part, base, None, i, row))
+                row += rows
+        else:
+            place.extend((part, base, space, i, row) for i in range(base.generators.rank))
+            row += space.dim
+    col_dims = f.source.strand_block_dims(d)
+    col_starts = [0, *accumulate(col_dims)]
+    out = _zeros(field, dst.dim, src.ambient_dim)
+    summed: dict = {}
+    for (i, j), e in f.entries.items():
+        if not col_dims[j]:
+            continue
+        part, base, space, gen, r0 = place[i]
+        s = d + f.source.twists[j]
+        if space is None:
+            block = mult_matrix(e, s)
+        else:
+            block = _projected_block(base, space, gen, e, s)
+            prior = summed.get((part, j))
+            summed[part, j] = block = block if prior is None else prior + block
+        out[r0 : r0 + block.rows, col_starts[j] : col_starts[j + 1]] = block._data
+    return _coset_columns(src, ExactMatrix(field, out))
+
+
+def _projected_block(base: PresentedModule, space: StrandSpace, gen: int, e: Poly, s: int) -> ExactMatrix:
+    """Q_i m_e: the projection of ``space`` = B_D restricted to the rows of
+    generator ``gen``, times multiplication by e from R_s, cached on B.
+
+    Column c of m_e has the coefficient of each term x^a of e at the row of
+    x^a times monomial c, so Q_i m_e sums, over the terms, the coefficient
+    times the columns of Q_i at those rows; no multiplication matrix is built.
+    """
+    key = (gen, e.key(), s)
+    block = base._block_cache.get(key)
+    if block is None:
+        ring, top = base.ring, s + e.degree()
+        dims = base.generators.strand_block_dims(top - base.generators.twists[gen])
+        start, cols = sum(dims[:gen]), len(monomial_basis(ring, s))
+        proj = space._proj._data
+        for exp, c in e.terms.items():
+            rows = start + _scatter_positions(ring, exp, s, top) // cols
+            term = ExactMatrix(space.field, proj[:, rows]).scale(c)
+            block = term if block is None else block + term
+        base._block_cache[key] = block
+    return block
+
+
 def mult_operator(module: PresentedModule, f: Poly, d: int) -> ExactMatrix:
     """Matrix of multiplication by homogeneous f from M_d to M_{d+deg f}."""
     deg = f.degree()
     if deg is None:
         deg = 0
     gens = module.generators
-    ambient = GradedMap(gens, gens, {(i, i): f for i in range(gens.rank)}, deg).strand_matrix(d)
-    return induced_map(strand(module, d), strand(module, d + deg), ambient)
+    diagonal = GradedMap(gens, gens, {(i, i): f for i in range(gens.rank)}, deg)
+    return _coset_map(diagonal, module, module, d)
 
 
 def annihilator_strand(module: PresentedModule, f: Poly, d: int) -> StrandSpace:

@@ -113,8 +113,28 @@ JOBS["lc-baseline"] = {
     "i_range": [0, 3], "window": [-8, 2], "k_max": 8,
 }
 JOBS["lc-baseline-qq"] = dict(JOBS["lc-baseline"], ring=dict(RING_3, char=0))
+# the benchmark's seed-1 jobs, as ``bench/workloads.job_document(name, 1)`` gives them
+JOBS["bench-lc-dense-fp"] = {
+    "command": "lc", "ring": RING_3,
+    "module": {"target_twists": [0], "relations": [[
+        "-9*x^2 - 4*x*y + 2*x*z + 3*y^2 - 5*y*z - 8*z^2",
+        "x^2 + 4*x*y + 7*x*z - 6*y^2 - 8*y*z - 5*z^2",
+    ]]},
+    "ideal": ["x", "y", "z"], "i_range": [0, 3], "window": [-8, 2], "k_max": 8, "s": 2,
+    "report": "json",
+}
+JOBS["bench-lh-towers-fp"] = {
+    "command": "lh", "ring": RING_W,
+    "module": {"target_twists": [0], "relations": [[
+        "7*x^6 + 8*x^4*y - 9*x^3*z + 4*x^2*y^2 - 9*x*y*z + 3*y^3 + 5*z^2",
+    ]]},
+    "ideal": ["x", "y", "z"], "i_range": [0, 3], "window": [-2, 14], "k_max": 14, "s": 2,
+    "report": "json",
+}
 
 DIGESTS = {
+    "bench-lc-dense-fp": "ec5b5f5d4fea90d558f0403b27ea936bb5415db244bbca33a87eecf43cc57ed6",
+    "bench-lh-towers-fp": "9eca9c4ca7293f663d53ff604c02a7c6b99a3b4525056e8e658d37a550f3f6dc",
     "hilbert": "82abe7e8ac64d1ebaca79d0ef0295a397554de26ad782d179a69c5b0197d3584",
     "hilbert-dense-quadrics": "4b27c149d77c2eb5b282da49fe7fa2c8ec8617af07acf43e4f77ec5304c810ba",
     "homsc-complex": "50b43bddb7118a59ad6db7ae53d41d3fcfc76ec65c01b029de571550edd8599f",

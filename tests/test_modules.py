@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from lochom import complexes, exact, modules
 from lochom.errors import NonHomogeneousError, WellDefinednessError
 from lochom.exact import QQ, ExactMatrix, FieldSpec, induced_map, kernel_basis, rank
-from lochom.koszul import DIRECT
+from lochom.koszul import DIRECT, KoszulSpec, koszul_complex
 from lochom.localcoh import KoszulTowerSystem
 from lochom.modules import (
     FreeModule,
@@ -376,10 +377,10 @@ def _forms(draw, ring, degree):
 
 
 @st.composite
-def _base_modules(draw, ring):
+def _base_modules(draw, ring, min_rank=1):
     """A free module, a quotient, or a quotient by zero relation columns only."""
     kind = draw(st.sampled_from(["free", "quotient", "zero relations"]))
-    twists = draw(st.lists(st.integers(-2, 1), min_size=1, max_size=2))
+    twists = draw(st.lists(st.integers(-2, 1), min_size=min_rank, max_size=min_rank + 1))
     target = FreeModule(ring, twists)
     if kind == "free":
         return PresentedModule.free(target)
@@ -394,12 +395,15 @@ def _base_modules(draw, ring):
 
 
 @st.composite
-def _sums(draw, ring, depth=1):
+def _sums(draw, ring, depth=1, min_rank=1):
     """Direct sums of twisted, twice-twisted and nested summands."""
     summands = []
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["base", "twist", "sum"] if depth else ["base", "twist"]))
-        m = draw(_sums(ring, depth - 1)) if kind == "sum" else draw(_base_modules(ring))
+        if kind == "sum":
+            m = draw(_sums(ring, depth - 1, min_rank))
+        else:
+            m = draw(_base_modules(ring, min_rank))
         if kind != "base":
             m = m.twisted(draw(st.integers(-2, 2))).twisted(draw(st.integers(-1, 1)))
         summands.append(m)
@@ -414,6 +418,41 @@ def _same_induced_map(src, dst, src_ref, dst_ref, ambient):
             induced_map(src, dst, ambient)
         return
     assert induced_map(src, dst, ambient) == want
+
+
+def _same_coset_map(f, source, target, d):
+    """The coset map built block by block from projected multiplication
+    blocks equals ``induced_map`` of the assembled strand matrix of f, or
+    raises the same error; between zero strands it is zero and unchecked."""
+    src, dst = strand(source, d), strand(target, d + f.internal_degree)
+    try:
+        want = induced_map(src, dst, f.strand_matrix(d))
+    except WellDefinednessError as err:
+        if src.dim and dst.dim:
+            with pytest.raises(WellDefinednessError, match=str(err)):
+                modules._coset_map(f, source, target, d)
+            return
+        want = ExactMatrix.zeros(src.field, dst.dim, src.dim)
+    assert modules._coset_map(f, source, target, d) == want
+
+
+def _map_between(data, ring, source, target, degree):
+    """A random map of the given internal degree: each entry zero, plus or
+    minus one monomial, or a form with coefficients in -2..2 (one draw of a
+    seeded generator, as a map between sums can have many entries)."""
+    rnd = data.draw(st.randoms(use_true_random=False))
+
+    def entry(deg):
+        basis = monomial_basis(ring, deg) if deg >= 0 else ()
+        kind = rnd.randrange(3)
+        if not basis or kind == 0:
+            return ring.zero()
+        if kind == 1:
+            return Poly(ring, {rnd.choice(basis): rnd.choice((1, -1))})
+        return Poly(ring, {m: rnd.randint(-2, 2) for m in basis})
+
+    rows = [[entry(degree + b - a) for a in source.twists] for b in target.twists]
+    return GradedMap(source, target, rows, degree)
 
 
 @settings(max_examples=80)
@@ -440,6 +479,36 @@ def test_strand_of_a_sum_equals_one_elimination_of_its_presentation(data, field)
     if data.draw(st.booleans()):
         ambient = ambient + _random_matrix(data, field, ambient.rows, ambient.cols)
     _same_induced_map(got, strand(m, d + e), want, strand(plain, d + e), ambient)
+    # the same multiplication, and a perturbation of it, built from projected blocks
+    multiplication = GradedMap(gens, gens, diagonal, e)
+    _same_coset_map(multiplication, m, m, d)
+    _same_coset_map(multiplication + _map_between(data, ring, gens, gens, e), m, m, d)
+    # off-diagonal maps into a second drawn sum, of bases of rank 2 or 3, and back
+    other = data.draw(_sums(ring, depth=0, min_rank=2))
+    _same_coset_map(_map_between(data, ring, gens, other.generators, e), m, other, d)
+    _same_coset_map(_map_between(data, ring, other.generators, gens, e), other, m, d)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_entries_meeting_in_one_quotient_part_are_summed(field):
+    # M = R^2 / (x e_1 + y e_2) twice, once twisted: each column of the map
+    # R(-1) (+) R -> M(1) (+) M sends its generator into both generators of
+    # one part, whose two projected blocks are summed
+    r = GradedRing(field, ["x", "y"], [1, 1])
+    x, y = r.variables()
+    m = PresentedModule.quotient(FreeModule(r, [0, 0]), [[x, y]])
+    source = PresentedModule.free(FreeModule(r, [-1, 0]))
+    target = module_sum([m.twisted(1), m])
+    two = parse_poly(r, "x^2 - 2*x*y")
+    f = GradedMap(source.generators, target.generators, [
+        [two, x - y],
+        [-(y * y), y],
+        [x - y, r.one()],
+        [y, -r.one()],
+    ])
+    for d in range(-1, 4):
+        _same_coset_map(f, source, target, d)
+    assert modules._coset_map(f, source, target, 2).rows == strand(target, 2).dim > 0
 
 
 @pytest.mark.parametrize("field", [FP, QQ], ids=repr)
@@ -493,6 +562,28 @@ def test_strand_of_a_quotient_keeps_no_square_matrix():
         tracemalloc.stop()
     assert kept < n * n
     assert (space.dim, space.ambient_dim) == (4, n)
+
+
+def test_coset_map_into_a_quotient_strand_keeps_no_dense_ambient():
+    # d_1 of K(x^2, y^2, z^2) (x) R/(two dense quadrics) in degree 20: from
+    # M_18^3 into M_20, a 4 x 12 coset map of a 231 x 570 strand matrix
+    r = GradedRing(FP, ["x", "y", "z"], [1, 1, 1])
+    m = quotient(r, "x^2 + 2*x*y + 3*y^2 + 5*x*z + 7*y*z + 11*z^2",
+                 "13*x^2 + 17*x*y + 19*y^2 + 23*x*z + 29*y*z + 31*z^2")
+    c = complexes.tensor(koszul_complex(KoszulSpec(r, r.variables(), 2)), m)
+    ctx = complexes.StrandContext(c, 20)
+    src, dst = ctx.space(1), ctx.space(0)  # the strands, with their eliminations
+    assert (dst.dim, dst.ambient_dim, src.dim, src.ambient_dim) == (4, 231, 12, 570)
+    ambient_bytes = dst.ambient_dim * src.ambient_dim * np.dtype(np.int32).itemsize
+    tracemalloc.start()
+    try:
+        op = ctx.op(1)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the ring's three dense multiplication blocks alone would hold ambient_bytes
+    assert kept < ambient_bytes // 8
+    assert op == induced_map(src, dst, c.differential(1).strand_matrix(20))
 
 
 def test_strand_matrix_is_assembled_per_call_from_cached_blocks():
