@@ -143,48 +143,48 @@ def _strings(value, location: str) -> list:
     return items
 
 
+# document key -> JobSpec field; a key the document leaves out keeps the
+# field's default
+_DOCUMENT_FIELDS = {
+    "command": "command",
+    "ring": "ring",
+    "module": "module",
+    "complex": "complex",
+    "ideal": "ideal",
+    "i_range": "i_range",
+    "window": "window",
+    "k_max": "k_max",
+    "s": "s",
+    "K_max": "cech_k_max",
+    "power": "power",
+    "report": "report",
+    "verify": "verify_subject",
+}
+
+
+def _read_field(key: str, value):
+    """The JobSpec value of the document field ``key``."""
+    if key in ("i_range", "window"):
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise SchemaError(f"{key} must be a [lo, hi] pair", key)
+        return (_integer(value[0], f"{key}[0]"), _integer(value[1], f"{key}[1]"))
+    if key in ("k_max", "s", "K_max", "power"):
+        return _integer(value, key)
+    if key == "ideal":
+        return tuple(_strings(value, key))
+    if key in ("command", "report", "verify"):
+        return str(value)
+    return value
+
+
 def _document_to_jobspec(doc: dict) -> JobSpec:
     if not isinstance(doc, dict):
         raise SchemaError("job document must be a JSON object", "$")
-    known = {
-        "command",
-        "ring",
-        "module",
-        "complex",
-        "ideal",
-        "i_range",
-        "window",
-        "k_max",
-        "s",
-        "K_max",
-        "power",
-        "report",
-        "verify",
+    _known_fields(doc, _DOCUMENT_FIELDS, "$")
+    fields = {
+        field: _read_field(key, doc[key]) for key, field in _DOCUMENT_FIELDS.items() if key in doc
     }
-    _known_fields(doc, known, "$")
-
-    def pair(name, default):
-        value = doc.get(name, default)
-        if not (isinstance(value, (list, tuple)) and len(value) == 2):
-            raise SchemaError(f"{name} must be a [lo, hi] pair", name)
-        return (_integer(value[0], f"{name}[0]"), _integer(value[1], f"{name}[1]"))
-
-    spec = JobSpec(
-        command=str(doc.get("command", "lc")),
-        ring=doc.get("ring"),
-        module=doc.get("module"),
-        complex=doc.get("complex"),
-        ideal=tuple(_strings(doc["ideal"], "ideal")) if "ideal" in doc else None,
-        i_range=pair("i_range", (0, 2)),
-        window=pair("window", (-6, 6)),
-        k_max=_integer(doc.get("k_max", 8), "k_max"),
-        s=_integer(doc.get("s", 2), "s"),
-        cech_k_max=_integer(doc.get("K_max", 6), "K_max"),
-        power=_integer(doc.get("power", 1), "power"),
-        report=str(doc.get("report", "json")),
-        verify_subject=str(doc.get("verify", "corpus")),
-    )
-    return spec.validate()
+    return JobSpec(**{"command": "lc", **fields}).validate()
 
 
 def parse_input(path: str) -> JobSpec:

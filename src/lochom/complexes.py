@@ -213,16 +213,6 @@ class ModuleChainMap:
         x = _complex(x)
         return cls(x, x, {i: GradedMap.identity(x.term(i)) for i in x.support})
 
-    def compose(self, other: "ModuleChainMap") -> "ModuleChainMap":
-        if other.target != self.source:
-            raise ValueError("chain map composition endpoint mismatch")
-        degrees = set(self.components) | set(other.components)
-        return ModuleChainMap(
-            other.source,
-            self.target,
-            {i: self.component(i).compose(other.component(i)) for i in degrees},
-        )
-
     def __eq__(self, other):
         if not isinstance(other, ModuleChainMap):
             return NotImplemented

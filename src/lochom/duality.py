@@ -27,7 +27,7 @@ from .errors import (
     NotRegularError,
     ResolutionValidationError,
 )
-from .exact import StrandSpace, induced_map, rank
+from .exact import rank
 from .koszul import INVERSE, KoszulSpec, koszul_complex, stable_cech_truncated
 from .localcoh import local_cohomology_table
 from .modules import (
@@ -36,6 +36,7 @@ from .modules import (
     GradedMap,
     HilbertTable,
     PresentedModule,
+    _coset_map,
     degree_window,
     strand,
 )
@@ -93,6 +94,7 @@ def validate_resolution(
     if augmentation.internal_degree != 0:
         raise ResolutionValidationError("augmentation must preserve internal degree")
     top = max(complex.support) if complex.support else 0
+    coker = PresentedModule(complex.differential(1))
     for d in degree_window(window):
         ctx = StrandContext(complex, d)
         for i in range(1, top + 1):
@@ -101,10 +103,9 @@ def validate_resolution(
                 raise ResolutionValidationError(
                     f"homology of the resolution is nonzero at (i={i}, d={d}): dim {dim}"
                 )
-        coker = StrandSpace(complex.differential(1).strand_matrix(d))
-        target = strand(module, d)
-        induced = induced_map(coker, target, augmentation.strand_matrix(d))
-        if coker.dim != target.dim or rank(induced) != target.dim:
+        source, target = strand(coker, d), strand(module, d)
+        induced = _coset_map(augmentation, coker, module, d)
+        if source.dim != target.dim or rank(induced) != target.dim:
             raise ResolutionValidationError(
                 f"augmentation is not an isomorphism onto the module at degree {d}"
             )

@@ -6,20 +6,21 @@ echelon forms, kernels, and induced maps on quotients k^n/W
 echelon form, kernel and rank comes from it, and a rank is its pivot count.
 A strand space keeps only the projection onto its coset basis (dim x n), so
 coset coordinates, well-definedness checks and induced maps are matrix
-products with no further elimination.  Its coset basis is a set of
-coordinates, so no space stores a coset matrix.  The projection is the
-reduced echelon basis of the annihilator of W, and it has two routes: one
-elimination of the transposed sub basis, or, for W = sum_j x_j W_j plus a
-few relations, Macaulay's inverse system over the spaces of the W_j, which
-eliminates a system as wide as their dims and then the dim x n basis it
-yields.  A reduced echelon basis is unique, so both routes give the same
-bytes.  A direct sum of strand spaces runs none: it keeps its summands and
-projects each block of coordinates with its own summand.
-Matrices over F_p are stored as numpy integer arrays
-with entries reduced into ``[0, p)``; matrices over Q hold
-:class:`fractions.Fraction` entries (always in lowest terms with positive
-denominator).  All values are immutable after construction, so they are safe
-to share across threads.
+products with no further elimination.  A module map's induced map is
+built projected (``modules._coset_map``); :func:`induced_map` projects the
+ambient of any other map, such as a map of homology strands.  A space's
+coset basis is a set of coordinates, so no space stores a coset matrix.  The
+projection is the reduced echelon basis of the annihilator of W, and it has
+two routes: one elimination of the transposed sub basis, or, for
+W = sum_j x_j W_j plus a few relations, Macaulay's inverse system over the
+spaces of the W_j, which eliminates a system as wide as their dims and then
+the dim x n basis it yields.  A reduced echelon basis is unique, so both
+routes give the same bytes.  A direct sum of strand spaces runs none: it
+keeps its summands and projects each block of coordinates with its own
+summand.  Matrices over F_p are stored as numpy integer arrays with entries
+reduced into ``[0, p)``; matrices over Q hold :class:`fractions.Fraction`
+entries (always in lowest terms with positive denominator).  All values are
+immutable after construction, so they are safe to share across threads.
 
 Mod-p products delay reduction while no sum of products can leave the range
 in which its type is exact (Dumas, Giorgi and Pernet, *FFLAS-FFPACK*, ACM
@@ -647,9 +648,9 @@ class StrandSpace:
     coordinates with its own summand.
 
     Q is read by columns too: a block of its columns, times a multiplication
-    matrix, is the projected block from which a module map's coset map is
-    built, with no strand matrix assembled (``modules._coset_map``); the
-    check and column pick of :func:`induced_map` then run on Q A.
+    matrix, is the projected block from which every module map's coset map
+    is built, with no strand matrix assembled (``modules._coset_map``);
+    :func:`_coset_columns` then checks Q A and picks its columns.
     """
 
     __slots__ = ("field", "ambient_dim", "coset_cols", "_proj", "_parts")
@@ -785,9 +786,9 @@ def induced_map(src: StrandSpace, dst: StrandSpace, ambient: ExactMatrix) -> Exa
 
     It projects, qa = dst.project(ambient), and hands qa to
     :func:`_coset_columns`, which checks it and picks the columns
-    ``src.coset_cols``.  This serves ambients that are not the strand of a
-    module map; the coset map of a module map is built projected, block by
-    block (``modules._coset_map``), and goes through the same check.
+    ``src.coset_cols``.  It serves maps that are no module map, such as
+    homology maps; every module map's coset map, a resolution's augmentation
+    too, is built projected (``modules._coset_map``) and takes the same check.
     """
     if src.field != dst.field or ambient.field != src.field:
         raise FieldMismatchError("induced_map operands over different fields")

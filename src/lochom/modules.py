@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import NonHomogeneousError
 from .exact import ExactMatrix, StrandSpace, _coset_columns, _zeros, rank
-from .rings import GradedRing, Poly, _scatter_positions, monomial_basis, mult_matrix
+from .rings import GradedRing, Poly, _scatter_rows, monomial_basis, mult_matrix
 
 __all__ = [
     "FreeModule",
@@ -217,17 +217,10 @@ class GradedMap:
         return self.scale(-1)
 
     def twisted(self, n: int) -> "GradedMap":
-        """The same entries between source(n) and target(n).
-
-        Twisting both ends by n keeps the degree every entry must have, so
-        the entries are not checked again.
-        """
-        out = object.__new__(GradedMap)
-        object.__setattr__(out, "source", self.source.twisted(n))
-        object.__setattr__(out, "target", self.target.twisted(n))
-        object.__setattr__(out, "entries", self.entries)
-        object.__setattr__(out, "internal_degree", self.internal_degree)
-        return out
+        """The same entries between source(n) and target(n)."""
+        return GradedMap(
+            self.source.twisted(n), self.target.twisted(n), self.entries, self.internal_degree
+        )
 
     def tensor(self, other: "GradedMap") -> "GradedMap":
         """Kronecker product; generator (p, q) of F (x) G is at index p*rank(G)+q."""
@@ -474,10 +467,10 @@ def _strand_from_below(module: PresentedModule, d: int) -> StrandSpace | None:
         # the coordinate in (F0)_d of x^exp times each coordinate of (F0)_lower
         out, start = [], 0
         for a, dim in zip(gens.twists, dims):
-            cols = len(monomial_basis(ring, lower + a))
-            if cols:
-                # positions are row * cols + col in the block R_{lower+a} -> R_{d+a}
-                out.append(start + _scatter_positions(ring, exp, lower + a, d + a) // cols)
+            # an empty block adds no rows; skipping it keeps _rank_table off
+            # the degrees below -1 it cannot take
+            if monomial_basis(ring, lower + a):
+                out.append(start + _scatter_rows(ring, exp, lower + a, d + a))
             start += dim
         return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
 
@@ -569,10 +562,10 @@ def _projected_block(base: PresentedModule, space: StrandSpace, gen: int, e: Pol
     if block is None:
         ring, top = base.ring, s + e.degree()
         dims = base.generators.strand_block_dims(top - base.generators.twists[gen])
-        start, cols = sum(dims[:gen]), len(monomial_basis(ring, s))
+        start = sum(dims[:gen])
         proj = space._proj._data
         for exp, c in e.terms.items():
-            rows = start + _scatter_positions(ring, exp, s, top) // cols
+            rows = start + _scatter_rows(ring, exp, s, top)
             term = ExactMatrix(space.field, proj[:, rows]).scale(c)
             block = term if block is None else block + term
         base._block_cache[key] = block
@@ -625,9 +618,6 @@ class HilbertTable:
 
     def dim(self, i: int, d: int) -> int:
         return self.entries[(i, d)].dim
-
-    def __contains__(self, key):
-        return key in self.entries
 
     def items(self):
         return sorted(self.entries.items())

@@ -13,7 +13,7 @@ dim R_D, so the table cannot overflow for any number of variables or any
 weights.  Lex order is multiplicative, so multiplying R_d by one term sends
 distinct monomials to distinct rows, and a multiplication matrix is one
 scatter of each term's coefficient.  Rings cache their strand bases, rank
-tables, the positions of each term's scatter and the multiplication matrices;
+tables, the rows of each term's scatter and the multiplication matrices;
 everything is immutable after construction.
 
 A polynomial is validated once, where its terms enter: ``Poly(ring, terms)``
@@ -169,13 +169,13 @@ def _rank_table(ring: GradedRing, D: int) -> np.ndarray:
     return table
 
 
-def _scatter_positions(ring: GradedRing, exp: tuple, d: int, D: int) -> np.ndarray:
-    """Flat positions (row * dim R_d + column) in the block R_d -> R_D of
-    the products of the term x^exp with the monomials of R_d."""
+def _scatter_rows(ring: GradedRing, exp: tuple, d: int, D: int) -> np.ndarray:
+    """The rows in R_D of the products of the term x^exp with the monomials
+    of R_d, in the order of R_d's basis."""
     key = (exp, d)
-    positions = ring._scatter_cache.get(key)
-    if positions is not None:
-        return positions
+    rows = ring._scatter_cache.get(key)
+    if rows is not None:
+        return rows
     prefix = ring._prefix_cache.get(d)
     if prefix is None:
         basis = monomial_basis(ring, d)
@@ -187,9 +187,8 @@ def _scatter_positions(ring: GradedRing, exp: tuple, d: int, D: int) -> np.ndarr
         prefix = ring._prefix_cache[d] = np.cumsum(exps[:, :-1] * weights, axis=1)
     shift = np.fromiter(accumulate(map(mul, exp[:-1], ring.weights)), np.int64, ring.nvars - 1)
     rows = _rank_table(ring, D)[np.arange(ring.nvars - 1), prefix + shift].sum(axis=1)
-    cols = len(prefix)
-    positions = ring._scatter_cache[key] = rows * cols + np.arange(cols)
-    return positions
+    ring._scatter_cache[key] = rows
+    return rows
 
 
 # The kept degree of a polynomial before it is computed (None is the degree
@@ -408,7 +407,7 @@ def mult_matrix(f: Poly, d: int) -> ExactMatrix:
     out = _zeros(ring.field, len(monomial_basis(ring, D)), cols)
     if cols:
         for exp, coeff in f.terms.items():
-            out.put(_scatter_positions(ring, exp, d, D), coeff)
+            out[_scatter_rows(ring, exp, d, D), np.arange(cols)] = coeff
     result = ExactMatrix(ring.field, out)
     ring._mult_cache[cache_key] = result
     return result

@@ -231,9 +231,6 @@ class ProZeroReport:
     def success(self) -> bool:
         return not self.unresolved
 
-    def __bool__(self):
-        return self.success
-
     def __repr__(self):
         return (
             f"ProZeroReport(resolved={self.resolved}, unresolved={list(self.unresolved)})"
@@ -290,10 +287,6 @@ def annihilator_bound(module: PresentedModule, f: Poly, window, k_probe: int) ->
     return AnnihilatorBound(None, tuple(dims))
 
 
-def _full_space(field, dim: int) -> StrandSpace:
-    return StrandSpace(ExactMatrix.zeros(field, dim, 0))
-
-
 def direct_sum_towers(towers) -> StrandTower:
     """Stagewise direct sum; transitions become block diagonal."""
     towers = list(towers)
@@ -306,7 +299,8 @@ def direct_sum_towers(towers) -> StrandTower:
         raise ValueError("towers must share direction and length")
     stages = []
     for j in range(length):
-        stages.append(_full_space(field, sum(t.stages[j].dim for t in towers)))
+        dim = sum(t.stages[j].dim for t in towers)
+        stages.append(StrandSpace(ExactMatrix.zeros(field, dim, 0)))
     transitions = []
     for j in range(length - 1):
         if direction == DIRECTED:

@@ -33,6 +33,14 @@ def test_minimal_document_gets_defaults(tmp_path):
     assert ring.field.characteristic == 32003
 
 
+def test_a_document_takes_its_defaults_from_jobspec():
+    # a job read from --input and a flag-only job start from the same defaults
+    from lochom.cli import JobSpec
+
+    assert _document_to_jobspec({}) == JobSpec(command="lc")
+    assert _document_to_jobspec({"command": "verify"}) == JobSpec(command="verify")
+
+
 def test_module_twist_inference(tmp_path):
     from lochom.cli import build_module, build_ring
 

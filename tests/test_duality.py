@@ -8,6 +8,7 @@ from lochom.complexes import (
     FreeComplex,
     ModuleChainMap,
     ModuleComplex,
+    direct_sum,
     hom_complex,
     hom_summands,
     tensor,
@@ -24,7 +25,7 @@ from lochom.duality import (
     trivial_resolution,
     validate_resolution,
 )
-from lochom.errors import NotRegularError, ResolutionValidationError
+from lochom.errors import NotRegularError, ResolutionValidationError, WellDefinednessError
 from lochom.exact import FieldSpec
 from lochom.koszul import INVERSE, KoszulSpec, koszul_complex, stable_cech_truncated
 from lochom.localcoh import local_cohomology_table
@@ -35,6 +36,7 @@ from lochom.modules import (
     PresentedModule,
     TableEntry,
     hilbert_row,
+    module_sum,
 )
 from lochom.rings import GradedRing, parse_poly
 
@@ -127,6 +129,61 @@ def test_validate_resolution_rejects_wrong_module():
     wrong = PresentedModule.quotient(FreeModule(r, [0]), [[x]])
     with pytest.raises(ResolutionValidationError):
         validate_resolution(cx, GradedMap.identity(FreeModule(r, [0])), wrong, (-3, 3))
+
+
+FIELDS = (FieldSpec(2), FP, FieldSpec(0))
+
+
+def koszul_of(f):
+    return koszul_complex(KoszulSpec(f.ring, (f,), 1, INVERSE))
+
+
+def quotient(r, *gens):
+    return PresentedModule.quotient(FreeModule(r, [0]), [[g] for g in gens])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_validate_resolution_refuses_an_augmentation_that_does_not_descend(field):
+    # R -> R/(y) does not kill x, and at d = 1 both R/(x)_1 = <y> and
+    # (R/(y))_1 = <x> are nonzero, so the well-definedness check sees it
+    r = GradedRing(field, ["x", "y"], [1, 1])
+    x, y = r.variables()
+    identity = GradedMap.identity(FreeModule(r, [0]))
+    with pytest.raises(WellDefinednessError):
+        validate_resolution(koszul_of(x), identity, quotient(r, y), (0, 2))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_validate_resolution_refuses_a_zero_cokernel_strand_as_no_isomorphism(field):
+    # K(x) resolves R/(x), whose strand at d = 1 is 0, while (R/(x^2))_1 = <x>:
+    # the coset map from a 0-dimensional strand is zero with no check, so the
+    # augmentation is refused as not onto rather than as not well defined
+    r = GradedRing(field, ["x"], [1])
+    x = r.variable(0)
+    identity = GradedMap.identity(FreeModule(r, [0]))
+    with pytest.raises(ResolutionValidationError, match="not an isomorphism .* at degree 1"):
+        validate_resolution(koszul_of(x), identity, quotient(r, x * x), (0, 2))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_validate_resolution_of_a_direct_sum_checks_each_summand(field):
+    r = GradedRing(field, ["x", "y"], [1, 1])
+    x, y = r.variables()
+    cx = direct_sum([koszul_of(x), koszul_of(y)])
+    augmentation = GradedMap.identity(FreeModule(r, [0, 0]))
+    module = module_sum([quotient(r, x), quotient(r, y)])
+    res = validate_resolution(cx, augmentation, module, (-2, 4))
+    both = ext_table(res, -2, (0, 2), (-2, 2))
+    parts = [ext_table(koszul_resolution([f], (-2, 4)), -2, (0, 2), (-2, 2)) for f in (x, y)]
+    assert both.dims() == {key: parts[0].dim(*key) + parts[1].dim(*key) for key in both.dims()}
+    # R/(y) -> R/(x, y) is well defined and onto, but kills x at d = 1
+    onto = module_sum([quotient(r, x), quotient(r, x, y)])
+    with pytest.raises(ResolutionValidationError, match="not an isomorphism"):
+        validate_resolution(cx, augmentation, onto, (-2, 4))
+    # R/(y) -> R/(x) does not kill y
+    swapped = module_sum([quotient(r, x), quotient(r, x)])
+    with pytest.raises(WellDefinednessError):
+        validate_resolution(cx, augmentation, swapped, (-2, 4))
 
 
 def test_ext_of_free_module_is_hilbert_row():

@@ -1,8 +1,12 @@
 """Source hygiene: every name a module imports is read somewhere in it, every
-name in a module's ``__all__`` is defined there, and every function reads
-each of its parameters."""
+name in a module's ``__all__`` is defined there, every function reads each
+of its parameters, only ``rings`` builds a Poly unchecked, every GradedMap
+goes through its constructor, and every function and class is named
+somewhere besides its own definition."""
 
 import ast
+import functools
+import re
 from pathlib import Path
 
 import pytest
@@ -154,3 +158,132 @@ def test_the_scan_sees_an_unchecked_poly():
     ]
     rings = SRC / "rings.py"
     assert trusted_constructor_uses(ast.parse(rings.read_text(encoding="utf-8")))
+
+
+def _is_graded_map(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "GradedMap") or (
+        isinstance(node, ast.Attribute) and node.attr == "GradedMap"
+    )
+
+
+def graded_map_bypasses(tree: ast.Module) -> list:
+    """(line, how) for each GradedMap built around its checked constructor:
+    a ``__new__`` called on GradedMap, as ``object.__new__(GradedMap)``, or
+    GradedMap's own ``__new__``, named or called."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "__new__" and node.args and _is_graded_map(node.args[0]):
+                hits.append((node.lineno, "__new__(GradedMap)"))
+        if isinstance(node, ast.Attribute) and node.attr == "__new__":
+            if _is_graded_map(node.value):
+                hits.append((node.lineno, "GradedMap.__new__"))
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_every_graded_map_goes_through_its_constructor(path):
+    # the constructor checks every entry's bounds, ring and degree
+    assert graded_map_bypasses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_scan_sees_a_graded_map_built_around_its_constructor():
+    tree = ast.parse(
+        "from . import modules\nfrom .modules import GradedMap as G, GradedMap\n"
+        "a = object.__new__(GradedMap)\nb = GradedMap.__new__(GradedMap)\n"
+        "c = object.__new__(modules.GradedMap)\nmake = GradedMap.__new__\n"
+        "d = object.__new__(FreeModule)\ne = GradedMap(s, t, {})\n"
+    )
+    assert graded_map_bypasses(tree) == [
+        (3, "__new__(GradedMap)"), (4, "GradedMap.__new__"), (4, "__new__(GradedMap)"),
+        (5, "__new__(GradedMap)"), (6, "GradedMap.__new__"),
+    ]
+
+
+REPO = SRC.parent.parent
+IDENTIFIER_PATH = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
+
+
+def _is_all(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
+def named(tree: ast.Module) -> set:
+    """The identifiers a module names outside the definitions of those names
+    and its ``__all__``: names, attributes, the original name of an import
+    under another name, and the parts of a string that is a dotted
+    identifier path (the tracer names its targets that way)."""
+    out = set()
+
+    def visit(node, enclosing):
+        if _is_all(node):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        found = ()
+        if isinstance(node, ast.Name):
+            found = (node.id,)
+        elif isinstance(node, ast.Attribute):
+            found = (node.attr,)
+        elif isinstance(node, ast.alias) and node.asname:
+            found = (node.name.split(".")[-1],)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if IDENTIFIER_PATH.fullmatch(node.value):
+                found = node.value.split(".")
+        out.update(name for name in found if name not in enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return out
+
+
+def uncalled_definitions(defining, naming) -> list:
+    """(line, name) for each non-dunder function or class defined in the
+    ``defining`` trees that none of the ``naming`` trees names."""
+    seen = set().union(*map(named, naming))
+    return sorted(
+        (node.lineno, node.name)
+        for tree in defining
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in seen
+    )
+
+
+@functools.cache
+def repo_trees() -> tuple:
+    # the package's __init__.py only re-exports, so it names nothing here
+    return tuple(
+        ast.parse(p.read_text(encoding="utf-8"))
+        for root in ("src", "tests", "bench")
+        for p in sorted((REPO / root).rglob("*.py"))
+        if p != SRC / "__init__.py"
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_is_named_somewhere_else(path):
+    # an API with no caller is a defect
+    defining = [ast.parse(path.read_text(encoding="utf-8"))]
+    assert uncalled_definitions(defining, repo_trees()) == []
+
+
+def test_the_scan_sees_a_definition_with_no_caller():
+    module = ast.parse(
+        "def used():\n    pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Table:\n    def merge(self): pass\n    def __contains__(self, k): pass\n"
+        "    def lookup(self): pass\n"
+        "def documented():\n    \"\"\"Calls documented() and lookup in prose.\"\"\"\n"
+        "__all__ = ['recursive', 'documented']\nx = used()\n"
+    )
+    caller = ast.parse(
+        "from lochom.m import Table\ntargets = ('m', 'Table.merge')\n"
+    )
+    assert uncalled_definitions([module], [module, caller]) == [
+        (3, "recursive"), (8, "lookup"), (9, "documented"),
+    ]

@@ -143,6 +143,14 @@ def test_transition_errors():
         transition(KoszulSpec(r, (x,), 1, DIRECT), KoszulSpec(r, (x,), 2, INVERSE))
 
 
+def _compose(f: ModuleChainMap, g: ModuleChainMap) -> ModuleChainMap:
+    """f after g, degree by degree."""
+    degrees = set(f.components) | set(g.components)
+    return ModuleChainMap(
+        g.source, f.target, {i: f.component(i).compose(g.component(i)) for i in degrees}
+    )
+
+
 def test_transition_functoriality():
     r = ring(2)
     x, y = r.variables()
@@ -150,11 +158,11 @@ def test_transition_functoriality():
     t12 = transition(base, base.at_power(2))
     t24 = transition(base.at_power(2), base.at_power(4))
     t14 = transition(base, base.at_power(4))
-    assert t24.compose(t12) == t14
+    assert _compose(t24, t12) == t14
     inv = KoszulSpec(r, (x, y), 4, INVERSE)
     u42 = transition(inv, inv.at_power(2))
     u21 = transition(inv.at_power(2), inv.at_power(1))
-    assert u21.compose(u42) == transition(inv, inv.at_power(1))
+    assert _compose(u21, u42) == transition(inv, inv.at_power(1))
 
 
 @pytest.mark.parametrize("field", (FieldSpec(3), FP, FieldSpec(0)), ids=str)
