@@ -20,9 +20,7 @@ from .errors import (
     HomogeneityError,
     InternalInvariantError,
     NonHomogeneousError,
-    ParseError,
     SchemaError,
-    UnknownVariableError,
     WellDefinednessError,
 )
 from .exact import DEFAULT_PRIME, FieldSpec
@@ -591,14 +589,7 @@ def main(argv=None) -> int:
     except (InternalInvariantError, WellDefinednessError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (
-        SchemaError,
-        ParseError,
-        HomogeneityError,
-        UnknownVariableError,
-        NonHomogeneousError,
-        EngineError,
-    ) as exc:
+    except EngineError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     return 0 if report.passed else 1

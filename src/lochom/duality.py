@@ -103,9 +103,9 @@ def validate_resolution(
                 raise ResolutionValidationError(
                     f"homology of the resolution is nonzero at (i={i}, d={d}): dim {dim}"
                 )
-        source, target = strand(coker, d), strand(module, d)
-        induced = _coset_map(augmentation, coker, module, d)
-        if source.dim != target.dim or rank(induced) != target.dim:
+        # unequal dims refuse the augmentation before its map is checked
+        dim = strand(module, d).dim
+        if strand(coker, d).dim != dim or rank(_coset_map(augmentation, coker, module, d)) != dim:
             raise ResolutionValidationError(
                 f"augmentation is not an isomorphism onto the module at degree {d}"
             )

@@ -8,7 +8,10 @@ A strand space keeps only the projection onto its coset basis (dim x n), so
 coset coordinates, well-definedness checks and induced maps are matrix
 products with no further elimination.  A module map's induced map is
 built projected (``modules._coset_map``); :func:`induced_map` projects the
-ambient of any other map, such as a map of homology strands.  A space's
+ambient of any other map, such as a map of homology strands.
+:func:`_mult_block` builds every multiplication block and its projection
+onto a quotient strand, :meth:`ExactMatrix.assemble` places every block
+matrix, and no other module reads how a matrix is stored.  A space's
 coset basis is a set of coordinates, so no space stores a coset matrix.  The
 projection is the reduced echelon basis of the annihilator of W, and it has
 two routes: one elimination of the transposed sub basis, or, for
@@ -228,11 +231,10 @@ class ExactMatrix:
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
         return cls(field, _zeros(field, rows, cols))
 
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "ExactMatrix":
-        data = _zeros(field, n, n)
-        data[range(n), range(n)] = field.one()
-        return cls(field, data)
+    @staticmethod
+    def identity(field: FieldSpec, n: int) -> "ExactMatrix":
+        """I_n, the block of multiplication by 1 on a full strand."""
+        return _mult_block(field, n, n, [(np.arange(n), field.one())])
 
     # -- inspection --------------------------------------------------------
     @property
@@ -353,22 +355,15 @@ class ExactMatrix:
         return ExactMatrix(field, np.vstack([m._data for m in mats]))
 
     @staticmethod
-    def assemble(field: FieldSpec, grid, row_dims, col_dims) -> "ExactMatrix":
-        """Block matrix from grid[i][j] in (ExactMatrix | None); None blocks are zero."""
-        nr = sum(row_dims)
-        nc = sum(col_dims)
-        out = _zeros(field, nr, nc)
-        r0 = 0
-        for bi, rd in enumerate(row_dims):
-            c0 = 0
-            for bj, cd in enumerate(col_dims):
-                blk = grid[bi][bj]
-                if blk is not None:
-                    if blk.rows != rd or blk.cols != cd or blk.field != field:
-                        raise ValueError("block shape or field mismatch")
-                    out[r0 : r0 + rd, c0 : c0 + cd] = blk._data
-                c0 += cd
-            r0 += rd
+    def assemble(field: FieldSpec, blocks: dict, row_dims, col_dims) -> "ExactMatrix":
+        """Block matrix from a dict (i, j) -> ExactMatrix of the blocks present,
+        block (i, j) being row_dims[i] x col_dims[j]; a missing block is zero."""
+        out = _zeros(field, sum(row_dims), sum(col_dims))
+        for (i, j), blk in blocks.items():
+            if blk.rows != row_dims[i] or blk.cols != col_dims[j] or blk.field != field:
+                raise ValueError("block shape or field mismatch")
+            r0, c0 = sum(row_dims[:i]), sum(col_dims[:j])
+            out[r0 : r0 + blk.rows, c0 : c0 + blk.cols] = blk._data
         return ExactMatrix(field, out)
 
 
@@ -647,10 +642,11 @@ class StrandSpace:
     block-diagonal: the sum keeps its summands and projects each block of
     coordinates with its own summand.
 
-    Q is read by columns too: a block of its columns, times a multiplication
-    matrix, is the projected block from which every module map's coset map
-    is built, with no strand matrix assembled (``modules._coset_map``);
-    :func:`_coset_columns` then checks Q A and picks its columns.
+    Q is read by columns too: :func:`_mult_block` sums its columns at the
+    rows the terms of a polynomial scatter to, the projected block from
+    which every module map's coset map is built, with no strand matrix
+    assembled (``modules._coset_map``); :func:`_coset_columns` then checks
+    Q A and picks its columns.
     """
 
     __slots__ = ("field", "ambient_dim", "coset_cols", "_proj", "_parts")
@@ -697,11 +693,9 @@ class StrandSpace:
         def read(j, coords):
             # rows of G: phi at ``coords`` through c_j
             out = _zeros(field, coords.size, width)
-            at = sources[j, coords]
-            if below[j]._proj is None:
-                out[np.arange(coords.size), starts[j] + at] = field.one()
-            else:
-                out[:, starts[j] : starts[j + 1]] = below[j]._proj._data[:, at].T
+            terms = [(sources[j, coords], field.one())]
+            q = _mult_block(field, below[j].ambient_dim, coords.size, terms, below[j])
+            out[:, starts[j] : starts[j + 1]] = q._data.T
             return out
 
         gather = _zeros(field, n, width)
@@ -779,6 +773,27 @@ class StrandSpace:
             f"StrandSpace(dim={self.dim}, ambient={self.ambient_dim}, "
             f"sub_rank={self.ambient_dim - self.dim})"
         )
+
+
+def _mult_block(field: FieldSpec, n: int, cols: int, terms, space: StrandSpace | None = None) -> ExactMatrix:
+    """The sum of c Q[:, rows] over the pairs (rows, c) of ``terms``, Q the
+    projection of ``space``, a quotient of k^n with no summands (one term at
+    least), or I_n, scattered with no identity built, where ``space`` is None
+    or full.  A term c x^a sends monomial k of R_s to c times row rows[k] of
+    k^n (distinct rows in a column: lex order is multiplicative), so this is
+    the projected block of multiplication by the polynomial."""
+    if space is None or space.is_full:
+        out = _zeros(field, n, cols)
+        at = np.arange(cols)
+        for rows, c in terms:
+            out[rows, at] = c
+        return ExactMatrix(field, out)
+    block = None
+    for rows, c in terms:
+        term = ExactMatrix(field, space._proj._data[:, rows])
+        term = term if c == 1 else term.scale(c)
+        block = term if block is None else block + term
+    return block
 
 
 def induced_map(src: StrandSpace, dst: StrandSpace, ambient: ExactMatrix) -> ExactMatrix:

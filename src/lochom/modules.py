@@ -20,22 +20,23 @@ the strand matrix (see :func:`_coset_map`): each nonzero entry gives one
 block, the ring's cached multiplication block where the target's part is
 full in that degree, and where it is a quotient M_D the projection of M_D
 restricted to one generator times multiplication by the entry, dim M_D x
-dim R_s, cached on the base module next to its strands.  A strand matrix
-(presentation strands, ambients that are no module map) is assembled per
-call from the ring's cached multiplication blocks (``rings.mult_matrix``),
-and nothing here keeps it.
+dim R_s, cached on the base module next to its strands.  ``exact._mult_block``
+builds both kinds and ``ExactMatrix.assemble`` places them, as it places
+the ring's cached blocks (``rings.mult_matrix``) in a strand matrix
+(presentation strands, ambients that are no module map), which is
+assembled per call and kept by nothing.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import combinations
 from operator import add
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import NonHomogeneousError
-from .exact import ExactMatrix, StrandSpace, _coset_columns, _zeros, rank
+from .exact import ExactMatrix, StrandSpace, _coset_columns, _mult_block, rank
 from .rings import GradedRing, Poly, _scatter_rows, monomial_basis, mult_matrix
 
 __all__ = [
@@ -242,10 +243,8 @@ class GradedMap:
         assembled per call from the ring's cached blocks and kept by nothing."""
         src_dims = self.source.strand_block_dims(d)
         tgt_dims = self.target.strand_block_dims(d + self.internal_degree)
-        grid = [[None] * self.source.rank for _ in range(self.target.rank)]
-        for (i, j), e in self.entries.items():
-            grid[i][j] = mult_matrix(e, d + self.source.twists[j])
-        return ExactMatrix.assemble(self.ring.field, grid, tgt_dims, src_dims)
+        blocks = {(i, j): mult_matrix(e, d + self.source.twists[j]) for (i, j), e in self.entries.items()}
+        return ExactMatrix.assemble(self.ring.field, blocks, tgt_dims, src_dims)
 
 
 def _product_entries(f: GradedMap | None, g: GradedMap | None) -> dict:
@@ -501,61 +500,54 @@ def _coset_map(f: GradedMap, source: PresentedModule, target: PresentedModule, d
     """The matrix f induces from source_d to target_{d+deg f} on coset bases.
 
     It is ``induced_map`` of the strand matrix A of f, but A is never
-    assembled: Q A is built one block per nonzero entry (i, j), in the rows
-    of the part (B, t) of the target that holds generator i.  Where B's
-    strand is full (Q = I) the block is the ring's multiplication block, in
-    the rows of generator i; where it is a quotient, it is the projection of
-    B restricted to the rows of generator i times multiplication by the
-    entry (:func:`_projected_block`), dim B x dim R_{d+a_j}, cached on B.
-    Entries that meet in one quotient part and column block are summed.
-    Q A then takes the check and column pick of ``induced_map``.  A zero
-    source or target strand gives the zero matrix with no check.
+    assembled: ``ExactMatrix.assemble`` places Q A from one block per nonzero
+    entry (i, j).  A part (B, t) of the target whose strand is full (Q = I)
+    has a row block per generator, holding the ring's multiplication block;
+    a quotient part has one, holding the projection of B restricted to the
+    rows of generator i times multiplication by the entry
+    (:func:`_projected_block`), dim B x dim R_{d+a_j}, cached on B.  Entries
+    that meet in one row block and column block are summed.  Q A then takes
+    the check and column pick of ``induced_map``; only a zero target strand
+    or source ambient, which leave nothing to check, give the zero matrix.
     """
     if f.source != source.generators or f.target != target.generators:
         raise ValueError("the map does not go between the generators of the modules")
     field, deg = f.ring.field, f.internal_degree
     src, dst = strand(source, d), strand(target, d + deg)
-    if src.dim == 0 or dst.dim == 0:
+    if dst.dim == 0 or src.ambient_dim == 0:
         return ExactMatrix.zeros(field, dst.dim, src.dim)
-    # per target generator: its part, the part's quotient strand (None where
-    # full), its index in the part's base and its first row
-    place = []
-    row = 0
-    for part, (base, t) in enumerate(target.parts or ((target, 0),)):
+    # per target generator: its row block, its part's base, the part's
+    # quotient strand (None where full) and its index in the base
+    place, row_dims = [], []
+    for base, t in target.parts or ((target, 0),):
         space = strand(base, d + deg + t)
-        if space._proj is None:
+        if space.is_full:
             for i, rows in enumerate(base.generators.strand_block_dims(d + deg + t)):
-                place.append((part, base, None, i, row))
-                row += rows
+                place.append((len(row_dims), base, None, i))
+                row_dims.append(rows)
         else:
-            place.extend((part, base, space, i, row) for i in range(base.generators.rank))
-            row += space.dim
+            place.extend((len(row_dims), base, space, i) for i in range(base.generators.rank))
+            row_dims.append(space.dim)
     col_dims = f.source.strand_block_dims(d)
-    col_starts = [0, *accumulate(col_dims)]
-    out = _zeros(field, dst.dim, src.ambient_dim)
-    summed: dict = {}
+    blocks: dict = {}
     for (i, j), e in f.entries.items():
         if not col_dims[j]:
             continue
-        part, base, space, gen, r0 = place[i]
+        row, base, space, gen = place[i]
         s = d + f.source.twists[j]
-        if space is None:
-            block = mult_matrix(e, s)
-        else:
-            block = _projected_block(base, space, gen, e, s)
-            prior = summed.get((part, j))
-            summed[part, j] = block = block if prior is None else prior + block
-        out[r0 : r0 + block.rows, col_starts[j] : col_starts[j + 1]] = block._data
-    return _coset_columns(src, ExactMatrix(field, out))
+        block = mult_matrix(e, s) if space is None else _projected_block(base, space, gen, e, s)
+        prior = blocks.get((row, j))
+        blocks[row, j] = block if prior is None else prior + block
+    return _coset_columns(src, ExactMatrix.assemble(field, blocks, row_dims, col_dims))
 
 
 def _projected_block(base: PresentedModule, space: StrandSpace, gen: int, e: Poly, s: int) -> ExactMatrix:
     """Q_i m_e: the projection of ``space`` = B_D restricted to the rows of
     generator ``gen``, times multiplication by e from R_s, cached on B.
 
-    Column c of m_e has the coefficient of each term x^a of e at the row of
-    x^a times monomial c, so Q_i m_e sums, over the terms, the coefficient
-    times the columns of Q_i at those rows; no multiplication matrix is built.
+    Each term of e scatters R_s into the rows of generator ``gen`` in
+    (F0)_D, and ``exact._mult_block`` sums the columns of the projection at
+    those rows; no multiplication matrix is built.
     """
     key = (gen, e.key(), s)
     block = base._block_cache.get(key)
@@ -563,11 +555,8 @@ def _projected_block(base: PresentedModule, space: StrandSpace, gen: int, e: Pol
         ring, top = base.ring, s + e.degree()
         dims = base.generators.strand_block_dims(top - base.generators.twists[gen])
         start = sum(dims[:gen])
-        proj = space._proj._data
-        for exp, c in e.terms.items():
-            rows = start + _scatter_rows(ring, exp, s, top)
-            term = ExactMatrix(space.field, proj[:, rows]).scale(c)
-            block = term if block is None else block + term
+        terms = [(start + _scatter_rows(ring, exp, s, top), c) for exp, c in e.terms.items()]
+        block = _mult_block(ring.field, space.ambient_dim, len(monomial_basis(ring, s)), terms, space)
         base._block_cache[key] = block
     return block
 

@@ -12,9 +12,10 @@ entries and never exceeds dim R_D; entries no monomial reads are capped at
 dim R_D, so the table cannot overflow for any number of variables or any
 weights.  Lex order is multiplicative, so multiplying R_d by one term sends
 distinct monomials to distinct rows, and a multiplication matrix is one
-scatter of each term's coefficient.  Rings cache their strand bases, rank
-tables, the rows of each term's scatter and the multiplication matrices;
-everything is immutable after construction.
+scatter of each term's coefficient, written by ``exact._mult_block``.
+Rings cache their strand bases, rank tables, the rows of each term's
+scatter and the multiplication matrices; everything is immutable after
+construction.
 
 A polynomial is validated once, where its terms enter: ``Poly(ring, terms)``
 converts and checks every exponent vector and normalizes and sums every
@@ -40,7 +41,7 @@ from .errors import (
     ParseError,
     UnknownVariableError,
 )
-from .exact import ExactMatrix, FieldSpec, _zeros
+from .exact import ExactMatrix, FieldSpec, _mult_block
 
 __all__ = ["GradedRing", "Poly", "monomial_basis", "mult_matrix", "parse_poly"]
 
@@ -396,7 +397,9 @@ def format_poly(p: Poly) -> str:
 
 
 def mult_matrix(f: Poly, d: int) -> ExactMatrix:
-    """Matrix of multiplication by homogeneous f from R_d to R_{d+deg f}."""
+    """Matrix of multiplication by homogeneous f from R_d to R_{d+deg f},
+    cached on the ring: the block ``exact._mult_block`` builds for the
+    full strand R_{d+deg f}, from the scatter rows of each term of f."""
     ring = f.ring
     cache_key = (f.key(), d)
     cached = ring._mult_cache.get(cache_key)
@@ -404,11 +407,9 @@ def mult_matrix(f: Poly, d: int) -> ExactMatrix:
         return cached
     D = d + (f.degree() or 0)
     cols = len(monomial_basis(ring, d))
-    out = _zeros(ring.field, len(monomial_basis(ring, D)), cols)
-    if cols:
-        for exp, coeff in f.terms.items():
-            out[_scatter_rows(ring, exp, d, D), np.arange(cols)] = coeff
-    result = ExactMatrix(ring.field, out)
+    # an empty R_d scatters nothing, and _rank_table takes no D below -1
+    terms = [(_scatter_rows(ring, exp, d, D), c) for exp, c in f.terms.items()] if cols else ()
+    result = _mult_block(ring.field, len(monomial_basis(ring, D)), cols, terms)
     ring._mult_cache[cache_key] = result
     return result
 

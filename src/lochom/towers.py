@@ -303,15 +303,8 @@ def direct_sum_towers(towers) -> StrandTower:
         stages.append(StrandSpace(ExactMatrix.zeros(field, dim, 0)))
     transitions = []
     for j in range(length - 1):
-        if direction == DIRECTED:
-            row_dims = [t.stages[j + 1].dim for t in towers]
-            col_dims = [t.stages[j].dim for t in towers]
-        else:
-            row_dims = [t.stages[j].dim for t in towers]
-            col_dims = [t.stages[j + 1].dim for t in towers]
-        grid = [
-            [t.transitions[j] if bi == bj else None for bj in range(len(towers))]
-            for bi, t in enumerate(towers)
-        ]
-        transitions.append(ExactMatrix.assemble(field, grid, row_dims, col_dims))
+        blocks = {(b, b): t.transitions[j] for b, t in enumerate(towers)}
+        row_dims = [m.rows for m in blocks.values()]
+        col_dims = [m.cols for m in blocks.values()]
+        transitions.append(ExactMatrix.assemble(field, blocks, row_dims, col_dims))
     return StrandTower(stages, transitions, direction)

@@ -9,8 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lochom import cli, errors
 from lochom.cli import emit_report, main, parse_input, run, _document_to_jobspec
-from lochom.errors import ParseError, SchemaError
+from lochom.errors import (
+    EngineError,
+    InternalInvariantError,
+    ParseError,
+    SchemaError,
+    WellDefinednessError,
+)
 from lochom.modules import HilbertTable, TableEntry
 
 
@@ -141,6 +148,26 @@ def test_main_exit_codes(tmp_path, capsys):
     )
     assert main(["--input", bad_poly]) == 2
     capsys.readouterr()
+
+
+ENGINE_ERRORS = [
+    cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, EngineError)
+]
+
+
+@pytest.mark.parametrize("cls", ENGINE_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_engine_error_has_its_exit_code(cls, tmp_path, capsys, monkeypatch):
+    # broken invariants exit 3, every other engine error is an input error
+    def fail(job):
+        raise cls("boom", 1) if cls is ParseError else cls("boom")
+
+    monkeypatch.setattr(cli, "run", fail)
+    job = write_job(tmp_path, {"command": "lc", "ring": RING, "ideal": ["x", "y"]})
+    invariant = cls in (InternalInvariantError, WellDefinednessError)
+    assert main(["--input", job]) == (3 if invariant else 2)
+    err = capsys.readouterr().err
+    assert err.startswith("internal invariant violation: " if invariant else "input error: ")
+    assert "boom" in err and "Traceback" not in err
 
 
 def test_flag_overrides(tmp_path, capsys):

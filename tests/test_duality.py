@@ -156,7 +156,7 @@ def test_validate_resolution_refuses_an_augmentation_that_does_not_descend(field
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_validate_resolution_refuses_a_zero_cokernel_strand_as_no_isomorphism(field):
     # K(x) resolves R/(x), whose strand at d = 1 is 0, while (R/(x^2))_1 = <x>:
-    # the coset map from a 0-dimensional strand is zero with no check, so the
+    # the dims are compared before the coset map is checked, so the
     # augmentation is refused as not onto rather than as not well defined
     r = GradedRing(field, ["x"], [1])
     x = r.variable(0)

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is read somewhere in it, every
 name in a module's ``__all__`` is defined there, every function reads each
-of its parameters, only ``rings`` builds a Poly unchecked, every GradedMap
-goes through its constructor, and every function and class is named
-somewhere besides its own definition."""
+of its parameters, only ``rings`` builds a Poly unchecked, only ``exact``
+touches how a matrix is stored, every GradedMap goes through its
+constructor, and every function and class is named somewhere besides its
+own definition."""
 
 import ast
 import functools
@@ -158,6 +159,44 @@ def test_the_scan_sees_an_unchecked_poly():
     ]
     rings = SRC / "rings.py"
     assert trusted_constructor_uses(ast.parse(rings.read_text(encoding="utf-8")))
+
+
+STORAGE = {"_data", "_proj", "_zeros"}
+
+
+def storage_uses(tree: ast.Module) -> list:
+    """(line, name) for each name, attribute or import of the matrix storage
+    ``exact`` keeps: an array's ``_data``, a space's ``_proj``, ``_zeros``."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in STORAGE:
+            hits.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in STORAGE:
+            hits.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            hits += [(node.lineno, a.name) for a in node.names if a.name in STORAGE]
+    return sorted(hits)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "exact.py"], ids=lambda p: p.name
+)
+def test_only_exact_touches_matrix_storage(path):
+    # a change of storage, such as sparse maps, then edits exact.py alone
+    assert storage_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_scan_sees_matrix_storage():
+    tree = ast.parse(
+        "from .exact import _zeros, _mult_block\nfrom .exact import _kernel as _data\n"
+        "a = m._data[0]\nb = space._proj\n_proj = 1\nc = _projected_block(_data_x)\n"
+        "d = _data\ne = 'm._data'\n"
+    )
+    assert storage_uses(tree) == [
+        (1, "_zeros"), (3, "_data"), (4, "_proj"), (5, "_proj"), (7, "_data"),
+    ]
+    exact = SRC / "exact.py"
+    assert storage_uses(ast.parse(exact.read_text(encoding="utf-8")))
 
 
 def _is_graded_map(node) -> bool:

@@ -423,16 +423,16 @@ def _same_induced_map(src, dst, src_ref, dst_ref, ambient):
 def _same_coset_map(f, source, target, d):
     """The coset map built block by block from projected multiplication
     blocks equals ``induced_map`` of the assembled strand matrix of f, or
-    raises the same error; between zero strands it is zero and unchecked."""
+    raises the same error; the reference raises only into a nonzero target
+    strand out of a nonzero source ambient, a zero source strand included."""
     src, dst = strand(source, d), strand(target, d + f.internal_degree)
     try:
         want = induced_map(src, dst, f.strand_matrix(d))
     except WellDefinednessError as err:
-        if src.dim and dst.dim:
-            with pytest.raises(WellDefinednessError, match=str(err)):
-                modules._coset_map(f, source, target, d)
-            return
-        want = ExactMatrix.zeros(src.field, dst.dim, src.dim)
+        assert dst.dim and src.ambient_dim
+        with pytest.raises(WellDefinednessError, match=str(err)):
+            modules._coset_map(f, source, target, d)
+        return
     assert modules._coset_map(f, source, target, d) == want
 
 
@@ -509,6 +509,31 @@ def test_entries_meeting_in_one_quotient_part_are_summed(field):
     for d in range(-1, 4):
         _same_coset_map(f, source, target, d)
     assert modules._coset_map(f, source, target, 2).rows == strand(target, 2).dim > 0
+
+
+@pytest.mark.parametrize("field", [FieldSpec(2), FP, QQ], ids=repr)
+def test_a_map_out_of_a_zero_source_strand_is_checked(field, monkeypatch):
+    # over k[x], (R/(x))_1 = 0 and (R/(x^2))_1 = <x>: the identity of R sends
+    # x, which is 0 in R/(x), to x, which is not 0 in R/(x^2)
+    r = GradedRing(field, ["x"], [1])
+    x = r.variable(0)
+    gens = FreeModule(r, [0])
+    r_x, r_x2, free = quotient(r, "x"), quotient(r, "x^2"), PresentedModule.free(gens)
+    identity, times_x = GradedMap.identity(gens), GradedMap(gens, gens, {(0, 0): x}, 1)
+    assert strand(r_x, 1).dim == 0 < strand(r_x, 1).ambient_dim
+    with pytest.raises(WellDefinednessError):
+        modules._coset_map(identity, r_x, r_x2, 1)
+    # into a zero target strand, or out of a zero source ambient, there is
+    # nothing to check, and no block is built
+    assert (strand(r_x2, 1).dim, strand(free, -1).ambient_dim, strand(r_x2, 0).dim) == (1, 0, 1)
+
+    def build(*args):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(modules, "mult_matrix", build)
+    monkeypatch.setattr(modules, "_projected_block", build)
+    assert modules._coset_map(identity, r_x2, r_x, 1) == ExactMatrix.zeros(field, 0, 1)
+    assert modules._coset_map(times_x, free, r_x2, -1) == ExactMatrix.zeros(field, 1, 0)
 
 
 @pytest.mark.parametrize("field", [FP, QQ], ids=repr)

@@ -294,17 +294,11 @@ def reference_lim_lim1(tower, s):
 
 def shifted_difference(field, dims, blocks):
     """The map (w_j)_{j<=L} -> (w_j - blocks[j] w_{j+1})_{j<L}."""
-    levels = len(dims)
-    grid = [
-        [
-            ExactMatrix.identity(field, dims[j]) if j2 == j
-            else -blocks[j] if j2 == j + 1
-            else None
-            for j2 in range(levels)
-        ]
-        for j in range(levels - 1)
-    ]
-    return ExactMatrix.assemble(field, grid, dims[:-1], dims)
+    placed = {}
+    for j in range(len(dims) - 1):
+        placed[j, j] = ExactMatrix.identity(field, dims[j])
+        placed[j, j + 1] = -blocks[j]
+    return ExactMatrix.assemble(field, placed, dims[:-1], dims)
 
 
 REF_FIELDS = [FieldSpec(2), FieldSpec(3), FP, FieldSpec(0)]
