@@ -17,14 +17,13 @@ from .complexes import ModuleComplex
 from .corpus import run_corpus
 from .errors import (
     EngineError,
-    HomogeneityError,
     InternalInvariantError,
     NonHomogeneousError,
     SchemaError,
     WellDefinednessError,
 )
 from .exact import DEFAULT_PRIME, FieldSpec
-from .koszul import INVERSE, KoszulSpec, koszul_homology_table
+from .koszul import INVERSE, KoszulSpec, _checked_gens, koszul_homology_table
 from .localcoh import (
     hom_stable_cech_table,
     local_cohomology_table,
@@ -62,15 +61,15 @@ class JobSpec:
     cech_k_max: int = 6
     power: int = 1
     report: str = "json"
-    verify_subject: str = "corpus"
+    verify_subject: str | None = None  # None: every criterion, as "corpus"
 
     def validate(self) -> "JobSpec":
         if self.command not in TABLE_COMMANDS and self.command != "verify":
             raise SchemaError(f"unknown command {self.command!r}", "command")
-        if self.command == "verify" and self.verify_subject not in VERIFY_SUBJECTS:
-            raise SchemaError(
-                f"unknown verify subject {self.verify_subject!r}", "verify"
-            )
+        if self.command != "verify" and self.verify_subject is not None:
+            raise SchemaError(f"{self.command} takes no verify subject", "verify")
+        if self.verify_subject not in (None, *VERIFY_SUBJECTS):
+            raise SchemaError(f"unknown verify subject {self.verify_subject!r}", "verify")
         if self.command == "verify":
             # the verify subjects build their own rings and modules
             for name in ("module", "complex", "ideal", "ring"):
@@ -176,9 +175,7 @@ def _read_field(key: str, value):
 
 
 def _document_to_jobspec(doc: dict) -> JobSpec:
-    if not isinstance(doc, dict):
-        raise SchemaError("job document must be a JSON object", "$")
-    _known_fields(doc, _DOCUMENT_FIELDS, "$")
+    _known_fields(_object(doc, "$"), _DOCUMENT_FIELDS, "$")
     fields = {
         field: _read_field(key, doc[key]) for key, field in _DOCUMENT_FIELDS.items() if key in doc
     }
@@ -208,9 +205,7 @@ def parse_input(path: str) -> JobSpec:
 def build_ring(spec: dict | None) -> GradedRing:
     if spec is None:
         raise SchemaError("this command needs a ring", "ring")
-    if not isinstance(spec, dict):
-        raise SchemaError("ring must be an object", "ring")
-    _known_fields(spec, ("char", "vars", "weights"), "ring")
+    _known_fields(_object(spec, "ring"), ("char", "vars", "weights"), "ring")
     char = _integer(spec.get("char", DEFAULT_PRIME), "ring.char")
     try:
         field = FieldSpec(char)
@@ -226,34 +221,31 @@ def build_ring(spec: dict | None) -> GradedRing:
         raise SchemaError(str(exc), "ring")
 
 
+def _poly_rows(ring: GradedRing, value, location: str, height: int, width: int | None) -> list:
+    """The rows of a ``height`` x ``width`` matrix of polynomial texts, parsed;
+    a ``width`` of None takes the length of the first row."""
+    rows = _list(value, location)
+    for n, row in enumerate(rows):
+        _list(row, f"{location}[{n}]")
+    width = len(rows[0]) if width is None and rows else width
+    if len(rows) != height or any(len(row) != width for row in rows):
+        raise SchemaError(f"expected a {height}x{width} matrix", location)
+    return [[parse_poly(ring, str(e)) for e in row] for row in rows]
+
+
 def build_module(ring: GradedRing, spec: dict | None) -> PresentedModule:
     if spec is None:
         return PresentedModule.free(FreeModule(ring, [0]))
-    if not isinstance(spec, dict):
-        raise SchemaError("module must be an object", "module")
-    _known_fields(spec, ("target_twists", "relations"), "module")
+    _known_fields(_object(spec, "module"), ("target_twists", "relations"), "module")
     twists = _integers(spec.get("target_twists", [0]), "module.target_twists")
     target = FreeModule(ring, twists)
-    rows = _list(spec.get("relations", []), "module.relations")
-    for n, row in enumerate(rows):
-        _list(row, f"module.relations[{n}]")
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise SchemaError("relations must be rectangular", "module.relations")
-    if len(rows) not in (0, target.rank):
-        raise SchemaError(
-            "relations need one row per target generator", "module.relations"
-        )
-    ncols = len(rows[0]) if rows else 0
-    columns = []
-    for j in range(ncols):
-        col = []
-        for i in range(target.rank):
-            col.append(parse_poly(ring, str(rows[i][j])))
-        columns.append(col)
+    relations = spec.get("relations", [])
+    # no rows, or one per target generator with a column per relation
+    rows = _poly_rows(ring, relations, "module.relations", target.rank if relations else 0, None)
     try:
-        return PresentedModule.quotient(target, columns)
+        return PresentedModule.quotient(target, zip(*rows))
     except NonHomogeneousError as exc:
-        raise HomogeneityError(f"module relations: {exc}")
+        raise NonHomogeneousError(f"module relations: {exc}") from None
 
 
 def build_complex(ring: GradedRing, spec: dict) -> ModuleComplex:
@@ -270,26 +262,18 @@ def build_complex(ring: GradedRing, spec: dict) -> ModuleComplex:
         terms[idx] = FreeModule(ring, _integers(twists, f"complex.terms.{key}.twists"))
     diffs = {}
     differentials = _object(spec.get("differentials", {}), "complex.differentials")
-    for key, rows in differentials.items():
+    for key, value in differentials.items():
         idx = _index(key, "differential", "complex.differentials")
-        for n, row in enumerate(_list(rows, f"complex.differentials.{key}")):
-            _list(row, f"complex.differentials.{key}[{n}]")
-        src = terms.get(idx)
-        tgt = terms.get(idx - 1)
+        src, tgt = terms.get(idx), terms.get(idx - 1)
         if src is None or tgt is None:
             raise SchemaError(
                 f"differential {idx} touches a missing term", "complex.differentials"
             )
-        if len(rows) != tgt.rank or any(len(r) != src.rank for r in rows):
-            raise SchemaError(
-                f"differential {idx} must be {tgt.rank}x{src.rank}",
-                "complex.differentials",
-            )
-        entries = [[parse_poly(ring, str(e)) for e in row] for row in rows]
+        rows = _poly_rows(ring, value, f"complex.differentials.{key}", tgt.rank, src.rank)
         try:
-            diffs[idx] = GradedMap(src, tgt, entries)
+            diffs[idx] = GradedMap(src, tgt, rows)
         except NonHomogeneousError as exc:
-            raise HomogeneityError(f"differential {idx}: {exc}")
+            raise NonHomogeneousError(f"differential {idx}: {exc}") from None
     try:
         return ModuleComplex(ring, terms, diffs)
     except InternalInvariantError as exc:
@@ -299,15 +283,7 @@ def build_complex(ring: GradedRing, spec: dict) -> ModuleComplex:
 def _build_ideal(ring: GradedRing, job: JobSpec):
     if job.ideal is None:
         return tuple(ring.variables())
-    gens = []
-    for text in job.ideal:
-        g = parse_poly(ring, str(text))
-        if g.is_zero() or not g.is_homogeneous() or g.degree() <= 0:
-            raise HomogeneityError(
-                f"ideal generator {text!r} must be homogeneous of positive degree"
-            )
-        gens.append(g)
-    return tuple(gens)
+    return _checked_gens(parse_poly(ring, str(text)) for text in job.ideal)
 
 
 def _check_strand_degrees(job: JobSpec, coefficients, gens=(), k: int = 1, k_field: str = "k_max"):
@@ -360,8 +336,8 @@ class Report:
 def run(job: JobSpec) -> Report:
     """Dispatch a validated job; deterministic for fixed inputs."""
     if job.command == "verify":
-        criteria = VERIFY_SUBJECTS[job.verify_subject]
-        results = run_corpus(criteria)
+        subject = job.verify_subject or "corpus"
+        results = run_corpus(VERIFY_SUBJECTS[subject])
         checks = [
             {
                 "criterion": r.criterion,
@@ -371,7 +347,7 @@ def run(job: JobSpec) -> Report:
             }
             for r in results
         ]
-        params = {"subject": job.verify_subject}
+        params = {"subject": subject}
         return Report("verify", params, checks=checks)
 
     ring = build_ring(job.ring)
@@ -474,14 +450,26 @@ def emit_report(report: Report, fmt: str) -> str:
 
 # -- entry point -------------------------------------------------------------------
 
-def _parse_range(text: str, name: str):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise SchemaError(f"{name} must look like lo:hi", name)
-    try:
-        return (int(parts[0]), int(parts[1]))
-    except ValueError:
-        raise SchemaError(f"{name} bounds must be integers", name)
+def _range_flag(name: str):
+    def read(text: str) -> list:
+        parts = text.split(":")
+        if len(parts) != 2:
+            raise SchemaError(f"{name} must look like lo:hi", name)
+        try:
+            return [int(parts[0]), int(parts[1])]
+        except ValueError:
+            raise SchemaError(f"{name} bounds must be integers", name)
+
+    return read
+
+
+def _ideal_flag(text: str) -> list:
+    items = [t.strip() for t in text.split(",")]
+    if items == [""]:
+        return []  # rejected by validate() as an empty ideal
+    if "" in items:
+        raise SchemaError("ideal has an empty generator", "ideal")
+    return items
 
 
 def _argument_parser() -> argparse.ArgumentParser:
@@ -493,14 +481,15 @@ def _argument_parser() -> argparse.ArgumentParser:
         ),
     )
     ap.add_argument("command", nargs="?", help=f"one of {TABLE_COMMANDS + ('verify',)}")
-    ap.add_argument("subject", nargs="?", help="verify subject (gm, duality, ... , corpus)")
+    ap.add_argument("verify", nargs="?", metavar="subject",
+                    help="verify subject (gm, duality, ... , corpus)")
     ap.add_argument("--input", help="job document (JSON)")
-    ap.add_argument("--ideal", help='ideal generators, e.g. "x,y"')
-    ap.add_argument("--i", dest="i_range", help="homological range lo:hi")
-    ap.add_argument("--window", help="internal degree window lo:hi")
-    ap.add_argument("--kmax", type=int, help="tower truncation")
-    ap.add_argument("--stab", type=int, help="stabilization window s")
-    ap.add_argument("--Kmax", dest="cech_kmax", type=int, help="stable Cech truncation")
+    ap.add_argument("--ideal", type=_ideal_flag, help='ideal generators, e.g. "x,y"')
+    ap.add_argument("--i", dest="i_range", type=_range_flag("--i"), help="homological range lo:hi")
+    ap.add_argument("--window", type=_range_flag("--window"), help="internal degree window lo:hi")
+    ap.add_argument("--kmax", dest="k_max", type=int, help="tower truncation")
+    ap.add_argument("--stab", dest="s", type=int, help="stabilization window s")
+    ap.add_argument("--Kmax", dest="K_max", type=int, help="stable Cech truncation")
     ap.add_argument("--power", type=int, help="Koszul power for the koszul command")
     ap.add_argument("--field", type=int, help="characteristic override (0 or a prime)")
     ap.add_argument("--report", choices=REPORT_FORMATS, help="output format")
@@ -509,38 +498,19 @@ def _argument_parser() -> argparse.ArgumentParser:
 
 
 def _merge(job: JobSpec, args) -> JobSpec:
-    updates = {}
-    if args.command:
-        updates["command"] = args.command
-    if args.subject:
-        updates["verify_subject"] = args.subject
-    if args.ideal is not None:
-        items = tuple(t.strip() for t in args.ideal.split(","))
-        if items == ("",):
-            items = ()  # rejected by validate() as an empty ideal
-        elif "" in items:
-            raise SchemaError("ideal has an empty generator", "ideal")
-        updates["ideal"] = items
-    if args.i_range is not None:
-        updates["i_range"] = _parse_range(args.i_range, "--i")
-    if args.window is not None:
-        updates["window"] = _parse_range(args.window, "--window")
-    if args.kmax is not None:
-        updates["k_max"] = args.kmax
-    if args.stab is not None:
-        updates["s"] = args.stab
-    if args.cech_kmax is not None:
-        updates["cech_k_max"] = args.cech_kmax
-    if args.power is not None:
-        updates["power"] = args.power
-    if args.report is not None:
-        updates["report"] = args.report
+    """The job with the document fields that flags set.  Such a flag has the
+    field's key as its dest and its value in the field's document form (see
+    ``_range_flag``), so ``_read_field`` reads it as it reads a document."""
+    flags = vars(args)
+    updates = {
+        field: _read_field(key, flags[key])
+        for key, field in _DOCUMENT_FIELDS.items()
+        if flags.get(key) is not None
+    }
     if args.field is not None and updates.get("command", job.command) == "verify":
         raise SchemaError("verify takes no field", "ring.char")
     if args.field is not None and isinstance(job.ring, dict):
         updates["ring"] = {**job.ring, "char": args.field}
-    if not updates:
-        return job
     return replace(job, **updates).validate()
 
 
@@ -567,15 +537,11 @@ def _normalize_argv(argv):
 
 
 def main(argv=None) -> int:
-    args = _argument_parser().parse_args(_normalize_argv(argv))
     try:
-        if args.input:
-            job = parse_input(args.input)
-        else:
-            if not args.command:
-                raise SchemaError("give a command or --input", "command")
-            job = JobSpec(command=args.command)
-        job = _merge(job, args)
+        args = _argument_parser().parse_args(_normalize_argv(argv))
+        if not (args.input or args.command):
+            raise SchemaError("give a command or --input", "command")
+        job = _merge(parse_input(args.input) if args.input else JobSpec(args.command), args)
         report = run(job)
         text = emit_report(report, job.report)
         if args.output:

@@ -15,20 +15,15 @@ from typing import NamedTuple
 from .complexes import (
     ModuleChainMap,
     ModuleComplex,
-    StrandContext,
     hom_complex,
     hom_generators,
     homology_table,
     tensor,
     tensor_generators,
 )
-from .errors import (
-    NonHomogeneousError,
-    NotRegularError,
-    ResolutionValidationError,
-)
+from .errors import NotRegularError, ResolutionValidationError
 from .exact import rank
-from .koszul import INVERSE, KoszulSpec, koszul_complex, stable_cech_truncated
+from .koszul import INVERSE, KoszulSpec, _checked_gens, koszul_complex, stable_cech_truncated
 from .localcoh import local_cohomology_table
 from .modules import (
     CheckReport,
@@ -83,6 +78,15 @@ class ValidatedResolution:
         return max(self.complex.support) if self.complex.support else 0
 
 
+def _first_homology(complex: ModuleComplex, window):
+    """The first (i, d, dim) with i >= 1 and dim H_i(complex)_d > 0, in
+    ascending (d, i) order, or None; ``homology_table`` reads each degree from
+    the top down, so H_i finds the kernel of d_{i+1} that H_{i+1} computed."""
+    dims = homology_table(complex, (1, max(complex.support, default=0)), window).dims()
+    nonzero = ((i, d, dim) for (i, d), dim in dims.items() if dim)
+    return min(nonzero, key=lambda w: (w[1], w[0]), default=None)
+
+
 def validate_resolution(
     complex: ModuleComplex, augmentation: GradedMap, module: PresentedModule, window
 ) -> ValidatedResolution:
@@ -93,16 +97,14 @@ def validate_resolution(
         raise ResolutionValidationError("augmentation endpoints do not match")
     if augmentation.internal_degree != 0:
         raise ResolutionValidationError("augmentation must preserve internal degree")
-    top = max(complex.support) if complex.support else 0
+    witness = _first_homology(complex, window)
+    if witness:
+        i, d, dim = witness
+        raise ResolutionValidationError(
+            f"homology of the resolution is nonzero at (i={i}, d={d}): dim {dim}"
+        )
     coker = PresentedModule(complex.differential(1))
     for d in degree_window(window):
-        ctx = StrandContext(complex, d)
-        for i in range(1, top + 1):
-            dim = ctx.homology_dim(i)
-            if dim:
-                raise ResolutionValidationError(
-                    f"homology of the resolution is nonzero at (i={i}, d={d}): dim {dim}"
-                )
         # unequal dims refuse the augmentation before its map is checked
         dim = strand(module, d).dim
         if strand(coker, d).dim != dim or rank(_coset_map(augmentation, coker, module, d)) != dim:
@@ -118,27 +120,16 @@ def koszul_resolution(f_list, window) -> ValidatedResolution:
     Regularity is verified on the window: any nonvanishing H_i strand with
     i >= 1 raises NotRegularError carrying the witness (i, d, dim).
     """
-    f_list = tuple(f_list)
-    if not f_list:
-        raise ValueError("need at least one polynomial")
+    f_list = _checked_gens(f_list)
     ring = f_list[0].ring
-    for f in f_list:
-        if f.is_zero() or not f.is_homogeneous() or f.degree() <= 0:
-            raise NonHomogeneousError(
-                "resolution generators must be homogeneous of positive degree"
-            )
-    spec = KoszulSpec(ring, f_list, 1, INVERSE)
-    kc = koszul_complex(spec)
-    c = len(f_list)
-    for d in degree_window(window):
-        ctx = StrandContext(kc, d)
-        for i in range(1, c + 1):
-            dim = ctx.homology_dim(i)
-            if dim:
-                raise NotRegularError(
-                    f"sequence is not regular: H_{i} has dim {dim} at internal degree {d}",
-                    witness=(i, d, dim),
-                )
+    kc = koszul_complex(KoszulSpec(ring, f_list, 1, INVERSE))
+    witness = _first_homology(kc, window)
+    if witness:
+        i, d, dim = witness
+        raise NotRegularError(
+            f"sequence is not regular: H_{i} has dim {dim} at internal degree {d}",
+            witness=witness,
+        )
     target = FreeModule(ring, [0])
     module = PresentedModule.quotient(target, [[f] for f in f_list])
     augmentation = GradedMap(kc.term(0), target, [[ring.one()]])
@@ -254,9 +245,7 @@ def gm_adjunction_check(gens, x: ModuleComplex, y: ModuleComplex, k_max: int, i_
     separately on each side, so that (c) guards the homology machinery rather
     than following formally from (b)).
     """
-    gens = tuple(gens)
-    ring = gens[0].ring if gens else x.ring
-    a = stable_cech_truncated(gens, k_max, ring)
+    a = stable_cech_truncated(gens, k_max)
     theta = _adjunction_chain_map(a, x, y)
     i_lo, i_hi = int(i_range[0]), int(i_range[1])
     iso_failures = []

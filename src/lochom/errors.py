@@ -76,9 +76,5 @@ class SchemaError(EngineError):
         self.location = location
 
 
-class HomogeneityError(EngineError):
-    """An input polynomial fails a homogeneity requirement."""
-
-
 class InternalInvariantError(EngineError):
     """A computation violated an invariant that valid inputs cannot break."""

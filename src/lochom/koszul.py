@@ -15,6 +15,12 @@ The conventions differ by the global twist R(k * sum deg a_i), recorded by
 ``KoszulSpec.global_twist``.  The transitions are diagonal, so they are built
 between stages that already exist, also when the stages are tensored with X:
 the factor of each generator is read off its ``tensor_generators`` label.
+
+Every construction here, and every table and check built on it, takes an
+ideal a = (a_1, ..., a_r) with r >= 1 nonzero homogeneous generators of
+positive degree, and ``_checked_gens`` alone checks that: no generators
+raise ``EmptyGeneratorsError``, a zero generator ``ZeroGeneratorError``, and
+a non-homogeneous one or one of degree <= 0 ``NonHomogeneousError``.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .complexes import (
 )
 from .errors import (
     ConventionMismatchError,
+    EmptyGeneratorsError,
     NonHomogeneousError,
     OrderError,
     ZeroGeneratorError,
@@ -62,6 +69,22 @@ DIRECT = "direct"
 INVERSE = "inverse"
 
 
+def _checked_gens(gens) -> tuple:
+    """``gens`` as a tuple, once there is at least one and each is nonzero,
+    homogeneous and of positive degree (see the module docstring)."""
+    gens = tuple(gens)
+    if not gens:
+        raise EmptyGeneratorsError("the ideal needs at least one generator")
+    for g in gens:
+        if g.is_zero():
+            raise ZeroGeneratorError("an ideal generator is the zero polynomial")
+        if not g.is_homogeneous() or g.degree() <= 0:
+            raise NonHomogeneousError(
+                f"ideal generators must be homogeneous of positive degree, got {g}"
+            )
+    return gens
+
+
 class KoszulSpec:
     """Generators a_1..a_n, a power k, and a twist convention."""
 
@@ -69,17 +92,9 @@ class KoszulSpec:
 
     def __init__(self, ring: GradedRing, gens, power: int, convention: str = INVERSE):
         gens = tuple(gens)
-        if not gens:
-            raise ZeroGeneratorError("a Koszul spec needs at least one generator")
-        for g in gens:
-            if not isinstance(g, Poly) or g.ring != ring:
-                raise ValueError("generators must be polynomials over the spec ring")
-            if g.is_zero():
-                raise ZeroGeneratorError("zero polynomial as Koszul generator")
-            if not g.is_homogeneous():
-                raise NonHomogeneousError(f"generator {g} is not homogeneous")
-            if g.degree() <= 0:
-                raise NonHomogeneousError(f"generator {g} must have positive degree")
+        if any(not isinstance(g, Poly) or g.ring != ring for g in gens):
+            raise ValueError("generators must be polynomials over the spec ring")
+        gens = _checked_gens(gens)
         if power < 1:
             raise ValueError("power must be >= 1")
         if convention not in (DIRECT, INVERSE):
@@ -206,7 +221,7 @@ def self_duality_check(spec: KoszulSpec, module: PresentedModule, window) -> Che
     return CheckReport.compare(tensor_side, lambda i, d: hom_side.dim(i - n, d + sign * t), t)
 
 
-def stable_cech_truncated(gens, k_max: int, ring: GradedRing | None = None) -> ModuleComplex:
+def stable_cech_truncated(gens, k_max: int) -> ModuleComplex:
     """Truncated homotopy colimit of S^{-n} K(a^k), k = 1..k_max (direct convention).
 
     Built as Cone(theta) for the finite telescope map
@@ -215,11 +230,8 @@ def stable_cech_truncated(gens, k_max: int, ring: GradedRing | None = None) -> M
     cokernel the terminal stage (degreewise split), so the homology of the
     cone, tensored with any module, equals the stage-k_max Koszul homology.
     """
-    gens = tuple(gens)
-    if ring is None:
-        if not gens:
-            raise ZeroGeneratorError("no generators and no ring given")
-        ring = gens[0].ring
+    gens = _checked_gens(gens)
+    ring = gens[0].ring
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     specs = [KoszulSpec(ring, gens, k, DIRECT) for k in range(1, k_max + 1)]

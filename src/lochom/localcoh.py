@@ -22,11 +22,11 @@ from .complexes import (
     homology_table,
     tensor,
 )
-from .errors import EmptyGeneratorsError, NonHomogeneousError
 from .koszul import (
     DIRECT,
     INVERSE,
     KoszulSpec,
+    _checked_gens,
     _stage_map,
     koszul_complex,
     stable_cech_truncated,
@@ -49,20 +49,6 @@ __all__ = [
 ]
 
 
-def _validate_gens(gens, ring=None):
-    gens = tuple(gens)
-    if not gens:
-        raise EmptyGeneratorsError("the ideal needs at least one generator")
-    if ring is None:
-        ring = gens[0].ring
-    for g in gens:
-        if g.is_zero() or not g.is_homogeneous() or g.degree() <= 0:
-            raise NonHomogeneousError(
-                f"ideal generators must be homogeneous of positive degree, got {g}"
-            )
-    return gens, ring
-
-
 class KoszulTowerSystem:
     """Stages K(a^k) (x) X for k = 1..k_max with their transition chain maps.
 
@@ -77,8 +63,8 @@ class KoszulTowerSystem:
     def __init__(self, gens, x, k_max: int, convention: str):
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
-        gens, ring = _validate_gens(gens)
-        specs = [KoszulSpec(ring, gens, k, convention) for k in range(1, k_max + 1)]
+        gens = _checked_gens(gens)
+        specs = [KoszulSpec(gens[0].ring, gens, k, convention) for k in range(1, k_max + 1)]
         x = _complex(x)
         koszuls = [koszul_complex(spec) for spec in specs]
         complexes = [tensor(kc, x) for kc in koszuls]
@@ -184,8 +170,7 @@ def hom_stable_cech_table(gens, y, k_max: int, i_range, window) -> HilbertTable:
     are exact for the truncated complex, so they are flagged stabilized with
     k_used = K.
     """
-    gens, ring = _validate_gens(gens)
-    cx = hom_complex(stable_cech_truncated(gens, k_max, ring), y)
+    cx = hom_complex(stable_cech_truncated(gens, k_max), y)
     return homology_table(cx, i_range, window, k_used=k_max)
 
 

@@ -316,6 +316,84 @@ def test_field_flag_on_verify_is_an_input_error(capsys):
     assert "(at ring.char)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("route", ["document", "positional"])
+@pytest.mark.parametrize("command", cli.TABLE_COMMANDS)
+def test_a_table_command_takes_no_verify_subject(tmp_path, capsys, command, route):
+    doc = {"command": command, "ring": RING, "window": [0, 1]}
+    if route == "document":
+        doc["verify"], argv = "gm", []
+    else:
+        argv = [command, "bogus"]
+    assert main([*argv, "--input", write_job(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "(at verify)" in err and "Traceback" not in err
+
+
+def test_verify_with_no_subject_runs_every_criterion_as_corpus(tmp_path, capsys, monkeypatch):
+    asked = []
+    monkeypatch.setattr(cli, "run_corpus", lambda criteria: asked.append(criteria) or [])
+    outputs = []
+    for argv in (["verify"], ["--input", write_job(tmp_path, {"command": "verify"})]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert asked == [None, None]
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["parameters"] == {"subject": "corpus"}
+
+
+FLAG_JOB = {"command": "lc", "ring": RING, "window": [-1, 0], "k_max": 2}
+# each flag, and the document field it sets: a job given either way is one job
+FLAG_FIELDS = {
+    "--ideal": (["--ideal", "x"], {"ideal": ["x"]}),
+    "--i": (["--i", "1:2"], {"i_range": [1, 2]}),
+    "--window": (["--window", "-2:0"], {"window": [-2, 0]}),
+    "--kmax": (["--kmax", "3"], {"k_max": 3}),
+    "--stab": (["--stab", "1"], {"s": 1}),
+    "--Kmax": (["--Kmax", "2"], {"K_max": 2}),
+    "--power": (["--power", "2"], {"power": 2}),
+    "--report": (["--report", "pretty"], {"report": "pretty"}),
+    "command": (["lh"], {"command": "lh"}),
+    "subject": (["verify", "selfdual"], {"command": "verify", "verify": "selfdual"}),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_FIELDS))
+def test_a_flag_is_its_document_field(tmp_path, capsys, monkeypatch, flag):
+    flags, fields = FLAG_FIELDS[flag]
+    base = {"command": "verify"} if flag == "subject" else FLAG_JOB
+    jobs, outputs, real_run = [], [], cli.run
+    monkeypatch.setattr(cli, "run", lambda job: jobs.append(job) or real_run(job))
+    for argv in ([*flags, "--input", write_job(tmp_path, base)],
+                 ["--input", write_job(tmp_path, {**base, **fields}, "fields.json")]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert jobs[0] == jobs[1] and outputs[0] == outputs[1]
+
+
+# a malformed flag value, and the field the error names
+MALFORMED_FLAGS = {
+    "i-reversed": (["--i", "2:1"], "i_range"),
+    "i-no-colon": (["--i", "2"], "--i"),
+    "window-reversed": (["--window", "1:0"], "window"),
+    "window-not-integer": (["--window", "0:x"], "--window"),
+    "kmax-0": (["--kmax", "0"], "k_max"),
+    "stab-0": (["--stab", "0"], "s"),
+    "Kmax-0": (["--Kmax", "0"], "K_max"),
+    "power-0": (["--power", "0"], "power"),
+    "ideal-empty-item": (["--ideal", "x,,y"], "ideal"),
+    "field-on-verify": (["verify", "--field", "5"], "ring.char"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FLAGS))
+def test_a_malformed_flag_exits_2_at_its_field(tmp_path, capsys, name):
+    flags, field = MALFORMED_FLAGS[name]
+    job = [] if "verify" in flags else ["--input", write_job(tmp_path, FLAG_JOB)]
+    assert main([*flags, *job]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"(at {field})" in err
+    assert "Traceback" not in err
+
+
 UNREADABLE = {"not-utf8": b'{"command": "lc", "ideal": ["\xff"]}', "nested-100000": b"[" * 100_000}
 
 

@@ -326,3 +326,56 @@ def test_the_scan_sees_a_definition_with_no_caller():
     assert uncalled_definitions([module], [module, caller]) == [
         (3, "recursive"), (8, "lookup"), (9, "documented"),
     ]
+
+
+def _named_in(node) -> set:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def unraised_errors(errors: ast.Module, trees) -> list:
+    """(line, class) for each class of ``errors`` that no other class there
+    derives from and that no ``raise`` in ``trees`` names, counting only the
+    raises outside an ``except`` clause that catches one of those classes: a
+    class that only rewraps another adds a name and no failure."""
+    classes = {node.name: node for node in errors.body if isinstance(node, ast.ClassDef)}
+    bases = set().union(*(_named_in(b) for node in classes.values() for b in node.bases))
+    raised = set()
+
+    def visit(node, rewrapping):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            rewrapping = rewrapping or bool(_named_in(node.type) & classes.keys())
+        if isinstance(node, ast.Raise) and node.exc is not None and not rewrapping:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.update(_named_in(exc))
+        for child in ast.iter_child_nodes(node):
+            visit(child, rewrapping)
+
+    for tree in trees:
+        visit(tree, False)
+    return sorted((node.lineno, name) for name, node in classes.items()
+                  if name not in bases | raised)
+
+
+def test_every_error_class_is_raised():
+    # an error class that nothing raises is a name the CLI and callers must
+    # still know; the base class is the one the CLI catches
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in ALL_MODULES]
+    assert unraised_errors(errors, trees) == []
+
+
+def test_the_scan_sees_an_error_class_that_is_never_raised():
+    errors = ast.parse(
+        "class Base(Exception): pass\nclass Raised(Base): pass\nclass Rewrap(Base): pass\n"
+        "class Unused(Base): pass\nclass Deep(Raised): pass\nclass Attr(Base): pass\n"
+    )
+    source = ast.parse(
+        "from . import errors\nfrom .errors import Raised, Rewrap\n"
+        "def f(x):\n    if x:\n        raise Raised('x')\n"
+        "    try:\n        g()\n    except Raised as exc:\n        raise Rewrap(f'at f: {exc}')\n"
+        "    except ValueError:\n        raise errors.Attr from None\n"
+        "    raise Deep\n"
+    )
+    assert unraised_errors(errors, [source]) == [(3, "Rewrap"), (4, "Unused")]

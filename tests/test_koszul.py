@@ -20,8 +20,10 @@ from lochom.complexes import (
     tensor_chain_maps,
     tensor_with_module,
 )
+from lochom.duality import gm_adjunction_check, koszul_resolution
 from lochom.errors import (
     ConventionMismatchError,
+    EmptyGeneratorsError,
     InternalInvariantError,
     NonHomogeneousError,
     OrderError,
@@ -46,7 +48,13 @@ from lochom.koszul import (
     stable_cech_truncated,
     transition,
 )
-from lochom.localcoh import KoszulTowerSystem
+from lochom.localcoh import (
+    KoszulTowerSystem,
+    generator_independence_check,
+    hom_stable_cech_table,
+    local_cohomology_table,
+    local_homology_table,
+)
 from lochom.modules import FreeModule, GradedMap, PresentedModule, mult_operator, strand
 from lochom.rings import GradedRing, Poly, monomial_basis, parse_poly
 
@@ -70,7 +78,7 @@ def quotient(r, *texts):
 def test_spec_validation():
     r = ring(1)
     x = r.variable(0)
-    with pytest.raises(ZeroGeneratorError):
+    with pytest.raises(EmptyGeneratorsError):
         KoszulSpec(r, (), 1)
     with pytest.raises(ZeroGeneratorError):
         KoszulSpec(r, (r.zero(),), 1)
@@ -79,6 +87,42 @@ def test_spec_validation():
     with pytest.raises(NonHomogeneousError):
         KoszulSpec(r, (r.one(),), 1)  # degree zero
     KoszulSpec(r, (x,), 3, DIRECT)
+
+
+# each entry point that takes an ideal, called on k[x] with the generators given
+IDEAL_ENTRY_POINTS = {
+    "KoszulSpec": lambda r, gens: KoszulSpec(r, gens, 1),
+    "local_cohomology_table": lambda r, gens: local_cohomology_table(gens, free(r), (0, 1), (0, 1)),
+    "local_homology_table": lambda r, gens: local_homology_table(gens, free(r), (0, 1), (0, 1)),
+    "hom_stable_cech_table": lambda r, gens: hom_stable_cech_table(gens, free(r), 1, (0, 1), (0, 1)),
+    "generator_independence_check": lambda r, gens: generator_independence_check(
+        gens, r.variables(), free(r), (0, 1), (0, 1)
+    ),
+    "stable_cech_truncated": lambda r, gens: stable_cech_truncated(gens, 1),
+    "koszul_resolution": lambda r, gens: koszul_resolution(gens, (0, 1)),
+    "gm_adjunction_check": lambda r, gens: gm_adjunction_check(
+        gens, free_stalk(r), free_stalk(r), 1, (0, 1), (0, 1)
+    ),
+}
+BAD_GENERATORS = {
+    "none": ((), EmptyGeneratorsError),
+    "zero": (("0",), ZeroGeneratorError),
+    "inhomogeneous": (("1 + x",), NonHomogeneousError),
+    "degree-0": (("1",), NonHomogeneousError),
+}
+
+
+def free_stalk(r):
+    return ModuleComplex.stalk(FreeModule(r, [0]))
+
+
+@pytest.mark.parametrize("entry", sorted(IDEAL_ENTRY_POINTS))
+@pytest.mark.parametrize("gens", sorted(BAD_GENERATORS))
+def test_every_entry_point_applies_the_same_generator_check(entry, gens):
+    r = ring(1)
+    texts, error = BAD_GENERATORS[gens]
+    with pytest.raises(error):
+        IDEAL_ENTRY_POINTS[entry](r, tuple(parse_poly(r, t) for t in texts))
 
 
 def test_one_generator_inverse_shape():
