@@ -132,17 +132,45 @@ JOBS["bench-lh-towers-fp"] = {
     "report": "json",
 }
 
+# the free complex K(x, y), a complex with a term of rank 2
+KOSZUL_XY = {
+    "terms": {"0": {"twists": [0]}, "1": {"twists": [-1, -1]}, "2": {"twists": [-2]}},
+    "differentials": {"1": [["x", "y"]], "2": [["-y"], ["x"]]},
+}
+# stable Cech complexes on an odd number of generators, and over a complex
+# with a term of rank 2
+JOBS["homsc-three-gens"] = {
+    "command": "homsc", "ring": RING_3, "module": QUOTIENT,
+    "i_range": [0, 3], "window": [-2, 3], "K_max": 3,
+}
+JOBS["homsc-one-gen"] = {
+    "command": "homsc", "ring": RING, "module": QUOTIENT, "ideal": ["x"],
+    "i_range": [0, 1], "window": [-2, 3], "K_max": 4,
+}
+JOBS["homsc-complex-rank2"] = {
+    "command": "homsc", "ring": RING, "complex": KOSZUL_XY,
+    "i_range": [-2, 2], "window": [-3, 3], "K_max": 3,
+}
+JOBS["lc-complex-rank2"] = {
+    "command": "lc", "ring": RING, "complex": KOSZUL_XY,
+    "i_range": [0, 2], "window": [-3, 1], "k_max": 6,
+}
+
 DIGESTS = {
     "bench-lc-dense-fp": "ec5b5f5d4fea90d558f0403b27ea936bb5415db244bbca33a87eecf43cc57ed6",
     "bench-lh-towers-fp": "9eca9c4ca7293f663d53ff604c02a7c6b99a3b4525056e8e658d37a550f3f6dc",
     "hilbert": "82abe7e8ac64d1ebaca79d0ef0295a397554de26ad782d179a69c5b0197d3584",
     "hilbert-dense-quadrics": "4b27c149d77c2eb5b282da49fe7fa2c8ec8617af07acf43e4f77ec5304c810ba",
     "homsc-complex": "50b43bddb7118a59ad6db7ae53d41d3fcfc76ec65c01b029de571550edd8599f",
+    "homsc-complex-rank2": "f26ede7648e953636f292122b8bd1c3c5aa6f3225f7c94eab530c890b9bcbb36",
     "homsc-module": "9706af23ded941e7f4be755a457286c08ca5c2ecd72ab0c8b8a50379e030b732",
+    "homsc-one-gen": "e2913831d6654ae9287d14a4211e818f1e5bf7425f7547e25d57590265c26f19",
+    "homsc-three-gens": "c4b1a0c5f5cfa2a3f8a3a93b27dd894a0f8791adc1e044d87f541cd24d92ca42",
     "koszul": "8a48d02886f0822056ad888e0c164b9d3e6fdb4499e285f234956680d4105067",
     "lc-baseline": "840bb9ecf7e7a0ec12b97bf1730a845a32caeacb7993f47935e9e0cb03254a8d",
     "lc-baseline-qq": "8a57af9caa6714e7dbb64d2984ab34001dbe5e0683ba267dab81099e2049ed31",
     "lc-complex": "070edac12473ac5b39cddc345667783f38a5e35cd5d85770ec09361bc1bef115",
+    "lc-complex-rank2": "153c72ae0c4d7e04d19c238a70d5ca5088f9421ee80ea832e6588dd532998147",
     "lc-dense-quadrics": "8ae62b35d64a29c0239afd172660c2bfeeba65938eae09863296f7b977eeb293",
     "lc-dense-quadrics-qq": "d2d433b6f726a02f2d518933888f475cf04793d003216ce8c7495c9ea5bf3a0f",
     "lc-nonlinear-ideal": "c369a158c58fc37602917631a84ba20b6221d2e24e65e886bf67d1bc5e450274",
