@@ -168,7 +168,10 @@ def _read_field(key: str, value):
     if key in ("k_max", "s", "K_max", "power"):
         return _integer(value, key)
     if key == "ideal":
-        return tuple(_strings(value, key))
+        gens = tuple(_strings(value, key))
+        if any(not g.strip() for g in gens):
+            raise SchemaError("ideal has an empty generator", key)
+        return gens
     if key in ("command", "report", "verify"):
         return str(value)
     return value
@@ -280,19 +283,15 @@ def build_complex(ring: GradedRing, spec: dict) -> ModuleComplex:
         raise SchemaError(f"not a complex: {exc}", "complex.differentials")
 
 
-def _build_ideal(ring: GradedRing, job: JobSpec):
-    if job.ideal is None:
-        return tuple(ring.variables())
-    return _checked_gens(parse_poly(ring, str(text)) for text in job.ideal)
-
-
-def _check_strand_degrees(job: JobSpec, coefficients, gens=(), k: int = 1, k_field: str = "k_max"):
+def _check_strand_degrees(job: JobSpec, coefficients, gens):
     """SchemaError at the first field that takes a strand degree d to |d| + 1 >= 2^63.
 
     The rings hold strand degrees (plus one) in int64.  A strand degree is a
-    window degree shifted by a module twist and by a multiple k' <= k of a sum
-    of ideal degrees, so the fields add up in that order.
+    window degree shifted by a module twist and by k' <= k times a sum of
+    ideal degrees, k the truncation field, so the fields add up in that order.
     """
+    k_field = {"koszul": "power", "homsc": "K_max"}.get(job.command, "k_max")
+    k = getattr(job, _DOCUMENT_FIELDS[k_field])
     if isinstance(coefficients, ModuleComplex):
         twists_field = "complex.terms"
         twists = [t for m in coefficients.terms.values() for t in m.generators.twists]
@@ -338,71 +337,44 @@ def run(job: JobSpec) -> Report:
     if job.command == "verify":
         subject = job.verify_subject or "corpus"
         results = run_corpus(VERIFY_SUBJECTS[subject])
-        checks = [
-            {
-                "criterion": r.criterion,
-                "name": r.name,
-                "passed": r.passed,
-                "details": r.details,
-            }
-            for r in results
-        ]
-        params = {"subject": subject}
-        return Report("verify", params, checks=checks)
+        checks = [r._asdict() for r in results]  # criterion, name, passed, details
+        return Report("verify", {"subject": subject}, checks=checks)
 
     ring = build_ring(job.ring)
+    ideal = list(job.ideal) if job.ideal else [str(v) for v in ring.variables()]
     params = {
         "ring": {
             "char": ring.field.characteristic,
             "vars": list(ring.var_names),
             "weights": list(ring.weights),
         },
-        "ideal": list(job.ideal) if job.ideal else [str(v) for v in ring.variables()],
+        "ideal": ideal,
         "i_range": list(job.i_range),
         "window": list(job.window),
         "k_max": job.k_max,
         "s": job.s,
         "K_max": job.cech_k_max,
     }
-    if job.command == "hilbert":
-        module = build_module(ring, job.module)
-        _check_strand_degrees(job, module)
-        table = hilbert_row(module, job.window)
-        return Report("hilbert", params, table=table)
-    if job.command == "koszul":
-        module = build_module(ring, job.module)
-        gens = _build_ideal(ring, job)
-        _check_strand_degrees(job, module, gens, job.power, "power")
-        spec = KoszulSpec(ring, gens, job.power, INVERSE)
-        table = koszul_homology_table(spec, module, job.window)
-        params["power"] = job.power
-        return Report("koszul", params, table=table)
-
-    gens = _build_ideal(ring, job)
+    gens = () if job.command == "hilbert" else _checked_gens(parse_poly(ring, t) for t in ideal)
     if job.complex is not None:
         coefficients = build_complex(ring, job.complex)
     else:
         coefficients = build_module(ring, job.module)
-    if job.command == "homsc":
-        _check_strand_degrees(job, coefficients, gens, job.cech_k_max, "K_max")
-    else:
-        _check_strand_degrees(job, coefficients, gens, job.k_max)
-    if job.command == "lc":
-        table = local_cohomology_table(
-            gens, coefficients, job.i_range, job.window, job.k_max, job.s
-        )
-        return Report("lc", params, table=table)
-    if job.command == "lh":
-        table = local_homology_table(
-            gens, coefficients, job.i_range, job.window, job.k_max, job.s
-        )
-        return Report("lh", params, table=table)
-    if job.command == "homsc":
+    _check_strand_degrees(job, coefficients, gens)
+    if job.command == "hilbert":
+        table = hilbert_row(coefficients, job.window)
+    elif job.command == "koszul":
+        spec = KoszulSpec(ring, gens, job.power, INVERSE)
+        table = koszul_homology_table(spec, coefficients, job.window)
+        params["power"] = job.power
+    elif job.command in ("lc", "lh"):
+        table_of = local_cohomology_table if job.command == "lc" else local_homology_table
+        table = table_of(gens, coefficients, job.i_range, job.window, job.k_max, job.s)
+    else:  # homsc: validate() admits no other command
         table = hom_stable_cech_table(
             gens, coefficients, job.cech_k_max, job.i_range, job.window
         )
-        return Report("homsc", params, table=table)
-    raise SchemaError(f"unknown command {job.command!r}", "command")
+    return Report(job.command, params, table=table)
 
 
 # -- emission --------------------------------------------------------------------
@@ -450,26 +422,38 @@ def emit_report(report: Report, fmt: str) -> str:
 
 # -- entry point -------------------------------------------------------------------
 
+def _integer_flag(location: str):
+    """An argparse type: the integer a flag spells, or an input error at ``location``."""
+
+    def read(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise SchemaError(f"expected an integer, got {text!r}", location) from None
+
+    return read
+
+
 def _range_flag(name: str):
+    bound = _integer_flag(name)
+
     def read(text: str) -> list:
         parts = text.split(":")
         if len(parts) != 2:
             raise SchemaError(f"{name} must look like lo:hi", name)
-        try:
-            return [int(parts[0]), int(parts[1])]
-        except ValueError:
-            raise SchemaError(f"{name} bounds must be integers", name)
+        return [bound(part) for part in parts]
 
     return read
 
 
 def _ideal_flag(text: str) -> list:
-    items = [t.strip() for t in text.split(",")]
-    if items == [""]:
-        return []  # rejected by validate() as an empty ideal
-    if "" in items:
-        raise SchemaError("ideal has an empty generator", "ideal")
-    return items
+    """The generators of ``--ideal``, split at commas; ``_read_field`` checks them."""
+    return [t.strip() for t in text.split(",")] if text else []
+
+
+def _usage_error(message: str):
+    # argparse reports a malformed command line here; it is an input error
+    raise SchemaError(message, "command line")
 
 
 def _argument_parser() -> argparse.ArgumentParser:
@@ -487,13 +471,17 @@ def _argument_parser() -> argparse.ArgumentParser:
     ap.add_argument("--ideal", type=_ideal_flag, help='ideal generators, e.g. "x,y"')
     ap.add_argument("--i", dest="i_range", type=_range_flag("--i"), help="homological range lo:hi")
     ap.add_argument("--window", type=_range_flag("--window"), help="internal degree window lo:hi")
-    ap.add_argument("--kmax", dest="k_max", type=int, help="tower truncation")
-    ap.add_argument("--stab", dest="s", type=int, help="stabilization window s")
-    ap.add_argument("--Kmax", dest="K_max", type=int, help="stable Cech truncation")
-    ap.add_argument("--power", type=int, help="Koszul power for the koszul command")
-    ap.add_argument("--field", type=int, help="characteristic override (0 or a prime)")
-    ap.add_argument("--report", choices=REPORT_FORMATS, help="output format")
+    ap.add_argument("--kmax", dest="k_max", type=_integer_flag("k_max"), help="tower truncation")
+    ap.add_argument("--stab", dest="s", type=_integer_flag("s"), help="stabilization window s")
+    ap.add_argument("--Kmax", dest="K_max", type=_integer_flag("K_max"),
+                    help="stable Cech truncation")
+    ap.add_argument("--power", type=_integer_flag("power"),
+                    help="Koszul power for the koszul command")
+    ap.add_argument("--field", type=_integer_flag("ring.char"),
+                    help="characteristic override (0 or a prime)")
+    ap.add_argument("--report", help=f"output format: {', '.join(REPORT_FORMATS)}")
     ap.add_argument("--output", help="write the report to a file instead of stdout")
+    ap.error = _usage_error
     return ap
 
 

@@ -394,6 +394,22 @@ def criterion_9_gm_adjunction() -> CheckResult:
     )
 
 
+def _reports_result(criterion: int, name: str, reports: dict) -> CheckResult:
+    """A criterion read off named CheckReports: it passes when each of them
+    passed having compared at least one entry, and records each one."""
+    details = {
+        key: {
+            "passed": rep.passed,
+            "compared": rep.compared,
+            "skipped": list(rep.skipped),
+            "mismatches": list(rep.mismatches),
+        }
+        for key, rep in reports.items()
+    }
+    passed = all(rep.passed and rep.compared > 0 for rep in reports.values())
+    return CheckResult(criterion, name, passed, {"reports": details})
+
+
 def criterion_10_local_duality() -> CheckResult:
     """Local duality for R, R/(x^2), and the complete intersection R/(x^2, y^3)."""
     ring = _ring(2)
@@ -404,37 +420,17 @@ def criterion_10_local_duality() -> CheckResult:
             [parse_poly(ring, "x^2"), parse_poly(ring, "y^3")], (-9, 9)
         ),
     }
-    reports = {}
-    failures = []
-    for name, res in resolutions.items():
-        rep = local_duality_check(res, (0, 2), (-5, 3), k_max=10, s=2)
-        reports[name] = {
-            "passed": rep.passed,
-            "compared": rep.compared,
-            "skipped": list(rep.skipped),
-            "mismatches": list(rep.mismatches),
-        }
-        if not rep.passed or rep.compared == 0:
-            failures.append(name)
-    return CheckResult(10, "local-duality", not failures, {"reports": reports})
+    reports = {
+        name: local_duality_check(res, (0, 2), (-5, 3), k_max=10, s=2)
+        for name, res in resolutions.items()
+    }
+    return _reports_result(10, "local-duality", reports)
 
 
 def criterion_11_dualizing_module() -> CheckResult:
     """Dual of the top local cohomology table is the Hilbert row of R(-sum w)."""
-    reports = {}
-    failures = []
-    for n in (1, 2, 3):
-        ring = _ring(n)
-        rep = dualizing_module_check(ring, (-8, 8), k_max=10, s=2)
-        reports[str(n)] = {
-            "passed": rep.passed,
-            "compared": rep.compared,
-            "skipped": list(rep.skipped),
-            "mismatches": list(rep.mismatches),
-        }
-        if not rep.passed or rep.compared == 0:
-            failures.append(n)
-    return CheckResult(11, "dualizing-module", not failures, {"reports": reports})
+    reports = {str(n): dualizing_module_check(_ring(n), (-8, 8), k_max=10, s=2) for n in (1, 2, 3)}
+    return _reports_result(11, "dualizing-module", reports)
 
 
 def criterion_12_determinism() -> CheckResult:

@@ -267,35 +267,22 @@ class ExactMatrix:
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        field = _same_field(self, other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        data = self._data + other._data
-        if not field.is_rational:
-            data = data % field.characteristic
-        return ExactMatrix(field, data)
+        return self._entrywise(other, np.add, "addition")
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._entrywise(other, np.subtract, "subtraction")
+
+    def _entrywise(self, other: "ExactMatrix", op, what: str) -> "ExactMatrix":
         field = _same_field(self, other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in subtraction")
-        data = self._data - other._data
-        if not field.is_rational:
-            data = data % field.characteristic
-        return ExactMatrix(field, data)
+            raise ValueError(f"shape mismatch in {what}")
+        return _reduced(field, op(self._data, other._data))
 
     def __neg__(self) -> "ExactMatrix":
-        data = -self._data
-        if not self.field.is_rational:
-            data = data % self.field.characteristic
-        return ExactMatrix(self.field, data)
+        return _reduced(self.field, -self._data)
 
     def scale(self, c) -> "ExactMatrix":
-        c = self.field.normalize(c)
-        data = self._data * c
-        if not self.field.is_rational:
-            data = data % self.field.characteristic
-        return ExactMatrix(self.field, data)
+        return _reduced(self.field, self._data * self.field.normalize(c))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         field = _same_field(self, other)
@@ -330,29 +317,11 @@ class ExactMatrix:
 
     @staticmethod
     def hstack(mats) -> "ExactMatrix":
-        mats = list(mats)
-        if not mats:
-            raise ValueError("hstack of nothing")
-        field = mats[0].field
-        for m in mats[1:]:
-            _same_field(mats[0], m)
-        rows = mats[0].rows
-        if any(m.rows != rows for m in mats):
-            raise ValueError("row mismatch in hstack")
-        return ExactMatrix(field, np.hstack([m._data for m in mats]))
+        return _stack(mats, 1)
 
     @staticmethod
     def vstack(mats) -> "ExactMatrix":
-        mats = list(mats)
-        if not mats:
-            raise ValueError("vstack of nothing")
-        field = mats[0].field
-        for m in mats[1:]:
-            _same_field(mats[0], m)
-        cols = mats[0].cols
-        if any(m.cols != cols for m in mats):
-            raise ValueError("column mismatch in vstack")
-        return ExactMatrix(field, np.vstack([m._data for m in mats]))
+        return _stack(mats, 0)
 
     @staticmethod
     def assemble(field: FieldSpec, blocks: dict, row_dims, col_dims) -> "ExactMatrix":
@@ -365,6 +334,26 @@ class ExactMatrix:
             r0, c0 = sum(row_dims[:i]), sum(col_dims[:j])
             out[r0 : r0 + blk.rows, c0 : c0 + blk.cols] = blk._data
         return ExactMatrix(field, out)
+
+
+def _reduced(field: FieldSpec, data: np.ndarray) -> ExactMatrix:
+    """``data`` as a matrix over ``field``, its entries reduced into [0, p) over F_p."""
+    if not field.is_rational:
+        data = data % field.characteristic
+    return ExactMatrix(field, data)
+
+
+def _stack(mats, axis: int) -> ExactMatrix:
+    """``mats`` over one field stacked along ``axis``: 0 for vstack, 1 for hstack."""
+    mats = list(mats)
+    name = ("vstack", "hstack")[axis]
+    if not mats:
+        raise ValueError(f"{name} of nothing")
+    for m in mats[1:]:
+        _same_field(mats[0], m)
+    if len({m._data.shape[1 - axis] for m in mats}) > 1:
+        raise ValueError(f"{('column', 'row')[axis]} mismatch in {name}")
+    return ExactMatrix(mats[0].field, np.concatenate([m._data for m in mats], axis=axis))
 
 
 # -- elimination kernel ------------------------------------------------------
@@ -652,15 +641,21 @@ class StrandSpace:
     __slots__ = ("field", "ambient_dim", "coset_cols", "_proj", "_parts")
 
     def __init__(self, sub_basis: ExactMatrix):
-        field = self.field = sub_basis.field
-        n = self.ambient_dim = sub_basis.rows
-        self.coset_cols, self._proj, self._parts = tuple(range(n)), None, ()
+        field, n = sub_basis.field, sub_basis.rows
         if sub_basis.cols == 0:
+            self._fill(field, n, range(n))
             return
         kernel, free = _kernel(ExactMatrix(field, np.ascontiguousarray(sub_basis._data[::-1].T)))
-        if len(free) < n:
-            self.coset_cols = tuple(n - 1 - c for c in reversed(free))
-            self._proj = ExactMatrix(field, np.ascontiguousarray(kernel._data[::-1, ::-1].T))
+        proj = ExactMatrix(field, np.ascontiguousarray(kernel._data[::-1, ::-1].T))
+        self._fill(field, n, (n - 1 - c for c in reversed(free)), proj)
+
+    def _fill(self, field, n: int, coset_cols, proj=None, parts=()) -> "StrandSpace":
+        """Set the slots and return the space.  Q is kept exactly when some
+        coordinate is not a coset coordinate (a direct sum's summands keep theirs)."""
+        self.field, self.ambient_dim, self.coset_cols = field, n, tuple(coset_cols)
+        self._proj = proj if len(self.coset_cols) < n else None
+        self._parts = parts
+        return self
 
     @classmethod
     def _from_below(cls, below, sources, checks, relations: ExactMatrix) -> "StrandSpace":
@@ -712,10 +707,7 @@ class StrandSpace:
         kernel = _kernel(ExactMatrix.vstack(constraints))[0]
         phi = gather @ kernel
         red, pivots = rref_with_pivots(ExactMatrix(field, np.ascontiguousarray(phi._data.T)))
-        space = cls.__new__(cls)
-        space.field, space.ambient_dim, space._parts = field, n, ()
-        space.coset_cols, space._proj = pivots, red if len(pivots) < n else None
-        return space
+        return cls.__new__(cls)._fill(field, n, pivots, red)
 
     @classmethod
     def direct_sum(cls, spaces) -> "StrandSpace":
@@ -723,26 +715,18 @@ class StrandSpace:
         spaces = tuple(spaces)
         if len(spaces) == 1:
             return spaces[0]
-        space = cls.__new__(cls)
-        space.field = spaces[0].field
         coset_cols, offset = [], 0
         for sp in spaces:
             coset_cols += [c + offset for c in sp.coset_cols]
             offset += sp.ambient_dim
-        space.ambient_dim = offset
-        space.coset_cols = tuple(coset_cols)
-        space._proj = None
         parts = tuple(part for sp in spaces for part in sp._parts or (sp,))
-        space._parts = () if all(part.is_full for part in parts) else parts
-        return space
+        parts = () if all(part.is_full for part in parts) else parts
+        return cls.__new__(cls)._fill(spaces[0].field, offset, coset_cols, parts=parts)
 
     @classmethod
     def _zero(cls, field: FieldSpec, n: int) -> "StrandSpace":
         """k^n/k^n, as the elimination of any sub basis of rank n gives it."""
-        space = cls.__new__(cls)
-        space.field, space.ambient_dim, space.coset_cols, space._parts = field, n, (), ()
-        space._proj = ExactMatrix.zeros(field, 0, n) if n else None
-        return space
+        return cls.__new__(cls)._fill(field, n, (), ExactMatrix.zeros(field, 0, n))
 
     @property
     def dim(self) -> int:

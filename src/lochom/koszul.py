@@ -15,6 +15,10 @@ The conventions differ by the global twist R(k * sum deg a_i), recorded by
 ``KoszulSpec.global_twist``.  The transitions are diagonal, so they are built
 between stages that already exist, also when the stages are tensored with X:
 the factor of each generator is read off its ``tensor_generators`` label.
+One builder, ``_stage_system``, gives the stages K(a^k) (x) X, k = 1..k_max,
+and their transitions to both systems that read them: ``KoszulTowerSystem``
+as towers, X the coefficients, and ``stable_cech_truncated`` as a
+telescope, X = R placed in degree -n.
 
 Every construction here, and every table and check built on it, takes an
 ideal a = (a_1, ..., a_r) with r >= 1 nonzero homogeneous generators of
@@ -31,11 +35,11 @@ from math import prod
 from .complexes import (
     ModuleChainMap,
     ModuleComplex,
+    _complex,
     cone,
     direct_sum,
     hom_complex,
     homology_table,
-    shift,
     tensor,
     tensor_generators,
 )
@@ -183,6 +187,21 @@ def _stage_map(
     return ModuleChainMap(source, target, components)
 
 
+def _stage_system(gens, x, k_max: int, convention: str):
+    """The stages K(a^k) (x) X, k = 1..k_max, of checked ``gens``, X a complex
+    or a module's stalk, and maps[j] from stage j to j + 1 (direct) or from
+    j + 1 to j (inverse), counting from 0."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    x = _complex(x)
+    specs = [KoszulSpec(gens[0].ring, gens, k, convention) for k in range(1, k_max + 1)]
+    koszuls = [koszul_complex(spec) for spec in specs]
+    stages = [tensor(kc, x) for kc in koszuls]
+    pairs = [(k, k + 1) if convention == DIRECT else (k + 1, k) for k in range(k_max - 1)]
+    maps = [_stage_map(specs[s], specs[t], koszuls[s], x, stages[s], stages[t]) for s, t in pairs]
+    return stages, maps
+
+
 def transition(spec_k: KoszulSpec, spec_l: KoszulSpec) -> ModuleChainMap:
     """phi^{k,l} (direct, k <= l) or psi^{k,l} (inverse, k >= l) on K(a^k) -> K(a^l)."""
     if (
@@ -222,33 +241,26 @@ def self_duality_check(spec: KoszulSpec, module: PresentedModule, window) -> Che
 
 
 def stable_cech_truncated(gens, k_max: int) -> ModuleComplex:
-    """Truncated homotopy colimit of S^{-n} K(a^k), k = 1..k_max (direct convention).
+    """Truncated homotopy colimit of the stages C_k = K(a^k) (x) R, with R
+    placed in degree -n, for k = 1..k_max (direct convention).
 
     Built as Cone(theta) for the finite telescope map
-    theta : (+)_{k<k_max} S^{-n} K(a^k) -> (+)_{k<=k_max} S^{-n} K(a^k),
+    theta : (+)_{k<k_max} C_k -> (+)_{k<=k_max} C_k,
     x_k -> i_k(x_k) - i_{k+1}(phi^{k,k+1}(x_k)).  theta is injective with
     cokernel the terminal stage (degreewise split), so the homology of the
     cone, tensored with any module, equals the stage-k_max Koszul homology.
+    C_k is S^{-n} K(a^k) up to the sign (-1)^n of its differential, which
+    changes no homology.
     """
     gens = _checked_gens(gens)
     ring = gens[0].ring
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    specs = [KoszulSpec(ring, gens, k, DIRECT) for k in range(1, k_max + 1)]
-    n = specs[0].n
-    koszuls = [koszul_complex(s) for s in specs]
-    stages = [shift(kc, -n) for kc in koszuls]
+    unit = ModuleComplex.stalk(FreeModule(ring, [0]), -len(gens))
+    stages, transitions = _stage_system(gens, unit, k_max, DIRECT)
     b = direct_sum(stages)
     if k_max == 1:
         return cone(ModuleChainMap(ModuleComplex.zero(ring), b, {}))
     sources = stages[:-1]
     b_src = direct_sum(sources)
-    # S^{-n} K has the layout of K (x) R in degree -n
-    unit = ModuleComplex.stalk(FreeModule(ring, [0]), -n)
-    transitions = [
-        _stage_map(specs[k], specs[k + 1], koszuls[k], unit, stages[k], stages[k + 1])
-        for k in range(k_max - 1)
-    ]
     components = {}
     for i in b_src.support:
         src_blocks = [st.term(i) for st in sources]
@@ -260,4 +272,3 @@ def stable_cech_truncated(gens, k_max: int) -> ModuleComplex:
         components[i] = graded_map_from_blocks(src_blocks, tgt_blocks, blocks)
     theta = ModuleChainMap(b_src, b, components)
     return cone(theta)
-

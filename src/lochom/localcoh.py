@@ -16,19 +16,15 @@ from __future__ import annotations
 
 from .complexes import (
     StrandContext,
-    _complex,
     hom_complex,
     homology_induced_matrix,
     homology_table,
-    tensor,
 )
 from .koszul import (
     DIRECT,
     INVERSE,
-    KoszulSpec,
     _checked_gens,
-    _stage_map,
-    koszul_complex,
+    _stage_system,
     stable_cech_truncated,
 )
 from .modules import (
@@ -38,7 +34,8 @@ from .modules import (
     TableEntry,
     degree_window,
 )
-from .towers import StrandTower, _Memo, colim_truncated, lim_lim1_truncated
+from .towers import DIRECTED, StrandTower, _Memo, colim_truncated, lim_lim1_truncated
+from .towers import INVERSE as TOWER_INVERSE
 
 __all__ = [
     "KoszulTowerSystem",
@@ -50,33 +47,17 @@ __all__ = [
 
 
 class KoszulTowerSystem:
-    """Stages K(a^k) (x) X for k = 1..k_max with their transition chain maps.
+    """Stages K(a^k) (x) X for k = 1..k_max with their transition chain maps,
+    as ``koszul._stage_system`` builds them: X is a complex or a module's
+    stalk, and maps[j] runs C_j -> C_{j+1} (phi (x) X, direct convention) or
+    C_{j+1} -> C_j (psi (x) X, inverse)."""
 
-    X is a complex, or a presented module standing for its stalk.
-
-    direction 'directed' stores maps C_k -> C_{k+1} (phi (x) X, direct
-    convention); 'inverse' stores maps C_{k+1} -> C_k (psi (x) X).
-    """
-
-    __slots__ = ("gens", "convention", "k_max", "complexes", "maps", "n")
+    __slots__ = ("convention", "complexes", "maps", "n")
 
     def __init__(self, gens, x, k_max: int, convention: str):
-        if k_max < 1:
-            raise ValueError("k_max must be >= 1")
         gens = _checked_gens(gens)
-        specs = [KoszulSpec(gens[0].ring, gens, k, convention) for k in range(1, k_max + 1)]
-        x = _complex(x)
-        koszuls = [koszul_complex(spec) for spec in specs]
-        complexes = [tensor(kc, x) for kc in koszuls]
-        maps = []
-        for k in range(k_max - 1):
-            src, tgt = (k, k + 1) if convention == DIRECT else (k + 1, k)
-            maps.append(
-                _stage_map(specs[src], specs[tgt], koszuls[src], x, complexes[src], complexes[tgt])
-            )
-        object.__setattr__(self, "gens", gens)
+        complexes, maps = _stage_system(gens, x, k_max, convention)
         object.__setattr__(self, "convention", convention)
-        object.__setattr__(self, "k_max", k_max)
         object.__setattr__(self, "complexes", tuple(complexes))
         object.__setattr__(self, "maps", tuple(maps))
         object.__setattr__(self, "n", len(gens))
@@ -107,7 +88,7 @@ class KoszulTowerSystem:
             src, tgt = (j, j + 1) if self.convention == DIRECT else (j + 1, j)
             return homology_induced_matrix(self.maps[j], contexts[src], contexts[tgt], h)
 
-        direction = "directed" if self.convention == DIRECT else "inverse"
+        direction = DIRECTED if self.convention == DIRECT else TOWER_INVERSE
         stages = _Memo(len(contexts), lambda k: contexts[k].homology(h))
         return StrandTower(stages, _Memo(len(self.maps), transition), direction)
 

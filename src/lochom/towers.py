@@ -15,10 +15,11 @@ exact sequence would add, only gates its flag and k_used.
 A tower may be built lazily (``KoszulTowerSystem.homology_tower``): its stage
 k and its transition j are computed the first time a reader asks for them and
 kept after that.  Every reader walks from the top stage down, to the first
-transition that is not an isomorphism and then, for an unstabilized lim, into
-level K - s, so the stages below that stop are never built.  The entries do
-not depend on it: each reader takes its dims, flags and k_used from the same
-matrices in the same top-first order as it would on a tower built in full.
+transition that is not an isomorphism (``_top_iso_run``, the one flag walk,
+which also checks the direction and s >= 1) and then, for an unstabilized
+lim, into level K - s, so the stages below that stop are never built.  The
+entries do not depend on it: each reader takes its dims, flags and k_used
+from the same matrices in the same top-first order as on a tower built in full.
 """
 
 from __future__ import annotations
@@ -148,14 +149,21 @@ def _is_iso(m: ExactMatrix) -> bool:
     return m.rows == m.cols and rank(m) == m.rows
 
 
-def _top_iso_run(k: int, isos_from_top, stab_window: int) -> tuple[bool, int]:
-    """(stabilized, k_used) of a k-stage tower, read off whether each transition,
-    top first, is an isomorphism, down to the first one that is not."""
+def _top_iso_run(tower: StrandTower, direction: str, stab_window: int) -> tuple[bool, int]:
+    """(stabilized, k_used) of a tower of the given direction, the one flag
+    walk of both readers: whether each transition, top first, is an
+    isomorphism, down to the first one that is not.  When stabilized, k_used
+    is the first stage of that run; otherwise it is the stage count."""
+    if tower.direction != direction:
+        raise OrderError(f"expected a tower of direction {direction!r}, got {tower.direction!r}")
+    if stab_window < 1:
+        raise ValueError("stab_window must be >= 1")
+    k = tower.length
     if k - 1 < stab_window:
         return False, k
     first = k
-    for iso in isos_from_top:
-        if not iso:
+    for t in reversed(tower.transitions):
+        if not _is_iso(t):
             break
         first -= 1
     if k - first < stab_window:
@@ -164,17 +172,8 @@ def _top_iso_run(k: int, isos_from_top, stab_window: int) -> tuple[bool, int]:
 
 
 def colim_truncated(tower: StrandTower, stab_window: int) -> TableEntry:
-    """Final-stage dim; stabilized iff the last ``stab_window`` transitions are isos.
-
-    When stabilized, k_used is the first stage of the maximal run of
-    isomorphisms ending at the top; otherwise k_used is the stage count.
-    """
-    if tower.direction != DIRECTED:
-        raise OrderError("colim_truncated expects a directed tower")
-    if stab_window < 1:
-        raise ValueError("stab_window must be >= 1")
-    isos = map(_is_iso, reversed(tower.transitions))
-    stabilized, k_used = _top_iso_run(tower.length, isos, stab_window)
+    """Final-stage dim; stabilized iff the last ``stab_window`` transitions are isos."""
+    stabilized, k_used = _top_iso_run(tower, DIRECTED, stab_window)
     return TableEntry(tower.stages[-1].dim, stabilized, k_used)
 
 
@@ -198,13 +197,8 @@ def lim_lim1_truncated(tower: StrandTower, stab_window: int = 2) -> TableEntry:
     it; ``local_homology_table`` reads the entry of the H_{i+1} tower only
     for the flag and k_used of row i.
     """
-    if tower.direction != INVERSE:
-        raise OrderError("lim_lim1_truncated expects an inverse tower")
-    if stab_window < 1:
-        raise ValueError("stab_window must be >= 1")
+    stabilized, k_used = _top_iso_run(tower, INVERSE, stab_window)
     k = tower.length
-    isos = map(_is_iso, reversed(tower.transitions))
-    stabilized, k_used = _top_iso_run(k, isos, stab_window)
     levels = k if stabilized else max(1, k - stab_window)
     lim = tower.stages[k - 1].dim if levels == k else rank(tower.composite(k, levels))
     return TableEntry(lim, stabilized, k_used)

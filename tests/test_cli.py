@@ -183,6 +183,11 @@ def test_flag_overrides(tmp_path, capsys):
     for ideal in ("x,,y", ",x", "x,", "x, ,y"):
         assert main(["--input", good, "--ideal", ideal]) == 2
         assert "(at ideal)" in capsys.readouterr().err
+    # and in a document, by the same rule
+    for ideal in (["x", ""], ["x", " "]):
+        bad = write_job(tmp_path, {"command": "lc", "ring": RING, "ideal": ideal})
+        assert main(["--input", bad]) == 2
+        assert "ideal has an empty generator (at ideal)" in capsys.readouterr().err
 
 
 def test_run_is_deterministic(tmp_path):
@@ -381,6 +386,14 @@ MALFORMED_FLAGS = {
     "power-0": (["--power", "0"], "power"),
     "ideal-empty-item": (["--ideal", "x,,y"], "ideal"),
     "field-on-verify": (["verify", "--field", "5"], "ring.char"),
+    # flags argparse splits off and the one integer reader reads
+    "kmax-not-integer": (["--kmax", "abc"], "k_max"),
+    "stab-not-integer": (["--stab", "x"], "s"),
+    "Kmax-not-integer": (["--Kmax", "x"], "K_max"),
+    "power-not-integer": (["--power", "x"], "power"),
+    "field-not-integer": (["--field", "x"], "ring.char"),
+    "report-unknown": (["--report", "xml"], "report"),
+    "unknown-flag": (["--nope"], "command line"),
 }
 
 

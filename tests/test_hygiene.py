@@ -1,9 +1,9 @@
 """Source hygiene: every name a module imports is read somewhere in it, every
 name in a module's ``__all__`` is defined there, every function reads each
-of its parameters, only ``rings`` builds a Poly unchecked, only ``exact``
-touches how a matrix is stored, every GradedMap goes through its
-constructor, and every function and class is named somewhere besides its
-own definition."""
+of its parameters, only ``rings`` builds a Poly unchecked, only ``koszul``
+builds a transition between Koszul stages, only ``exact`` touches how a
+matrix is stored, every GradedMap goes through its constructor, and every
+function and class is named somewhere besides its own definition."""
 
 import ast
 import functools
@@ -124,18 +124,18 @@ def test_the_scan_sees_an_unread_parameter():
 TRUSTED = "_trusted_poly"
 
 
-def trusted_constructor_uses(tree: ast.Module) -> list:
-    """(line, how) for each reference to the unchecked Poly constructor: a
-    name, an attribute, an import or a string naming it."""
+def references(tree: ast.Module, target: str) -> list:
+    """(line, how) for each reference to the name ``target``: a name, an
+    attribute, an import or a string naming it."""
     hits = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id == TRUSTED:
+        if isinstance(node, ast.Name) and node.id == target:
             hits.append((node.lineno, "name"))
-        elif isinstance(node, ast.Attribute) and node.attr == TRUSTED:
+        elif isinstance(node, ast.Attribute) and node.attr == target:
             hits.append((node.lineno, "attribute"))
-        elif isinstance(node, ast.ImportFrom) and any(a.name == TRUSTED for a in node.names):
+        elif isinstance(node, ast.ImportFrom) and any(a.name == target for a in node.names):
             hits.append((node.lineno, "import"))
-        elif isinstance(node, ast.Constant) and node.value == TRUSTED:
+        elif isinstance(node, ast.Constant) and node.value == target:
             hits.append((node.lineno, "string"))
     return sorted(hits)
 
@@ -145,7 +145,7 @@ def trusted_constructor_uses(tree: ast.Module) -> list:
 )
 def test_only_rings_builds_a_poly_unchecked(path):
     # parsed and user input must reach Poly(ring, terms), which validates it
-    assert trusted_constructor_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+    assert references(ast.parse(path.read_text(encoding="utf-8")), TRUSTED) == []
 
 
 def test_the_scan_sees_an_unchecked_poly():
@@ -154,11 +154,36 @@ def test_the_scan_sees_an_unchecked_poly():
         "p = make(r, {})\nq = rings._trusted_poly(r, {})\n"
         "f = getattr(rings, '_trusted_poly')\ndef g():\n    return _trusted_poly\n"
     )
-    assert trusted_constructor_uses(tree) == [
+    assert references(tree, TRUSTED) == [
         (1, "import"), (4, "attribute"), (5, "string"), (7, "name"),
     ]
     rings = SRC / "rings.py"
-    assert trusted_constructor_uses(ast.parse(rings.read_text(encoding="utf-8")))
+    assert references(ast.parse(rings.read_text(encoding="utf-8")), TRUSTED)
+
+
+STAGE_MAP = "_stage_map"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "koszul.py"], ids=lambda p: p.name
+)
+def test_only_koszul_builds_a_stage_transition(path):
+    # koszul._stage_system is the one builder of the stages K(a^k) (x) X and
+    # their transitions, for the Koszul towers and the stable Cech complex alike
+    assert references(ast.parse(path.read_text(encoding="utf-8")), STAGE_MAP) == []
+
+
+def test_the_scan_sees_a_stage_transition_outside_koszul():
+    tree = ast.parse(
+        "from .koszul import _stage_map as step, _stage_system\nfrom . import koszul\n"
+        "m = step(a, b)\nn = koszul._stage_map(a, b)\nf = getattr(koszul, '_stage_map')\n"
+        "_stage_map = None\nstages = _stage_system(g, x, 2, 'direct')\n"
+    )
+    assert references(tree, STAGE_MAP) == [
+        (1, "import"), (4, "attribute"), (5, "string"), (6, "name"),
+    ]
+    koszul = SRC / "koszul.py"
+    assert references(ast.parse(koszul.read_text(encoding="utf-8")), STAGE_MAP)
 
 
 STORAGE = {"_data", "_proj", "_zeros"}

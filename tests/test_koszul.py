@@ -416,7 +416,9 @@ def _small_module(draw, r):
 @settings(max_examples=40)
 @given(data=st.data(), k_max=st.integers(1, 3))
 def test_stable_cech_tensor_module_matches_terminal_stage(data, k_max):
-    r, gens = data.draw(_ring_and_gens(max_gens=2, max_exp=1, max_vars=2))
+    # three generators too: for odd n the stable Cech stages K(a^k) (x) R, R in
+    # degree -n, differ from S^{-n} K(a^k) in the sign of their differential
+    r, gens = data.draw(_ring_and_gens(max_gens=3, max_exp=1, max_vars=2))
     module = data.draw(_small_module(r))
     n = len(gens)
     stage = shift(koszul_complex(KoszulSpec(r, gens, k_max, DIRECT)), -n)
