@@ -11,7 +11,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .complexes import ModuleComplex
 from .corpus import run_corpus
@@ -58,18 +58,18 @@ class JobSpec:
     window: tuple = (-6, 6)
     k_max: int = 8
     s: int = 2
-    cech_k_max: int = 6
+    K_max: int = 6
     power: int = 1
     report: str = "json"
-    verify_subject: str | None = None  # None: every criterion, as "corpus"
+    verify: str | None = None  # None: every criterion, as "corpus"
 
     def validate(self) -> "JobSpec":
         if self.command not in TABLE_COMMANDS and self.command != "verify":
             raise SchemaError(f"unknown command {self.command!r}", "command")
-        if self.command != "verify" and self.verify_subject is not None:
+        if self.command != "verify" and self.verify is not None:
             raise SchemaError(f"{self.command} takes no verify subject", "verify")
-        if self.verify_subject not in (None, *VERIFY_SUBJECTS):
-            raise SchemaError(f"unknown verify subject {self.verify_subject!r}", "verify")
+        if self.verify not in (None, *VERIFY_SUBJECTS):
+            raise SchemaError(f"unknown verify subject {self.verify!r}", "verify")
         if self.command == "verify":
             # the verify subjects build their own rings and modules
             for name in ("module", "complex", "ideal", "ring"):
@@ -80,7 +80,7 @@ class JobSpec:
                 raise SchemaError(f"{name} must be [lo, hi] with lo <= hi", name)
         for name, value in (
             ("k_max", self.k_max),
-            ("K_max", self.cech_k_max),
+            ("K_max", self.K_max),
             ("s", self.s),
             ("power", self.power),
         ):
@@ -140,23 +140,9 @@ def _strings(value, location: str) -> list:
     return items
 
 
-# document key -> JobSpec field; a key the document leaves out keeps the
-# field's default
-_DOCUMENT_FIELDS = {
-    "command": "command",
-    "ring": "ring",
-    "module": "module",
-    "complex": "complex",
-    "ideal": "ideal",
-    "i_range": "i_range",
-    "window": "window",
-    "k_max": "k_max",
-    "s": "s",
-    "K_max": "cech_k_max",
-    "power": "power",
-    "report": "report",
-    "verify": "verify_subject",
-}
+# the document keys: each names the JobSpec field it sets, and a key the
+# document leaves out keeps the field's default
+_DOCUMENT_KEYS = tuple(f.name for f in fields(JobSpec))
 
 
 def _read_field(key: str, value):
@@ -178,11 +164,9 @@ def _read_field(key: str, value):
 
 
 def _document_to_jobspec(doc: dict) -> JobSpec:
-    _known_fields(_object(doc, "$"), _DOCUMENT_FIELDS, "$")
-    fields = {
-        field: _read_field(key, doc[key]) for key, field in _DOCUMENT_FIELDS.items() if key in doc
-    }
-    return JobSpec(**{"command": "lc", **fields}).validate()
+    _known_fields(_object(doc, "$"), _DOCUMENT_KEYS, "$")
+    values = {key: _read_field(key, doc[key]) for key in _DOCUMENT_KEYS if key in doc}
+    return JobSpec(**{"command": "lc", **values}).validate()
 
 
 def parse_input(path: str) -> JobSpec:
@@ -227,13 +211,11 @@ def build_ring(spec: dict | None) -> GradedRing:
 def _poly_rows(ring: GradedRing, value, location: str, height: int, width: int | None) -> list:
     """The rows of a ``height`` x ``width`` matrix of polynomial texts, parsed;
     a ``width`` of None takes the length of the first row."""
-    rows = _list(value, location)
-    for n, row in enumerate(rows):
-        _list(row, f"{location}[{n}]")
+    rows = [_strings(row, f"{location}[{n}]") for n, row in enumerate(_list(value, location))]
     width = len(rows[0]) if width is None and rows else width
     if len(rows) != height or any(len(row) != width for row in rows):
         raise SchemaError(f"expected a {height}x{width} matrix", location)
-    return [[parse_poly(ring, str(e)) for e in row] for row in rows]
+    return [[parse_poly(ring, e) for e in row] for row in rows]
 
 
 def build_module(ring: GradedRing, spec: dict | None) -> PresentedModule:
@@ -291,7 +273,7 @@ def _check_strand_degrees(job: JobSpec, coefficients, gens):
     ideal degrees, k the truncation field, so the fields add up in that order.
     """
     k_field = {"koszul": "power", "homsc": "K_max"}.get(job.command, "k_max")
-    k = getattr(job, _DOCUMENT_FIELDS[k_field])
+    k = getattr(job, k_field)
     if isinstance(coefficients, ModuleComplex):
         twists_field = "complex.terms"
         twists = [t for m in coefficients.terms.values() for t in m.generators.twists]
@@ -335,7 +317,7 @@ class Report:
 def run(job: JobSpec) -> Report:
     """Dispatch a validated job; deterministic for fixed inputs."""
     if job.command == "verify":
-        subject = job.verify_subject or "corpus"
+        subject = job.verify or "corpus"
         results = run_corpus(VERIFY_SUBJECTS[subject])
         checks = [r._asdict() for r in results]  # criterion, name, passed, details
         return Report("verify", {"subject": subject}, checks=checks)
@@ -353,7 +335,7 @@ def run(job: JobSpec) -> Report:
         "window": list(job.window),
         "k_max": job.k_max,
         "s": job.s,
-        "K_max": job.cech_k_max,
+        "K_max": job.K_max,
     }
     gens = () if job.command == "hilbert" else _checked_gens(parse_poly(ring, t) for t in ideal)
     if job.complex is not None:
@@ -372,7 +354,7 @@ def run(job: JobSpec) -> Report:
         table = table_of(gens, coefficients, job.i_range, job.window, job.k_max, job.s)
     else:  # homsc: validate() admits no other command
         table = hom_stable_cech_table(
-            gens, coefficients, job.cech_k_max, job.i_range, job.window
+            gens, coefficients, job.K_max, job.i_range, job.window
         )
     return Report(job.command, params, table=table)
 
@@ -491,9 +473,7 @@ def _merge(job: JobSpec, args) -> JobSpec:
     ``_range_flag``), so ``_read_field`` reads it as it reads a document."""
     flags = vars(args)
     updates = {
-        field: _read_field(key, flags[key])
-        for key, field in _DOCUMENT_FIELDS.items()
-        if flags.get(key) is not None
+        key: _read_field(key, flags[key]) for key in _DOCUMENT_KEYS if flags.get(key) is not None
     }
     if args.field is not None and updates.get("command", job.command) == "verify":
         raise SchemaError("verify takes no field", "ring.char")

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import InternalInvariantError, NotFreeError, WellDefinednessError
-from .exact import ExactMatrix, StrandSpace, _kernel, induced_map, rank
+from .exact import ExactMatrix, StrandSpace, _Frozen, _kernel, induced_map, rank
 from .modules import (
     CheckReport,
     FreeModule,
@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 
-class ModuleComplex:
+class ModuleComplex(_Frozen):
     """Finitely supported complex {terms[i]} with differentials term i -> term i-1.
 
     Terms are presented modules; a free module given as a term is stored as
@@ -107,9 +107,6 @@ class ModuleComplex:
         for i, f in clean_diffs.items():
             if _product_entries(f, clean_diffs.get(i + 1)):
                 raise InternalInvariantError(f"d o d != 0 at homological degree {i + 1}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleComplex is immutable")
 
     @property
     def support(self):
@@ -174,7 +171,7 @@ def _require_free(x: ModuleComplex, operation: str) -> None:
             raise NotFreeError(f"{operation} needs free terms on the left; term {i} is presented")
 
 
-class ModuleChainMap:
+class ModuleChainMap(_Frozen):
     """Degree-0 morphism of complexes carried by generator-level matrices."""
 
     __slots__ = ("source", "target", "components")
@@ -198,9 +195,6 @@ class ModuleChainMap:
             right = _product_entries(target.differentials.get(i), comps.get(i))
             if left != right:
                 raise InternalInvariantError(f"chain map fails to commute at degree {i}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleChainMap is immutable")
 
     def component(self, i: int) -> GradedMap:
         f = self.components.get(i)
@@ -423,7 +417,7 @@ def tensor_map_with_module(f: ModuleChainMap, module: PresentedModule) -> Module
 
 # -- strandwise homology -------------------------------------------------------
 
-class StrandContext:
+class StrandContext(_Frozen):
     """Caches coset-level differentials, their kernels and homology at one degree."""
 
     __slots__ = ("complex", "d", "_ops", "_kernels", "_homology")
@@ -434,9 +428,6 @@ class StrandContext:
         object.__setattr__(self, "_ops", {})
         object.__setattr__(self, "_kernels", {})
         object.__setattr__(self, "_homology", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StrandContext is immutable")
 
     def space(self, i: int) -> StrandSpace:
         return strand(self.complex.module(i), self.d)
@@ -489,9 +480,6 @@ class StrandContext:
             self._homology[i] = h
         return h
 
-    def homology_dim(self, i: int) -> int:
-        return self.homology(i).dim
-
 
 def homology_table(c, i_range, window, *, k_used: int = 0) -> HilbertTable:
     """dim H_i at each (i, d) of the ranges, every entry stabilized with the given k_used.
@@ -499,13 +487,13 @@ def homology_table(c, i_range, window, *, k_used: int = 0) -> HilbertTable:
     Each degree reads i from the top down, so H_i finds the kernel of
     d_{i+1} that H_{i+1} computed (see :meth:`StrandContext.homology`).
     """
-    table = HilbertTable()
+    entries = {}
     i_lo, i_hi = int(i_range[0]), int(i_range[1])
     for d in degree_window(window):
         ctx = StrandContext(c, d)
         for i in range(i_hi, i_lo - 1, -1):
-            table.set(i, d, TableEntry(ctx.homology_dim(i), True, k_used))
-    return table
+            entries[i, d] = TableEntry(ctx.homology(i).dim, True, k_used)
+    return HilbertTable(entries)
 
 
 def coset_level_map(f, ctx_src: StrandContext, ctx_dst: StrandContext, i: int) -> ExactMatrix:

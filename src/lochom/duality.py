@@ -22,7 +22,7 @@ from .complexes import (
     tensor_generators,
 )
 from .errors import NotRegularError, ResolutionValidationError
-from .exact import rank
+from .exact import _Frozen, rank
 from .koszul import INVERSE, KoszulSpec, _checked_gens, koszul_complex, stable_cech_truncated
 from .localcoh import local_cohomology_table
 from .modules import (
@@ -53,13 +53,10 @@ __all__ = [
 
 def matlis_dual_table(table: HilbertTable) -> HilbertTable:
     """Degree reflection (i, d) -> (i, -d); flags carried over."""
-    out = HilbertTable()
-    for (i, d), entry in table.items():
-        out.set(i, -d, entry)
-    return out
+    return HilbertTable({(i, -d): entry for (i, d), entry in table.items()})
 
 
-class ValidatedResolution:
+class ValidatedResolution(_Frozen):
     """Free complex in degrees >= 0 known to resolve a module on a window."""
 
     __slots__ = ("complex", "augmentation", "module", "window")
@@ -69,9 +66,6 @@ class ValidatedResolution:
         object.__setattr__(self, "augmentation", augmentation)
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "window", (int(window[0]), int(window[1])))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ValidatedResolution is immutable")
 
     @property
     def length(self) -> int:
@@ -150,11 +144,7 @@ def ext_table(resolution: ValidatedResolution, twist: int, j_range, window) -> H
     hom = hom_complex(resolution.complex, values)
     j_lo, j_hi = int(j_range[0]), int(j_range[1])
     inner = homology_table(hom, (-j_hi, -j_lo), window)
-    table = HilbertTable()
-    for d in degree_window(window):
-        for j in range(j_lo, j_hi + 1):
-            table.set(j, d, inner.get(-j, d))
-    return table
+    return HilbertTable({(-i, d): entry for (i, d), entry in inner.items()})
 
 
 def local_duality_check(

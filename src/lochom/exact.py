@@ -22,8 +22,10 @@ routes give the same bytes.  A direct sum of strand spaces runs none: it
 keeps its summands and projects each block of coordinates with its own
 summand.  Matrices over F_p are stored as numpy integer arrays with entries
 reduced into ``[0, p)``; matrices over Q hold :class:`fractions.Fraction`
-entries (always in lowest terms with positive denominator).  All values are
-immutable after construction, so they are safe to share across threads.
+entries (always in lowest terms with positive denominator).  Values are
+immutable after construction, so they are safe to share across threads: the
+engine's value types derive from :class:`_Frozen`, which refuses every
+attribute write, and a matrix's array is read-only.
 
 Mod-p products delay reduction while no sum of products can leave the range
 in which its type is exact (Dumas, Giorgi and Pernet, *FFLAS-FFPACK*, ACM
@@ -91,7 +93,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class FieldSpec:
+class _Frozen:
+    """Base of the immutable value types: an instance refuses every attribute
+    write, so a constructor sets its slots with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class FieldSpec(_Frozen):
     """Coefficient field: characteristic 0 means Q, otherwise a prime p < 2^31."""
 
     __slots__ = ("characteristic",)
@@ -103,9 +115,6 @@ class FieldSpec:
         if characteristic != 0 and not _is_prime(characteristic):
             raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
         object.__setattr__(self, "characteristic", characteristic)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldSpec is immutable")
 
     def __eq__(self, other):
         return self is other or (
@@ -127,9 +136,6 @@ class FieldSpec:
         if self.characteristic == 0:
             return value if isinstance(value, Fraction) else Fraction(value)
         return int(value) % self.characteristic
-
-    def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
 
     def one(self):
         return Fraction(1) if self.characteristic == 0 else 1
@@ -258,9 +264,6 @@ class ExactMatrix:
         if self.rows == 0 or self.cols == 0:
             return True
         return bool((self._data == other._data).all())
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return f"ExactMatrix({self.field}, {self.rows}x{self.cols})"

@@ -11,7 +11,9 @@ homogeneous components in different spots:
 * inverse  e_S has twist -k * sum_{j in S} deg a_j, and psi^{k,l} (k >= l)
   multiplies e_S by prod_{j in S} a_j^{k-l}: an inverse system.
 
-The conventions differ by the global twist R(k * sum deg a_i), recorded by
+A convention is named by the direction of its system, ``towers.DIRECT`` or
+``towers.INVERSE``, and its towers take that name as their direction.  The
+conventions differ by the global twist R(k * sum deg a_i), recorded by
 ``KoszulSpec.global_twist``.  The transitions are diagonal, so they are built
 between stages that already exist, also when the stages are tensored with X:
 the factor of each generator is read off its ``tensor_generators`` label.
@@ -50,6 +52,7 @@ from .errors import (
     OrderError,
     ZeroGeneratorError,
 )
+from .exact import _Frozen
 from .modules import (
     CheckReport,
     FreeModule,
@@ -59,6 +62,7 @@ from .modules import (
     graded_map_from_blocks,
 )
 from .rings import GradedRing, Poly
+from .towers import DIRECT, INVERSE
 
 __all__ = [
     "KoszulSpec",
@@ -68,9 +72,6 @@ __all__ = [
     "self_duality_check",
     "stable_cech_truncated",
 ]
-
-DIRECT = "direct"
-INVERSE = "inverse"
 
 
 def _checked_gens(gens) -> tuple:
@@ -89,7 +90,7 @@ def _checked_gens(gens) -> tuple:
     return gens
 
 
-class KoszulSpec:
+class KoszulSpec(_Frozen):
     """Generators a_1..a_n, a power k, and a twist convention."""
 
     __slots__ = ("ring", "gens", "power", "convention")
@@ -107,9 +108,6 @@ class KoszulSpec:
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "power", int(power))
         object.__setattr__(self, "convention", convention)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KoszulSpec is immutable")
 
     @property
     def n(self) -> int:

@@ -1,7 +1,7 @@
 """Degreewise local cohomology and local homology via Koszul towers.
 
 Local cohomology H^i of a module or bounded free complex is the truncated
-colimit of the directed system {H_{n-i}(a^k (x) -)}_k with phi-induced
+colimit of the direct system {H_{n-i}(a^k (x) -)}_k with phi-induced
 transitions; local homology H_i is the truncated lim of the inverse psi-tower
 of H_i: one rank of a composite into a trusted level.  The lim1 term of
 0 -> lim1 H_{i+1} -> H_i -> lim H_i -> 0 vanishes on towers of
@@ -20,6 +20,7 @@ from .complexes import (
     homology_induced_matrix,
     homology_table,
 )
+from .exact import _Frozen
 from .koszul import (
     DIRECT,
     INVERSE,
@@ -34,8 +35,7 @@ from .modules import (
     TableEntry,
     degree_window,
 )
-from .towers import DIRECTED, StrandTower, _Memo, colim_truncated, lim_lim1_truncated
-from .towers import INVERSE as TOWER_INVERSE
+from .towers import StrandTower, _Memo, colim_truncated, lim_lim1_truncated
 
 __all__ = [
     "KoszulTowerSystem",
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-class KoszulTowerSystem:
+class KoszulTowerSystem(_Frozen):
     """Stages K(a^k) (x) X for k = 1..k_max with their transition chain maps,
     as ``koszul._stage_system`` builds them: X is a complex or a module's
     stalk, and maps[j] runs C_j -> C_{j+1} (phi (x) X, direct convention) or
@@ -61,9 +61,6 @@ class KoszulTowerSystem:
         object.__setattr__(self, "complexes", tuple(complexes))
         object.__setattr__(self, "maps", tuple(maps))
         object.__setattr__(self, "n", len(gens))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KoszulTowerSystem is immutable")
 
     def homological_support(self):
         lo = min((min(c.support) for c in self.complexes if c.support), default=0)
@@ -88,9 +85,8 @@ class KoszulTowerSystem:
             src, tgt = (j, j + 1) if self.convention == DIRECT else (j + 1, j)
             return homology_induced_matrix(self.maps[j], contexts[src], contexts[tgt], h)
 
-        direction = DIRECTED if self.convention == DIRECT else TOWER_INVERSE
         stages = _Memo(len(contexts), lambda k: contexts[k].homology(h))
-        return StrandTower(stages, _Memo(len(self.maps), transition), direction)
+        return StrandTower(stages, _Memo(len(self.maps), transition), self.convention)
 
 
 def local_cohomology_table(
@@ -98,18 +94,18 @@ def local_cohomology_table(
 ) -> HilbertTable:
     """H^i at each internal degree of the window, as a truncated colimit.
 
-    Entry (i, d) is colim_truncated over the directed tower of
+    Entry (i, d) is colim_truncated over the direct tower of
     H_{n-i}(a^k; x)_d; unstabilized entries keep the last computed dimension
     and say so in the flag.
     """
     system = KoszulTowerSystem(gens, x, k_max, DIRECT)
-    table = HilbertTable()
+    entries = {}
     for d in degree_window(window):
         contexts = system.contexts(d)
         for i in range(int(i_range[0]), int(i_range[1]) + 1):
             tower = system.homology_tower(contexts, system.n - i)
-            table.set(i, d, colim_truncated(tower, s))
-    return table
+            entries[i, d] = colim_truncated(tower, s)
+    return HilbertTable(entries)
 
 
 def local_homology_table(
@@ -131,7 +127,7 @@ def local_homology_table(
     hs = range(min(i_hi + 1, hi), max(i_lo, lo) - 1, -1)
     # a tower outside the homological support is zero at every stage
     outside = TableEntry(0, True, 1)
-    table = HilbertTable()
+    entries = {}
     for d in degree_window(window):
         contexts = system.contexts(d) if hs else None
         lims = {}
@@ -140,8 +136,8 @@ def local_homology_table(
         for i in range(i_lo, i_hi + 1):
             lim, gate = lims.get(i, outside), lims.get(i + 1, outside)
             stable = lim.stabilized and gate.stabilized
-            table.set(i, d, TableEntry(lim.dim, stable, max(lim.k_used, gate.k_used)))
-    return table
+            entries[i, d] = TableEntry(lim.dim, stable, max(lim.k_used, gate.k_used))
+    return HilbertTable(entries)
 
 
 def hom_stable_cech_table(gens, y, k_max: int, i_range, window) -> HilbertTable:

@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import NonHomogeneousError
-from .exact import ExactMatrix, StrandSpace, _coset_columns, _mult_block, rank
+from .exact import ExactMatrix, StrandSpace, _coset_columns, _Frozen, _mult_block, rank
 from .rings import GradedRing, Poly, _scatter_rows, monomial_basis, mult_matrix
 
 __all__ = [
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 
-class FreeModule:
+class FreeModule(_Frozen):
     """F = (+)_j R(a_j); ``twists`` lists the a_j in generator order."""
 
     __slots__ = ("ring", "twists")
@@ -61,9 +61,6 @@ class FreeModule:
     def __init__(self, ring: GradedRing, twists: Iterable[int]):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "twists", tuple(int(t) for t in twists))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeModule is immutable")
 
     @property
     def rank(self) -> int:
@@ -103,7 +100,7 @@ def free_module_sum(modules: Iterable[FreeModule]) -> FreeModule:
     return FreeModule(ring, twists)
 
 
-class GradedMap:
+class GradedMap(_Frozen):
     """Homogeneous matrix of polynomials between twisted free modules.
 
     ``entries`` maps ``(row, col)`` to the nonzero entries only; a missing key
@@ -147,9 +144,6 @@ class GradedMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "entries", nonzero)
         object.__setattr__(self, "internal_degree", int(internal_degree))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedMap is immutable")
 
     @property
     def ring(self) -> GradedRing:
@@ -288,8 +282,6 @@ def graded_map_from_blocks(
         src_off.append(src_off[-1] + m.rank)
     entries = {}
     for (bi, bj), blk in blocks.items():
-        if blk is None:
-            continue
         if blk.source != source_blocks[bj] or blk.target != target_blocks[bi]:
             raise ValueError("block endpoints do not match the block decomposition")
         r0, c0 = tgt_off[bi], src_off[bj]
@@ -298,7 +290,7 @@ def graded_map_from_blocks(
     return GradedMap(source, target, entries, internal_degree)
 
 
-class PresentedModule:
+class PresentedModule(_Frozen):
     """M = coker(presentation: F1 -> F0), with strands cached per degree.
 
     ``parts`` records what a module built by :meth:`twisted` or
@@ -317,9 +309,6 @@ class PresentedModule:
         object.__setattr__(self, "parts", ())
         object.__setattr__(self, "_strand_cache", {})
         object.__setattr__(self, "_block_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PresentedModule is immutable")
 
     @classmethod
     def free(cls, module: FreeModule) -> "PresentedModule":
@@ -404,10 +393,6 @@ def _with_parts(presentation: GradedMap, parts) -> PresentedModule:
 
 def module_sum_twisted(module: PresentedModule, twists) -> PresentedModule:
     """(+)_p M(t_p) as a presented module (block-diagonal presentation)."""
-    twists = list(twists)
-    if not twists:
-        empty = FreeModule(module.ring, ())
-        return PresentedModule(GradedMap.zero(empty, empty))
     return module_sum([module.twisted(t) for t in twists])
 
 
@@ -584,8 +569,9 @@ class TableEntry(NamedTuple):
     k_used: int
 
 
-class HilbertTable:
-    """Map (homological index i, internal degree d) -> (dim, stabilized, k_used)."""
+class HilbertTable(_Frozen):
+    """Map (homological index i, internal degree d) -> (dim, stabilized, k_used),
+    fixed at construction, where every dim is checked to be >= 0."""
 
     __slots__ = ("entries",)
 
@@ -594,13 +580,6 @@ class HilbertTable:
         for key, val in self.entries.items():
             if val.dim < 0:
                 raise ValueError(f"negative dimension at {key}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HilbertTable is immutable; build a new one")
-
-    def set(self, i: int, d: int, entry: TableEntry) -> None:
-        # only used during construction by the table builders
-        self.entries[(i, d)] = entry
 
     def get(self, i: int, d: int) -> TableEntry:
         return self.entries[(i, d)]
@@ -684,7 +663,6 @@ def degree_window(window) -> range:
 
 
 def hilbert_row(module: PresentedModule, window) -> HilbertTable:
-    table = HilbertTable()
-    for d in degree_window(window):
-        table.set(0, d, TableEntry(strand(module, d).dim, True, 0))
-    return table
+    return HilbertTable(
+        {(0, d): TableEntry(strand(module, d).dim, True, 0) for d in degree_window(window)}
+    )

@@ -41,12 +41,12 @@ from .errors import (
     ParseError,
     UnknownVariableError,
 )
-from .exact import ExactMatrix, FieldSpec, _mult_block
+from .exact import ExactMatrix, FieldSpec, _Frozen, _mult_block
 
 __all__ = ["GradedRing", "Poly", "monomial_basis", "mult_matrix", "parse_poly"]
 
 
-class GradedRing:
+class GradedRing(_Frozen):
     __slots__ = ("field", "var_names", "weights", "_basis_cache", "_prefix_cache",
                  "_rank_cache", "_scatter_cache", "_mult_cache")
 
@@ -74,9 +74,6 @@ class GradedRing:
         object.__setattr__(self, "_rank_cache", {})
         object.__setattr__(self, "_scatter_cache", {})
         object.__setattr__(self, "_mult_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedRing is immutable")
 
     def __eq__(self, other):
         return self is other or (
@@ -197,7 +194,7 @@ def _scatter_rows(ring: GradedRing, exp: tuple, d: int, D: int) -> np.ndarray:
 _UNSET = object()
 
 
-class Poly:
+class Poly(_Frozen):
     """Polynomial as a map exponent-vector -> nonzero canonical scalar.
 
     ``Poly(ring, terms)`` is the validating constructor, for parsed and user
@@ -233,9 +230,6 @@ class Poly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_degree", _UNSET)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     # -- structure ----------------------------------------------------------
     def is_zero(self) -> bool:

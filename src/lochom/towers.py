@@ -1,4 +1,4 @@
-"""Directed systems and towers of strand spaces at finite truncation.
+"""Direct systems and inverse towers of strand spaces at finite truncation.
 
 Every limit statement here is truncated at a finite stage count with explicit
 stabilization flags; there are no effective bounds, so honesty lives in the
@@ -28,7 +28,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .errors import OrderError
-from .exact import ExactMatrix, StrandSpace, rank
+from .exact import ExactMatrix, StrandSpace, _Frozen, rank
 from .modules import PresentedModule, TableEntry, annihilator_strand, degree_window
 from .rings import Poly
 
@@ -43,7 +43,9 @@ __all__ = [
     "direct_sum_towers",
 ]
 
-DIRECTED = "directed"
+# the engine's one word for each direction of a system of stages V_1..V_K:
+# transition j runs V_{j+1} -> V_{j+2} if direct, V_{j+2} -> V_{j+1} if inverse
+DIRECT = "direct"
 INVERSE = "inverse"
 
 
@@ -71,7 +73,7 @@ class _Memo(Sequence):
 
 
 def _checked_transition(stages, direction: str, j: int, t: ExactMatrix) -> ExactMatrix:
-    if direction == DIRECTED:
+    if direction == DIRECT:
         want = (stages[j + 1].dim, stages[j].dim)
     else:
         want = (stages[j].dim, stages[j + 1].dim)
@@ -80,11 +82,11 @@ def _checked_transition(stages, direction: str, j: int, t: ExactMatrix) -> Exact
     return t
 
 
-class StrandTower:
+class StrandTower(_Frozen):
     """Stages V_1..V_K with transitions between consecutive stages.
 
-    directed: transitions[j] maps stage j+1 to stage j+2 (V_k -> V_{k+1});
-    inverse:  transitions[j] maps stage j+2 to stage j+1 (V_{k+1} -> V_k).
+    direct:  transitions[j] maps stage j+1 to stage j+2 (V_k -> V_{k+1});
+    inverse: transitions[j] maps stage j+2 to stage j+1 (V_{k+1} -> V_k).
     Transition matrices act on coset coordinates of the stage spaces.
 
     Stages and transitions given as lists are kept as tuples, and every
@@ -97,7 +99,7 @@ class StrandTower:
     __slots__ = ("stages", "transitions", "direction")
 
     def __init__(self, stages, transitions, direction: str):
-        if direction not in (DIRECTED, INVERSE):
+        if direction not in (DIRECT, INVERSE):
             raise ValueError(f"unknown tower direction {direction!r}")
         if not isinstance(stages, _Memo):
             stages = tuple(stages)
@@ -118,9 +120,6 @@ class StrandTower:
         object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "direction", direction)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StrandTower is immutable")
-
     @property
     def length(self) -> int:
         return len(self.stages)
@@ -129,10 +128,10 @@ class StrandTower:
         return tuple(s.dim for s in self.stages)
 
     def composite(self, k: int, l: int) -> ExactMatrix:
-        """Composite transition between 1-based stages (directed: k<=l, inverse: k>=l)."""
-        if self.direction == DIRECTED:
+        """Composite transition between 1-based stages (direct: k<=l, inverse: k>=l)."""
+        if self.direction == DIRECT:
             if k > l:
-                raise OrderError("directed composites need k <= l")
+                raise OrderError("direct composites need k <= l")
             steps = range(k - 1, l - 1)
         else:
             if k < l:
@@ -173,7 +172,7 @@ def _top_iso_run(tower: StrandTower, direction: str, stab_window: int) -> tuple[
 
 def colim_truncated(tower: StrandTower, stab_window: int) -> TableEntry:
     """Final-stage dim; stabilized iff the last ``stab_window`` transitions are isos."""
-    stabilized, k_used = _top_iso_run(tower, DIRECTED, stab_window)
+    stabilized, k_used = _top_iso_run(tower, DIRECT, stab_window)
     return TableEntry(tower.stages[-1].dim, stabilized, k_used)
 
 

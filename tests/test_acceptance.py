@@ -80,7 +80,7 @@ def test_criterion_11_dualizing_module():
 
 def test_criterion_12_determinism(tmp_path):
     start = time.monotonic()
-    job = JobSpec(command="verify", verify_subject="corpus")
+    job = JobSpec(command="verify", verify="corpus")
     first = emit_report(run(job), "json")
     second = emit_report(run(job), "json")
     identical = first == second

@@ -32,7 +32,7 @@ def write_job(tmp_path, doc, name="job.json"):
 
 def test_minimal_document_gets_defaults(tmp_path):
     job = parse_input(write_job(tmp_path, {"command": "lc", "ring": RING}))
-    assert job.k_max == 8 and job.s == 2 and job.cech_k_max == 6
+    assert job.k_max == 8 and job.s == 2 and job.K_max == 6
     assert job.report == "json"
     from lochom.cli import build_ring
 
@@ -119,8 +119,7 @@ def test_emit_empty_table():
 
 
 def test_emit_single_entry_roundtrip():
-    table = HilbertTable()
-    table.set(1, -2, TableEntry(3, True, 4))
+    table = HilbertTable({(1, -2): TableEntry(3, True, 4)})
     from lochom.cli import Report
 
     report = Report("lc", {}, table=table)
@@ -253,9 +252,39 @@ MALFORMED = {
     "ideal-negative-exponent": {"ideal": ["x", "y^-2"]},
     "differential-negative-exponent": {"complex": {
         "terms": TWO_TERM["terms"], "differentials": {"1": [["x^-1"]]}}},
+    # a polynomial entry must be text: true is not the variable named True
+    "relation-true": {"command": "hilbert", "ring": {"char": 32003, "vars": ["True", "y"]},
+                      "module": {"relations": [[True]]}},
+    "relation-number": {"module": {"relations": [[3]]}},
+    "relation-null": {"module": {"relations": [[None]]}},
+    "relation-float": {"module": {"relations": [[1.5]]}},
+    "differential-number": {"complex": {"terms": TWO_TERM["terms"], "differentials": {"1": [[2]]}}},
+    "verify-unknown-subject": {"command": "verify", "verify": "bogus"},
+    "ideal-item-number": {"ideal": [1]},
+    "vars-empty": {"ring": {"char": 32003, "vars": []}},
+    "relations-ragged": {"module": {"target_twists": [0, 0], "relations": [["x", "y"], ["x"]]}},
+    "complex-empty": {"complex": {}},
+    "complex-term-no-twists": {"complex": {"terms": {"0": {}}}},
+    "complex-differential-missing-term": {"complex": {
+        "terms": {"0": {"twists": [0]}}, "differentials": {"1": [["x"]]}}},
 }
 # the cases run with --field 5, whose error must point at the ring
 WITH_FIELD = {"field-ring-string", "field-ring-pairs"}
+# the error text of the cases whose error must name its cell or field
+MALFORMED_ERRORS = {
+    "relation-true": "expected a string, got True (at module.relations[0][0])",
+    "relation-number": "(at module.relations[0][0])",
+    "relation-null": "(at module.relations[0][0])",
+    "relation-float": "(at module.relations[0][0])",
+    "differential-number": "(at complex.differentials.1[0][0])",
+    "verify-unknown-subject": "unknown verify subject 'bogus' (at verify)",
+    "ideal-item-number": "(at ideal[0])",
+    "vars-empty": "(at ring.vars)",
+    "relations-ragged": "expected a 2x2 matrix (at module.relations)",
+    "complex-empty": "(at complex)",
+    "complex-term-no-twists": "(at complex.terms)",
+    "complex-differential-missing-term": "(at complex.differentials)",
+}
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -267,6 +296,25 @@ def test_malformed_job_exits_2_without_traceback(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert "input error" in err and ("(at ring)" if name in WITH_FIELD else "(at ") in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_ERRORS))
+def test_a_malformed_job_names_its_field(tmp_path, capsys, name):
+    doc = {"command": "lc", "ring": RING, "window": [-1, 0], "k_max": 2, **MALFORMED[name]}
+    assert main(["--input", write_job(tmp_path, doc)]) == 2
+    assert MALFORMED_ERRORS[name] in capsys.readouterr().err
+
+
+def test_a_non_homogeneous_relation_exits_2_naming_the_relation(tmp_path, capsys):
+    doc = {"command": "hilbert", "ring": RING, "module": {"relations": [["y^2 + x"]]}}
+    assert main(["--input", write_job(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: module relations: y^2 + x is not homogeneous\n"
+
+
+def test_a_job_needs_a_command_or_an_input(capsys):
+    assert main([]) == 2
+    assert "give a command or --input (at command)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -358,6 +406,7 @@ FLAG_FIELDS = {
     "--report": (["--report", "pretty"], {"report": "pretty"}),
     "command": (["lh"], {"command": "lh"}),
     "subject": (["verify", "selfdual"], {"command": "verify", "verify": "selfdual"}),
+    "--field": (["--field", "5"], {"ring": {**RING, "char": 5}}),
 }
 
 
@@ -410,6 +459,14 @@ def test_a_malformed_flag_exits_2_at_its_field(tmp_path, capsys, name):
 UNREADABLE = {"not-utf8": b'{"command": "lc", "ideal": ["\xff"]}', "nested-100000": b"[" * 100_000}
 
 
+def test_invalid_json_exits_2_at_its_line_and_column(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text("{command: lc}", encoding="utf-8")
+    assert main(["--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: invalid JSON") and f"(at {path}:1:2)" in err
+
+
 @pytest.mark.parametrize("name", sorted(UNREADABLE))
 def test_unreadable_input_exits_2_at_the_path(tmp_path, capsys, name):
     path = tmp_path / "job.json"
@@ -428,6 +485,23 @@ def test_unwritable_output_exits_2_at_output(tmp_path, capsys, where):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "(at --output)" in err
     assert "Traceback" not in err
+
+
+def test_an_output_file_holds_the_bytes_stdout_would(tmp_path, capsys):
+    job = write_job(tmp_path, {"command": "lc", "ring": RING, "window": [-2, 0], "k_max": 2})
+    assert main(["--input", job]) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(["--input", job, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode("utf-8")
+
+
+def test_a_pretty_verify_report_lists_each_criterion(capsys):
+    assert main(["verify", "selfdual", "--report", "pretty"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["command: verify", "  subject: selfdual"]
+    assert "[PASS] criterion 2: koszul-self-duality" in out and out[-1] == "result: PASS"
 
 
 # -- fuzzing the job surface ---------------------------------------------------

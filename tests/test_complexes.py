@@ -385,7 +385,8 @@ def test_a_zero_homology_read_below_its_neighbour_eliminates_only_its_kernel(mon
     h = ctx.homology(1)
     assert calls == [("rref_with_pivots", 4)]
     _assert_same_space(h, _eliminated_homology(ctx, 1))
-    assert (h.ambient_dim, h._proj.rows, h._proj.cols) == (2, 0, 2)
+    q = h.project(ExactMatrix.identity(h.field, h.ambient_dim))
+    assert (h.ambient_dim, h.is_full, q.rows, q.cols) == (2, False, 0, 2)
 
 
 def test_a_zero_image_leaves_the_whole_kernel_with_no_quotient_elimination(monkeypatch):

@@ -11,6 +11,7 @@ from lochom.complexes import (
     direct_sum,
     hom_complex,
     hom_summands,
+    shift,
     tensor,
     tensor_summands,
 )
@@ -52,17 +53,13 @@ def P(r, text):
 
 
 def test_matlis_dual_is_involution():
-    table = HilbertTable()
-    table.set(0, -2, TableEntry(1, True, 3))
-    table.set(1, 4, TableEntry(5, False, 8))
+    table = HilbertTable({(0, -2): TableEntry(1, True, 3), (1, 4): TableEntry(5, False, 8)})
     twice = matlis_dual_table(matlis_dual_table(table))
     assert twice == table
 
 
 def test_matlis_dual_reflects():
-    table = HilbertTable()
-    table.set(2, -2, TableEntry(1, True, 0))
-    table.set(2, -3, TableEntry(2, True, 0))
+    table = HilbertTable({(2, -2): TableEntry(1, True, 0), (2, -3): TableEntry(2, True, 0)})
     dual = matlis_dual_table(table)
     assert dual.dim(2, 2) == 1 and dual.dim(2, 3) == 2
     # total dimension along each anti-diagonal i + d is preserved under i - d
@@ -184,6 +181,42 @@ def test_validate_resolution_of_a_direct_sum_checks_each_summand(field):
     swapped = module_sum([quotient(r, x), quotient(r, x)])
     with pytest.raises(WellDefinednessError):
         validate_resolution(cx, augmentation, swapped, (-2, 4))
+
+
+# (complex, augmentation, module) over k[x, y] that validate_resolution
+# refuses before it compares a strand, and the refusal
+REFUSED_RESOLUTIONS = {
+    "term-below-degree-0": (
+        lambda r, x, y: (shift(koszul_complex(KoszulSpec(r, (x, y), 1, INVERSE)), -1),
+                         GradedMap.identity(FreeModule(r, [0])), quotient(r, x, y)),
+        "resolutions live in homological degrees >= 0",
+    ),
+    "augmentation-endpoints": (
+        lambda r, x, y: (koszul_of(x), GradedMap.identity(FreeModule(r, [1])), quotient(r, x)),
+        "augmentation endpoints do not match",
+    ),
+    "augmentation-of-degree-1": (
+        lambda r, x, y: (koszul_of(x), GradedMap(FreeModule(r, [0]), FreeModule(r, [0]), [[y]], 1),
+                         quotient(r, x)),
+        "augmentation must preserve internal degree",
+    ),
+    # K(x, x) is not exact: H_1 = R/(x)(-1), first nonzero at d = 1
+    "not-exact": (
+        lambda r, x, y: (koszul_complex(KoszulSpec(r, (x, x), 1, INVERSE)),
+                         GradedMap.identity(FreeModule(r, [0])), quotient(r, x)),
+        "homology of the resolution is nonzero at (i=1, d=1): dim 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_RESOLUTIONS))
+def test_validate_resolution_refuses_what_is_no_resolution(case):
+    build, message = REFUSED_RESOLUTIONS[case]
+    r = ring(2)
+    complex_, augmentation, module = build(r, *r.variables())
+    with pytest.raises(ResolutionValidationError) as err:
+        validate_resolution(complex_, augmentation, module, (0, 2))
+    assert str(err.value) == message
 
 
 def test_ext_of_free_module_is_hilbert_row():

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is read somewhere in it, every
 name in a module's ``__all__`` is defined there, every function reads each
 of its parameters, only ``rings`` builds a Poly unchecked, only ``koszul``
-builds a transition between Koszul stages, only ``exact`` touches how a
-matrix is stored, every GradedMap goes through its constructor, and every
+builds a transition between Koszul stages, only ``exact`` (and its tests)
+touches how a matrix is stored, every GradedMap goes through its
+constructor, ``exact._Frozen`` is the one immutability guard, and every
 function and class is named somewhere besides its own definition."""
 
 import ast
@@ -12,9 +13,19 @@ from pathlib import Path
 
 import pytest
 
+from lochom.complexes import ModuleChainMap, ModuleComplex, StrandContext
+from lochom.duality import trivial_resolution
+from lochom.exact import FieldSpec, _Frozen
+from lochom.koszul import KoszulSpec
+from lochom.localcoh import KoszulTowerSystem
+from lochom.modules import FreeModule, GradedMap, HilbertTable, PresentedModule, strand
+from lochom.rings import GradedRing
+from lochom.towers import DIRECT, StrandTower
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "lochom"
 ALL_MODULES = sorted(SRC.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def exported(tree: ast.Module) -> set:
@@ -204,10 +215,14 @@ def storage_uses(tree: ast.Module) -> list:
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in ALL_MODULES if p.name != "exact.py"], ids=lambda p: p.name
+    "path",
+    [p for p in ALL_MODULES if p.name != "exact.py"]
+    + [p for p in TEST_FILES if p.name != "test_exact.py"],
+    ids=lambda p: p.name,
 )
 def test_only_exact_touches_matrix_storage(path):
-    # a change of storage, such as sparse maps, then edits exact.py alone
+    # a change of storage, such as sparse maps, then edits exact.py and its
+    # tests alone
     assert storage_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
@@ -262,6 +277,119 @@ def test_the_scan_sees_a_graded_map_built_around_its_constructor():
         (3, "__new__(GradedMap)"), (4, "GradedMap.__new__"), (4, "__new__(GradedMap)"),
         (5, "__new__(GradedMap)"), (6, "GradedMap.__new__"),
     ]
+
+
+def _names_frozen(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "_Frozen") or (
+        isinstance(node, ast.Attribute) and node.attr == "_Frozen"
+    )
+
+
+def setattr_guards(tree: ast.Module) -> list:
+    """(line, class) for each class, nested or not, that defines ``__setattr__``."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__setattr__" for f in node.body)
+    )
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_frozen_is_the_one_immutability_guard(path):
+    # every immutable value type derives from exact._Frozen, so its message
+    # and its refusal are written once
+    guards = [name for _, name in setattr_guards(ast.parse(path.read_text(encoding="utf-8")))]
+    assert guards == (["_Frozen"] if path.name == "exact.py" else [])
+
+
+def test_the_scan_sees_a_second_immutability_guard():
+    tree = ast.parse(
+        "class _Frozen:\n    def __setattr__(self, n, v):\n        raise AttributeError\n"
+        "class A(_Frozen):\n    pass\n"
+        "class B:\n    def __setattr__(self, n, v):\n        pass\n"
+        "def __setattr__(self, n, v):\n    pass\n"
+        "class C:\n    class D:\n        def __setattr__(self, n, v):\n            pass\n"
+    )
+    assert setattr_guards(tree) == [(1, "_Frozen"), (6, "B"), (12, "D")]
+
+
+def unfrozen_slot_writes(tree: ast.Module) -> list:
+    """(line, class) for each ``object.__setattr__(self, ...)`` in a method of
+    a class that does not derive from ``_Frozen`` by name: a value type that
+    guards its own slots instead of taking the one guard."""
+    hits = []
+
+    def visit(node, frozen, cls):
+        if isinstance(node, ast.ClassDef):
+            frozen, cls = any(_names_frozen(b) for b in node.bases), node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+            and node.args
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "self"
+            and cls is not None
+            and not frozen
+        ):
+            hits.append((node.lineno, cls))
+        for child in ast.iter_child_nodes(node):
+            visit(child, frozen, cls)
+
+    visit(tree, False, None)
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_every_slot_writing_class_is_frozen(path):
+    assert unfrozen_slot_writes(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_scan_sees_slots_written_around_the_guard():
+    tree = ast.parse(
+        "from .exact import _Frozen\nfrom . import exact\n"
+        "class A(_Frozen):\n    def __init__(self):\n        object.__setattr__(self, 'a', 1)\n"
+        "class B(exact._Frozen):\n    def f(self):\n        object.__setattr__(self, 'b', 1)\n"
+        "class C:\n    def __init__(self):\n        object.__setattr__(self, 'c', 1)\n"
+        "def g(m):\n    object.__setattr__(m, 'parts', ())\n"
+        "class D(A):\n    class E:\n        def h(self):\n            object.__setattr__(self, 'e', 1)\n"
+        "    def k(self):\n        object.__setattr__(self, 'd', 1)\n"
+    )
+    assert unfrozen_slot_writes(tree) == [(11, "C"), (17, "E"), (19, "D")]
+
+
+def frozen_values() -> dict:
+    """One value of each immutable type, by type."""
+    field = FieldSpec(5)
+    ring = GradedRing(field, ["x"], [1])
+    x = ring.variable(0)
+    free = FreeModule(ring, [0])
+    module = PresentedModule.free(free)
+    stalk = ModuleComplex.stalk(module)
+    values = (
+        field, ring, x, free, GradedMap.identity(free), module, HilbertTable({}), stalk,
+        ModuleChainMap.identity(stalk), StrandContext(stalk, 0), KoszulSpec(ring, (x,), 1),
+        StrandTower([strand(module, 0)], [], DIRECT), KoszulTowerSystem((x,), module, 1, DIRECT),
+        trivial_resolution(free, (0, 0)),
+    )
+    return {type(v): v for v in values}
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(_Frozen.__subclasses__(), key=lambda c: c.__name__), ids=lambda c: c.__name__
+)
+def test_a_frozen_value_refuses_an_attribute_write(cls):
+    value = frozen_values()[cls]
+    slot = cls.__slots__[0]
+    before = getattr(value, slot)
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        setattr(value, slot, None)
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        value.unknown = None
+    assert getattr(value, slot) is before
 
 
 REPO = SRC.parent.parent

@@ -709,8 +709,9 @@ def _direct(module, d):
 
 def _same_space(got, want):
     assert (got.ambient_dim, got.coset_cols) == (want.ambient_dim, want.coset_cols)
-    assert (got._proj is None) == (want._proj is None)
-    assert got._proj is None or got._proj == want._proj
+    assert got.is_full == want.is_full
+    unit = ExactMatrix.identity(want.field, want.ambient_dim)
+    assert got.project(unit) == want.project(unit)
 
 
 @st.composite

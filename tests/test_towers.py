@@ -43,7 +43,7 @@ def constant_tower(dim, length, direction):
 
 def test_tower_shape_validation():
     with pytest.raises(ValueError):
-        StrandTower([full(1), full(2)], [ExactMatrix.identity(FP, 1)], "directed")
+        StrandTower([full(1), full(2)], [ExactMatrix.identity(FP, 1)], "direct")
     with pytest.raises(ValueError):
         StrandTower([full(1), full(1)], [], "inverse")
 
@@ -68,7 +68,7 @@ def test_a_lazy_tower_builds_and_checks_each_transition_once():
 
 
 def test_colim_constant_identities():
-    tower = constant_tower(3, 5, "directed")
+    tower = constant_tower(3, 5, "direct")
     assert colim_truncated(tower, 2) == (3, True, 1)
 
 
@@ -76,7 +76,7 @@ def test_colim_not_yet_stable():
     # 0 -> 0 -> k with s = 2: the final transition is not an isomorphism
     stages = [full(0), full(0), full(1)]
     transitions = [ExactMatrix.zeros(FP, 0, 0), ExactMatrix.zeros(FP, 1, 0)]
-    tower = StrandTower(stages, transitions, "directed")
+    tower = StrandTower(stages, transitions, "direct")
     assert colim_truncated(tower, 2) == (1, False, 3)
 
 
