@@ -25,6 +25,7 @@ their diagonals off the same labels.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable
 
 from .errors import InternalInvariantError, NotFreeError, WellDefinednessError
@@ -101,8 +102,8 @@ class ModuleComplex(_Frozen):
                 raise ValueError(f"differential at {i} does not match adjacent terms")
             clean_diffs[i] = f
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean_terms)
-        object.__setattr__(self, "differentials", clean_diffs)
+        object.__setattr__(self, "terms", MappingProxyType(clean_terms))
+        object.__setattr__(self, "differentials", MappingProxyType(clean_diffs))
         object.__setattr__(self, "_empty", PresentedModule.free(FreeModule(ring, ())))
         for i, f in clean_diffs.items():
             if _product_entries(f, clean_diffs.get(i + 1)):
@@ -189,7 +190,7 @@ class ModuleChainMap(_Frozen):
             comps[i] = f
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "components", MappingProxyType(comps))
         for i in source.support:
             left = _product_entries(comps.get(i - 1), source.differentials.get(i))
             right = _product_entries(target.differentials.get(i), comps.get(i))

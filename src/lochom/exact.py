@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over F_p (p prime) and Q.
+"""Exact linear algebra over F_p (p prime) and Q, on dense or sparse matrices.
 
 Every strandwise computation in the engine bottoms out here: reduced row
 echelon forms, kernels, and induced maps on quotients k^n/W
@@ -20,12 +20,27 @@ spaces of the W_j, which eliminates a system as wide as their dims and then
 the dim x n basis it yields.  A reduced echelon basis is unique, so both
 routes give the same bytes.  A direct sum of strand spaces runs none: it
 keeps its summands and projects each block of coordinates with its own
-summand.  Matrices over F_p are stored as numpy integer arrays with entries
-reduced into ``[0, p)``; matrices over Q hold :class:`fractions.Fraction`
-entries (always in lowest terms with positive denominator).  Values are
-immutable after construction, so they are safe to share across threads: the
-engine's value types derive from :class:`_Frozen`, which refuses every
-attribute write, and a matrix's array is read-only.
+summand.  Matrices over F_p hold numpy integers reduced into ``[0, p)``;
+matrices over Q hold :class:`fractions.Fraction` entries (always in lowest
+terms with positive denominator).  Values are immutable after construction,
+so they are safe to share across threads: the engine's value types derive
+from :class:`_Frozen`, which refuses every attribute write, and a matrix's
+arrays are read-only.
+
+One rule picks how a matrix is stored, from its shape and nonzero count
+alone, over every field: a matrix of 4096 entries or more with at most one
+in 16 of them nonzero is stored sparse, as the row pointers, column indices
+and values of its nonzero entries (CSR; object values over Q); any other is
+a dense array.  The strand maps of monomial data are monomial matrices, one
+entry per column and term of a polynomial (Eisenbud, Mustata and Stillman,
+*J. Symbolic Comput.* 29, 2000), so their multiplication blocks, presentation
+strands, coset maps, kernels and projections are stored sparse, and every
+cache holds only their nonzero entries.  Small and dense matrices keep the
+dense code, whose BLAS products and row updates cost less there than any
+index arithmetic; below 4096 entries the rule needs no count.  Sums,
+products, stacks, block matrices and column or row picks of sparse operands
+are computed on their nonzero entries, exactly, with no dense array of the
+result's shape unless the rule stores the result dense.
 
 Mod-p products delay reduction while no sum of products can leave the range
 in which its type is exact (Dumas, Giorgi and Pernet, *FFLAS-FFPACK*, ACM
@@ -47,12 +62,17 @@ part that goes through the dense loop.  Smaller matrices take the dense loop
 whole, as the front end costs more than it saves there.  Each product
 ``v z < (p-1)^2 < 2^62`` of the back substitution and of S is reduced before
 it is added, so a sum stays below 2^63 for every p < 2^31; the correction of
-Z by RREF(S) is a mod-p product with the bounds above.
+Z by RREF(S) is a mod-p product with the bounds above.  A sparse matrix takes
+the same known pivots off its stored entries (:func:`_sparse_rref`): Z and S
+are kept as their nonzero entries, S is eliminated by the storage the rule
+gives it, and the echelon form is stored by the rule, so no elimination of a
+sparse matrix allocates its dense array.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -179,6 +199,86 @@ def _same_field(a: "ExactMatrix", b: "ExactMatrix") -> FieldSpec:
     return a.field
 
 
+# From this many entries on, a matrix is stored sparse when at most one entry
+# in _SPARSE_SHARE is nonzero, and an elimination takes its known pivots first.
+_SPARSE_FROM = 4096
+_SPARSE_SHARE = 16
+
+
+def _is_sparse(rows: int, cols: int, nnz: int) -> bool:
+    """The storage rule: sparse from 4096 entries with at most 1/16 of them nonzero."""
+    size = rows * cols
+    return size >= _SPARSE_FROM and nnz * _SPARSE_SHARE <= size
+
+
+def _nnz(m: "ExactMatrix") -> int:
+    return m._data.size if m._indptr is not None else int(np.count_nonzero(m._data))
+
+
+def _coo(m: "ExactMatrix"):
+    """Rows, columns and values of the nonzero entries of m, in row-major order."""
+    if m._indptr is None:
+        r, c = m._data.nonzero()
+        return r, c, m._data[r, c]
+    return np.repeat(np.arange(m.rows), np.diff(m._indptr)), m._indices, m._data
+
+
+def _csr(m: "ExactMatrix"):
+    """Values, row pointers and columns of the nonzero entries of m."""
+    if m._indptr is not None:
+        return m._data, m._indptr, m._indices
+    r, c, v = _coo(m)
+    return v, np.searchsorted(r, np.arange(m.rows + 1)), c
+
+
+def _as_array(m: "ExactMatrix") -> np.ndarray:
+    """The entries of m as a 2-D array (read-only where m is dense)."""
+    if m._indptr is None:
+        return m._data
+    out = _zeros(m.field, m.rows, m.cols)
+    r, c, v = _coo(m)
+    out[r, c] = v
+    return out
+
+
+def _summed(key: np.ndarray, v: np.ndarray, p: int):
+    """The distinct keys in increasing order, each with the sum of its values
+    (reduced over F_p), zero sums dropped.  Over F_p the values are int64 of
+    absolute value below 2^31, so a sum of fewer than 2^32 stays exact."""
+    if key.size > 1:
+        step = np.diff(key)
+        if (step <= 0).any():
+            order = np.argsort(key, kind="stable")
+            key, v = key[order], v[order]
+            step = np.diff(key)
+        if not step.all():
+            start = np.flatnonzero(np.diff(key, prepend=-1))
+            key, v = key[start], np.add.reduceat(v, start)
+    if p:
+        v = v % p
+    keep = v != 0
+    return key[keep], v[keep]
+
+
+def _from_coo(field: FieldSpec, rows: int, cols: int, r, c, v) -> "ExactMatrix":
+    """The rows x cols matrix with values v summed at (r, c), stored by the rule.
+
+    Over F_p each value is an int of absolute value below 2^31, such as a
+    reduced entry, its negative, or a reduced product.
+    """
+    p = field.characteristic
+    if p:
+        v = v.astype(np.int64, copy=False)
+    key, v = _summed(np.asarray(r, dtype=np.int64) * cols + c, v, p)
+    if not _is_sparse(rows, cols, key.size):
+        out = _zeros(field, rows, cols)
+        out.reshape(-1)[key] = v
+        return ExactMatrix._stored(field, rows, cols, out)
+    r, c = np.divmod(key, cols)
+    v = v.astype(_dtype_for(p) if p else object, copy=False)
+    return ExactMatrix._stored(field, rows, cols, v, np.searchsorted(r, np.arange(rows + 1)), c)
+
+
 def _product_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p as int64, for reduced operands."""
     if a.shape[1] * (p - 1) ** 2 < 2**53:
@@ -197,15 +297,40 @@ def _product_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 class ExactMatrix:
-    """Dense row-major matrix with exact entries over a fixed field."""
+    """Matrix with exact entries over a fixed field, stored dense or sparse.
 
-    __slots__ = ("field", "rows", "cols", "_data")
+    A dense matrix keeps its row-major array in ``_data`` and None in
+    ``_indptr``.  A sparse one keeps its nonzero entries only, in row-major
+    order: their values in ``_data``, their columns in ``_indices``, and in
+    ``_indptr`` where each row starts.  :func:`_is_sparse` picks the storage
+    from the shape and the nonzero count, so equal matrices are stored alike.
+    """
+
+    __slots__ = ("field", "rows", "cols", "_data", "_indptr", "_indices")
 
     def __init__(self, field: FieldSpec, data: np.ndarray):
+        """The matrix of a 2-D array of reduced entries, stored by the rule."""
         self.field = field
-        self.rows, self.cols = data.shape
+        self.rows, self.cols = rows, cols = data.shape
+        self._indptr = self._indices = None
+        if data.size >= _SPARSE_FROM and _is_sparse(rows, cols, np.count_nonzero(data)):
+            r, indices = data.nonzero()
+            data, indptr = data[r, indices], np.searchsorted(r, np.arange(rows + 1))
+            indptr.flags.writeable = indices.flags.writeable = False
+            self._indptr, self._indices = indptr, indices
         data.flags.writeable = False
         self._data = data
+
+    @classmethod
+    def _stored(cls, field, rows: int, cols: int, data, indptr=None, indices=None) -> "ExactMatrix":
+        """The matrix of the given storage, as it is: dense where ``indptr`` is None."""
+        m = object.__new__(cls)
+        m.field, m.rows, m.cols = field, rows, cols
+        data.flags.writeable = False
+        m._data, m._indptr, m._indices = data, indptr, indices
+        if indptr is not None:
+            indptr.flags.writeable = indices.flags.writeable = False
+        return m
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -235,7 +360,10 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
-        return cls(field, _zeros(field, rows, cols))
+        if rows * cols < _SPARSE_FROM:
+            return cls._stored(field, rows, cols, _zeros(field, rows, cols))
+        none = np.zeros(0, dtype=np.int64)
+        return _from_coo(field, rows, cols, none, none, none)
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "ExactMatrix":
@@ -246,10 +374,16 @@ class ExactMatrix:
     @property
     def entries(self):
         """Row-major tuple-of-tuples of canonical scalars."""
-        return tuple(map(tuple, self._data.tolist()))
+        return tuple(map(tuple, _as_array(self).tolist()))
 
     def entry(self, i: int, j: int):
-        return self._data.item(i, j)
+        if self._indptr is None:
+            return self._data.item(i, j)
+        lo, hi = self._indptr[i], self._indptr[i + 1]
+        at = lo + np.searchsorted(self._indices[lo:hi], j)
+        if at < hi and self._indices[at] == j:
+            return self._data.item(at)
+        return self.field.normalize(0)
 
     def is_zero(self) -> bool:
         if self.rows == 0 or self.cols == 0:
@@ -263,7 +397,9 @@ class ExactMatrix:
             return False
         if self.rows == 0 or self.cols == 0:
             return True
-        return bool((self._data == other._data).all())
+        if self._indptr is None and other._indptr is None:
+            return bool((self._data == other._data).all())
+        return all(map(np.array_equal, _coo(self), _coo(other)))
 
     def __repr__(self):
         return f"ExactMatrix({self.field}, {self.rows}x{self.cols})"
@@ -279,13 +415,25 @@ class ExactMatrix:
         field = _same_field(self, other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(f"shape mismatch in {what}")
-        return _reduced(field, op(self._data, other._data))
+        if self._indptr is None and other._indptr is None:
+            return _reduced(field, op(self._data, other._data))
+        (r, c, v), (r2, c2, v2) = _coo(self), _coo(other)
+        return _from_coo(field, self.rows, self.cols, np.concatenate([r, r2]),
+                         np.concatenate([c, c2]), np.concatenate([v, op(0, v2)]))
 
     def __neg__(self) -> "ExactMatrix":
-        return _reduced(self.field, -self._data)
+        return self.scale(-1)
 
     def scale(self, c) -> "ExactMatrix":
-        return _reduced(self.field, self._data * self.field.normalize(c))
+        field, c = self.field, self.field.normalize(c)
+        if self._indptr is None:
+            return _reduced(field, self._data * c)
+        if not c:
+            return ExactMatrix.zeros(field, self.rows, self.cols)
+        p = field.characteristic
+        v = self._data.astype(np.int64) * c % p if p else self._data * c
+        return ExactMatrix._stored(field, self.rows, self.cols, v.astype(self._data.dtype),
+                                   self._indptr, self._indices)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         field = _same_field(self, other)
@@ -293,6 +441,8 @@ class ExactMatrix:
             raise ValueError("shape mismatch in product")
         if not (self.rows and self.cols and other.cols):
             return ExactMatrix.zeros(field, self.rows, other.cols)
+        if self._indptr is not None or other._indptr is not None:
+            return _sparse_product(self, other)
         if field.is_rational:
             # sum of outer products over the inner index, nonzero entries only
             data = _zeros(field, self.rows, other.cols)
@@ -309,14 +459,23 @@ class ExactMatrix:
 
     # -- slicing / stacking --------------------------------------------------
     def columns(self, indices) -> "ExactMatrix":
-        idx = list(indices)
-        data = self._data[:, idx].copy() if idx else _zeros(self.field, self.rows, 0)
-        return ExactMatrix(self.field, data)
+        if self._indptr is None:
+            return ExactMatrix(self.field, self._data[:, _index(indices)])
+        # the entries by column, then the spans of the columns picked
+        idx = np.arange(self.cols)[_index(indices)]
+        r, c, v = _coo(self)
+        order = np.argsort(c, kind="stable")
+        at, lens = _ranges(np.searchsorted(c[order], np.arange(self.cols + 1)), idx)
+        at = order[at]
+        return _from_coo(self.field, self.rows, idx.size, r[at], np.repeat(np.arange(idx.size), lens), v[at])
 
     def take_rows(self, indices) -> "ExactMatrix":
-        idx = list(indices)
-        data = self._data[idx].copy() if idx else _zeros(self.field, 0, self.cols)
-        return ExactMatrix(self.field, data)
+        if self._indptr is None:
+            return ExactMatrix(self.field, self._data[_index(indices)])
+        idx = np.arange(self.rows)[_index(indices)]
+        at, lens = _ranges(self._indptr, idx)
+        return _from_coo(self.field, idx.size, self.cols, np.repeat(np.arange(idx.size), lens),
+                         self._indices[at], self._data[at])
 
     @staticmethod
     def hstack(mats) -> "ExactMatrix":
@@ -330,13 +489,42 @@ class ExactMatrix:
     def assemble(field: FieldSpec, blocks: dict, row_dims, col_dims) -> "ExactMatrix":
         """Block matrix from a dict (i, j) -> ExactMatrix of the blocks present,
         block (i, j) being row_dims[i] x col_dims[j]; a missing block is zero."""
-        out = _zeros(field, sum(row_dims), sum(col_dims))
+        r0, c0 = [0, *accumulate(row_dims)], [0, *accumulate(col_dims)]
+        placed = []
         for (i, j), blk in blocks.items():
             if blk.rows != row_dims[i] or blk.cols != col_dims[j] or blk.field != field:
                 raise ValueError("block shape or field mismatch")
-            r0, c0 = sum(row_dims[:i]), sum(col_dims[:j])
+            placed.append((blk, r0[i], c0[j]))
+        return _placed(field, r0[-1], c0[-1], placed)
+
+
+def _placed(field: FieldSpec, rows: int, cols: int, placed) -> ExactMatrix:
+    """The rows x cols matrix holding each (block, r0, c0) of ``placed`` with
+    its top left entry at (r0, c0), zero elsewhere; the blocks do not overlap."""
+    if rows * cols >= _SPARSE_FROM and _is_sparse(rows, cols, sum(_nnz(b) for b, _, _ in placed)):
+        r, c, v = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], []
+        for blk, r0, c0 in placed:
+            br, bc, bv = _coo(blk)
+            r.append(br + r0)
+            c.append(bc + c0)
+            v.append(bv)
+        v = np.concatenate(v) if v else np.zeros(0, dtype=np.int64)
+        return _from_coo(field, rows, cols, np.concatenate(r), np.concatenate(c), v)
+    out = _zeros(field, rows, cols)
+    for blk, r0, c0 in placed:
+        if blk._indptr is None:
             out[r0 : r0 + blk.rows, c0 : c0 + blk.cols] = blk._data
-        return ExactMatrix(field, out)
+        else:
+            r, c, v = _coo(blk)
+            out[r + r0, c + c0] = v
+    return ExactMatrix._stored(field, rows, cols, out)
+
+
+def _index(indices):
+    """``indices`` as numpy takes them: a slice for a range of step 1."""
+    if isinstance(indices, range) and indices.step == 1:
+        return slice(indices.start, indices.stop)
+    return indices if isinstance(indices, np.ndarray) else list(indices)
 
 
 def _reduced(field: FieldSpec, data: np.ndarray) -> ExactMatrix:
@@ -354,9 +542,16 @@ def _stack(mats, axis: int) -> ExactMatrix:
         raise ValueError(f"{name} of nothing")
     for m in mats[1:]:
         _same_field(mats[0], m)
-    if len({m._data.shape[1 - axis] for m in mats}) > 1:
+    if len({(m.cols, m.rows)[axis] for m in mats}) > 1:
         raise ValueError(f"{('column', 'row')[axis]} mismatch in {name}")
-    return ExactMatrix(mats[0].field, np.concatenate([m._data for m in mats], axis=axis))
+    if all(m._indptr is None for m in mats):
+        return ExactMatrix(mats[0].field, np.concatenate([m._data for m in mats], axis=axis))
+    offsets = np.cumsum([0] + [(m.rows, m.cols)[axis] for m in mats]).tolist()
+    if axis:
+        placed = [(m, 0, o) for m, o in zip(mats, offsets)]
+        return _placed(mats[0].field, mats[0].rows, offsets[-1], placed)
+    placed = [(m, o, 0) for m, o in zip(mats, offsets)]
+    return _placed(mats[0].field, offsets[-1], mats[0].cols, placed)
 
 
 # -- elimination kernel ------------------------------------------------------
@@ -371,12 +566,40 @@ def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _spans(first, lens):
+    """The positions first[t] .. first[t]+lens[t]-1 of each t, in order."""
+    starts = np.cumsum(lens) - lens
+    return np.arange(lens.sum()) + np.repeat(first - starts, lens)
+
+
 def _ranges(ptr, rows):
     """The positions ptr[r] .. ptr[r+1]-1 of each r in ``rows``, in order,
-    and where the positions of each r start among them."""
+    and how many each r has."""
     lens = ptr[rows + 1] - ptr[rows]
-    starts = np.cumsum(lens) - lens
-    return np.arange(lens.sum()) + np.repeat(ptr[rows] - starts, lens), starts
+    return _spans(ptr[rows], lens), lens
+
+
+def _ones(field: FieldSpec, n: int) -> np.ndarray:
+    return np.full(n, Fraction(1), dtype=object) if field.is_rational else np.ones(n, dtype=np.int64)
+
+
+def _minus_products(v, counts, z, p):
+    """-v[t] z for each t and each of the next counts[t] values z, each reduced over F_p."""
+    out = np.repeat(v, counts) * z
+    return -(out % p) if p else -out
+
+
+def _sparse_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a @ b over the nonzero entries only: each a[i, k] meets the row k of b.
+
+    Over F_p each product of two reduced entries is reduced before the sum.
+    """
+    p = a.field.characteristic
+    r, k, v = _coo(a)
+    bv, bptr, bc = _csr(b)
+    at, counts = _ranges(bptr, k)
+    v = -_minus_products(v.astype(np.int64) if p else v, counts, bv[at], p)
+    return _from_coo(a.field, a.rows, b.cols, np.repeat(r, counts), bc[at], v)
 
 
 def _subtract_products(target, rows, starts, j, v, z, p):
@@ -394,15 +617,17 @@ def _subtract_products(target, rows, starts, j, v, z, p):
         target[rows] %= p
 
 
-def _known_pivots(a: np.ndarray, p: int):
-    """The known pivot columns L of ``a``, the other columns N, Z and S.
+def _pivot_block(rows, cols, vals, nrows: int, ncols: int, p: int):
+    """The known pivots of a matrix with the nonzero entries (rows, cols, vals)
+    in row-major order.
 
     One row per distinct leading (first nonzero) column forms the pivot
-    block A; Z = A_L^-1 A_N, and S = C_N - C_L Z for the other rows C.
+    block A, its pivot columns L and the other columns N.  Returns L, N,
+    ``in_a`` (the row of A of each row, -1 for the other rows C), and for each
+    entry k (``in_a`` of its row), ``on_l`` (its column is in L), c (its
+    column's place in L or N) and ``lead`` (it leads a row of A).  Each row of
+    A is scaled to a leading 1, in ``vals`` in place.
     """
-    nrows, ncols = a.shape
-    rows, cols = a.nonzero()
-    vals = a[rows, cols].astype(np.int64) if p else a[rows, cols]
     first = np.flatnonzero(np.diff(rows, prepend=-1))
     # any one row with leading column c may be the pivot row of c
     owner = np.full(ncols, -1)
@@ -413,7 +638,6 @@ def _known_pivots(a: np.ndarray, p: int):
     in_a[owner[L]] = np.arange(L.size)
     at = np.where(is_l, np.cumsum(is_l), np.cumsum(~is_l)) - 1
     k, on_l, c = in_a[rows], is_l[cols], at[cols]
-    # scale each pivot row to a leading 1
     in_block = k >= 0
     lead = in_block & on_l & (c == k)
     scale = np.empty(L.size, dtype=vals.dtype)
@@ -421,6 +645,21 @@ def _known_pivots(a: np.ndarray, p: int):
     vals[in_block] *= scale[k[in_block]]
     if p:
         vals %= p
+    return L, N, in_a, k, on_l, c, lead
+
+
+def _known_pivots(a: np.ndarray, p: int):
+    """The known pivot columns L of ``a``, the other columns N, Z and S.
+
+    One row per distinct leading column forms the pivot block A (see
+    :func:`_pivot_block`); Z = A_L^-1 A_N, and S = C_N - C_L Z for the other
+    rows C.
+    """
+    nrows, ncols = a.shape
+    rows, cols = a.nonzero()
+    vals = a[rows, cols].astype(np.int64) if p else a[rows, cols]
+    L, N, in_a, k, on_l, c, lead = _pivot_block(rows, cols, vals, nrows, ncols, p)
+    in_block = k >= 0
     z, s = (np.zeros((r, N.size), dtype=np.int64) if p else _zeros(QQ, r, N.size)
             for r in (L.size, nrows - L.size))
     if not N.size:
@@ -442,8 +681,8 @@ def _known_pivots(a: np.ndarray, p: int):
         pending -= hits
         ready = np.flatnonzero((hits > 0) & (pending == 0))
         if ready.size:
-            e, starts = _ranges(i_ptr, ready)
-            _subtract_products(z, ready, starts, j[e], v[e], z, p)
+            e, lens = _ranges(i_ptr, ready)
+            _subtract_products(z, ready, np.cumsum(lens) - lens, j[e], v[e], z, p)
     c_row = np.cumsum(in_a < 0) - 1
     right, left = ~in_block & ~on_l, ~in_block & on_l
     s[c_row[rows[right]], c[right]] = vals[right]
@@ -454,8 +693,107 @@ def _known_pivots(a: np.ndarray, p: int):
     return L, N, z, s
 
 
+def _sparse_z(k, c, vals, right, off, n_l: int, n_n: int, p: int):
+    """Z = A_L^-1 A_N of :func:`_pivot_block`'s entries, as its values, row
+    pointers and columns.
+
+    Back substitution, one level at a time as in :func:`_known_pivots`: row r
+    of Z is A_N[r] minus v Z[j] for each entry v of A's row r at another pivot
+    column j, and each row is kept as its nonzero entries.
+    """
+    marks = np.arange(n_l + 1)
+    order = np.argsort(k[right], kind="stable")
+    a_k, a_c, a_v = k[right][order], c[right][order], vals[right][order]
+    a_ptr = np.searchsorted(a_k, marks)
+    order = np.argsort(k[off], kind="stable")
+    i, j, v = k[off][order], c[off][order], vals[off][order]
+    by_j = np.argsort(j, kind="stable")
+    i_ptr, j_ptr = np.searchsorted(i, marks), np.searchsorted(j[by_j], marks)
+    pending = np.diff(i_ptr)
+    # row r of Z is z_col/z_val[first[r] : first[r] + lens[r]], once solved
+    first, lens = np.zeros(n_l, dtype=np.int64), np.zeros(n_l, dtype=np.int64)
+    z_col, z_val = np.zeros(0, dtype=np.int64), vals[:0]
+    ready = np.flatnonzero(pending == 0)
+    while ready.size:
+        e = _ranges(a_ptr, ready)[0]
+        t = _ranges(i_ptr, ready)[0]
+        at, counts = _spans(first[j[t]], lens[j[t]]), lens[j[t]]
+        key, val = _summed(
+            np.concatenate([a_k[e], np.repeat(i[t], counts)]) * n_n
+            + np.concatenate([a_c[e], z_col[at]]),
+            np.concatenate([a_v[e], _minus_products(v[t], counts, z_val[at], p)]), p)
+        row = key // n_n
+        start = np.searchsorted(row, ready)
+        first[ready] = z_col.size + start
+        lens[ready] = np.searchsorted(row, ready, side="right") - start
+        z_col, z_val = np.concatenate([z_col, key % n_n]), np.concatenate([z_val, val])
+        hits = np.bincount(i[by_j[_ranges(j_ptr, ready)[0]]], minlength=n_l)
+        pending -= hits
+        ready = np.flatnonzero((hits > 0) & (pending == 0))
+    at = _spans(first, lens)
+    return z_val[at], np.concatenate([[0], np.cumsum(lens)]), z_col[at]
+
+
+def _sparse_rref(m: ExactMatrix):
+    """The known pivots of :func:`_rref` for a sparse matrix, read off its
+    stored nonzeros, with a form stored by the rule: Z (:func:`_sparse_z`)
+    and S are kept as their nonzero entries, and S is eliminated by
+    :func:`_eliminate`.  No dense array of the matrix's shape is allocated."""
+    field, nrows, ncols = m.field, m.rows, m.cols
+    p = field.characteristic
+    rows, cols, vals = _coo(m)
+    vals = vals.astype(np.int64) if p else vals.copy()
+    L, N, in_a, k, on_l, c, lead = _pivot_block(rows, cols, vals, nrows, ncols, p)
+    if not N.size:
+        return _from_coo(field, nrows, ncols, np.arange(L.size), L, _ones(field, L.size)), L.tolist()
+    in_block = k >= 0
+    z_val, z_ptr, z_col = _sparse_z(k, c, vals, in_block & ~on_l, in_block & on_l & ~lead,
+                                    L.size, N.size, p)
+    # S = C_N - C_L Z
+    c_row = (np.cumsum(in_a < 0) - 1)[rows]
+    right, left = ~in_block & ~on_l, ~in_block & on_l
+    at, counts = _ranges(z_ptr, c[left])
+    s = _from_coo(field, nrows - L.size, N.size,
+                  np.concatenate([c_row[right], np.repeat(c_row[left], counts)]),
+                  np.concatenate([c[right], z_col[at]]),
+                  np.concatenate([vals[right], _minus_products(vals[left], counts, z_val[at], p)]))
+    red, piv_s = _eliminate(s) if not s.is_zero() else (s, [])
+    # the pivot row of L[t] is e_L[t] plus Z[t] on the free columns, minus
+    # Z[t] on the pivots of S times RREF(S) on the free columns
+    piv_s = np.array(piv_s, dtype=np.int64)
+    is_free = np.ones(N.size, dtype=bool)
+    is_free[piv_s] = False
+    pivots = np.sort(np.concatenate([L, N[piv_s]]))
+    pos = np.searchsorted(pivots, L)
+    z_row = np.repeat(pos, np.diff(z_ptr))
+    free = is_free[z_col]
+    slot = np.full(N.size, -1)
+    slot[piv_s] = np.arange(piv_s.size)
+    s_row, s_col, s_val = _coo(red)
+    keep = is_free[s_col]
+    at, counts = _ranges(np.searchsorted(s_row[keep], np.arange(piv_s.size + 1)),
+                         slot[z_col[~free]])
+    out = _from_coo(
+        field, nrows, ncols,
+        np.concatenate([pos, z_row[free], np.repeat(z_row[~free], counts),
+                        np.searchsorted(pivots, N[piv_s])[s_row]]),
+        np.concatenate([L, N[z_col[free]], N[s_col[keep][at]], N[s_col]]),
+        np.concatenate([_ones(field, L.size), z_val[free],
+                        _minus_products(z_val[~free], counts, s_val[keep][at], p), s_val]))
+    return out, pivots.tolist()
+
+
+def _eliminate(m: ExactMatrix):
+    """The reduced row echelon form of m and its pivot columns, by
+    :func:`_sparse_rref` for a sparse matrix and :func:`_rref` for a dense one."""
+    if m._indptr is not None:
+        return _sparse_rref(m)
+    red, pivots = _rref(m._data, m.field.characteristic)
+    return ExactMatrix(m.field, red.astype(m._data.dtype, copy=False)), pivots
+
+
 def _rref(a: np.ndarray, p: int):
-    """Reduced row echelon form of ``a`` and its pivot columns; p = 0 means Q.
+    """Reduced row echelon form of the array ``a`` and its pivot columns; p = 0 means Q.
 
     From 4096 entries on, only the Schur complement S of the known pivots
     (:func:`_known_pivots`) goes through the dense loop.  The pivot columns
@@ -463,7 +801,7 @@ def _rref(a: np.ndarray, p: int):
     the free columns (K_S the kernel of S), and the others are the rows of
     RREF(S).  The output is written once, in the input dtype.
     """
-    if a.size < 4096:
+    if a.size < _SPARSE_FROM:
         return _dense_rref(a, p)
     L, N, z, s = _known_pivots(a, p)
     red, piv_s = _dense_rref(s, p) if s.size else (s, [])
@@ -533,27 +871,43 @@ def rref_with_pivots(m: ExactMatrix):
     """Reduced row echelon form together with its pivot columns."""
     if m.rows == 0 or m.cols == 0:
         return m, ()
-    data, pivots = _rref(m._data, m.field.characteristic)
-    return ExactMatrix(m.field, data.astype(m._data.dtype, copy=False)), tuple(pivots)
+    red, pivots = _eliminate(m)
+    return red, tuple(pivots)
 
 
 def rank(m: ExactMatrix) -> int:
     """The pivot count of the elimination kernel."""
     if m.rows == 0 or m.cols == 0:
         return 0
+    if m._indptr is not None:
+        return len(_sparse_rref(m)[1])
     return len(_rref(m._data, m.field.characteristic)[1])
 
 
 def _kernel(m: ExactMatrix):
     """Kernel basis K of m and its free columns; K[free] is the identity."""
     red, pivots = rref_with_pivots(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    out = _zeros(m.field, m.cols, len(free))
-    out[free, range(len(free))] = m.field.one()
-    if pivots:
-        out[list(pivots)] = (-ExactMatrix(m.field, red._data[: len(pivots), free]))._data
-    return ExactMatrix(m.field, out), free
+    field = m.field
+    if red._indptr is None:
+        pivot_set = set(pivots)
+        free = [c for c in range(m.cols) if c not in pivot_set]
+        out = _zeros(field, m.cols, len(free))
+        out[free, range(len(free))] = field.one()
+        if pivots:
+            block = red._data[: len(pivots), free]
+            out[list(pivots)] = -block if field.is_rational else -block % field.characteristic
+        return ExactMatrix(field, out), free
+    is_free = np.ones(m.cols, dtype=bool)
+    is_free[list(pivots)] = False
+    free = np.flatnonzero(is_free)
+    r, c, v = _coo(red)
+    keep = is_free[c]
+    at = np.cumsum(is_free) - 1
+    kernel = _from_coo(field, m.cols, free.size,
+                       np.concatenate([np.array(pivots, dtype=np.int64)[r[keep]], free]),
+                       np.concatenate([at[c[keep]], np.arange(free.size)]),
+                       np.concatenate([-v[keep], _ones(field, free.size)]))
+    return kernel, free.tolist()
 
 
 def kernel_basis(m: ExactMatrix) -> ExactMatrix:
@@ -599,8 +953,20 @@ def solve_columns(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if any(p >= a.cols for p in pivots):
         raise InternalInvariantError("inconsistent linear system")
     out = _zeros(field, a.cols, b.cols)
-    out[list(pivots)] = red._data[: len(pivots), a.cols :]
+    out[list(pivots)] = _as_array(red)[: len(pivots), a.cols :]
     return ExactMatrix(field, out)
+
+
+def _transposed(m: ExactMatrix, flip_rows: bool = False, flip_cols: bool = False) -> ExactMatrix:
+    """The transpose of m, its rows and columns first reversed where asked."""
+    if m._indptr is None:
+        data = m._data[::-1] if flip_rows else m._data
+        data = data[:, ::-1] if flip_cols else data
+        return ExactMatrix(m.field, np.ascontiguousarray(data.T))
+    r, c, v = _coo(m)
+    r = m.rows - 1 - r if flip_rows else r
+    c = m.cols - 1 - c if flip_cols else c
+    return _from_coo(m.field, m.cols, m.rows, c, r, v)
 
 
 # -- strand spaces -----------------------------------------------------------
@@ -648,8 +1014,8 @@ class StrandSpace:
         if sub_basis.cols == 0:
             self._fill(field, n, range(n))
             return
-        kernel, free = _kernel(ExactMatrix(field, np.ascontiguousarray(sub_basis._data[::-1].T)))
-        proj = ExactMatrix(field, np.ascontiguousarray(kernel._data[::-1, ::-1].T))
+        kernel, free = _kernel(_transposed(sub_basis, flip_rows=True))
+        proj = _transposed(kernel, flip_rows=True, flip_cols=True)
         self._fill(field, n, (n - 1 - c for c in reversed(free)), proj)
 
     def _fill(self, field, n: int, coset_cols, proj=None, parts=()) -> "StrandSpace":
@@ -693,7 +1059,7 @@ class StrandSpace:
             out = _zeros(field, coords.size, width)
             terms = [(sources[j, coords], field.one())]
             q = _mult_block(field, below[j].ambient_dim, coords.size, terms, below[j])
-            out[:, starts[j] : starts[j + 1]] = q._data.T
+            out[:, starts[j] : starts[j + 1]] = _as_array(q).T
             return out
 
         gather = _zeros(field, n, width)
@@ -706,10 +1072,10 @@ class StrandSpace:
             ExactMatrix(field, read(j, coords)) - ExactMatrix(field, read(k, coords))
             for j, k, coords in checks
         ]
-        constraints.append(ExactMatrix(field, np.ascontiguousarray(relations._data.T)) @ gather)
+        constraints.append(_transposed(relations) @ gather)
         kernel = _kernel(ExactMatrix.vstack(constraints))[0]
         phi = gather @ kernel
-        red, pivots = rref_with_pivots(ExactMatrix(field, np.ascontiguousarray(phi._data.T)))
+        red, pivots = rref_with_pivots(_transposed(phi))
         return cls.__new__(cls)._fill(field, n, pivots, red)
 
     @classmethod
@@ -749,10 +1115,10 @@ class StrandSpace:
     def project(self, vectors: ExactMatrix) -> ExactMatrix:
         """Q v: the coordinates of the cosets of the columns of ``vectors``."""
         if self._parts:
-            return ExactMatrix(self.field, np.vstack([
-                part.project(ExactMatrix(self.field, vectors._data[start:stop]))._data
+            return ExactMatrix.vstack(
+                part.project(vectors.take_rows(range(start, stop)))
                 for part, start, stop in self._summands()
-            ]))
+            )
         return vectors if self._proj is None else self._proj @ vectors
 
     def __repr__(self):
@@ -770,14 +1136,21 @@ def _mult_block(field: FieldSpec, n: int, cols: int, terms, space: StrandSpace |
     k^n (distinct rows in a column: lex order is multiplicative), so this is
     the projected block of multiplication by the polynomial."""
     if space is None or space.is_full:
+        # each term puts one nonzero entry in each column
+        if not terms:
+            return ExactMatrix.zeros(field, n, cols)
+        if _is_sparse(n, cols, len(terms) * cols):
+            values = np.array([c for _, c in terms], dtype=object if field.is_rational else np.int64)
+            return _from_coo(field, n, cols, np.concatenate([rows for rows, _ in terms]),
+                             np.tile(np.arange(cols), len(terms)), np.repeat(values, cols))
         out = _zeros(field, n, cols)
         at = np.arange(cols)
         for rows, c in terms:
             out[rows, at] = c
-        return ExactMatrix(field, out)
+        return ExactMatrix._stored(field, n, cols, out)
     block = None
     for rows, c in terms:
-        term = ExactMatrix(field, space._proj._data[:, rows])
+        term = space._proj.columns(rows)
         term = term if c == 1 else term.scale(c)
         block = term if block is None else block + term
     return block
@@ -811,7 +1184,7 @@ def _coset_columns(src: StrandSpace, qa: ExactMatrix) -> ExactMatrix:
         return qa
     for part, start, stop in src._summands():
         if part._proj is not None:
-            block = ExactMatrix(qa.field, qa._data[:, start:stop])
+            block = qa.columns(range(start, stop))
             if block.columns(part.coset_cols) @ part._proj != block:
                 raise WellDefinednessError("image of sub space leaves the target sub space")
     return qa.columns(src.coset_cols)

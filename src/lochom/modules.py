@@ -5,7 +5,7 @@ R(-t) sits in internal degree t.  A map F -> G of internal degree t with
 F = (+)R(a_j) and G = (+)R(b_i) must have entry (i, j) zero or homogeneous of
 degree t + b_i - a_j; this is enforced at construction, and it is exactly what
 makes every strand matrix well typed.  A map stores its nonzero entries only,
-as a dict (i, j) -> Poly, so identities, zero maps, block assemblies,
+as a read-only mapping (i, j) -> Poly, so identities, zero maps, block assemblies,
 composites and strand matrices cost the nonzero entries, not rank^2.
 
 Modules are always presented (a free module is the cokernel of the empty
@@ -24,13 +24,17 @@ dim R_s, cached on the base module next to its strands.  ``exact._mult_block``
 builds both kinds and ``ExactMatrix.assemble`` places them, as it places
 the ring's cached blocks (``rings.mult_matrix``) in a strand matrix
 (presentation strands, ambients that are no module map), which is
-assembled per call and kept by nothing.
+assembled per call and kept by nothing.  Blocks, strand matrices and
+projections are stored by ``exact``'s storage rule, so the block and strand
+caches hold only the nonzero entries of the large sparse ones, such as
+those of monomial data.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -115,7 +119,7 @@ class GradedMap(_Frozen):
         if source.ring != target.ring:
             raise ValueError("source and target over different rings")
         ring = source.ring
-        if not isinstance(entries, dict):
+        if not isinstance(entries, (dict, MappingProxyType)):
             rows = [tuple(row) for row in entries]
             if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
                 raise ValueError(
@@ -142,7 +146,7 @@ class GradedMap(_Frozen):
             nonzero[i, j] = e
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "entries", nonzero)
+        object.__setattr__(self, "entries", MappingProxyType(nonzero))
         object.__setattr__(self, "internal_degree", int(internal_degree))
 
     @property
@@ -571,12 +575,13 @@ class TableEntry(NamedTuple):
 
 class HilbertTable(_Frozen):
     """Map (homological index i, internal degree d) -> (dim, stabilized, k_used),
-    fixed at construction, where every dim is checked to be >= 0."""
+    fixed at construction, where every dim is checked to be >= 0; ``entries``
+    is a read-only mapping."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries=None):
-        object.__setattr__(self, "entries", dict(entries or {}))
+        object.__setattr__(self, "entries", MappingProxyType(dict(entries or {})))
         for key, val in self.entries.items():
             if val.dim < 0:
                 raise ValueError(f"negative dimension at {key}")

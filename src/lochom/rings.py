@@ -15,7 +15,9 @@ distinct monomials to distinct rows, and a multiplication matrix is one
 scatter of each term's coefficient, written by ``exact._mult_block``.
 Rings cache their strand bases, rank tables, the rows of each term's
 scatter and the multiplication matrices; everything is immutable after
-construction.
+construction.  A multiplication matrix has one nonzero entry per column and
+term, so ``exact``'s storage rule keeps every large one sparse and the cache
+holds its nonzero entries only.
 
 A polynomial is validated once, where its terms enter: ``Poly(ring, terms)``
 converts and checks every exponent vector and normalizes and sums every

@@ -197,12 +197,16 @@ def test_the_scan_sees_a_stage_transition_outside_koszul():
     assert references(ast.parse(koszul.read_text(encoding="utf-8")), STAGE_MAP)
 
 
-STORAGE = {"_data", "_proj", "_zeros"}
+STORAGE = {"_data", "_indptr", "_indices", "_proj", "_zeros", "_stored", "_as_array", "_coo",
+           "_csr", "_from_coo"}
 
 
 def storage_uses(tree: ast.Module) -> list:
     """(line, name) for each name, attribute or import of the matrix storage
-    ``exact`` keeps: an array's ``_data``, a space's ``_proj``, ``_zeros``."""
+    ``exact`` keeps: a matrix's ``_data`` and, when sparse, ``_indptr`` and
+    ``_indices``, a space's ``_proj``, and the helpers that build or read
+    either storage (``_zeros``, ``_stored``, ``_as_array``, ``_coo``, ``_csr``,
+    ``_from_coo``)."""
     hits = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and node.id in STORAGE:

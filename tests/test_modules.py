@@ -16,6 +16,7 @@ from lochom.modules import (
     FreeModule,
     GradedMap,
     PresentedModule,
+    TableEntry,
     annihilator_strand,
     hilbert_row,
     module_sum,
@@ -176,6 +177,25 @@ def test_hilbert_row_cases():
     assert [row2.dim(0, d) for d in range(0, 4)] == [1, 2, 2, 2]
     zero = PresentedModule.quotient(FreeModule(r, [0]), [[r.one()]])
     assert all(e.dim == 0 for _, e in hilbert_row(zero, (0, 3)).items())
+
+
+def test_built_tables_maps_and_complexes_refuse_item_writes():
+    # their mappings are read-only, so no write can pass the constructors' checks
+    r = ring2()
+    t = hilbert_row(PresentedModule.free(FreeModule(r, [0])), (-1, 3))
+    with pytest.raises(TypeError):
+        t.entries[(0, 1)] = TableEntry(-1, True, 0)
+    assert t.dim(0, 1) == 2
+    x = parse_poly(r, "x")
+    c = complexes.ModuleComplex(
+        r, {0: FreeModule(r, [0]), 1: FreeModule(r, [-1])},
+        {1: GradedMap(FreeModule(r, [-1]), FreeModule(r, [0]), [[x]])},
+    )
+    f = complexes.ModuleChainMap.identity(c)
+    for mapping in (c.differentials[1].entries, c.terms, c.differentials, f.components):
+        with pytest.raises(TypeError):
+            mapping[0] = None
+    assert c.differentials[1].entries == {(0, 0): x} and set(f.components) == {0, 1}
 
 
 def test_quotient_infers_source_twists():
