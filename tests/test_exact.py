@@ -710,7 +710,8 @@ def _is_rule_stored(m):
 
 @st.composite
 def _sparse_matrices(draw, field, rows=None, cols=None):
-    """A matrix with at most 250 nonzero entries, stored by the rule."""
+    """A matrix with at most 200 nonzero entries, stored by the rule: at 64 x 64
+    and up, sparse up to 128 to 140 of them."""
     rows = draw(st.sampled_from(STORAGE_DIMS)) if rows is None else rows
     cols = draw(st.sampled_from(STORAGE_DIMS)) if cols is None else cols
     p = field.characteristic
@@ -719,7 +720,7 @@ def _sparse_matrices(draw, field, rows=None, cols=None):
     data = [[0] * cols for _ in range(rows)]
     if rows and cols:
         for i, j, v in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
-                                               value), max_size=250)):
+                                               value), max_size=200)):
             data[i][j] = v
     return ExactMatrix.from_rows(field, data, cols=cols)
 
