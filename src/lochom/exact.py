@@ -549,9 +549,7 @@ def _stack(mats, axis: int) -> ExactMatrix:
         _same_field(mats[0], m)
     if len({(m.cols, m.rows)[axis] for m in mats}) > 1:
         raise ValueError(f"{('column', 'row')[axis]} mismatch in {name}")
-    if all(m._indptr is None for m in mats):
-        return ExactMatrix(mats[0].field, np.concatenate([m._data for m in mats], axis=axis))
-    offsets = np.cumsum([0] + [(m.rows, m.cols)[axis] for m in mats]).tolist()
+    offsets = [0, *accumulate((m.rows, m.cols)[axis] for m in mats)]
     if axis:
         placed = [(m, 0, o) for m, o in zip(mats, offsets)]
         return _placed(mats[0].field, mats[0].rows, offsets[-1], placed)
@@ -892,8 +890,9 @@ def rank(m: ExactMatrix) -> int:
 def _kernel(m: ExactMatrix):
     """Kernel basis K of m and its free columns; K[free] is the identity.
 
-    K is -RREF(m) on the free columns at the pivot rows, so its storage is
-    picked before K is built."""
+    K holds -RREF(m) on the free columns at the pivot rows and the identity
+    at the free rows, so its nonzero count, and with it its storage, is known
+    before K is built."""
     red, pivots = rref_with_pivots(m)
     field = m.field
     pivot_set = set(pivots)
