@@ -503,6 +503,9 @@ class ExactMatrix:
 def _placed(field: FieldSpec, rows: int, cols: int, placed) -> ExactMatrix:
     """The rows x cols matrix holding each (block, r0, c0) of ``placed`` with
     its top left entry at (r0, c0), zero elsewhere; the blocks do not overlap."""
+    if len(placed) == 1 and (placed[0][0].rows, placed[0][0].cols) == (rows, cols):
+        # one block filling the matrix is the matrix
+        return placed[0][0]
     if rows * cols >= _SPARSE_FROM and _is_sparse(rows, cols, sum(_nnz(b) for b, _, _ in placed)):
         r, c, v = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], []
         for blk, r0, c0 in placed:
@@ -897,12 +900,12 @@ def _kernel(m: ExactMatrix):
     field = m.field
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    if red._indptr is None and (m.cols * len(free) < _SPARSE_FROM or not _is_sparse(
-            m.cols, len(free), len(free) + np.count_nonzero(red._data[: len(pivots), free]))):
+    block = red._data[: len(pivots), free] if red._indptr is None else None
+    if block is not None and (m.cols * len(free) < _SPARSE_FROM or not _is_sparse(
+            m.cols, len(free), len(free) + np.count_nonzero(block))):
         out = _zeros(field, m.cols, len(free))
         out[free, range(len(free))] = field.one()
         if pivots:
-            block = red._data[: len(pivots), free]
             out[list(pivots)] = -block if field.is_rational else -block % field.characteristic
         return ExactMatrix._stored(field, m.cols, len(free), out), free
     is_free = np.ones(m.cols, dtype=bool)
@@ -1066,9 +1069,6 @@ class StrandSpace:
             terms = [(sources[j, coords], field.one())]
             return _transposed(_mult_block(field, below[j].ambient_dim, coords.size, terms, below[j]))
 
-        def read(j, coords):
-            return _placed(field, coords.size, width, [(block(j, coords), 0, starts[j])])
-
         # G with its rows grouped (units, then the coordinates each x_j reads
         # first), put back in order
         order, placed = [units], [(ExactMatrix.identity(field, units.size), 0, starts[-1])]
@@ -1077,7 +1077,10 @@ class StrandSpace:
             placed.append((block(j, first), units.size + sum(map(len, order[1:])), starts[j]))
             order.append(first)
         gather = _placed(field, n, width, placed).take_rows(np.argsort(np.concatenate(order)))
-        constraints = [read(j, coords) - read(k, coords) for j, k, coords in checks]
+        # phi through x_j minus phi through x_k, at ``coords``
+        constraints = [_placed(field, coords.size, width,
+                               [(block(j, coords), 0, starts[j]), (-block(k, coords), 0, starts[k])])
+                       for j, k, coords in checks]
         constraints.append(_transposed(relations) @ gather)
         kernel = _kernel(ExactMatrix.vstack(constraints))[0]
         phi = gather @ kernel
@@ -1190,7 +1193,7 @@ def _coset_columns(src: StrandSpace, qa: ExactMatrix) -> ExactMatrix:
         return qa
     for part, start, stop in src._summands():
         if part._proj is not None:
-            block = qa.columns(range(start, stop))
+            block = qa if stop - start == qa.cols else qa.columns(range(start, stop))
             if block.columns(part.coset_cols) @ part._proj != block:
                 raise WellDefinednessError("image of sub space leaves the target sub space")
     return qa.columns(src.coset_cols)
