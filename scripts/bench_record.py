@@ -2,20 +2,20 @@
 
 Usage (from the repository root):
 
-    python3 scripts/bench_record.py [--tree DIR] [--sha SHA] [--seconds N] [--out DIR]
+    python3 scripts/bench_record.py [--tree DIR]
 
 For each workload of ``BENCHMARK.json`` it runs ``python3 bench/run.py
 --workload W --seed 1 --seconds N`` once in ``--tree`` (default: this
-repository; ``N`` defaults to the file's ``run_seconds``) and keeps
+repository; ``N`` is the file's ``run_seconds``) and keeps
 ``setup_s``, ``wall_ref`` and ``peak_rss_mb``, the quartiles ``run.py``
 prints, the report digest, ``correct`` and the fail share.  Then it runs each
 baseline job of ``ROADMAP.md`` once, in a fresh ``python -m lochom.cli
 --input`` process, and keeps its exit code, wall time, peak RSS and report
 digest.  The file ends with the machine: CPU count, Python and numpy.
 
-The file is named after ``--sha``, by default the short commit of the tree
-(``git rev-parse --short HEAD``), and written to ``--out`` (default: this
-repository).  Nothing under ``bench/`` is changed; the benchmark's own
+The file is named after the short commit of the tree (``git rev-parse
+--short HEAD``, so ``--tree`` is a git checkout) and written to the root of
+this repository.  Nothing under ``bench/`` is changed; the benchmark's own
 output directory ``bench/out`` is.
 """
 
@@ -119,15 +119,12 @@ def run_job(tree: Path, document: dict) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tree", type=Path, default=ROOT, help="the source tree to measure")
-    ap.add_argument("--sha", help="short commit naming the file (default: the tree's HEAD)")
-    ap.add_argument("--seconds", type=float, help="seconds a workload runs")
-    ap.add_argument("--out", type=Path, default=ROOT, help="directory of the file")
     args = ap.parse_args(argv)
     tree = args.tree.resolve()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or bench["run_seconds"]
-    sha = args.sha or subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=tree,
-                                     capture_output=True, text=True, check=True).stdout.strip()
+    seconds = bench["run_seconds"]
+    sha = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=tree,
+                         capture_output=True, text=True, check=True).stdout.strip()
     record = {
         "sha": sha, "seed": SEED, "seconds": seconds,
         "workloads": {w["name"]: run_workload(tree, w["name"], seconds) for w in bench["workloads"]},
@@ -135,7 +132,7 @@ def main(argv=None) -> int:
         "machine": {"cpus": os.cpu_count(), "arch": platform.machine(),
                     "python": platform.python_version(), "numpy": np.__version__},
     }
-    path = args.out / f"BENCH_{sha}.json"
+    path = ROOT / f"BENCH_{sha}.json"
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(path)
     return 0

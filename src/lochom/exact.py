@@ -189,7 +189,7 @@ def _dtype_for(p: int):
 
 def _zeros(field: FieldSpec, rows: int, cols: int) -> np.ndarray:
     """A fresh writable zero array for matrices over ``field``."""
-    if field.is_rational:
+    if not field.characteristic:
         out = np.empty((rows, cols), dtype=object)
         out[...] = Fraction(0)
         return out
@@ -303,9 +303,9 @@ class ExactMatrix:
     """Matrix with exact entries over a fixed field, stored dense or sparse.
 
     A dense matrix keeps its row-major array in ``_data`` and None in
-    ``_indptr``.  A sparse one keeps its nonzero entries only, in row-major
-    order: their values in ``_data``, their columns in ``_indices``, and in
-    ``_indptr`` where each row starts.  :func:`_is_sparse` picks the storage
+    ``_indptr``, and leaves ``_indices`` unset.  A sparse one keeps its
+    nonzero entries only, in row-major order: their values in ``_data``, their
+    columns in ``_indices``, and in ``_indptr`` where each row starts.  :func:`_is_sparse` picks the storage
     from the shape and the nonzero count, so equal matrices are stored alike.
     """
 
@@ -315,7 +315,7 @@ class ExactMatrix:
         """The matrix of a 2-D array of reduced entries, stored by the rule."""
         self.field = field
         self.rows, self.cols = data.shape
-        self._indptr = self._indices = None
+        self._indptr = None
         if data.size >= _SPARSE_FROM and _is_sparse(self.rows, self.cols, np.count_nonzero(data)):
             r, indices = data.nonzero()
             data, indptr = data[r, indices], np.searchsorted(r, np.arange(self.rows + 1))
@@ -328,11 +328,12 @@ class ExactMatrix:
     def _stored(cls, field, rows: int, cols: int, data, indptr=None, indices=None) -> "ExactMatrix":
         """The matrix of the given storage, as it is: dense where ``indptr`` is None."""
         m = object.__new__(cls)
-        m.field, m.rows, m.cols = field, rows, cols
+        m.field, m.rows, m.cols, m._indptr = field, rows, cols, indptr
         data.flags.writeable = False
-        m._data, m._indptr, m._indices = data, indptr, indices
+        m._data = data
         if indptr is not None:
             indptr.flags.writeable = indices.flags.writeable = False
+            m._indices = indices
         return m
 
     # -- construction -----------------------------------------------------
@@ -363,8 +364,8 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
-        if rows * cols < _SPARSE_FROM:
-            return cls._stored(field, rows, cols, _zeros(field, rows, cols))
+        if not cols or rows * cols < _SPARSE_FROM:
+            return cls(field, _zeros(field, rows, cols))
         none = np.zeros(0, dtype=np.int64)
         return _from_coo(field, rows, cols, none, none, none)
 
@@ -425,6 +426,8 @@ class ExactMatrix:
                          np.concatenate([c, c2]), np.concatenate([v, op(0, v2)]))
 
     def __neg__(self) -> "ExactMatrix":
+        if self._indptr is None:
+            return _reduced(self.field, -self._data)
         return self.scale(-1)
 
     def scale(self, c) -> "ExactMatrix":
@@ -463,9 +466,9 @@ class ExactMatrix:
     # -- slicing / stacking --------------------------------------------------
     def columns(self, indices) -> "ExactMatrix":
         if self._indptr is None:
-            return ExactMatrix(self.field, self._data[:, _index(indices)])
+            return ExactMatrix(self.field, self._data.take(indices, axis=1))
         # the entries by column, then the spans of the columns picked
-        idx = np.arange(self.cols)[_index(indices)]
+        idx = np.arange(self.cols).take(indices)
         r, c, v = _coo(self)
         order = np.argsort(c, kind="stable")
         at, lens = _ranges(np.searchsorted(c[order], np.arange(self.cols + 1)), idx)
@@ -474,8 +477,8 @@ class ExactMatrix:
 
     def take_rows(self, indices) -> "ExactMatrix":
         if self._indptr is None:
-            return ExactMatrix(self.field, self._data[_index(indices)])
-        idx = np.arange(self.rows)[_index(indices)]
+            return ExactMatrix(self.field, self._data.take(indices, axis=0))
+        idx = np.arange(self.rows).take(indices)
         at, lens = _ranges(self._indptr, idx)
         return _from_coo(self.field, idx.size, self.cols, np.repeat(np.arange(idx.size), lens),
                          self._indices[at], self._data[at])
@@ -492,20 +495,38 @@ class ExactMatrix:
     def assemble(field: FieldSpec, blocks: dict, row_dims, col_dims) -> "ExactMatrix":
         """Block matrix from a dict (i, j) -> ExactMatrix of the blocks present,
         block (i, j) being row_dims[i] x col_dims[j]; a missing block is zero."""
+        rows, cols = sum(row_dims), sum(col_dims)
+        small = rows * cols < _SPARSE_FROM
+        if small and len(blocks) == 1:
+            # one block filling a small matrix is the matrix
+            [((i, j), blk)] = blocks.items()
+            if (blk.rows, blk.cols) == (row_dims[i], col_dims[j]) == (rows, cols) and blk.field == field:
+                return blk
+        if small or not _is_sparse(rows, cols, sum(map(_nnz, blocks.values()))):
+            out = _zeros(field, rows, cols)
+            for (i, j), blk in blocks.items():
+                if blk.rows != row_dims[i] or blk.cols != col_dims[j] or blk.field != field:
+                    raise ValueError("block shape or field mismatch")
+                r0, c0 = sum(row_dims[:i]), sum(col_dims[:j])
+                out[r0 : r0 + blk.rows, c0 : c0 + blk.cols] = (
+                    blk._data if blk._indptr is None else _as_array(blk))
+            return ExactMatrix(field, out)
         r0, c0 = [0, *accumulate(row_dims)], [0, *accumulate(col_dims)]
         placed = [(blk, r0[i], c0[j]) for (i, j), blk in blocks.items()
                   if blk.rows == row_dims[i] and blk.cols == col_dims[j] and blk.field == field]
         if len(placed) != len(blocks):
             raise ValueError("block shape or field mismatch")
-        return _placed(field, r0[-1], c0[-1], placed)
+        return _placed(field, rows, cols, placed)
 
 
 def _placed(field: FieldSpec, rows: int, cols: int, placed) -> ExactMatrix:
     """The rows x cols matrix holding each (block, r0, c0) of ``placed`` with
     its top left entry at (r0, c0), zero elsewhere; the blocks do not overlap."""
-    if len(placed) == 1 and (placed[0][0].rows, placed[0][0].cols) == (rows, cols):
-        # one block filling the matrix is the matrix
-        return placed[0][0]
+    blk = placed[0][0] if len(placed) == 1 else None
+    if blk is not None and blk._indptr is not None and (blk.rows, blk.cols) == (rows, cols):
+        # one sparse block filling the matrix is the matrix; a large dense
+        # one is copied, as a column pick of a projection is in Fortran order
+        return blk
     if rows * cols >= _SPARSE_FROM and _is_sparse(rows, cols, sum(_nnz(b) for b, _, _ in placed)):
         r, c, v = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], []
         for blk, r0, c0 in placed:
@@ -525,19 +546,9 @@ def _placed(field: FieldSpec, rows: int, cols: int, placed) -> ExactMatrix:
     return ExactMatrix._stored(field, rows, cols, out)
 
 
-def _index(indices):
-    """``indices`` as numpy takes them: a slice for a range of step 1."""
-    kind = type(indices)
-    if kind is np.ndarray or kind is list:
-        return indices
-    if kind is range and indices.step == 1:
-        return slice(indices.start, indices.stop)
-    return list(indices)
-
-
 def _reduced(field: FieldSpec, data: np.ndarray) -> ExactMatrix:
     """``data`` as a matrix over ``field``, its entries reduced into [0, p) over F_p."""
-    if not field.is_rational:
+    if field.characteristic:
         data = data % field.characteristic
     return ExactMatrix(field, data)
 
@@ -552,6 +563,8 @@ def _stack(mats, axis: int) -> ExactMatrix:
         _same_field(mats[0], m)
     if len({(m.cols, m.rows)[axis] for m in mats}) > 1:
         raise ValueError(f"{('column', 'row')[axis]} mismatch in {name}")
+    if all(m._indptr is None for m in mats):
+        return ExactMatrix(mats[0].field, np.concatenate([m._data for m in mats], axis=axis))
     offsets = [0, *accumulate((m.rows, m.cols)[axis] for m in mats)]
     if axis:
         placed = [(m, 0, o) for m, o in zip(mats, offsets)]
@@ -791,7 +804,9 @@ def _sparse_rref(m: ExactMatrix):
 
 def _eliminate(m: ExactMatrix):
     """The reduced row echelon form of m and its pivot columns, by
-    :func:`_sparse_rref` for a sparse matrix and :func:`_rref` for a dense one."""
+    :func:`_sparse_rref` for a sparse matrix and :func:`_rref` for a dense one;
+    the Schur complement of a sparse elimination takes it, as it is part of
+    one elimination, not a call of :func:`rref_with_pivots`."""
     if m._indptr is not None:
         return _sparse_rref(m)
     red, pivots = _rref(m._data, m.field.characteristic)
@@ -877,8 +892,11 @@ def rref_with_pivots(m: ExactMatrix):
     """Reduced row echelon form together with its pivot columns."""
     if m.rows == 0 or m.cols == 0:
         return m, ()
-    red, pivots = _eliminate(m)
-    return red, tuple(pivots)
+    if m._indptr is not None:
+        red, pivots = _sparse_rref(m)
+        return red, tuple(pivots)
+    data, pivots = _rref(m._data, m.field.characteristic)
+    return ExactMatrix(m.field, data.astype(m._data.dtype, copy=False)), tuple(pivots)
 
 
 def rank(m: ExactMatrix) -> int:
@@ -900,14 +918,15 @@ def _kernel(m: ExactMatrix):
     field = m.field
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    block = red._data[: len(pivots), free] if red._indptr is None else None
-    if block is not None and (m.cols * len(free) < _SPARSE_FROM or not _is_sparse(
-            m.cols, len(free), len(free) + np.count_nonzero(block))):
-        out = _zeros(field, m.cols, len(free))
-        out[free, range(len(free))] = field.one()
-        if pivots:
-            out[list(pivots)] = -block if field.is_rational else -block % field.characteristic
-        return ExactMatrix._stored(field, m.cols, len(free), out), free
+    if red._indptr is None:
+        block = red._data[: len(pivots), free]
+        if m.cols * len(free) < _SPARSE_FROM or not _is_sparse(
+                m.cols, len(free), len(free) + np.count_nonzero(block)):
+            out = _zeros(field, m.cols, len(free))
+            out[free, range(len(free))] = field.one()
+            if pivots:
+                out[list(pivots)] = -block % field.characteristic if field.characteristic else -block
+            return ExactMatrix(field, out), free
     is_free = np.ones(m.cols, dtype=bool)
     is_free[list(pivots)] = False
     r, c, v = _coo(red)
@@ -1024,8 +1043,14 @@ class StrandSpace:
         if sub_basis.cols == 0:
             self._fill(field, n, range(n))
             return
-        kernel, free = _kernel(_transposed(sub_basis, flip_rows=True))
-        proj = _transposed(kernel, flip_rows=True, flip_cols=True)
+        if sub_basis._indptr is None:
+            kernel, free = _kernel(ExactMatrix(field, np.ascontiguousarray(sub_basis._data[::-1].T)))
+        else:
+            kernel, free = _kernel(_transposed(sub_basis, flip_rows=True))
+        if kernel._indptr is None:
+            proj = ExactMatrix(field, np.ascontiguousarray(kernel._data[::-1, ::-1].T))
+        else:
+            proj = _transposed(kernel, flip_rows=True, flip_cols=True)
         self._fill(field, n, (n - 1 - c for c in reversed(free)), proj)
 
     def _fill(self, field, n: int, coset_cols, proj=None, parts=()) -> "StrandSpace":
@@ -1069,14 +1094,23 @@ class StrandSpace:
             terms = [(sources[j, coords], field.one())]
             return _transposed(_mult_block(field, below[j].ambient_dim, coords.size, terms, below[j]))
 
-        # G with its rows grouped (units, then the coordinates each x_j reads
-        # first), put back in order
-        order, placed = [units], [(ExactMatrix.identity(field, units.size), 0, starts[-1])]
-        for j in range(len(below)):
-            first = np.flatnonzero(divides[j] & (owner == j))
-            placed.append((block(j, first), units.size + sum(map(len, order[1:])), starts[j]))
-            order.append(first)
-        gather = _placed(field, n, width, placed).take_rows(np.argsort(np.concatenate(order)))
+        firsts = [np.flatnonzero(divides[j] & (owner == j)) for j in range(len(below))]
+        blocks = [block(j, first) for j, first in enumerate(firsts)]
+        if all(b._indptr is None for b in blocks):
+            # G written row by row, each x_j at the coordinates it reads first
+            gather = _zeros(field, n, width)
+            gather[units, starts[-1] + np.arange(units.size)] = field.one()
+            for j, (first, b) in enumerate(zip(firsts, blocks)):
+                gather[first, starts[j] : starts[j + 1]] = b._data
+            gather = ExactMatrix(field, gather)
+        else:
+            # G with its rows grouped (units, then the coordinates each x_j
+            # reads first), put back in order
+            placed = [(ExactMatrix.identity(field, units.size), 0, starts[-1])]
+            top = [0, *accumulate(map(len, firsts))]
+            placed += [(b, units.size + t, starts[j]) for j, (b, t) in enumerate(zip(blocks, top))]
+            order = np.argsort(np.concatenate([units, *firsts]))
+            gather = _placed(field, n, width, placed).take_rows(order)
         # phi through x_j minus phi through x_k, at ``coords``
         constraints = [_placed(field, coords.size, width,
                                [(block(j, coords), 0, starts[j]), (-block(k, coords), 0, starts[k])])
@@ -1156,10 +1190,10 @@ def _mult_block(field: FieldSpec, n: int, cols: int, terms, space: StrandSpace |
         at = np.arange(cols)
         for rows, c in terms:
             out[rows, at] = c
-        return ExactMatrix._stored(field, n, cols, out)
-    block = None
+        return ExactMatrix(field, out)
+    proj, block = space._proj, None
     for rows, c in terms:
-        term = space._proj.columns(rows)
+        term = ExactMatrix(field, proj._data[:, rows]) if proj._indptr is None else proj.columns(rows)
         term = term if c == 1 else term.scale(c)
         block = term if block is None else block + term
     return block

@@ -847,8 +847,8 @@ def test_the_multiplication_cache_holds_only_nonzeros():
     assert dualizing_module_check(ring, (-8, 8), k_max=10, s=2).passed
     blocks = list(ring._mult_cache.values())
     nnz = sum(len(exact._coo(b)[0]) for b in blocks)
-    stored = sum(a.nbytes for b in blocks for a in (b._data, b._indptr, b._indices)
-                 if a is not None)
+    stored = sum(a.nbytes for b in blocks
+                 for a in (exact._csr(b) if b._indptr is not None else (b._data,)))
     assert nnz == 57165
     assert stored <= 48 * nnz
 
