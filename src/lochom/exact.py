@@ -37,7 +37,8 @@ entry per column and term of a polynomial (Eisenbud, Mustata and Stillman,
 strands, coset maps, kernels and projections are stored sparse, and every
 cache holds only their nonzero entries.  Small and dense matrices keep the
 dense code, whose BLAS products and row updates cost less there than any
-index arithmetic; below 4096 entries the rule needs no count.  The share is
+index arithmetic; below 4096 entries the rule needs no count, and a dense
+operand takes the dense code after one test of its storage.  The share is
 where the two meet on Macaulay matrices: the transposed presentation strands
 of two dense quadrics (six entries a row) eliminate faster dense at 5.7 % and
 3.9 % nonzero, while monomial maps hold one entry in dim R_D per column.  Sums,
