@@ -306,8 +306,9 @@ class ExactMatrix:
     A dense matrix keeps its row-major array in ``_data`` and None in
     ``_indptr``, and leaves ``_indices`` unset.  A sparse one keeps its
     nonzero entries only, in row-major order: their values in ``_data``, their
-    columns in ``_indices``, and in ``_indptr`` where each row starts.  :func:`_is_sparse` picks the storage
-    from the shape and the nonzero count, so equal matrices are stored alike.
+    columns in ``_indices``, and in ``_indptr`` where each row starts.
+    :func:`_is_sparse` picks the storage from the shape and the nonzero count,
+    so equal matrices are stored alike.
     """
 
     __slots__ = ("field", "rows", "cols", "_data", "_indptr", "_indices")
