@@ -35,16 +35,23 @@ a dense array.  The strand maps of monomial data are monomial matrices, one
 entry per column and term of a polynomial (Eisenbud, Mustata and Stillman,
 *J. Symbolic Comput.* 29, 2000), so their multiplication blocks, presentation
 strands, coset maps, kernels and projections are stored sparse, and every
-cache holds only their nonzero entries.  Small and dense matrices keep the
-dense code, whose BLAS products and row updates cost less there than any
-index arithmetic; below 4096 entries the rule needs no count, and a dense
-operand takes the dense code after one test of its storage.  The share is
-where the two meet on Macaulay matrices: the transposed presentation strands
-of two dense quadrics (six entries a row) eliminate faster dense at 5.7 % and
-3.9 % nonzero, while monomial maps hold one entry in dim R_D per column.  Sums,
-products, stacks, block matrices and column or row picks of sparse operands
-are computed on their nonzero entries, exactly, with no dense array of the
-result's shape unless the rule stores the result dense.
+cache holds only their nonzero entries.  Small and dense matrices are stored
+dense, whose BLAS products and row updates cost less there than any index
+arithmetic; below 4096 entries the rule needs no count.  The share is where
+the two meet on Macaulay matrices: the transposed presentation strands of
+two dense quadrics (six entries a row) eliminate faster dense at 5.7 % and
+3.9 % nonzero, while monomial maps hold one entry in dim R_D per column.
+
+Each operation has one code path for both storages but four forks, each
+kept for the gain its docstring gives: :func:`_product_mod`'s float64 BLAS
+for two dense operands mod p (over Q every product runs on the nonzero
+entries), :func:`_known_pivots` for a dense elimination beside
+:func:`_sparse_rref`, the dense assembly of :func:`_kernel`, and
+:meth:`StrandSpace._from_below` beside one elimination.  Sums, products,
+stacks, block matrices and column or row picks of sparse operands are
+computed on their nonzero entries, exactly, with no dense array of the
+result's shape unless the rule stores the result dense, and every dense
+result is C-contiguous.
 
 Mod-p products delay reduction while no sum of products can leave the range
 in which its type is exact (Dumas, Giorgi and Pernet, *FFLAS-FFPACK*, ACM
@@ -284,7 +291,11 @@ def _from_coo(field: FieldSpec, rows: int, cols: int, r, c, v) -> "ExactMatrix":
 
 
 def _product_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p as int64, for reduced operands."""
+    """a @ b mod p as int64, for reduced operands.
+
+    The float64 route is BLAS: a 512 x 512 product mod 32003 takes about
+    21 ms there against 367 ms as one int64 product (numpy 2.4.6, 2 vCPUs).
+    """
     if a.shape[1] * (p - 1) ** 2 < 2**53:
         # every partial sum is an integer below 2^53, so BLAS sums exactly
         out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
@@ -428,8 +439,6 @@ class ExactMatrix:
                          np.concatenate([c, c2]), np.concatenate([v, op(0, v2)]))
 
     def __neg__(self) -> "ExactMatrix":
-        if self._indptr is None:
-            return _reduced(self.field, -self._data)
         return self.scale(-1)
 
     def scale(self, c) -> "ExactMatrix":
@@ -438,10 +447,8 @@ class ExactMatrix:
             return _reduced(field, self._data * c)
         if not c:
             return ExactMatrix.zeros(field, self.rows, self.cols)
-        p = field.characteristic
-        v = self._data.astype(np.int64) * c % p if p else self._data * c
-        return ExactMatrix._stored(field, self.rows, self.cols, v.astype(self._data.dtype),
-                                   self._indptr, self._indices)
+        v = self._data * c % field.characteristic if field.characteristic else self._data * c
+        return ExactMatrix._stored(field, self.rows, self.cols, v, self._indptr, self._indices)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         field = _same_field(self, other)
@@ -449,19 +456,8 @@ class ExactMatrix:
             raise ValueError("shape mismatch in product")
         if not (self.rows and self.cols and other.cols):
             return ExactMatrix.zeros(field, self.rows, other.cols)
-        if self._indptr is not None or other._indptr is not None:
+        if self._indptr is not None or other._indptr is not None or field.is_rational:
             return _sparse_product(self, other)
-        if field.is_rational:
-            # sum of outer products over the inner index, nonzero entries only
-            data = _zeros(field, self.rows, other.cols)
-            for k in range(self.cols):
-                rows = np.flatnonzero(self._data[:, k] != 0)
-                cols = np.flatnonzero(other._data[k] != 0)
-                if rows.size and cols.size:
-                    data[np.ix_(rows, cols)] += np.multiply.outer(
-                        self._data[rows, k], other._data[k, cols]
-                    )
-            return ExactMatrix(field, data)
         p = field.characteristic
         return ExactMatrix(field, _product_mod(self._data, other._data, p).astype(_dtype_for(p)))
 
@@ -497,38 +493,20 @@ class ExactMatrix:
     def assemble(field: FieldSpec, blocks: dict, row_dims, col_dims) -> "ExactMatrix":
         """Block matrix from a dict (i, j) -> ExactMatrix of the blocks present,
         block (i, j) being row_dims[i] x col_dims[j]; a missing block is zero."""
-        rows, cols = sum(row_dims), sum(col_dims)
-        small = rows * cols < _SPARSE_FROM
-        if small and len(blocks) == 1:
-            # one block filling a small matrix is the matrix
-            [((i, j), blk)] = blocks.items()
-            if (blk.rows, blk.cols) == (row_dims[i], col_dims[j]) == (rows, cols) and blk.field == field:
-                return blk
-        if small or not _is_sparse(rows, cols, sum(map(_nnz, blocks.values()))):
-            out = _zeros(field, rows, cols)
-            for (i, j), blk in blocks.items():
-                if blk.rows != row_dims[i] or blk.cols != col_dims[j] or blk.field != field:
-                    raise ValueError("block shape or field mismatch")
-                r0, c0 = sum(row_dims[:i]), sum(col_dims[:j])
-                out[r0 : r0 + blk.rows, c0 : c0 + blk.cols] = (
-                    blk._data if blk._indptr is None else _as_array(blk))
-            return ExactMatrix(field, out)
         r0, c0 = [0, *accumulate(row_dims)], [0, *accumulate(col_dims)]
         placed = [(blk, r0[i], c0[j]) for (i, j), blk in blocks.items()
                   if blk.rows == row_dims[i] and blk.cols == col_dims[j] and blk.field == field]
         if len(placed) != len(blocks):
             raise ValueError("block shape or field mismatch")
-        return _placed(field, rows, cols, placed)
+        return _placed(field, r0[-1], c0[-1], placed)
 
 
 def _placed(field: FieldSpec, rows: int, cols: int, placed) -> ExactMatrix:
     """The rows x cols matrix holding each (block, r0, c0) of ``placed`` with
     its top left entry at (r0, c0), zero elsewhere; the blocks do not overlap."""
-    blk = placed[0][0] if len(placed) == 1 else None
-    if blk is not None and blk._indptr is not None and (blk.rows, blk.cols) == (rows, cols):
-        # one sparse block filling the matrix is the matrix; a large dense
-        # one is copied, as a column pick of a projection is in Fortran order
-        return blk
+    if len(placed) == 1 and (placed[0][0].rows, placed[0][0].cols) == (rows, cols):
+        # one block filling the matrix is the matrix
+        return placed[0][0]
     if rows * cols >= _SPARSE_FROM and _is_sparse(rows, cols, sum(_nnz(b) for b, _, _ in placed)):
         r, c, v = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], []
         for blk, r0, c0 in placed:
@@ -540,11 +518,7 @@ def _placed(field: FieldSpec, rows: int, cols: int, placed) -> ExactMatrix:
         return _from_coo(field, rows, cols, np.concatenate(r), np.concatenate(c), v)
     out = _zeros(field, rows, cols)
     for blk, r0, c0 in placed:
-        if blk._indptr is None:
-            out[r0 : r0 + blk.rows, c0 : c0 + blk.cols] = blk._data
-        else:
-            r, c, v = _coo(blk)
-            out[r + r0, c + c0] = v
+        out[r0 : r0 + blk.rows, c0 : c0 + blk.cols] = _as_array(blk)
     return ExactMatrix._stored(field, rows, cols, out)
 
 
@@ -565,8 +539,6 @@ def _stack(mats, axis: int) -> ExactMatrix:
         _same_field(mats[0], m)
     if len({(m.cols, m.rows)[axis] for m in mats}) > 1:
         raise ValueError(f"{('column', 'row')[axis]} mismatch in {name}")
-    if all(m._indptr is None for m in mats):
-        return ExactMatrix(mats[0].field, np.concatenate([m._data for m in mats], axis=axis))
     offsets = [0, *accumulate((m.rows, m.cols)[axis] for m in mats)]
     if axis:
         placed = [(m, 0, o) for m, o in zip(mats, offsets)]
@@ -674,7 +646,10 @@ def _known_pivots(a: np.ndarray, p: int):
 
     One row per distinct leading column forms the pivot block A (see
     :func:`_pivot_block`); Z = A_L^-1 A_N, and S = C_N - C_L Z for the other
-    rows C.
+    rows C.  It is the dense front end beside :func:`_sparse_rref`: taking a
+    dense array through the stored entries of :func:`_sparse_rref` took
+    lc-dense-fp's four such eliminations from 6.4 to 10.5 ms a job, about
+    5 % of the job.
     """
     nrows, ncols = a.shape
     rows, cols = a.nonzero()
@@ -810,9 +785,11 @@ def _eliminate(m: ExactMatrix):
     the Schur complement of a sparse elimination takes it, as it is part of
     one elimination, not a call of :func:`rref_with_pivots`."""
     if m._indptr is not None:
-        return _sparse_rref(m)
-    red, pivots = _rref(m._data, m.field.characteristic)
-    return ExactMatrix(m.field, red.astype(m._data.dtype, copy=False)), pivots
+        red, pivots = _sparse_rref(m)
+    else:
+        red, pivots = _rref(m._data, m.field.characteristic)
+        red = ExactMatrix(m.field, red.astype(m._data.dtype, copy=False))
+    return red, tuple(pivots)
 
 
 def _rref(a: np.ndarray, p: int):
@@ -892,22 +869,12 @@ def _dense_rref(a: np.ndarray, p: int):
 
 def rref_with_pivots(m: ExactMatrix):
     """Reduced row echelon form together with its pivot columns."""
-    if m.rows == 0 or m.cols == 0:
-        return m, ()
-    if m._indptr is not None:
-        red, pivots = _sparse_rref(m)
-        return red, tuple(pivots)
-    data, pivots = _rref(m._data, m.field.characteristic)
-    return ExactMatrix(m.field, data.astype(m._data.dtype, copy=False)), tuple(pivots)
+    return _eliminate(m) if m.rows and m.cols else (m, ())
 
 
 def rank(m: ExactMatrix) -> int:
     """The pivot count of the elimination kernel."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if m._indptr is not None:
-        return len(_sparse_rref(m)[1])
-    return len(_rref(m._data, m.field.characteristic)[1])
+    return len(_eliminate(m)[1]) if m.rows and m.cols else 0
 
 
 def _kernel(m: ExactMatrix):
@@ -915,7 +882,9 @@ def _kernel(m: ExactMatrix):
 
     K holds -RREF(m) on the free columns at the pivot rows and the identity
     at the free rows, so its nonzero count, and with it its storage, is known
-    before K is built."""
+    before K is built.  A dense echelon form assembles K dense in place:
+    building every kernel from the entries of the echelon form made
+    lh-towers-fp, thousands of small kernels, about 18 % slower."""
     red, pivots = rref_with_pivots(m)
     field = m.field
     pivot_set = set(pivots)
@@ -1045,14 +1014,8 @@ class StrandSpace:
         if sub_basis.cols == 0:
             self._fill(field, n, range(n))
             return
-        if sub_basis._indptr is None:
-            kernel, free = _kernel(ExactMatrix(field, np.ascontiguousarray(sub_basis._data[::-1].T)))
-        else:
-            kernel, free = _kernel(_transposed(sub_basis, flip_rows=True))
-        if kernel._indptr is None:
-            proj = ExactMatrix(field, np.ascontiguousarray(kernel._data[::-1, ::-1].T))
-        else:
-            proj = _transposed(kernel, flip_rows=True, flip_cols=True)
+        kernel, free = _kernel(_transposed(sub_basis, flip_rows=True))
+        proj = _transposed(kernel, flip_rows=True, flip_cols=True)
         self._fill(field, n, (n - 1 - c for c in reversed(free)), proj)
 
     def _fill(self, field, n: int, coset_cols, proj=None, parts=()) -> "StrandSpace":
@@ -1081,7 +1044,8 @@ class StrandSpace:
         which agreement implies agreement wherever x_j and x_k both divide.
         G maps their kernel K one to one onto ann(W) (phi o x_j fixes c_j),
         so the rows of (G K)^T span it and their reduced echelon form is the
-        Q one elimination of W gives.
+        Q one elimination of W gives.  It pays: with every strand eliminated
+        directly, lc-dense-fp took 0.152 s a job instead of 0.075 s.
         """
         field = relations.field
         n = relations.rows
@@ -1097,22 +1061,14 @@ class StrandSpace:
             return _transposed(_mult_block(field, below[j].ambient_dim, coords.size, terms, below[j]))
 
         firsts = [np.flatnonzero(divides[j] & (owner == j)) for j in range(len(below))]
-        blocks = [block(j, first) for j, first in enumerate(firsts)]
-        if all(b._indptr is None for b in blocks):
-            # G written row by row, each x_j at the coordinates it reads first
-            gather = _zeros(field, n, width)
-            gather[units, starts[-1] + np.arange(units.size)] = field.one()
-            for j, (first, b) in enumerate(zip(firsts, blocks)):
-                gather[first, starts[j] : starts[j + 1]] = b._data
-            gather = ExactMatrix(field, gather)
-        else:
-            # G with its rows grouped (units, then the coordinates each x_j
-            # reads first), put back in order
-            placed = [(ExactMatrix.identity(field, units.size), 0, starts[-1])]
-            top = [0, *accumulate(map(len, firsts))]
-            placed += [(b, units.size + t, starts[j]) for j, (b, t) in enumerate(zip(blocks, top))]
-            order = np.argsort(np.concatenate([units, *firsts]))
-            gather = _placed(field, n, width, placed).take_rows(order)
+        # G with its rows grouped (units, then the coordinates each x_j reads
+        # first), put back in order
+        placed = [(ExactMatrix.identity(field, units.size), 0, starts[-1])]
+        top = [0, *accumulate(map(len, firsts))]
+        placed += [(block(j, first), units.size + t, starts[j])
+                   for j, (first, t) in enumerate(zip(firsts, top))]
+        order = np.argsort(np.concatenate([units, *firsts]))
+        gather = _placed(field, n, width, placed).take_rows(order)
         # phi through x_j minus phi through x_k, at ``coords``
         constraints = [_placed(field, coords.size, width,
                                [(block(j, coords), 0, starts[j]), (-block(k, coords), 0, starts[k])])
@@ -1195,7 +1151,7 @@ def _mult_block(field: FieldSpec, n: int, cols: int, terms, space: StrandSpace |
         return ExactMatrix(field, out)
     proj, block = space._proj, None
     for rows, c in terms:
-        term = ExactMatrix(field, proj._data[:, rows]) if proj._indptr is None else proj.columns(rows)
+        term = proj.columns(rows)
         term = term if c == 1 else term.scale(c)
         block = term if block is None else block + term
     return block

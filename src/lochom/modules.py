@@ -17,12 +17,12 @@ summand strand is eliminated once.
 Strand spaces are cached per module.  The coset map of a module map, the
 matrix it induces on two strands, is built projected and never assembles
 the strand matrix (see :func:`_coset_map`): each nonzero entry gives one
-block, the ring's cached multiplication block where the target's part is
-full in that degree, and where it is a quotient M_D the projection of M_D
-restricted to one generator times multiplication by the entry, dim M_D x
-dim R_s, cached on the base module next to its strands.  ``exact._mult_block``
-builds both kinds and ``ExactMatrix.assemble`` places them, as it places
-the ring's cached blocks (``rings.mult_matrix``) in a strand matrix
+block, the projection of the target's part M_D restricted to one generator
+times multiplication by the entry, dim M_D x dim R_s, cached on the base
+module next to its strands (where M_D is full, the multiplication block
+scattered into that generator's rows).  ``exact._mult_block`` builds these
+blocks and ``ExactMatrix.assemble`` places them, as it places the ring's
+cached blocks (``rings.mult_matrix``) in a strand matrix
 (presentation strands, ambients that are no module map), which is
 assembled per call and kept by nothing.  Blocks, strand matrices and
 projections are stored by ``exact``'s storage rule, so the block and strand
@@ -490,11 +490,11 @@ def _coset_map(f: GradedMap, source: PresentedModule, target: PresentedModule, d
 
     It is ``induced_map`` of the strand matrix A of f, but A is never
     assembled: ``ExactMatrix.assemble`` places Q A from one block per nonzero
-    entry (i, j).  A part (B, t) of the target whose strand is full (Q = I)
-    has a row block per generator, holding the ring's multiplication block;
-    a quotient part has one, holding the projection of B restricted to the
-    rows of generator i times multiplication by the entry
-    (:func:`_projected_block`), dim B x dim R_{d+a_j}, cached on B.  Entries
+    entry (i, j).  Each part (B, t) of the target has one row block, holding
+    the projection of B restricted to the rows of generator i times
+    multiplication by the entry (:func:`_projected_block`), dim B x
+    dim R_{d+a_j}, cached on B; where B's strand is full (Q = I) that is the
+    multiplication block scattered into the rows of generator i.  Entries
     that meet in one row block and column block are summed.  Q A then takes
     the check and column pick of ``induced_map``; only a zero target strand
     or source ambient, which leave nothing to check, give the zero matrix.
@@ -505,34 +505,29 @@ def _coset_map(f: GradedMap, source: PresentedModule, target: PresentedModule, d
     src, dst = strand(source, d), strand(target, d + deg)
     if dst.dim == 0 or src.ambient_dim == 0:
         return ExactMatrix.zeros(field, dst.dim, src.dim)
-    # per target generator: its row block, its part's base, the part's
-    # quotient strand (None where full) and its index in the base
+    # per target generator: its part's row block, base and strand, and its
+    # index in the base
     place, row_dims = [], []
     for base, t in target.parts or ((target, 0),):
         space = strand(base, d + deg + t)
-        if space.is_full:
-            for i, rows in enumerate(base.generators.strand_block_dims(d + deg + t)):
-                place.append((len(row_dims), base, None, i))
-                row_dims.append(rows)
-        else:
-            place.extend((len(row_dims), base, space, i) for i in range(base.generators.rank))
-            row_dims.append(space.dim)
+        place.extend((len(row_dims), base, space, i) for i in range(base.generators.rank))
+        row_dims.append(space.dim)
     col_dims = f.source.strand_block_dims(d)
     blocks: dict = {}
     for (i, j), e in f.entries.items():
         if not col_dims[j]:
             continue
         row, base, space, gen = place[i]
-        s = d + f.source.twists[j]
-        block = mult_matrix(e, s) if space is None else _projected_block(base, space, gen, e, s)
+        block = _projected_block(base, space, gen, e, d + f.source.twists[j])
         prior = blocks.get((row, j))
         blocks[row, j] = block if prior is None else prior + block
     return _coset_columns(src, ExactMatrix.assemble(field, blocks, row_dims, col_dims))
 
 
 def _projected_block(base: PresentedModule, space: StrandSpace, gen: int, e: Poly, s: int) -> ExactMatrix:
-    """Q_i m_e: the projection of ``space`` = B_D restricted to the rows of
-    generator ``gen``, times multiplication by e from R_s, cached on B.
+    """Q_i m_e: the projection of ``space`` = B_D (I where B_D is full)
+    restricted to the rows of generator ``gen``, times multiplication by e
+    from R_s, cached on B.
 
     Each term of e scatters R_s into the rows of generator ``gen`` in
     (F0)_D, and ``exact._mult_block`` sums the columns of the projection at

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lochom import complexes, exact
+from lochom import complexes, exact, modules
 from lochom.complexes import ModuleChainMap, StrandContext, homology_induced_matrix
 from lochom.duality import dualizing_module_check
 from lochom.errors import FieldMismatchError, WellDefinednessError
@@ -745,6 +745,8 @@ def _outcomes(field, a, b, c, d, picks, scalar):
         "project": space.project(b), "project_sum": twice.project(ExactMatrix.vstack([b, b])),
         "equal": (a == b, a == a), "zero": (a.is_zero(), b.is_zero()), "entries": a.entries,
         "entry": [a.entry(i, j) for i, j in zip(rows, cols)],
+        "mult_block": exact._mult_block(field, a.rows, len(rows), [(np.array(rows, dtype=int), scalar)],
+                                        space),
     }
     for name, ambient in (("induced", ExactMatrix.identity(field, a.rows).scale(scalar)),
                           ("induced_d", d)):
@@ -773,6 +775,9 @@ def test_every_operation_gives_the_same_result_whichever_storage(data, p):
     for sparse in ((False,) * 4, (True,) * 4, (True, False, True, False), (False, True, False, True)):
         operands = [_stored_as(m, s) for m, s in zip((a, b, c, d), sparse)]
         got = _outcomes(field, *operands, picks, scalar)
+        # a filling block is placed without a copy, and the dense loop updates rows
+        assert all(m._indptr is not None or m._data.flags.c_contiguous
+                   for m in got.values() if isinstance(m, ExactMatrix)), sparse
         for name, value in want.items():
             if isinstance(value, ExactMatrix):
                 assert (got[name].rows, got[name].cols, got[name].entries) == (
@@ -840,12 +845,23 @@ def test_the_well_definedness_check_catches_a_fault_in_sparse_maps():
             induced_map(src, src, faulty)
 
 
-def test_the_multiplication_cache_holds_only_nonzeros():
+def test_the_multiplication_cache_holds_only_nonzeros(monkeypatch):
     # the blocks dualizing_module_check caches on k[x,y,z] held 86.3 MB dense
-    # for 57,165 nonzero entries; stored sparse they take 39 bytes each
+    # for 57,165 nonzero entries; stored sparse they take 39 bytes each.  They
+    # sit in the base modules' block caches, so the check records every block
+    # its coset maps read.
     ring = GradedRing(FP, ["x", "y", "z"], [1, 1, 1])
+    seen = {}
+    projected_block = modules._projected_block
+
+    def recorded(*args):
+        block = projected_block(*args)
+        seen[id(block)] = block
+        return block
+
+    monkeypatch.setattr(modules, "_projected_block", recorded)
     assert dualizing_module_check(ring, (-8, 8), k_max=10, s=2).passed
-    blocks = list(ring._mult_cache.values())
+    blocks = list(seen.values())
     nnz = sum(len(exact._coo(b)[0]) for b in blocks)
     stored = sum(a.nbytes for b in blocks
                  for a in (exact._csr(b) if b._indptr is not None else (b._data,)))
