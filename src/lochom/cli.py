@@ -526,6 +526,10 @@ def main(argv=None) -> int:
     except EngineError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""  # numpy names the array it could not allocate
+        print(f"input error: out of memory{detail}", file=sys.stderr)
+        return 2
     return 0 if report.passed else 1
 
 

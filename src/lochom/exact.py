@@ -42,16 +42,27 @@ the two meet on Macaulay matrices: the transposed presentation strands of
 two dense quadrics (six entries a row) eliminate faster dense at 5.7 % and
 3.9 % nonzero, while monomial maps hold one entry in dim R_D per column.
 
-Each operation has one code path for both storages but four forks, each
-kept for the gain its docstring gives: :func:`_product_mod`'s float64 BLAS
-for two dense operands mod p (over Q every product runs on the nonzero
-entries), :func:`_known_pivots` for a dense elimination beside
-:func:`_sparse_rref`, the dense assembly of :func:`_kernel`, and
-:meth:`StrandSpace._from_below` beside one elimination.  Sums, products,
-stacks, block matrices and column or row picks of sparse operands are
-computed on their nonzero entries, exactly, with no dense array of the
-result's shape unless the rule stores the result dense, and every dense
-result is C-contiguous.
+Only the functions that branch on the storage read it.  The storage
+accessors are :func:`_nnz`, :func:`_coo`, :func:`_csr`, :func:`_as_array`
+and :meth:`ExactMatrix.entry`; every other branch is a dense fast path, each
+kept for what it measured:
+
+- :meth:`ExactMatrix.__eq__`, ``_entrywise``, ``scale``, ``columns``,
+  ``take_rows`` and :func:`_transposed` run whole-array numpy on dense
+  operands: through their sparse code a seed-1 lc-dense-fp job took 172-196
+  ms of CPU instead of 67-71 ms, and lh-towers-fp 80 ms instead of 47-54 ms;
+- :meth:`ExactMatrix.__matmul__` multiplies two dense operands mod p through
+  :func:`_product_mod`'s float64 BLAS (over Q every product runs on the
+  nonzero entries);
+- :func:`_kernel` assembles the kernel of a dense echelon form in place:
+  building every kernel from its entries made lh-towers-fp about 18 % slower;
+- :func:`_eliminate` takes the dense loop below 4096 entries and keeps the
+  rows of Z and S of a dense input dense (its docstring gives the numbers).
+
+Sums, products, stacks, block matrices and column or row picks of sparse
+operands are computed on their nonzero entries, exactly, with no dense array
+of the result's shape unless the rule stores the result dense, and every
+dense result is C-contiguous.
 
 Mod-p products delay reduction while no sum of products can leave the range
 in which its type is exact (Dumas, Giorgi and Pernet, *FFLAS-FFPACK*, ACM
@@ -63,21 +74,18 @@ one product of two reduced entries, below ``(p-1)^2 < 2^62``, from a reduced
 entry, so it is exact in int64 for every p < 2^31.  Over Q it divides the
 pivot row by the pivot and has nothing to reduce.
 
-An elimination of 4096 entries or more, over either field, first takes the
-pivots it knows (Faugere and Lachartre, PASCO 2010; Boyer, Eder, Faugere,
-Lachartre and Martani, *GBLA*, ISSAC 2016).  Strand matrices are Macaulay
-matrices: one row per distinct leading column gives a triangular pivot
-block A, back substitution over its nonzero entries gives Z = A_L^-1 A_N,
-and the other rows C reduce to the Schur complement S = C_N - C_L Z, the only
-part that goes through the dense loop.  Smaller matrices take the dense loop
-whole, as the front end costs more than it saves there.  Each product
-``v z < (p-1)^2 < 2^62`` of the back substitution and of S is reduced before
-it is added, so a sum stays below 2^63 for every p < 2^31; the correction of
-Z by RREF(S) is a mod-p product with the bounds above.  A sparse matrix takes
-the same known pivots off its stored entries (:func:`_sparse_rref`): Z and S
-are kept as their nonzero entries, S is eliminated by the storage the rule
-gives it, and the echelon form is stored by the rule, so no elimination of a
-sparse matrix allocates its dense array.
+An elimination of 4096 entries or more, over either field and in either
+storage, first takes the pivots it knows (Faugere and Lachartre, PASCO 2010;
+Boyer, Eder, Faugere, Lachartre and Martani, *GBLA*, ISSAC 2016).  Strand
+matrices are Macaulay matrices: one row per distinct leading column gives a
+triangular pivot block A, back substitution over its nonzero entries gives
+Z = A_L^-1 A_N, and the other rows C reduce to the Schur complement
+S = C_N - C_L Z, the only part eliminated again (:func:`_eliminate`).
+Smaller matrices take the dense loop whole, as the front end costs more than
+it saves there.  Each product ``v z < (p-1)^2 < 2^62`` of the back
+substitution and of S is reduced before it is added, so a sum stays below
+2^63 for every p < 2^31; the correction of Z by RREF(S) is a mod-p product
+with the bounds above.
 """
 
 from __future__ import annotations
@@ -216,10 +224,13 @@ _SPARSE_FROM = 4096
 _SPARSE_SHARE = 32
 
 
-def _is_sparse(rows: int, cols: int, nnz: int) -> bool:
-    """The storage rule: sparse from 4096 entries with at most 1/32 of them nonzero."""
+def _is_sparse(rows: int, cols: int, count, *args) -> bool:
+    """The storage rule: sparse from 4096 entries with at most 1/32 of them
+    nonzero.  ``count(*args)`` gives the nonzero count; below 4096 entries it
+    is not called.  The constructors pass a function and its arguments: a
+    closure per matrix made lh-towers-fp 3-6 % slower."""
     size = rows * cols
-    return size >= _SPARSE_FROM and nnz * _SPARSE_SHARE <= size
+    return size >= _SPARSE_FROM and count(*args) * _SPARSE_SHARE <= size
 
 
 def _nnz(m: "ExactMatrix") -> int:
@@ -281,7 +292,7 @@ def _from_coo(field: FieldSpec, rows: int, cols: int, r, c, v) -> "ExactMatrix":
     if p:
         v = v.astype(np.int64, copy=False)
     key, v = _summed(np.asarray(r, dtype=np.int64) * cols + c, v, p)
-    if not _is_sparse(rows, cols, key.size):
+    if not _is_sparse(rows, cols, len, key):
         out = _zeros(field, rows, cols)
         out.reshape(-1)[key] = v
         return ExactMatrix._stored(field, rows, cols, out)
@@ -329,7 +340,7 @@ class ExactMatrix:
         self.field = field
         self.rows, self.cols = data.shape
         self._indptr = None
-        if data.size >= _SPARSE_FROM and _is_sparse(self.rows, self.cols, np.count_nonzero(data)):
+        if _is_sparse(self.rows, self.cols, np.count_nonzero, data):
             r, indices = data.nonzero()
             data, indptr = data[r, indices], np.searchsorted(r, np.arange(self.rows + 1))
             indptr.flags.writeable = indices.flags.writeable = False
@@ -377,8 +388,8 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
-        if not cols or rows * cols < _SPARSE_FROM:
-            return cls(field, _zeros(field, rows, cols))
+        if not _is_sparse(rows, cols, int):  # int() is 0
+            return cls._stored(field, rows, cols, _zeros(field, rows, cols))
         none = np.zeros(0, dtype=np.int64)
         return _from_coo(field, rows, cols, none, none, none)
 
@@ -507,7 +518,7 @@ def _placed(field: FieldSpec, rows: int, cols: int, placed) -> ExactMatrix:
     if len(placed) == 1 and (placed[0][0].rows, placed[0][0].cols) == (rows, cols):
         # one block filling the matrix is the matrix
         return placed[0][0]
-    if rows * cols >= _SPARSE_FROM and _is_sparse(rows, cols, sum(_nnz(b) for b, _, _ in placed)):
+    if _is_sparse(rows, cols, sum, (_nnz(b) for b, _, _ in placed)):
         r, c, v = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], []
         for blk, r0, c0 in placed:
             br, bc, bv = _coo(blk)
@@ -641,193 +652,133 @@ def _pivot_block(rows, cols, vals, nrows: int, ncols: int, p: int):
     return L, N, in_a, k, on_l, c, lead
 
 
-def _known_pivots(a: np.ndarray, p: int):
-    """The known pivot columns L of ``a``, the other columns N, Z and S.
+def _levels(i, j, n: int):
+    """The back substitution schedule of Z = A_L^-1 A_N over the n rows of A.
 
-    One row per distinct leading column forms the pivot block A (see
-    :func:`_pivot_block`); Z = A_L^-1 A_N, and S = C_N - C_L Z for the other
-    rows C.  It is the dense front end beside :func:`_sparse_rref`: taking a
-    dense array through the stored entries of :func:`_sparse_rref` took
-    lc-dense-fp's four such eliminations from 6.4 to 10.5 ms a job, about
-    5 % of the job.
+    The entries of A_L off its diagonal sit in the rows i (sorted) at the
+    pivot columns of the rows j.  Row r of Z is A_N[r] minus v Z[j] for each
+    such entry v of row r, so it is solved once the rows at each of its j
+    are.  Yields, one level at a time, the rows solved there, the positions
+    of their entries and how many each row has; the first level has none.
     """
-    nrows, ncols = a.shape
-    rows, cols = a.nonzero()
-    vals = a[rows, cols].astype(np.int64) if p else a[rows, cols]
-    L, N, in_a, k, on_l, c, lead = _pivot_block(rows, cols, vals, nrows, ncols, p)
-    in_block = k >= 0
-    z, s = (np.zeros((r, N.size), dtype=np.int64) if p else _zeros(QQ, r, N.size)
-            for r in (L.size, nrows - L.size))
-    if not N.size:
-        return L, N, z, s
-    right = in_block & ~on_l
-    z[k[right], c[right]] = vals[right]
-    # Back substitution, one level at a time: row r of Z is solved once the
-    # rows of Z at every other pivot column of A's row r are.
-    off = in_block & on_l & ~lead
-    order = np.argsort(k[off], kind="stable")
-    i, j, v = k[off][order], c[off][order], vals[off][order]
+    marks = np.arange(n + 1)
     by_j = np.argsort(j, kind="stable")
-    marks = np.arange(L.size + 1)
     i_ptr, j_ptr = np.searchsorted(i, marks), np.searchsorted(j[by_j], marks)
     pending = np.diff(i_ptr)
     ready = np.flatnonzero(pending == 0)
     while ready.size:
-        hits = np.bincount(i[by_j[_ranges(j_ptr, ready)[0]]], minlength=L.size)
+        yield (ready, *_ranges(i_ptr, ready))
+        hits = np.bincount(i[by_j[_ranges(j_ptr, ready)[0]]], minlength=n)
         pending -= hits
         ready = np.flatnonzero((hits > 0) & (pending == 0))
-        if ready.size:
-            e, lens = _ranges(i_ptr, ready)
-            _subtract_products(z, ready, np.cumsum(lens) - lens, j[e], v[e], z, p)
-    c_row = np.cumsum(in_a < 0) - 1
-    right, left = ~in_block & ~on_l, ~in_block & on_l
-    s[c_row[rows[right]], c[right]] = vals[right]
-    if left.any():
-        i = c_row[rows[left]]
-        starts = np.flatnonzero(np.diff(i, prepend=-1))
-        _subtract_products(s, i[starts], starts, c[left], vals[left], z, p)
-    return L, N, z, s
 
 
-def _sparse_z(k, c, vals, right, off, n_l: int, n_n: int, p: int):
-    """Z = A_L^-1 A_N of :func:`_pivot_block`'s entries, as its values, row
-    pointers and columns.
+def _eliminate(m: ExactMatrix):
+    """The reduced row echelon form of m and its pivot columns.
 
-    Back substitution, one level at a time as in :func:`_known_pivots`: row r
-    of Z is A_N[r] minus v Z[j] for each entry v of A's row r at another pivot
-    column j, and each row is kept as its nonzero entries.
+    Below 4096 entries m takes the dense loop whole.  From 4096 entries on,
+    either storage takes its known pivots (:func:`_pivot_block`) off its
+    nonzero entries: Z = A_L^-1 A_N by back substitution on the schedule of
+    :func:`_levels`, then S = C_N - C_L Z, which is eliminated here again.
+    The pivot columns are L and those of RREF(S); the pivot row of L[t] is
+    e_L[t] plus Z[t] on the free columns, minus Z[t] on the pivots of S times
+    RREF(S) on the free columns, and the other rows are those of RREF(S).
+    Only the rows of Z and S are kept by storage: dense rows for a dense m,
+    updated in place and multiplied through BLAS, and merged nonzero entries
+    for a sparse one, so no elimination of a sparse matrix allocates its
+    dense array.  Taking dense inputs through the merges took lc-dense-fp's
+    four such eliminations from 6.4 to 10.5 ms a job, about 5 % of the job.
     """
-    marks = np.arange(n_l + 1)
-    order = np.argsort(k[right], kind="stable")
-    a_k, a_c, a_v = k[right][order], c[right][order], vals[right][order]
-    a_ptr = np.searchsorted(a_k, marks)
-    order = np.argsort(k[off], kind="stable")
-    i, j, v = k[off][order], c[off][order], vals[off][order]
-    by_j = np.argsort(j, kind="stable")
-    i_ptr, j_ptr = np.searchsorted(i, marks), np.searchsorted(j[by_j], marks)
-    pending = np.diff(i_ptr)
-    # row r of Z is z_col/z_val[first[r] : first[r] + lens[r]], once solved
-    first, lens = np.zeros(n_l, dtype=np.int64), np.zeros(n_l, dtype=np.int64)
-    z_col, z_val = np.zeros(0, dtype=np.int64), vals[:0]
-    ready = np.flatnonzero(pending == 0)
-    while ready.size:
-        e = _ranges(a_ptr, ready)[0]
-        t = _ranges(i_ptr, ready)[0]
-        at, counts = _spans(first[j[t]], lens[j[t]]), lens[j[t]]
-        key, val = _summed(
-            np.concatenate([a_k[e], np.repeat(i[t], counts)]) * n_n
-            + np.concatenate([a_c[e], z_col[at]]),
-            np.concatenate([a_v[e], _minus_products(v[t], counts, z_val[at], p)]), p)
-        row = key // n_n
-        start = np.searchsorted(row, ready)
-        first[ready] = z_col.size + start
-        lens[ready] = np.searchsorted(row, ready, side="right") - start
-        z_col, z_val = np.concatenate([z_col, key % n_n]), np.concatenate([z_val, val])
-        hits = np.bincount(i[by_j[_ranges(j_ptr, ready)[0]]], minlength=n_l)
-        pending -= hits
-        ready = np.flatnonzero((hits > 0) & (pending == 0))
-    at = _spans(first, lens)
-    return z_val[at], np.concatenate([[0], np.cumsum(lens)]), z_col[at]
-
-
-def _sparse_rref(m: ExactMatrix):
-    """The known pivots of :func:`_rref` for a sparse matrix, read off its
-    stored nonzeros, with a form stored by the rule: Z (:func:`_sparse_z`)
-    and S are kept as their nonzero entries, and S is eliminated by
-    :func:`_eliminate`.  No dense array of the matrix's shape is allocated."""
     field, nrows, ncols = m.field, m.rows, m.cols
     p = field.characteristic
+    if nrows * ncols < _SPARSE_FROM:
+        red, pivots = _dense_rref(_as_array(m), p)
+        return ExactMatrix(field, red.astype(m._data.dtype, copy=False)), tuple(pivots)
     rows, cols, vals = _coo(m)
     vals = vals.astype(np.int64) if p else vals.copy()
     L, N, in_a, k, on_l, c, lead = _pivot_block(rows, cols, vals, nrows, ncols, p)
     if not N.size:
-        return _from_coo(field, nrows, ncols, np.arange(L.size), L, _ones(field, L.size)), L.tolist()
+        out = _from_coo(field, nrows, ncols, np.arange(L.size), L, _ones(field, L.size))
+        return out, tuple(L.tolist())
     in_block = k >= 0
-    z_val, z_ptr, z_col = _sparse_z(k, c, vals, in_block & ~on_l, in_block & on_l & ~lead,
-                                    L.size, N.size, p)
-    # S = C_N - C_L Z
+    a_n, c_n, c_l = in_block & ~on_l, ~in_block & ~on_l, ~in_block & on_l
+    off = in_block & on_l & ~lead
+    order = np.argsort(k[off], kind="stable")
+    i, j, v = k[off][order], c[off][order], vals[off][order]
     c_row = (np.cumsum(in_a < 0) - 1)[rows]
-    right, left = ~in_block & ~on_l, ~in_block & on_l
-    at, counts = _ranges(z_ptr, c[left])
-    s = _from_coo(field, nrows - L.size, N.size,
-                  np.concatenate([c_row[right], np.repeat(c_row[left], counts)]),
-                  np.concatenate([c[right], z_col[at]]),
-                  np.concatenate([vals[right], _minus_products(vals[left], counts, z_val[at], p)]))
-    red, piv_s = _eliminate(s) if not s.is_zero() else (s, [])
-    # the pivot row of L[t] is e_L[t] plus Z[t] on the free columns, minus
-    # Z[t] on the pivots of S times RREF(S) on the free columns
+    if m._indptr is None:
+        z, s = (np.zeros((r, N.size), dtype=np.int64) if p else _zeros(QQ, r, N.size)
+                for r in (L.size, nrows - L.size))
+        z[k[a_n], c[a_n]] = vals[a_n]
+        for ready, t, lens in _levels(i, j, L.size):
+            if t.size:  # np.add.reduceat refuses the first level, which has no entries
+                _subtract_products(z, ready, np.cumsum(lens) - lens, j[t], v[t], z, p)
+        s[c_row[c_n], c[c_n]] = vals[c_n]
+        if c_l.any():
+            starts = np.flatnonzero(np.diff(c_row[c_l], prepend=-1))
+            _subtract_products(s, c_row[c_l][starts], starts, c[c_l], vals[c_l], z, p)
+        s = ExactMatrix(field, s.astype(m._data.dtype, copy=False))
+    else:
+        # row r of Z is z_col/z_val[first[r] : first[r] + lens[r]] once solved
+        order = np.argsort(k[a_n], kind="stable")
+        a_k, a_c, a_v = k[a_n][order], c[a_n][order], vals[a_n][order]
+        a_ptr = np.searchsorted(a_k, np.arange(L.size + 1))
+        first, lens = np.zeros(L.size, dtype=np.int64), np.zeros(L.size, dtype=np.int64)
+        z_col, z_val = np.zeros(0, dtype=np.int64), vals[:0]
+        for ready, t, _ in _levels(i, j, L.size):
+            e = _ranges(a_ptr, ready)[0]
+            at, counts = _spans(first[j[t]], lens[j[t]]), lens[j[t]]
+            key, val = _summed(
+                np.concatenate([a_k[e], np.repeat(i[t], counts)]) * N.size
+                + np.concatenate([a_c[e], z_col[at]]),
+                np.concatenate([a_v[e], _minus_products(v[t], counts, z_val[at], p)]), p)
+            row = key // N.size
+            start = np.searchsorted(row, ready)
+            first[ready] = z_col.size + start
+            lens[ready] = np.searchsorted(row, ready, side="right") - start
+            z_col, z_val = np.concatenate([z_col, key % N.size]), np.concatenate([z_val, val])
+        at = _spans(first, lens)
+        z_val, z_ptr, z_col = z_val[at], np.concatenate([[0], np.cumsum(lens)]), z_col[at]
+        at, counts = _ranges(z_ptr, c[c_l])
+        s = _from_coo(field, nrows - L.size, N.size,
+                      np.concatenate([c_row[c_n], np.repeat(c_row[c_l], counts)]),
+                      np.concatenate([c[c_n], z_col[at]]),
+                      np.concatenate([vals[c_n], _minus_products(vals[c_l], counts, z_val[at], p)]))
+    red, piv_s = _eliminate(s) if not s.is_zero() else (s, ())
     piv_s = np.array(piv_s, dtype=np.int64)
     is_free = np.ones(N.size, dtype=bool)
     is_free[piv_s] = False
     pivots = np.sort(np.concatenate([L, N[piv_s]]))
-    pos = np.searchsorted(pivots, L)
+    pos, s_pos = np.searchsorted(pivots, L), np.searchsorted(pivots, N[piv_s])
+    if m._indptr is None:
+        out = _zeros(field, nrows, ncols)
+        out[pos, L] = field.one()
+        red = _as_array(red)[: piv_s.size]
+        zk = z[:, is_free]
+        if piv_s.size:
+            zk = ((zk - _product_mod(z[:, piv_s], red[:, is_free], p)) % p if p
+                  else zk - z[:, piv_s] @ red[:, is_free])
+        out[np.ix_(pos, N[is_free])] = zk
+        out[np.ix_(s_pos, N)] = red
+        return ExactMatrix(field, out), tuple(pivots.tolist())
     z_row = np.repeat(pos, np.diff(z_ptr))
     free = is_free[z_col]
     slot = np.full(N.size, -1)
     slot[piv_s] = np.arange(piv_s.size)
     s_row, s_col, s_val = _coo(red)
     keep = is_free[s_col]
-    at, counts = _ranges(np.searchsorted(s_row[keep], np.arange(piv_s.size + 1)),
-                         slot[z_col[~free]])
+    at, counts = _ranges(np.searchsorted(s_row[keep], np.arange(piv_s.size + 1)), slot[z_col[~free]])
     out = _from_coo(
         field, nrows, ncols,
-        np.concatenate([pos, z_row[free], np.repeat(z_row[~free], counts),
-                        np.searchsorted(pivots, N[piv_s])[s_row]]),
+        np.concatenate([pos, z_row[free], np.repeat(z_row[~free], counts), s_pos[s_row]]),
         np.concatenate([L, N[z_col[free]], N[s_col[keep][at]], N[s_col]]),
         np.concatenate([_ones(field, L.size), z_val[free],
                         _minus_products(z_val[~free], counts, s_val[keep][at], p), s_val]))
-    return out, pivots.tolist()
-
-
-def _eliminate(m: ExactMatrix):
-    """The reduced row echelon form of m and its pivot columns, by
-    :func:`_sparse_rref` for a sparse matrix and :func:`_rref` for a dense one;
-    the Schur complement of a sparse elimination takes it, as it is part of
-    one elimination, not a call of :func:`rref_with_pivots`."""
-    if m._indptr is not None:
-        red, pivots = _sparse_rref(m)
-    else:
-        red, pivots = _rref(m._data, m.field.characteristic)
-        red = ExactMatrix(m.field, red.astype(m._data.dtype, copy=False))
-    return red, tuple(pivots)
-
-
-def _rref(a: np.ndarray, p: int):
-    """Reduced row echelon form of the array ``a`` and its pivot columns; p = 0 means Q.
-
-    From 4096 entries on, only the Schur complement S of the known pivots
-    (:func:`_known_pivots`) goes through the dense loop.  The pivot columns
-    are L and those of RREF(S); the pivot row of c in L is e_c plus Z K_S on
-    the free columns (K_S the kernel of S), and the others are the rows of
-    RREF(S).  The output is written once, in the input dtype.
-    """
-    if a.size < _SPARSE_FROM:
-        return _dense_rref(a, p)
-    L, N, z, s = _known_pivots(a, p)
-    red, piv_s = _dense_rref(s, p) if s.size else (s, [])
-    rank_s = len(piv_s)
-    is_free = np.ones(N.size, dtype=bool)
-    is_free[piv_s] = False
-    free = np.flatnonzero(is_free)
-    pivots = np.sort(np.concatenate([L, N[piv_s]]))
-    out = np.zeros(a.shape, dtype=a.dtype) if p else _zeros(QQ, *a.shape)
-    pos = np.searchsorted(pivots, L)
-    out[pos, L] = 1 if p else Fraction(1)
-    if free.size:
-        zk = z[:, free]
-        if rank_s:
-            zk = zk - (_product_mod(z[:, piv_s], red[:rank_s, free], p) if p
-                       else z[:, piv_s] @ red[:rank_s, free])
-            if p:
-                zk %= p
-        out[np.ix_(pos, N[free])] = zk
-    if rank_s:
-        out[np.ix_(np.searchsorted(pivots, N[piv_s]), N)] = red[:rank_s]
-    return out, pivots.tolist()
+    return out, tuple(pivots.tolist())
 
 
 def _dense_rref(a: np.ndarray, p: int):
-    """The dense loop of :func:`_rref`.
+    """The dense loop of :func:`_eliminate`.
 
     A pivot touches only the columns from its own rightward and only the rows
     with a nonzero entry in its column.
@@ -891,8 +842,7 @@ def _kernel(m: ExactMatrix):
     free = [c for c in range(m.cols) if c not in pivot_set]
     if red._indptr is None:
         block = red._data[: len(pivots), free]
-        if m.cols * len(free) < _SPARSE_FROM or not _is_sparse(
-                m.cols, len(free), len(free) + np.count_nonzero(block)):
+        if not _is_sparse(m.cols, len(free), lambda: len(free) + np.count_nonzero(block)):
             out = _zeros(field, m.cols, len(free))
             out[free, range(len(free))] = field.one()
             if pivots:
@@ -1140,7 +1090,7 @@ def _mult_block(field: FieldSpec, n: int, cols: int, terms, space: StrandSpace |
         # each term puts one nonzero entry in each column
         if not terms:
             return ExactMatrix.zeros(field, n, cols)
-        if _is_sparse(n, cols, len(terms) * cols):
+        if _is_sparse(n, cols, lambda: len(terms) * cols):
             values = np.array([c for _, c in terms], dtype=object if field.is_rational else np.int64)
             return _from_coo(field, n, cols, np.concatenate([rows for rows, _ in terms]),
                              np.tile(np.arange(cols), len(terms)), np.repeat(values, cols))

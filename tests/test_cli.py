@@ -154,9 +154,10 @@ ENGINE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("cls", ENGINE_ERRORS, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", ENGINE_ERRORS + [MemoryError], ids=lambda cls: cls.__name__)
 def test_every_engine_error_has_its_exit_code(cls, tmp_path, capsys, monkeypatch):
-    # broken invariants exit 3, every other engine error is an input error
+    # broken invariants exit 3, every other engine error is an input error, and
+    # so is a job too big for memory (numpy raises MemoryError)
     def fail(job):
         raise cls("boom", 1) if cls is ParseError else cls("boom")
 

@@ -643,6 +643,42 @@ def _unit_row_case(p, rows, cols, seed):
     return out
 
 
+def _front_end_case(p, levels, free, extra, kind, seed):
+    """Rows of a unit upper-triangular band of ``levels`` rows over ``free``
+    more columns, each band row resting on the next, so its back substitution
+    runs ``levels`` levels deep, and ``extra`` rows led inside the band:
+    random rows, or combinations of band rows, whose Schur complement is zero.
+    With no free column the known pivots leave none."""
+    rng = random.Random(seed)
+    f = _RefField(p)
+    cols = levels + free
+
+    def value():
+        return f.norm(rng.choice((1, -1, rng.randint(2, 9))))
+
+    band = []
+    for r in range(levels):
+        row = [f.norm(0)] * cols
+        row[r] = f.norm(1)
+        if r + 1 < levels:
+            row[r + 1] = f.norm(rng.choice((1, -1)))
+        for j in rng.sample(range(r + 2, cols), max(0, min(3, cols - r - 2))):
+            row[j] = value()
+        band.append(row)
+    rows = []
+    for _ in range(extra):
+        if kind == "zero-schur":
+            mix = {rng.randrange(levels): value() for _ in range(3)}
+            rows.append([f.norm(sum(v * band[r][j] for r, v in mix.items())) for j in range(cols)])
+        else:
+            lead = rng.randrange(levels)
+            rows.append([f.norm(0)] * lead + [value() if j == lead or rng.random() < 0.3 else f.norm(0)
+                                              for j in range(lead, cols)])
+    rows += band
+    rng.shuffle(rows)
+    return rows
+
+
 # Shapes on both sides of the 4096 entries from which the kernel takes known
 # pivots first (63x64, 64x64), and wide shapes of a few rows (2x2048 up to
 # 9x456) whose updates, at the largest primes, subtract products of two
@@ -660,21 +696,29 @@ RATIONAL_SHAPES = [(5, 7), (7, 5), (4, 41), (12, 16), (16, 12)]
 MACAULAY_SHAPES = [(2, 40, (2, 2)), (2, 60, (2, 2)), (3, 10, (2,)), (3, 12, (2,)),
                    (4, 7, (3, 3)), (3, 8, (1, 2, 2))]
 UNIT_ROW_SHAPES = [(60, 64), (100, 64), (64, 100)]
+# Known pivots as (levels, free columns, extra rows, kind): a chain of 120
+# levels (64 over Q, whose exact fractions grow with the depth) under random
+# rows, pivots that leave no free column, and a Schur complement that is zero.
+FRONT_END_SHAPES = [(120, 8, 6, "random"), (64, 0, 6, "random"), (64, 6, 8, "zero-schur")]
+RATIONAL_FRONT_END_SHAPES = [(64, 2, 2, "random"), (64, 0, 2, "random"), (64, 2, 2, "zero-schur")]
 
 
 def _structured_cases(p, kind):
-    """Rows of each Macaulay or unit-row test matrix."""
+    """Rows of each Macaulay, unit-row or front-end test matrix."""
     if kind == "macaulay":
         return [_macaulay_case(p, *shape, seed) for seed, shape in enumerate(MACAULAY_SHAPES)]
+    if kind == "front-end":
+        shapes = FRONT_END_SHAPES if p else RATIONAL_FRONT_END_SHAPES
+        return [_front_end_case(p, *shape, seed) for seed, shape in enumerate(shapes)]
     return [_unit_row_case(p, *shape, seed) for seed, shape in enumerate(UNIT_ROW_SHAPES)]
 
 
 @pytest.mark.parametrize("p", ELIMINATION_PRIMES)
-@pytest.mark.parametrize("kind", ["random", "top", "low-rank", "macaulay", "unit-rows"])
+@pytest.mark.parametrize("kind", ["random", "top", "low-rank", "macaulay", "unit-rows", "front-end"])
 def test_elimination_matches_reference(p, kind):
     field = FieldSpec(p)
     ref_field = _RefField(p)
-    if kind in ("macaulay", "unit-rows"):
+    if kind in ("macaulay", "unit-rows", "front-end"):
         cases = _structured_cases(p, kind)
     else:
         cases = [_elimination_case(p, rows, cols, kind, seed)
@@ -682,11 +726,12 @@ def test_elimination_matches_reference(p, kind):
     for data in cases:
         rows, cols = len(data), len(data[0])
         want, pivots = _ref_rref(data, cols, ref_field)
-        red, got_pivots = rref_with_pivots(M(field, data))
-        assert got_pivots == tuple(pivots), (rows, cols)
-        assert red.entries == tuple(tuple(r) for r in want), (rows, cols)
-        assert red._data.dtype == (exact._dtype_for(p) if p else object)
-        assert rank(M(field, data)) == len(pivots), (rows, cols)
+        for m in (_stored_as(M(field, data), sparse) for sparse in (False, True)):
+            red, got_pivots = rref_with_pivots(m)
+            assert got_pivots == tuple(pivots), (rows, cols)
+            assert red.entries == tuple(tuple(r) for r in want), (rows, cols)
+            assert red._data.dtype == (exact._dtype_for(p) if p else object)
+            assert rank(m) == len(pivots), (rows, cols)
 
 
 # -- sparse storage ---------------------------------------------------------------
@@ -705,7 +750,7 @@ def _stored_as(m, sparse):
 
 def _is_rule_stored(m):
     nnz = len(exact._coo(m)[0])
-    return (m._indptr is not None) == exact._is_sparse(m.rows, m.cols, nnz)
+    return (m._indptr is not None) == exact._is_sparse(m.rows, m.cols, lambda: nnz)
 
 
 @st.composite
@@ -768,7 +813,21 @@ def test_every_operation_gives_the_same_result_whichever_storage(data, p):
     n = data.draw(st.integers(0, 6)) if a.rows and a.cols else 0
     picks = [data.draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n)) if n else []
              for size in (a.rows, a.cols)]
-    scalar = data.draw(st.integers(0, 5))
+    _assert_the_same_whichever_storage(field, a, b, c, d, picks, data.draw(st.integers(0, 5)))
+
+
+@pytest.mark.parametrize("p", (2, 32003, 2**31 - 1))
+def test_front_end_inputs_give_the_same_result_whichever_storage(p):
+    # a deep chain, no free column and a zero Schur complement; over Q their
+    # strand spaces take seconds, and the elimination test covers them
+    field = FieldSpec(p)
+    for a in (M(field, data) for data in _structured_cases(p, "front-end")):
+        t = exact._transposed(a)
+        _assert_the_same_whichever_storage(field, a, a.scale(2), t, a @ t,
+                                           [[0, a.rows - 1, 3], [a.cols - 1, 0, 5]], 3)
+
+
+def _assert_the_same_whichever_storage(field, a, b, c, d, picks, scalar):
     want = _outcomes(field, a, b, c, d, picks, scalar)
     # operands in the rule's storage give results in the rule's storage
     assert all(_is_rule_stored(m) for m in want.values() if isinstance(m, ExactMatrix))

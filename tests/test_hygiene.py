@@ -2,7 +2,8 @@
 name in a module's ``__all__`` is defined there, every function reads each
 of its parameters, only ``rings`` builds a Poly unchecked, only ``koszul``
 builds a transition between Koszul stages, only ``exact`` (and its tests)
-touches how a matrix is stored, every GradedMap goes through its
+touches how a matrix is stored, its module docstring names each function
+that branches on the storage, every GradedMap goes through its
 constructor, ``exact._Frozen`` is the one immutability guard, and every
 function and class is named somewhere besides its own definition."""
 
@@ -241,6 +242,49 @@ def test_the_scan_sees_matrix_storage():
     ]
     exact = SRC / "exact.py"
     assert storage_uses(ast.parse(exact.read_text(encoding="utf-8")))
+
+
+def storage_branches(tree: ast.Module) -> list:
+    """(line, function) for each function that branches on how a matrix is
+    stored: one that compares some ``_indptr``."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(side, ast.Attribute) and side.attr == "_indptr"
+                for n in ast.walk(node) if isinstance(n, ast.Compare)
+                for side in (n.left, *n.comparators))
+    )
+
+
+def unnamed_storage_branches(tree: ast.Module) -> list:
+    """The storage branches that the module docstring does not name as
+    ``name``, :func:`name` or :meth:`Class.name`."""
+    doc = ast.get_docstring(tree) or ""
+    return [(line, name) for line, name in storage_branches(tree)
+            if not re.search(rf"[`.]{re.escape(name)}`", doc)]
+
+
+def test_the_exact_docstring_names_every_storage_branch():
+    # each branch is a storage accessor or a dense fast path kept for a
+    # measured reason, which the docstring gives
+    tree = ast.parse((SRC / "exact.py").read_text(encoding="utf-8"))
+    assert storage_branches(tree)
+    assert unnamed_storage_branches(tree) == []
+
+
+def test_the_scan_sees_a_storage_branch_the_docstring_does_not_name():
+    tree = ast.parse(
+        '"""Reads :func:`f`, :meth:`C.g` and ``h``; k is not named."""\n'
+        "def f(m):\n    return m._data if m._indptr is None else 0\n"
+        "class C:\n    def g(self):\n        dense = self._indptr is None\n"
+        "    def i(self):\n        self._indptr = None\n"
+        "def h(m, n):\n    if n.rows or None is not m._indptr:\n        pass\n"
+        "def k(m):\n    while m._indptr is not None:\n        pass\n"
+        "def n(indptr):\n    return indptr is None\n"
+    )
+    assert storage_branches(tree) == [(2, "f"), (5, "g"), (9, "h"), (12, "k")]
+    assert unnamed_storage_branches(tree) == [(12, "k")]
 
 
 def _is_graded_map(node) -> bool:

@@ -642,6 +642,23 @@ def test_strand_matrix_is_assembled_per_call_from_cached_blocks():
     assert len(r._mult_cache) == blocks
 
 
+def _record_top_eliminations(monkeypatch, record):
+    """Patch ``exact._eliminate`` to call record(matrix) for each elimination
+    that is not part of another: a Schur complement re-enters it."""
+    real, depth = exact._eliminate, [0]
+
+    def recorded(matrix):
+        if not depth[0]:
+            record(matrix)
+        depth[0] += 1
+        try:
+            return real(matrix)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(exact, "_eliminate", recorded)
+
+
 def test_big_quotient_strand_hands_the_dense_loop_only_the_schur_complement(monkeypatch):
     # R/(two dense quadrics) in degree 10: the elimination of the transposed
     # presentation strand is 90 x 66, and its rows with distinct leading
@@ -650,18 +667,17 @@ def test_big_quotient_strand_hands_the_dense_loop_only_the_schur_complement(monk
     m = quotient(r, "-9*x^2 - 4*x*y + 2*x*z + 3*y^2 - 5*y*z - 8*z^2",
                  "x^2 + 4*x*y + 7*x*z - 6*y^2 - 8*y*z - 5*z^2")
     eliminated, dense = [], []
-    real_rref, real_dense = exact._rref, exact._dense_rref
+    real_dense = exact._dense_rref
 
-    def recorded_rref(a, p):
-        leads = {int(row.nonzero()[0][0]) for row in a if row.any()}
-        eliminated.append((a.shape, len(leads)))
-        return real_rref(a, p)
+    def recorded(matrix):
+        leads = {next(j for j, v in enumerate(row) if v) for row in matrix.entries if any(row)}
+        eliminated.append(((matrix.rows, matrix.cols), len(leads)))
 
     def recorded_dense(a, p):
         dense.append(a.shape)
         return real_dense(a, p)
 
-    monkeypatch.setattr(exact, "_rref", recorded_rref)
+    _record_top_eliminations(monkeypatch, recorded)
     monkeypatch.setattr(exact, "_dense_rref", recorded_dense)
     assert strand(m, 10).dim == 4
     [((rows, cols), known)] = eliminated
@@ -777,13 +793,7 @@ def test_a_top_strand_over_cached_strands_runs_only_small_eliminations(monkeypat
     for d in range(26):
         strand(m, d)
     shapes = []
-    real_rref = exact._rref
-
-    def recorded_rref(a, p):
-        shapes.append(a.shape)
-        return real_rref(a, p)
-
-    monkeypatch.setattr(exact, "_rref", recorded_rref)
+    _record_top_eliminations(monkeypatch, lambda matrix: shapes.append((matrix.rows, matrix.cols)))
     space = strand(m, 26)
     assert (space.dim, space.ambient_dim) == (4, 378)
     assert shapes and all(min(shape) <= 12 for shape in shapes)
