@@ -43,8 +43,8 @@ two dense quadrics (six entries a row) eliminate faster dense at 5.7 % and
 3.9 % nonzero, while monomial maps hold one entry in dim R_D per column.
 
 Only the functions that branch on the storage read it.  The storage
-accessors are :func:`_nnz`, :func:`_coo`, :func:`_csr`, :func:`_as_array`
-and :meth:`ExactMatrix.entry`; every other branch is a dense fast path, each
+accessors are :func:`_coo`, :func:`_csr`, :func:`_as_array` and
+:meth:`ExactMatrix.entry`; every other branch is a dense fast path, each
 kept for what it measured:
 
 - :meth:`ExactMatrix.__eq__`, ``_entrywise``, ``scale``, ``columns``,
@@ -83,9 +83,8 @@ Z = A_L^-1 A_N, and the other rows C reduce to the Schur complement
 S = C_N - C_L Z, the only part eliminated again (:func:`_eliminate`).
 Smaller matrices take the dense loop whole, as the front end costs more than
 it saves there.  Each product ``v z < (p-1)^2 < 2^62`` of the back
-substitution and of S is reduced before it is added, so a sum stays below
-2^63 for every p < 2^31; the correction of Z by RREF(S) is a mod-p product
-with the bounds above.
+substitution, of S and of the correction of Z by RREF(S) is reduced before
+it is added, so a sum stays below 2^63 for every p < 2^31.
 """
 
 from __future__ import annotations
@@ -224,17 +223,12 @@ _SPARSE_FROM = 4096
 _SPARSE_SHARE = 32
 
 
-def _is_sparse(rows: int, cols: int, count, *args) -> bool:
+def _is_sparse(rows: int, cols: int, nnz: int, *arrays) -> bool:
     """The storage rule: sparse from 4096 entries with at most 1/32 of them
-    nonzero.  ``count(*args)`` gives the nonzero count; below 4096 entries it
-    is not called.  The constructors pass a function and its arguments: a
-    closure per matrix made lh-towers-fp 3-6 % slower."""
+    nonzero.  The nonzero count is ``nnz`` plus the nonzero entries of
+    ``arrays``, which are counted only from 4096 entries on."""
     size = rows * cols
-    return size >= _SPARSE_FROM and count(*args) * _SPARSE_SHARE <= size
-
-
-def _nnz(m: "ExactMatrix") -> int:
-    return m._data.size if m._indptr is not None else int(np.count_nonzero(m._data))
+    return size >= _SPARSE_FROM and (nnz + sum(map(np.count_nonzero, arrays))) * _SPARSE_SHARE <= size
 
 
 def _coo(m: "ExactMatrix"):
@@ -292,7 +286,7 @@ def _from_coo(field: FieldSpec, rows: int, cols: int, r, c, v) -> "ExactMatrix":
     if p:
         v = v.astype(np.int64, copy=False)
     key, v = _summed(np.asarray(r, dtype=np.int64) * cols + c, v, p)
-    if not _is_sparse(rows, cols, len, key):
+    if not _is_sparse(rows, cols, key.size):
         out = _zeros(field, rows, cols)
         out.reshape(-1)[key] = v
         return ExactMatrix._stored(field, rows, cols, out)
@@ -340,12 +334,13 @@ class ExactMatrix:
         self.field = field
         self.rows, self.cols = data.shape
         self._indptr = None
-        if _is_sparse(self.rows, self.cols, np.count_nonzero, data):
+        if _is_sparse(self.rows, self.cols, 0, data):
             r, indices = data.nonzero()
             data, indptr = data[r, indices], np.searchsorted(r, np.arange(self.rows + 1))
-            indptr.flags.writeable = indices.flags.writeable = False
+            indptr.setflags(write=False)
+            indices.setflags(write=False)
             self._indptr, self._indices = indptr, indices
-        data.flags.writeable = False
+        data.setflags(write=False)
         self._data = data
 
     @classmethod
@@ -353,10 +348,11 @@ class ExactMatrix:
         """The matrix of the given storage, as it is: dense where ``indptr`` is None."""
         m = object.__new__(cls)
         m.field, m.rows, m.cols, m._indptr = field, rows, cols, indptr
-        data.flags.writeable = False
+        data.setflags(write=False)
         m._data = data
         if indptr is not None:
-            indptr.flags.writeable = indices.flags.writeable = False
+            indptr.setflags(write=False)
+            indices.setflags(write=False)
             m._indices = indices
         return m
 
@@ -388,7 +384,7 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
-        if not _is_sparse(rows, cols, int):  # int() is 0
+        if not _is_sparse(rows, cols, 0):
             return cls._stored(field, rows, cols, _zeros(field, rows, cols))
         none = np.zeros(0, dtype=np.int64)
         return _from_coo(field, rows, cols, none, none, none)
@@ -518,7 +514,8 @@ def _placed(field: FieldSpec, rows: int, cols: int, placed) -> ExactMatrix:
     if len(placed) == 1 and (placed[0][0].rows, placed[0][0].cols) == (rows, cols):
         # one block filling the matrix is the matrix
         return placed[0][0]
-    if _is_sparse(rows, cols, sum, (_nnz(b) for b, _, _ in placed)):
+    # a sparse block's values are its nonzero entries
+    if _is_sparse(rows, cols, 0, *(b._data for b, _, _ in placed)):
         r, c, v = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], []
         for blk, r0, c0 in placed:
             br, bc, bv = _coo(blk)
@@ -684,10 +681,11 @@ def _eliminate(m: ExactMatrix):
     e_L[t] plus Z[t] on the free columns, minus Z[t] on the pivots of S times
     RREF(S) on the free columns, and the other rows are those of RREF(S).
     Only the rows of Z and S are kept by storage: dense rows for a dense m,
-    updated in place and multiplied through BLAS, and merged nonzero entries
-    for a sparse one, so no elimination of a sparse matrix allocates its
-    dense array.  Taking dense inputs through the merges took lc-dense-fp's
-    four such eliminations from 6.4 to 10.5 ms a job, about 5 % of the job.
+    updated in place, and merged nonzero entries for a sparse one, so no
+    elimination of a sparse matrix allocates its dense array.  Taking dense
+    inputs through the merges took lc-dense-fp's four such eliminations from
+    6.4 to 10.5 ms a job, about 5 % of the job.  The echelon form is built
+    from the nonzero entries of Z and RREF(S) in both storages.
     """
     field, nrows, ncols = m.field, m.rows, m.cols
     p = field.characteristic
@@ -718,6 +716,8 @@ def _eliminate(m: ExactMatrix):
             starts = np.flatnonzero(np.diff(c_row[c_l], prepend=-1))
             _subtract_products(s, c_row[c_l][starts], starts, c[c_l], vals[c_l], z, p)
         s = ExactMatrix(field, s.astype(m._data.dtype, copy=False))
+        z_row, z_col = z.nonzero()
+        z_val, z_ptr = z[z_row, z_col], np.searchsorted(z_row, np.arange(L.size + 1))
     else:
         # row r of Z is z_col/z_val[first[r] : first[r] + lens[r]] once solved
         order = np.argsort(k[a_n], kind="stable")
@@ -750,17 +750,6 @@ def _eliminate(m: ExactMatrix):
     is_free[piv_s] = False
     pivots = np.sort(np.concatenate([L, N[piv_s]]))
     pos, s_pos = np.searchsorted(pivots, L), np.searchsorted(pivots, N[piv_s])
-    if m._indptr is None:
-        out = _zeros(field, nrows, ncols)
-        out[pos, L] = field.one()
-        red = _as_array(red)[: piv_s.size]
-        zk = z[:, is_free]
-        if piv_s.size:
-            zk = ((zk - _product_mod(z[:, piv_s], red[:, is_free], p)) % p if p
-                  else zk - z[:, piv_s] @ red[:, is_free])
-        out[np.ix_(pos, N[is_free])] = zk
-        out[np.ix_(s_pos, N)] = red
-        return ExactMatrix(field, out), tuple(pivots.tolist())
     z_row = np.repeat(pos, np.diff(z_ptr))
     free = is_free[z_col]
     slot = np.full(N.size, -1)
@@ -842,7 +831,7 @@ def _kernel(m: ExactMatrix):
     free = [c for c in range(m.cols) if c not in pivot_set]
     if red._indptr is None:
         block = red._data[: len(pivots), free]
-        if not _is_sparse(m.cols, len(free), lambda: len(free) + np.count_nonzero(block)):
+        if not _is_sparse(m.cols, len(free), len(free), block):
             out = _zeros(field, m.cols, len(free))
             out[free, range(len(free))] = field.one()
             if pivots:
@@ -1090,7 +1079,7 @@ def _mult_block(field: FieldSpec, n: int, cols: int, terms, space: StrandSpace |
         # each term puts one nonzero entry in each column
         if not terms:
             return ExactMatrix.zeros(field, n, cols)
-        if _is_sparse(n, cols, lambda: len(terms) * cols):
+        if _is_sparse(n, cols, len(terms) * cols):
             values = np.array([c for _, c in terms], dtype=object if field.is_rational else np.int64)
             return _from_coo(field, n, cols, np.concatenate([rows for rows, _ in terms]),
                              np.tile(np.arange(cols), len(terms)), np.repeat(values, cols))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lochom import complexes, exact, modules
@@ -749,8 +749,7 @@ def _stored_as(m, sparse):
 
 
 def _is_rule_stored(m):
-    nnz = len(exact._coo(m)[0])
-    return (m._indptr is not None) == exact._is_sparse(m.rows, m.cols, lambda: nnz)
+    return (m._indptr is not None) == exact._is_sparse(m.rows, m.cols, len(exact._coo(m)[0]))
 
 
 @st.composite
@@ -802,32 +801,39 @@ def _outcomes(field, a, b, c, d, picks, scalar):
     return out
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), p=st.sampled_from(STORAGE_PRIMES))
-def test_every_operation_gives_the_same_result_whichever_storage(data, p):
-    field = FieldSpec(p)
-    a = data.draw(_sparse_matrices(field))
-    b = data.draw(_sparse_matrices(field, a.rows, a.cols))
-    c = data.draw(_sparse_matrices(field, a.cols))
-    d = data.draw(_sparse_matrices(field, a.rows, a.rows))
-    n = data.draw(st.integers(0, 6)) if a.rows and a.cols else 0
-    picks = [data.draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n)) if n else []
+@st.composite
+def _storage_operands(draw):
+    """The field, a, b, c and d of :func:`_outcomes`, row and column picks of a,
+    and a scalar."""
+    field = FieldSpec(draw(st.sampled_from(STORAGE_PRIMES)))
+    a = draw(_sparse_matrices(field))
+    b = draw(_sparse_matrices(field, a.rows, a.cols))
+    c = draw(_sparse_matrices(field, a.cols))
+    d = draw(_sparse_matrices(field, a.rows, a.rows))
+    n = draw(st.integers(0, 6)) if a.rows and a.cols else 0
+    picks = [draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n)) if n else []
              for size in (a.rows, a.cols)]
-    _assert_the_same_whichever_storage(field, a, b, c, d, picks, data.draw(st.integers(0, 5)))
+    return field, a, b, c, d, picks, draw(st.integers(0, 5))
 
 
-@pytest.mark.parametrize("p", (2, 32003, 2**31 - 1))
-def test_front_end_inputs_give_the_same_result_whichever_storage(p):
-    # a deep chain, no free column and a zero Schur complement; over Q their
-    # strand spaces take seconds, and the elimination test covers them
-    field = FieldSpec(p)
-    for a in (M(field, data) for data in _structured_cases(p, "front-end")):
-        t = exact._transposed(a)
-        _assert_the_same_whichever_storage(field, a, a.scale(2), t, a @ t,
-                                           [[0, a.rows - 1, 3], [a.cols - 1, 0, 5]], 3)
+def _with_front_end_examples(test):
+    """``test`` with explicit operands led by each front-end test matrix over
+    F_p (a deep chain, no free column, a zero Schur complement); over Q their
+    strand spaces take seconds, and the elimination test covers them."""
+    for p in (2, 32003, 2**31 - 1):
+        field = FieldSpec(p)
+        for a in (M(field, data) for data in _structured_cases(p, "front-end")):
+            t = exact._transposed(a)
+            operands = field, a, a.scale(2), t, a @ t, [[0, a.rows - 1, 3], [a.cols - 1, 0, 5]], 3
+            test = example(operands=operands)(test)
+    return test
 
 
-def _assert_the_same_whichever_storage(field, a, b, c, d, picks, scalar):
+@settings(max_examples=40, deadline=None)
+@given(operands=_storage_operands())
+@_with_front_end_examples
+def test_every_operation_gives_the_same_result_whichever_storage(operands):
+    field, a, b, c, d, picks, scalar = operands
     want = _outcomes(field, a, b, c, d, picks, scalar)
     # operands in the rule's storage give results in the rule's storage
     assert all(_is_rule_stored(m) for m in want.values() if isinstance(m, ExactMatrix))
